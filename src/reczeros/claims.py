@@ -20,6 +20,7 @@ Findings always carry enough witness data to reproduce the verdict.
 from __future__ import annotations
 
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -34,7 +35,13 @@ from .exactnum import (
     zeta_series_enclosure,
 )
 from .family import boundary_profile, monic_even_form, reciprocal_poly
-from .interval import Interval, cos_enclosure, pi_enclosure, pow_rounded
+from .interval import (
+    Interval,
+    cos_pi_enclosure,
+    horner_rounded,
+    pi_enclosure,
+    pow_rounded,
+)
 
 PASS = "pass"
 FAIL = "fail"
@@ -49,13 +56,36 @@ EPS_SINGLE_CAP = Fraction(306, 1000)
 EPS_TOTAL_CAP = Fraction(2762, 10000)
 
 
+#: Largest ladder ceiling REC_ZEROS_PREC_CAP may set; the ladders double
+#: their precision up to the cap, and each step costs more than the last.
+PREC_CAP_MAX = 65536
+
+
 def precision_cap() -> int:
-    """Ladder ceiling in bits; override with the REC_ZEROS_PREC_CAP variable."""
+    """Ladder ceiling in bits; override with the REC_ZEROS_PREC_CAP variable.
+
+    The override is clamped to [256, PREC_CAP_MAX].
+    """
     try:
         value = int(os.environ.get("REC_ZEROS_PREC_CAP", ""))
     except ValueError:
         return 4096
-    return max(256, value)
+    return min(max(256, value), PREC_CAP_MAX)
+
+
+def map_calls(calls, jobs: int | None) -> list:
+    """[fn(*args) for fn, args in calls], in order, on a pool when jobs > 1.
+
+    The pool gets min(jobs, len(calls), os.cpu_count()) workers; with one
+    worker or fewer the calls run in this process.  Results do not depend
+    on the worker count.
+    """
+    workers = min(jobs or 1, len(calls), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(*args) for fn, args in calls]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, *args) for fn, args in calls]
+        return [fut.result() for fut in futures]
 
 
 def _exp2(x) -> int:
@@ -451,12 +481,15 @@ def check_sign_pattern(k: int, ell: int, precision: int = DEFAULT_PRECISION) -> 
     Alternation at the full cyclic grid forces 2k-2 sign changes per turn,
     which is exactly the number of unimodular zero pairs times two.  Grid
     angles with 2 cos theta in {0, +-1, +-2} are evaluated exactly; the
-    rest through pi/cos enclosures with an escalating precision ladder.
+    rest through cos(pi r) enclosures and a step-rounded Horner on the
+    integer coefficients of T, with an escalating precision ladder.
     """
     if k < 3:
         raise ValueError("needs k >= 3")
     prof = boundary_profile(k, ell)
     T = prof.transform
+    # a positive multiple of T: same signs, integer Horner steps
+    ints = T.int_coeffs()
     even_even = ell % 2 == 0 and k % 2 == 0
     if even_even:
         points = [(j, Fraction(2 * j - 1, 2 * (k - 1)), 1 if j % 2 == 0 else -1)
@@ -486,9 +519,8 @@ def check_sign_pattern(k: int, ell: int, precision: int = DEFAULT_PRECISION) -> 
         else:
             pr = max(precision, 64)
             while True:
-                theta = r * pi_enclosure(pr)
-                wenc = 2 * cos_enclosure(theta, pr)
-                s = T.eval_interval(wenc).sign()
+                wenc = 2 * cos_pi_enclosure(r, pr)
+                s = horner_rounded(ints, wenc, pr + len(ints) + 8).sign()
                 if s:
                     break
                 pr *= 2
@@ -860,20 +892,8 @@ def run_all(k_max: int, ell_max: int, precision: int = DEFAULT_PRECISION,
                                    ell_max=ell_max))
     call("props", check_zero_location_grid, k_max, ell_max)
 
-    results: list = [None] * len(plan)
-    if jobs and jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {}
-            for i, (fn, payload) in enumerate(plan):
-                if fn is None:
-                    results[i] = payload
-                else:
-                    futures[pool.submit(fn, *payload)] = i
-            for fut, i in futures.items():
-                results[i] = fut.result()
-    else:
-        for i, (fn, payload) in enumerate(plan):
-            results[i] = payload if fn is None else fn(*payload)
-    return VerificationReport(k_max, ell_max, precision, tuple(results))
+    computed = iter(map_calls([step for step in plan if step[0] is not None],
+                              jobs))
+    results = tuple(payload if fn is None else next(computed)
+                    for fn, payload in plan)
+    return VerificationReport(k_max, ell_max, precision, results)

@@ -13,13 +13,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import serialize
 from .analysis import RESULTANT_K_CAP
-from .claims import SUITES, run_all
+from .claims import SUITES, map_calls, run_all
 
 DEFAULT_WIDTH = Fraction(1, 10**20)
 
@@ -164,16 +163,8 @@ def _note(message: str) -> None:
 
 
 def _map_grid(fn, arg_tuples, jobs: int) -> list:
-    """Order-preserving map, optionally on a process pool."""
-    if jobs > 1 and len(arg_tuples) > 1:
-        results = [None] * len(arg_tuples)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(fn, *args): i
-                       for i, args in enumerate(arg_tuples)}
-            for fut, i in futures.items():
-                results[i] = fut.result()
-        return results
-    return [fn(*args) for args in arg_tuples]
+    """Order-preserving map, on a process pool when jobs > 1."""
+    return map_calls([(fn, args) for args in arg_tuples], jobs)
 
 
 def _grid(cfg: RunConfig) -> list[tuple[int, int]]:

@@ -3,20 +3,28 @@
 Closed intervals [lo, hi] with `fractions.Fraction` endpoints.  Every
 operation is inclusion-correct: the result interval contains every value
 f(x) for x in the operand intervals.  Because rationals are closed under
-+, -, *, /, the arithmetic itself needs no rounding; `round_outward` is
-available to keep endpoint denominators from growing without bound in
-long computations (it only ever widens).
++, -, *, /, the arithmetic itself needs no rounding; `round_outward` keeps
+endpoint denominators from growing without bound in long computations (it
+only ever widens), and `horner_rounded` rounds the same way after every
+step of a polynomial evaluation, on integer mantissas.
 
 Also provides certified enclosures of pi (Machin's formula with
 alternating-series tail bounds) and of cos on rational-endpoint
-intervals (Taylor series with a Lagrange remainder bound).
+intervals: a Taylor partial sum with a Lagrange remainder bound, evaluated
+by step-rounded Horner with guard bits that grow with the term count, so
+that the rounding error, amplified by at most |x|^(2n) over n terms, stays
+below the requested precision.  `cos_pi_enclosure` serves cos(pi r) for
+rational r: it reduces r exactly to [0, 1/2] (r mod 2, r -> 2 - r, and
+cos(pi - t) = -cos t) before multiplying by the pi enclosure, so the series
+argument stays below pi/2, and it memoizes the reduced enclosure per
+(r, precision) in a module dict filled on first use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, floor, ceil, isqrt
-from typing import Union
+from typing import Sequence, Union
 
 _NumLike = Union[int, Fraction]
 
@@ -173,6 +181,27 @@ def pow_rounded(iv: Interval, n: int, bits: int) -> Interval:
     return result
 
 
+def horner_rounded(coeffs: Sequence[_NumLike], x: Interval, bits: int) -> Interval:
+    """Enclosure of sum(coeffs[i] * x**i), outward-rounding after each Horner step.
+
+    x, each coefficient and each step's result are rounded outward to
+    multiples of 2^-bits, as `Interval.round_outward` does, so the steps
+    run on integer mantissas with no gcd work.  Each step widens by less
+    than 2^(2-bits) before the later steps multiply it by x, so the
+    rounding adds less than 2^(2-bits) * sum |x|^i, plus the effect of
+    rounding x itself (none when x already lies on the 2^-bits grid).
+    """
+    scale = 1 << bits
+    xlo, xhi = floor(x.lo * scale), ceil(x.hi * scale)
+    lo = hi = 0
+    for c in reversed(coeffs):
+        products = (lo * xlo, lo * xhi, hi * xlo, hi * xhi)
+        c = c * scale
+        lo = (min(products) >> bits) + floor(c)
+        hi = -(-max(products) >> bits) + ceil(c)
+    return Interval(Fraction(lo, scale), Fraction(hi, scale))
+
+
 def sqrt_enclosure(iv: Interval, bits: int) -> Interval:
     """Certified enclosure of the square root of a nonnegative interval.
 
@@ -253,7 +282,10 @@ def cos_enclosure(x: Interval, precision: int) -> Interval:
 
     Taylor partial sum with the Lagrange bound |R_N| <= |x|^(2N) / (2N)! for
     the tail after the x^(2N-2) term; valid for any real x, efficient for
-    |x| up to a few units.
+    |x| up to a few units.  The n-term Horner runs in y = x^2 and rounds
+    outward after each step; its rounding error is amplified by up to
+    max(1, |y|)^n, so the guard bits grow by the bit length of ceil(|y|)
+    per term.
     """
     m = max(abs(x.lo), abs(x.hi))
     msq = m * m
@@ -263,11 +295,33 @@ def cos_enclosure(x: Interval, precision: int) -> Interval:
     while term >= tol:
         n += 1
         term = term * msq / ((2 * n - 1) * (2 * n))
-    # partial sum sum_{i<n} (-1)^i y^i/(2i)!  evaluated at y = x^2 by Horner
-    y = x**2
-    acc = Interval(Fraction((-1) ** (n - 1), factorial(2 * (n - 1))))
-    for i in range(n - 2, -1, -1):
-        acc = acc * y + Interval(Fraction((-1) ** i, factorial(2 * i)))
-    out = acc + Interval(-term, term)
+    bits = precision + 8 + n * max(1, ceil(msq).bit_length())
+    # partial sum sum_{i<n} (-1)^i y^i/(2i)!  evaluated at y = x^2
+    coeffs = [Fraction((-1) ** i, factorial(2 * i)) for i in range(n)]
+    out = horner_rounded(coeffs, x**2, bits) + Interval(-term, term)
     out = out.intersect(Interval(-1, 1))
     return out.round_outward(precision + 8)
+
+
+_cos_pi_cache: dict[tuple[Fraction, int], Interval] = {}
+
+
+def cos_pi_enclosure(r: _NumLike, precision: int) -> Interval:
+    """Certified enclosure of cos(pi r) for rational r.
+
+    r is reduced exactly to [0, 1/2] (period 2, evenness, and
+    cos(pi - t) = -cos t), so the cos series sees |theta| <= pi/2.  The
+    reduced enclosure is memoized per (reduced r, precision).
+    """
+    r = Fraction(r) % 2
+    if r > 1:
+        r = 2 - r
+    negate = r > Fraction(1, 2)
+    if negate:
+        r = 1 - r
+    key = (r, precision)
+    enc = _cos_pi_cache.get(key)
+    if enc is None:
+        enc = cos_enclosure(r * pi_enclosure(precision), precision)
+        _cos_pi_cache[key] = enc
+    return -enc if negate else enc

@@ -50,9 +50,18 @@ def enclosure_dict(iv: Interval) -> dict:
     }
 
 
+def int_str(n: int) -> str:
+    """Decimal digits of n at any size.
+
+    str(int) refuses more than sys.get_int_max_str_digits() digits (4300 by
+    default); the decimal module converts exactly and has no such limit.
+    """
+    return str(Decimal(n))
+
+
 def rational_str(x: Fraction) -> str:
     x = Fraction(x)
-    return "%d/%d" % (x.numerator, x.denominator)
+    return "%s/%s" % (int_str(x.numerator), int_str(x.denominator))
 
 
 def wire(value):
@@ -60,7 +69,7 @@ def wire(value):
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, int):
-        return str(value)
+        return int_str(value)
     if isinstance(value, Fraction):
         return rational_str(value)
     if isinstance(value, Interval):

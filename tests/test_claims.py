@@ -1,8 +1,10 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from reczeros.claims import (
+    PREC_CAP_MAX,
     check_GH_signs,
     check_alpha_interval,
     check_alpha_k2_report,
@@ -101,11 +103,16 @@ def test_sign_pattern_shifted_grid_for_even_even():
 
 
 def test_sign_pattern_change_count_matches_circle_pairs():
-    for k in range(3, 7):
-        for ell in range(1, 4):
+    """Every grid the suite runs passes at its starting precision."""
+    max_precision = Counter()
+    for k in range(3, 13):
+        for ell in range(1, 7):
             r = check_sign_pattern(k, ell)
             assert r.status == "pass", (k, ell)
             assert r.data["sign_changes"] == 2 * k - 2, (k, ell)
+            max_precision[r.data["max_precision"]] += 1
+    # 0 when every grid angle has a rational 2cos; none escalates past 128
+    assert max_precision == {128: 51, 0: 9}
 
 
 def test_sign_pattern_needs_k3():
@@ -294,3 +301,5 @@ def test_precision_cap_env(monkeypatch):
     assert precision_cap() == 8192
     monkeypatch.setenv("REC_ZEROS_PREC_CAP", "junk")
     assert precision_cap() == 4096
+    monkeypatch.setenv("REC_ZEROS_PREC_CAP", str(10**9))
+    assert precision_cap() == PREC_CAP_MAX == 65536

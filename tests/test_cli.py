@@ -1,10 +1,12 @@
 import json
+import os
+from concurrent.futures import Future
 from fractions import Fraction as F
 
 import jsonschema
 import pytest
 
-from reczeros import serialize
+from reczeros import claims, serialize
 from reczeros.cli import main, parse_values, parse_width
 
 
@@ -214,3 +216,43 @@ def test_certify_width_controls_alpha_enclosure(capsys):
     alpha = doc["instances"][0]["alpha"]
     gap = F(alpha["hi"]) - F(alpha["lo"])
     assert F(1, 10**6) < gap <= F(1, 10)
+
+
+def test_jobs_are_clamped_to_tasks_and_cpus(monkeypatch, tmp_path):
+    """--jobs 10000 asks the pool for no more workers than tasks or CPUs."""
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(claims, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    out = str(tmp_path / "construct.json")
+    assert main(["construct", "--k", "1..3", "--ell", "1", "--jobs", "10000",
+                 "--format", "json", "--out", out]) == 0
+    assert asked == [3]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    claims.run_all(3, 1, jobs=10000)
+    assert asked == [3, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert main(["construct", "--k", "1..3", "--ell", "1", "--jobs", "10000",
+                 "--format", "json", "--out", out]) == 0
+    assert asked == [3, 2]
+
+
+def test_rational_str_beyond_the_int_str_digit_limit():
+    big = 10**5000 + 7
+    assert serialize.rational_str(F(big, 3)) == "1" + "0" * 4999 + "7/3"
+    assert serialize.wire(big) == "1" + "0" * 4999 + "7"

@@ -2,10 +2,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from reczeros.interval import (
     Interval,
     cos_enclosure,
+    cos_pi_enclosure,
+    horner_rounded,
     pi_enclosure,
     pow_rounded,
 )
@@ -174,3 +177,35 @@ def test_cos_near_pi():
     e = cos_enclosure(p, 96)
     assert e.contains(-1)
     assert e.lo >= -1
+
+
+def test_cos_pi_enclosure_contains_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for precision in (64, 128, 256):
+        with mpmath.workprec(precision + 64):
+            for q in range(1, 25):
+                for p in range(0, 4 * q + 1):
+                    e = cos_pi_enclosure(F(p, q), precision)
+                    v = mpmath.cospi(mpmath.mpf(p) / q)
+                    exact = F(*mpmath.libmp.to_rational(v._mpf_))
+                    assert e.contains(exact), (p, q, precision)
+                    assert e.width() <= F(2) ** (4 - precision), (p, q)
+
+
+_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=1 << 20)
+
+
+@given(data=st.data(),
+       coeffs=st.lists(st.integers(-(1 << 80), 1 << 80) | _rationals,
+                       min_size=1, max_size=12),
+       bits=st.integers(1, 96))
+def test_horner_rounded_contains_exact_value(data, coeffs, bits):
+    # endpoints on the 2^-bits grid leave the rounding no slack to hide in
+    grid = st.integers(-4 << bits, 4 << bits).map(lambda n: F(n, 1 << bits))
+    a, b = data.draw(grid | _rationals), data.draw(grid | _rationals)
+    lo, hi = min(a, b), max(a, b)
+    t = data.draw(st.sampled_from((0, 1))
+                  | st.fractions(0, 1, max_denominator=1 << 10))
+    x = lo + t * (hi - lo)
+    exact = sum(c * x**i for i, c in enumerate(coeffs))
+    assert horner_rounded(coeffs, Interval(lo, hi), bits).contains(exact)
