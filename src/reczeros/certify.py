@@ -20,13 +20,17 @@ off the circle, and that pair is real positive: then the unimodular count
 is k - 1 and the off-circle pair is (alpha, 1/alpha).
 
 Rational zeros at roots of unity are detected separately by exact division
-with cyclotomic polynomials.
+with cyclotomic polynomials.  Each Phi_n is monic with integer coefficients,
+so the division runs on the member's integer-cleared coefficients and stays
+in the integers; the orders n to try come from a totient sieve built on
+first use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import inf
+from typing import Sequence
 
 from .family import boundary_profile, reciprocal_poly
 from .interval import Interval, sqrt_enclosure
@@ -200,53 +204,83 @@ def alpha_enclosure(
 
 # -- zeros at roots of unity ---------------------------------------------
 
-_cyclo_cache: dict[int, Poly] = {1: Poly([-1, 1])}
+_cyclo_cache: dict[int, tuple[int, ...]] = {1: (-1, 1)}
+_phi_table: list[int] = []
+
+
+def _divmod_monic(f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer f by monic integer g, over the integers."""
+    rem = list(f)
+    dg = len(g) - 1
+    quo = [0] * (len(rem) - dg)
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + dg]
+        if c:
+            quo[i] = c
+            for j in range(dg):
+                rem[i + j] -= c * g[j]
+    del rem[dg:]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quo, rem
+
+
+def _cyclotomic_ints(n: int) -> tuple[int, ...]:
+    got = _cyclo_cache.get(n)
+    if got is None:
+        num = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n // 2 + 1):
+            if n % d == 0:
+                num, rem = _divmod_monic(num, _cyclotomic_ints(d))
+                if rem:
+                    raise AssertionError("cyclotomic division is not exact")
+        got = _cyclo_cache[n] = tuple(num)
+    return got
 
 
 def cyclotomic(n: int) -> Poly:
     """The n-th cyclotomic polynomial, by exact division of x^n - 1."""
     if not isinstance(n, int) or n < 1:
         raise ValueError("cyclotomic needs n >= 1")
-    got = _cyclo_cache.get(n)
-    if got is not None:
-        return got
-    num = Poly.monomial(n, 1) + Poly([-1])
-    for d in range(1, n // 2 + 1):
-        if n % d == 0:
-            num = num.exact_div(cyclotomic(d))
-    _cyclo_cache[n] = num
-    return num
+    return Poly(_cyclotomic_ints(n))
+
+
+def _totients(limit: int) -> list[int]:
+    """Euler's phi for 0..limit (at least), from a sieve grown on demand."""
+    global _phi_table
+    if len(_phi_table) <= limit:
+        size = max(limit + 1, 2 * len(_phi_table))
+        phi = list(range(size))
+        for p in range(2, size):
+            if phi[p] == p:
+                for m in range(p, size, p):
+                    phi[m] -= phi[m] // p
+        _phi_table = phi
+    return _phi_table
 
 
 def euler_phi(n: int) -> int:
     if not isinstance(n, int) or n < 1:
         raise ValueError("euler_phi needs n >= 1")
-    out = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
-    return out
+    return _totients(n)[n]
 
 
 def roots_of_unity_zeros(k: int, ell: int) -> list[int]:
     """Orders n for which every primitive n-th root of unity is a zero.
 
-    Scans all n with euler_phi(n) <= k+1; since phi(n) >= sqrt(n/2), the
-    scan can stop at 2 (k+1)^2.
+    Scans all n with euler_phi(n) <= k+1, read from a totient sieve; since
+    phi(n) >= sqrt(n/2), the scan can stop at 2 (k+1)^2.  Phi_n is monic
+    with integer coefficients, so it divides the member over the rationals
+    exactly when the integer remainder of r.int_coeffs() by Phi_n is zero.
     """
-    r = reciprocal_poly(k, ell)
+    ints = reciprocal_poly(k, ell).int_coeffs()
     deg = k + 1
+    limit = 2 * deg * deg
+    phi = _totients(limit)
     out = []
-    for n in range(1, 2 * deg * deg + 1):
-        if euler_phi(n) > deg:
+    for n in range(1, limit + 1):
+        if phi[n] > deg:
             continue
-        if (r % cyclotomic(n)).is_zero():
+        if not _divmod_monic(ints, _cyclotomic_ints(n))[1]:
             out.append(n)
     return out

@@ -23,9 +23,15 @@ from .claims import SUITES, map_calls, run_all
 DEFAULT_WIDTH = Fraction(1, 10**20)
 
 
+#: Most values one --k or --ell flag may name, counted before deduplication,
+#: and most (k, ell) instances one grid may hold.
+MAX_RANGE_VALUES = 10_000
+
+
 def parse_values(text: str) -> list[int]:
     """Inclusive `a..b` spans and comma lists, normalized sorted unique."""
     values: set[int] = set()
+    total = 0
     for token in text.split(","):
         token = token.strip()
         if not token:
@@ -35,9 +41,13 @@ def parse_values(text: str) -> list[int]:
             lo, hi = int(a), int(b)
             if hi < lo:
                 raise ValueError("descending span %s" % token)
-            values.update(range(lo, hi + 1))
         else:
-            values.add(int(token))
+            lo = hi = int(token)
+        total += hi - lo + 1
+        if total > MAX_RANGE_VALUES:
+            raise ValueError("more than %d values in %r"
+                             % (MAX_RANGE_VALUES, text))
+        values.update(range(lo, hi + 1))
     return sorted(values)
 
 
@@ -172,6 +182,8 @@ def _grid(cfg: RunConfig) -> list[tuple[int, int]]:
         raise ValueError("empty parameter grid")
     if cfg.ks[0] < 1 or cfg.ells[0] < 1:
         raise ValueError("k and ell must be at least 1")
+    if len(cfg.ks) * len(cfg.ells) > MAX_RANGE_VALUES:
+        raise ValueError("more than %d (k, ell) instances" % MAX_RANGE_VALUES)
     return [(k, ell) for k in cfg.ks for ell in cfg.ells]
 
 

@@ -6,7 +6,9 @@ cleared to a primitive integer coefficient list, and the signed remainder
 always positive, so sign variation counts are preserved exactly.  Root
 counts are over open intervals; callers detect endpoint roots by exact
 evaluation.  Root isolation returns boxes with nonzero opposite endpoint
-signs; refinement is plain sign bisection.
+signs; refinement is sign bisection on integer numerators over a common
+denominator that doubles with each halving, with signs taken by
+homogeneous integer Horner.
 
 Also here: the z + 1/z transform for self-reciprocal polynomials of even
 degree.  For m with z^(2d) m(1/z) = sigma * m(z):
@@ -15,7 +17,9 @@ degree.  For m with z^(2d) m(1/z) = sigma * m(z):
     sigma = -1:  m(z) = z^(d-1) (z^2 - 1) T(z + 1/z),  deg T = d - 1
 
 computed by the two Chebyshev-style recurrences for z^n + z^-n and
-(z^n - z^-n)/(z - 1/z), and verified by exact resubstitution.
+(z^n - z^-n)/(z - 1/z) on the integer-cleared coefficients of m, verified
+by exact resubstitution on integers (a binomial expansion compared
+coefficient by coefficient), and scaled back to m's own coefficients once.
 """
 
 from __future__ import annotations
@@ -532,28 +536,43 @@ def isolate_real_roots(p: Poly, a=-inf, b=inf, chain: SturmChain | None = None) 
 
 
 def refine_root(box: RootBox, width: Fraction) -> RootBox:
-    """Shrink a root box below the requested width by sign bisection."""
+    """Shrink a root box below the requested width by sign bisection.
+
+    The endpoints are integer numerators a < b over a common denominator
+    D0 * 2^s that doubles with each halving, so a midpoint is (a + b) over
+    the next denominator, and its sign is the sign of the homogeneous form
+    sum c_i D0^(n-i) * x^i * 2^(s (n-i)) at the numerator x.
+    """
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
     ints = box.poly.int_coeffs()
-    lo, hi = box.lo, box.hi
     slo, shi = box.sign_lo, box.sign_hi
-    while hi - lo > width:
-        m = (lo + hi) / 2
-        sm = _sign_at(ints, m)
-        if sm == 0:
-            # the root is exactly m; close symmetrically around it
-            delta = min(width, hi - lo) / 4
+    den0 = lcm(box.lo.denominator, box.hi.denominator)
+    a = box.lo.numerator * (den0 // box.lo.denominator)
+    b = box.hi.numerator * (den0 // box.hi.denominator)
+    n = len(ints) - 1
+    scaled = [c * den0 ** (n - i) for i, c in enumerate(ints)]
+    wnum, wden = width.numerator, width.denominator
+    s = 0
+    while (b - a) * wden > wnum * (den0 << s):
+        s += 1
+        x = a + b
+        acc = scaled[n]
+        for i in range(n - 1, -1, -1):
+            acc = acc * x + (scaled[i] << (s * (n - i)))
+        if acc == 0:
+            # the root is exactly the midpoint; close symmetrically around it
+            m = Fraction(x, den0 << s)
+            delta = min(width, Fraction(b - a, den0 << (s - 1))) / 4
             while _sign_at(ints, m - delta) != slo or _sign_at(ints, m + delta) != shi:
                 delta /= 2
-            lo, hi = m - delta, m + delta
-            break
-        if sm == slo:
-            lo = m
+            return RootBox(box.poly, m - delta, m + delta, slo, shi)
+        if (acc > 0) - (acc < 0) == slo:
+            a, b = x, 2 * b
         else:
-            hi = m
-    return RootBox(box.poly, lo, hi, slo, shi)
+            a, b = 2 * a, x
+    return RootBox(box.poly, Fraction(a, den0 << s), Fraction(b, den0 << s), slo, shi)
 
 
 # -- the z + 1/z transform ----------------------------------------------
@@ -592,7 +611,9 @@ def detect_reversal_sign(m: Poly) -> int:
 def reciprocal_transform(m: Poly, sigma: int | None = None) -> TransformResult:
     """Express a self-reciprocal even-degree m in the variable w = z + 1/z.
 
-    Verified by exact resubstitution before returning.
+    The recurrences run on m.int_coeffs(), a positive integer multiple of
+    m; the integer transform is verified by exact resubstitution and then
+    scaled back once, so T is exactly the transform of m itself.
     """
     if m.degree() < 2 or m.degree() % 2 != 0:
         raise ValueError("transform needs even degree >= 2")
@@ -603,28 +624,32 @@ def reciprocal_transform(m: Poly, sigma: int | None = None) -> TransformResult:
         raise ValueError("declared sigma %d does not match coefficients" % sigma)
     sigma = found
     d = m.degree() // 2
-    cs = m.coeffs
-    w = Poly.x()
+    cs = m.int_coeffs()
+    acc = [0] * (d + 1)
     if sigma == 1:
         # m/z^d = c_d + sum_{i>=1} c_{d+i} (z^i + z^-i); z^i + z^-i = V_i(w)
-        acc = Poly((cs[d],))
-        v_prev, v_cur = Poly((2,)), w
-        for i in range(1, d + 1):
-            acc = acc + cs[d + i] * v_cur
-            v_prev, v_cur = v_cur, w * v_cur - v_prev
-        t = acc
+        acc[0] = cs[d]
+        prev, cur = [2], [0, 1]
+        shift = d
         cof = None
     else:
         # m/z^d = sum_{i>=1} c_{d+i} (z^i - z^-i)
         #       = (z - 1/z) * sum c_{d+i} S_{i-1}(w)
-        acc = Poly.zero()
-        s_prev, s_cur = Poly.zero(), Poly.one()
-        for i in range(1, d + 1):
-            acc = acc + cs[d + i] * s_cur
-            s_prev, s_cur = s_cur, w * s_cur - s_prev
-        t = acc
+        prev, cur = [], [1]
+        shift = d - 1
         cof = Poly((-1, 0, 1))  # z^2 - 1
-    _verify_resubstitution(m, t, d, sigma)
+    for i in range(1, d + 1):
+        c = cs[d + i]
+        for j, v in enumerate(cur):
+            acc[j] += c * v
+        nxt = [0] + cur
+        for j, v in enumerate(prev):
+            nxt[j] -= v
+        prev, cur = cur, nxt
+    _trim(acc)
+    _verify_resubstitution(cs, acc, shift, sigma)
+    scale = m.lc() / cs[-1]
+    t = Poly(c * scale for c in acc)
     try:
         parity, w_sq = split_even_odd(t)
     except ValueError:
@@ -632,18 +657,28 @@ def reciprocal_transform(m: Poly, sigma: int | None = None) -> TransformResult:
     return TransformResult(t, sigma, cof, parity, w_sq)
 
 
-def _verify_resubstitution(m: Poly, t: Poly, d: int, sigma: int) -> None:
-    zsq1 = Poly((1, 0, 1))  # z^2 + 1
-    acc = Poly.zero()
-    power = Poly.one()
-    shift = d if sigma == 1 else d - 1
-    for i, c in enumerate(t.coeffs):
-        if c != 0:
-            acc = acc + c * (power * Poly.monomial(shift - i))
-        power = power * zsq1
+def _verify_resubstitution(m: Sequence[int], t: Sequence[int], shift: int,
+                           sigma: int) -> None:
+    """Raise unless m(z) = z^shift (z^2 - 1)^[sigma = -1] t(z + 1/z).
+
+    z^shift t(z + 1/z) = sum_i t_i (z^2 + 1)^i z^(shift - i) is expanded
+    with binomial coefficients and compared coefficient by coefficient.
+    """
+    if len(t) - 1 > shift:
+        raise AssertionError("transform resubstitution mismatch")
+    acc = [0] * (2 * shift + 1)
+    row = [1]  # C(i, j) for j = 0..i
+    for i, c in enumerate(t):
+        if c:
+            for j, b in enumerate(row):
+                acc[shift - i + 2 * j] += c * b
+        row = [1] + [x + y for x, y in zip(row, row[1:])] + [1]
     if sigma == -1:
-        acc = acc * Poly((-1, 0, 1))
-    if acc != m:
+        acc = [0, 0] + acc
+        for i in range(len(acc) - 2):
+            acc[i] -= acc[i + 2]
+    _trim(acc)
+    if acc != list(m):
         raise AssertionError("transform resubstitution mismatch")
 
 

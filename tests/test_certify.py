@@ -134,18 +134,35 @@ def test_cyclotomic_golden():
 
 
 def test_cyclotomic_product_recovers_power():
-    n = 12
-    prod = Poly([1])
-    for d in range(1, n + 1):
-        if n % d == 0:
-            prod = prod * cyclotomic(d)
-    assert prod == Poly.monomial(n, 1) + Poly([-1])
+    for n in range(1, 61):
+        prod = Poly([1])
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = prod * cyclotomic(d)
+        assert prod == Poly.monomial(n, 1) + Poly([-1]), n
+
+
+def _phi_by_trial_division(n: int) -> int:
+    out = n
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            out -= out // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out -= out // m
+    return out
 
 
 def test_euler_phi():
     assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
     assert euler_phi(97) == 96
     assert euler_phi(360) == 96
+    assert [euler_phi(n) for n in range(1, 3001)] == [
+        _phi_by_trial_division(n) for n in range(1, 3001)]
 
 
 def test_unity_orders_golden():
@@ -153,6 +170,17 @@ def test_unity_orders_golden():
     assert roots_of_unity_zeros(2, 1) == [2]
     assert roots_of_unity_zeros(2, 2) == [1]
     assert roots_of_unity_zeros(3, 1) == [3]
+
+
+def test_unity_orders_match_fraction_division_oracle():
+    for k in range(1, 21):
+        deg = k + 1
+        orders = [n for n in range(1, 2 * deg * deg + 1)
+                  if _phi_by_trial_division(n) <= deg]
+        for ell in range(1, 7):
+            r = reciprocal_poly(k, ell)
+            want = [n for n in orders if (r % cyclotomic(n)).is_zero()]
+            assert roots_of_unity_zeros(k, ell) == want, (k, ell)
 
 
 def test_unity_orders_stay_trivial_for_higher_ell():

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import tracemalloc
 from concurrent.futures import Future
 from fractions import Fraction as F
 
@@ -7,7 +9,7 @@ import jsonschema
 import pytest
 
 from reczeros import claims, serialize
-from reczeros.cli import main, parse_values, parse_width
+from reczeros.cli import MAX_RANGE_VALUES, main, parse_values, parse_width
 
 
 # ---------------------------------------------------------------------------
@@ -26,6 +28,28 @@ def test_parse_values_rejects_garbage():
     for bad in ("", "3..1", "1,,2", "a..b", "2.5"):
         with pytest.raises(ValueError):
             parse_values(bad)
+
+
+def test_parse_values_bounds_the_value_count_before_building():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            parse_values("1..100000000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    # the bound is on the running total over all tokens
+    with pytest.raises(ValueError):
+        parse_values("1..%d,%d" % (MAX_RANGE_VALUES, MAX_RANGE_VALUES + 5))
+    assert len(parse_values("1..%d" % MAX_RANGE_VALUES)) == MAX_RANGE_VALUES
+
+
+def test_huge_range_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--k", "1..100000000000", "--ell", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_parse_width_accepts_rational_and_decimal():
@@ -56,6 +80,7 @@ def test_bad_range_is_usage_error(capsys):
     ["construct", "--k", "0", "--ell", "1"],
     ["certify", "--k", "2", "--ell", "1", "--prec", "32"],
     ["certify", "--k", "2", "--ell", "1", "--jobs", "0"],
+    ["construct", "--k", "1..10000", "--ell", "1..10000"],
 ])
 def test_invalid_config_exits_2(argv, capsys):
     assert main(argv) == 2
@@ -128,6 +153,23 @@ def test_scan_document_schema(capsys):
     assert by_key[("3", "1")] == ["3"]   # a genuine cube-root-of-unity zero
     assert by_key[("2", "2")] == ["1"]
     assert by_key[("1", "1")] == []
+
+
+def _digest(instances) -> str:
+    text = json.dumps(instances, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_certify_and_scan_instances_are_pinned():
+    # digests of the documents before the certify core moved to integers
+    certs = [serialize.certificate_instance(k, ell, F(1, 10**20))
+             for k in range(1, 15) for ell in range(1, 7)]
+    assert _digest(certs) == (
+        "80bf6f3dd5de79f82f244740f9e34285bf36d2e40470b7f4ece894de7db5ba24")
+    scans = [serialize.scan_instance(k, ell)
+             for k in range(1, 21) for ell in range(1, 7)]
+    assert _digest(scans) == (
+        "cd7e1ea930197ac6797e33d0a4d2dbc18ca3a003ca72528130a2c06338ddbf15")
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,14 @@ from fractions import Fraction as F
 from math import inf
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
+from reczeros.certify import certify_zeros
 from reczeros.interval import Interval
 from reczeros.polycore import (
     Poly,
+    _sign_at,
+    _verify_resubstitution,
     RootBox,
     SturmChain,
     cauchy_bound,
@@ -208,6 +212,53 @@ def test_refine_random_linear_roots():
         assert tight.width() <= F(1, 10**9)
 
 
+def _fraction_refine(box, width):
+    """Reference: the same bisection, on Fraction endpoints."""
+    ints = box.poly.int_coeffs()
+    lo, hi = box.lo, box.hi
+    slo, shi = box.sign_lo, box.sign_hi
+    while hi - lo > width:
+        m = (lo + hi) / 2
+        sm = _sign_at(ints, m)
+        if sm == 0:
+            delta = min(width, hi - lo) / 4
+            while _sign_at(ints, m - delta) != slo or _sign_at(ints, m + delta) != shi:
+                delta /= 2
+            return m - delta, m + delta
+        if sm == slo:
+            lo = m
+        else:
+            hi = m
+    return lo, hi
+
+
+def test_refine_matches_fraction_bisection_on_certify_grid():
+    for k in range(1, 15):
+        for ell in range(1, 7):
+            box = certify_zeros(k, ell).v_box
+            if box is None:
+                continue
+            for width in (F(1, 8 * 10**20), F(1, 128 * 10**20), F(1, 3)):
+                got = refine_root(box, width)
+                assert (got.lo, got.hi) == _fraction_refine(box, width), (k, ell)
+                assert (got.sign_lo, got.sign_hi) == (box.sign_lo, box.sign_hi)
+
+
+@pytest.mark.parametrize("p, lo, hi, sign_lo, root", [
+    (Poly([-5, 1]), 4, 6, -1, 5),                      # the first midpoint
+    (Poly([-5, 1]), 4, 8, -1, 5),                      # the second
+    (Poly([5, -1]), F(14, 3), 6, 1, 5),                # the second, D0 = 3
+    ((X - F(1, 3)) * (X + 2), 0, F(2, 3), -1, F(1, 3)),
+])
+def test_refine_midpoint_root_matches_fraction_bisection(p, lo, hi, sign_lo, root):
+    box = RootBox(p, lo, hi, sign_lo, -sign_lo)
+    for width in (F(1, 100), F(1, 10**12), F(1, 2)):
+        got = refine_root(box, width)
+        assert (got.lo, got.hi) == _fraction_refine(box, width)
+        assert got.lo + got.hi == 2 * root
+        assert got.width() <= width
+
+
 # -- the z + 1/z transform ----------------------------------------------
 
 def test_detect_reversal_sign():
@@ -293,3 +344,68 @@ def test_split_even_odd():
     assert split_even_odd(Poly([0, 4, 0, 5])) == ("odd", Poly([4, 5]))
     with pytest.raises(ValueError):
         split_even_odd(Poly([1, 1]))
+
+
+def _fraction_transform(m, sigma):
+    """Reference: the Chebyshev-style recurrences on Fraction polynomials,
+    checked by Fraction resubstitution."""
+    d = m.degree() // 2
+    cs = m.coeffs
+    w = Poly.x()
+    if sigma == 1:
+        t = Poly((cs[d],))
+        prev, cur = Poly((2,)), w
+    else:
+        t = Poly.zero()
+        prev, cur = Poly.zero(), Poly.one()
+    for i in range(1, d + 1):
+        t = t + cs[d + i] * cur
+        prev, cur = cur, w * cur - prev
+    shift = d if sigma == 1 else d - 1
+    back = Poly.zero()
+    for i, c in enumerate(t.coeffs):
+        back = back + c * (Poly((1, 0, 1)) ** i * Poly.monomial(shift - i))
+    if sigma == -1:
+        back = back * Poly((-1, 0, 1))
+    assert back == m
+    return t
+
+
+_big_rationals = st.builds(F, st.integers(-(10**40), 10**40),
+                           st.integers(1, 10**40))
+
+
+@given(half=st.lists(_big_rationals, min_size=1, max_size=8),
+       mid=_big_rationals, sigma=st.sampled_from((1, -1)))
+def test_transform_matches_fraction_reference(half, mid, sigma):
+    assume(half[-1] != 0)
+    if sigma == -1:
+        mid = F(0)
+    m = Poly([sigma * c for c in reversed(half)] + [mid] + half)
+    tr = reciprocal_transform(m)
+    assert tr.sigma == sigma
+    assert tr.transform == _fraction_transform(m, sigma)
+    assert tr.cofactor == (None if sigma == 1 else Poly([-1, 0, 1]))
+
+
+@pytest.mark.parametrize("m", [
+    Poly([1, 0, F(-7, 2), 0, F(-7, 2), 0, 1]),
+    Poly([-1, 0, F(49, 4), 0, F(-49, 4), 0, 1]),
+    Poly([F(3, 7), F(-5, 11), F(2, 9), F(-5, 11), F(3, 7)]),
+])
+def test_resubstitution_check_rejects_a_corrupted_transform(m):
+    tr = reciprocal_transform(m)
+    cs = m.int_coeffs()
+    t = [c * cs[-1] / m.lc() for c in tr.transform.coeffs]
+    assert all(c.denominator == 1 for c in t)
+    t = [int(c) for c in t]
+    shift = len(t) - 1
+    _verify_resubstitution(cs, t, shift, tr.sigma)
+    for i in range(len(t) + 1):
+        for step in (1, -1):
+            bad = t + [0]
+            bad[i] += step
+            while bad[-1] == 0:
+                bad.pop()
+            with pytest.raises(AssertionError):
+                _verify_resubstitution(cs, bad, shift, tr.sigma)
