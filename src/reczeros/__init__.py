@@ -7,49 +7,44 @@ submodules keep the full kit (interval arithmetic, Sturm machinery,
 serialization, and the ``reczeros`` command-line front end).
 """
 
-from .analysis import AnalysisRecord, analyze, discriminant, mahler_measure
-from .certify import (
-    ZeroCertificate,
-    alpha_enclosure,
-    certify_zeros,
-    roots_of_unity_zeros,
-)
-from .claims import ClaimResult, VerificationReport, run_all
-from .exactnum import bernoulli, q, zeta_even_rational
-from .family import (
-    FamilyInstance,
-    circle_approximant,
-    monic_even_form,
-    reciprocal_poly,
-    sigma_of,
-)
-from .interval import Interval
-from .polycore import Poly, SturmChain, isolate_real_roots
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisRecord",
-    "ClaimResult",
-    "FamilyInstance",
-    "Interval",
-    "Poly",
-    "SturmChain",
-    "VerificationReport",
-    "ZeroCertificate",
-    "alpha_enclosure",
-    "analyze",
-    "bernoulli",
-    "certify_zeros",
-    "circle_approximant",
-    "discriminant",
-    "isolate_real_roots",
-    "mahler_measure",
-    "monic_even_form",
-    "q",
-    "reciprocal_poly",
-    "roots_of_unity_zeros",
-    "run_all",
-    "sigma_of",
-    "zeta_even_rational",
-]
+#: Re-exported name -> the submodule that defines it.  Submodules load on
+#: first access (PEP 562), so importing one submodule, as the command line
+#: does, does not pull in the others.
+_EXPORTS = {
+    "AnalysisRecord": "analysis",
+    "analyze": "analysis",
+    "discriminant": "analysis",
+    "mahler_measure": "analysis",
+    "ZeroCertificate": "certify",
+    "alpha_enclosure": "certify",
+    "certify_zeros": "certify",
+    "roots_of_unity_zeros": "certify",
+    "ClaimResult": "claims",
+    "VerificationReport": "claims",
+    "run_all": "claims",
+    "bernoulli": "exactnum",
+    "q": "exactnum",
+    "zeta_even_rational": "exactnum",
+    "FamilyInstance": "family",
+    "circle_approximant": "family",
+    "monic_even_form": "family",
+    "reciprocal_poly": "family",
+    "sigma_of": "family",
+    "Interval": "interval",
+    "Poly": "polycore",
+    "SturmChain": "polycore",
+    "isolate_real_roots": "polycore",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(import_module("." + module, __name__), name)

@@ -27,14 +27,9 @@ from functools import lru_cache
 
 from .certify import alpha_enclosure, certify_zeros
 from .exactnum import d, zeta_even_enclosure
-from .family import reciprocal_poly
+from .family import RESULTANT_K_CAP, reciprocal_poly
 from .interval import Interval, pow_rounded
 from .polycore import Poly
-
-#: Sylvester matrices for the family stay pleasant up to this k; beyond it
-#: the coefficient bit-size (factorial powers) makes runs take minutes, so
-#: callers must opt in explicitly.
-RESULTANT_K_CAP = 15
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ Findings always carry enough witness data to reproduce the verdict.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -83,6 +82,8 @@ def map_calls(calls, jobs: int | None) -> list:
     workers = min(jobs or 1, len(calls), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(*args) for fn, args in calls]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *args) for fn, args in calls]
         return [fut.result() for fut in futures]
@@ -242,6 +243,10 @@ def check_quotient_bound(k_max: int) -> ClaimResult:
 
     The quotient is an exact rational times pi^(-2j); a certified pi power
     at ~2(k+1-j)+64 bits separates it from the bound, escalating if needed.
+    With rat = rn/rd, a pi-power endpoint p = pn/pd and bound = 3/4^e, the
+    test rat/p - 1 < bound is the integer comparison
+    rn * pd * 4^e < (4^e + 3) * rd * pn; the relative margin of each pair
+    stays an integer pair, and only the tightest becomes a Fraction.
     """
     if k_max < 1:
         raise ValueError("needs k_max >= 1")
@@ -252,18 +257,22 @@ def check_quotient_bound(k_max: int) -> ClaimResult:
     for k in range(1, k_max + 1):
         r_den = zeta_even_rational(k + 1)
         for j in range(1, k + 1):
-            bound = Fraction(3, 4 ** (k + 1 - j))
-            rat = zeta_even_rational(k + 1 - j) / r_den
+            e4 = 4 ** (k + 1 - j)
+            rat = zeta_even_rational(k + 1 - j)
+            rn = rat.numerator * r_den.denominator
+            rd = rat.denominator * r_den.numerator
             pr = 2 * (k + 1 - j) + 64
             while True:
                 power = pow_rounded(pi_enclosure(pr), 2 * j, pr + 16)
-                excess = rat / power - 1
-                if excess.hi < bound:
+                pn, pd = power.lo.numerator, power.lo.denominator
+                if rn * pd * e4 < (e4 + 3) * rd * pn:  # excess.hi < bound
                     break
-                if excess.lo >= bound:
+                if (rn * power.hi.denominator * e4
+                        >= (e4 + 3) * rd * power.hi.numerator):
                     return ClaimResult(
                         "zeta-quotient-bound", params, FAIL,
-                        {"k": k, "j": j, "excess": excess}, {},
+                        {"k": k, "j": j,
+                         "excess": Fraction(rn, rd) / power - 1}, {},
                         "bound violated")
                 pr *= 2
                 if pr > cap:
@@ -272,14 +281,16 @@ def check_quotient_bound(k_max: int) -> ClaimResult:
                         {"k": k, "j": j, "precision_cap": cap}, {},
                         "undecided at the precision cap")
             max_pr = max(max_pr, pr)
-            rel = (bound - excess.hi) / bound
-            if tight is None or rel < tight[2]:
-                tight = (k, j, rel)
+            # (bound - excess.hi) / bound = rel_n / rel_d
+            rel_d = 3 * rd * pn
+            rel_n = rel_d - e4 * (rn * pd - rd * pn)
+            if tight is None or rel_n * tight[3] < tight[2] * rel_d:
+                tight = (k, j, rel_n, rel_d)
     data = {
         "pairs": k_max * (k_max + 1) // 2,
         "max_precision": max_pr,
         "tightest": {"k": tight[0], "j": tight[1],
-                     "rel_margin_exp2": _exp2(tight[2])},
+                     "rel_margin_exp2": _exp2(Fraction(tight[2], tight[3]))},
     }
     return ClaimResult("zeta-quotient-bound", params, PASS, None, data,
                        "strict on %d pairs" % data["pairs"])

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import serialize
-from .analysis import RESULTANT_K_CAP
 from .claims import SUITES, map_calls, run_all
+from .family import RESULTANT_K_CAP
 
 DEFAULT_WIDTH = Fraction(1, 10**20)
 

@@ -1,6 +1,6 @@
 """Exact rational number theory kernel.
 
-Bernoulli numbers by the classic binomial recurrence, the rational factors
+Bernoulli numbers from the integer tangent numbers, the rational factors
 r_m with zeta(2m) = r_m * pi^(2m), the zeta-quotient coefficients
 
     q(k, j) = zeta(2j) * zeta(2k+2-2j) / zeta(2k+2)
@@ -8,15 +8,19 @@ r_m with zeta(2m) = r_m * pi^(2m), the zeta-quotient coefficients
 (rational: the pi powers cancel), and the small closed-form quantities used
 by the inequality checks.  Everything here is exact `fractions.Fraction`
 arithmetic; certified real enclosures (pi, zeta values) live at the bottom
-and are built on `interval.Interval`.
+and are built on `interval.Interval`.  `zeta_even_enclosure` rounds pi^2,
+its power and r_m times the power on integer mantissas, by the rule the
+`interval` module describes, and returns exactly what the same steps on
+`Fraction` endpoints would.  A zeta enclosure inherits the pi-history
+caveat of `interval.pi_enclosure`: its width, never its validity, depends
+on the pi precisions computed earlier in the process.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
-from .interval import Interval, pi_enclosure, pow_rounded
+from .interval import Interval, ceil_scaled, floor_scaled, pi_enclosure, pow_rounded
 
 __all__ = [
     "bernoulli",
@@ -38,6 +42,11 @@ _bern_even: list[Fraction] = [Fraction(1)]
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n (convention B_1 = -1/2).
 
+    Even indices come from the integer tangent numbers T_i,
+    B_2i = (-1)^(i-1) * 2i * T_i / (4^i (4^i - 1)), computed by the
+    Brent-Harvey recurrence; the cache at least doubles when it grows, so
+    rebuilding the tangent table from T_1 stays quadratic overall.
+
     >>> bernoulli(12)
     Fraction(-691, 2730)
     """
@@ -50,13 +59,18 @@ def bernoulli(n: int) -> Fraction:
     if n % 2 == 1:
         return Fraction(0)
     m = n // 2
-    while len(_bern_even) <= m:
-        # sum_{j=0}^{t} C(t+1, j) B_j = 0  solved for B_t, t = 2 * len(cache)
-        t = 2 * len(_bern_even)
-        acc = Fraction(1) - Fraction(t + 1, 2)  # j = 0 and j = 1 terms
-        for i in range(1, len(_bern_even)):
-            acc += comb(t + 1, 2 * i) * _bern_even[i]
-        _bern_even.append(-acc / (t + 1))
+    have = len(_bern_even)
+    if have <= m:
+        top = max(m, 2 * have)
+        t = [0, 1] + [0] * (top - 1)  # t[i] = T_i, the tangent numbers
+        for i in range(2, top + 1):
+            t[i] = (i - 1) * t[i - 1]
+        for i in range(2, top + 1):
+            for j in range(i, top + 1):
+                t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+        _bern_even.extend(
+            Fraction((-1) ** (i - 1) * 2 * i * t[i], 4**i * (4**i - 1))
+            for i in range(have, top + 1))
     return _bern_even[m]
 
 
@@ -146,15 +160,26 @@ def epsilon(k: int, j: int) -> Fraction:
 def zeta_even_enclosure(m: int, precision: int) -> Interval:
     """Enclosure of zeta(2m) via Euler's formula and a pi enclosure.
 
-    Relative width at most about 2^-precision.
+    Relative width at most about 2^-precision.  pi^2, its m-th power and
+    r_m times that power are each rounded outward on integer mantissas:
+    one floor or ceiling division per endpoint, no gcd until the result.
     """
     if m < 1:
         raise ValueError("zeta_even_enclosure needs m >= 1")
     pp = precision + max(4, (2 * m).bit_length()) + 8
-    pisq = (pi_enclosure(pp) ** 2).round_outward(pp + 4)
+    pi = pi_enclosure(pp)
+    a, b = pi.lo.numerator, pi.lo.denominator
+    c, d = pi.hi.numerator, pi.hi.denominator
+    scale = 1 << (pp + 4)
+    pisq = Interval(Fraction(floor_scaled(a * a, b * b, pp + 4), scale),
+                    Fraction(ceil_scaled(c * c, d * d, pp + 4), scale))
     power = pow_rounded(pisq, m, pp + 4)
     r = zeta_even_rational(m)
-    return Interval(r * power.lo, r * power.hi).round_outward(precision + 16)
+    rn, rd = r.numerator, r.denominator
+    bits = precision + 16
+    lo = floor_scaled(rn * power.lo.numerator, rd * power.lo.denominator, bits)
+    hi = ceil_scaled(rn * power.hi.numerator, rd * power.hi.denominator, bits)
+    return Interval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
 
 
 def zeta_series_enclosure(n: int, precision: int, max_terms: int = 1 << 22) -> Interval:

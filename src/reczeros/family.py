@@ -28,6 +28,11 @@ from math import factorial
 from .exactnum import bernoulli, q
 from .polycore import Poly, reciprocal_transform
 
+#: Sylvester matrices for the family stay pleasant up to this k; beyond it
+#: the coefficient bit-size (factorial powers) makes exact resultants take
+#: minutes, so `analysis.analyze` and the `analyze` command need an opt-in.
+RESULTANT_K_CAP = 15
+
 
 def _validate(k: int, ell: int) -> None:
     if not isinstance(k, int) or k < 1:

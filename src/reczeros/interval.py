@@ -6,24 +6,42 @@ f(x) for x in the operand intervals.  Because rationals are closed under
 +, -, *, /, the arithmetic itself needs no rounding; `round_outward` keeps
 endpoint denominators from growing without bound in long computations (it
 only ever widens), and `horner_rounded` rounds the same way after every
-step of a polynomial evaluation, on integer mantissas.
+step of a polynomial evaluation.
+
+The rounded kernels (`round_outward`, `pow_rounded`, `horner_rounded`,
+`cos_enclosure`) run on integer mantissas over 2^bits: a value rounds to
+floor(num * 2^bits / den) or the matching ceiling by one integer floor
+division on its own numerator and denominator (`floor_scaled`,
+`ceil_scaled`), which needs no grid assumption about the operand, and a
+product of two mantissas rounds by a shift.  Each returns exactly the
+interval that the same steps on `Fraction` endpoints would, with no gcd
+until the result is built.
 
 Also provides certified enclosures of pi (Machin's formula with
-alternating-series tail bounds) and of cos on rational-endpoint
-intervals: a Taylor partial sum with a Lagrange remainder bound, evaluated
-by step-rounded Horner with guard bits that grow with the term count, so
-that the rounding error, amplified by at most |x|^(2n) over n terms, stays
-below the requested precision.  `cos_pi_enclosure` serves cos(pi r) for
-rational r: it reduces r exactly to [0, 1/2] (r mod 2, r -> 2 - r, and
-cos(pi - t) = -cos t) before multiplying by the pi enclosure, so the series
-argument stays below pi/2, and it memoizes the reduced enclosure per
-(r, precision) in a module dict filled on first use.
+alternating-series tail bounds, summed as exact integer ratios) and of cos
+on rational-endpoint intervals: a Taylor partial sum with a Lagrange
+remainder bound, evaluated by step-rounded Horner with guard bits that
+grow with the term count, so that the rounding error, amplified by at most
+|x|^(2n) over n terms, stays below the requested precision.
+`cos_pi_enclosure` serves cos(pi r) for rational r: it reduces r exactly to
+[0, 1/2] (r mod 2, r -> 2 - r, and cos(pi - t) = -cos t) before multiplying
+by the pi enclosure, so the series argument stays below pi/2, and it
+memoizes the reduced enclosure per (r, precision) in a module dict filled
+on first use.
+
+`pi_enclosure(p)` depends on the process's history: each result is
+intersected with the tightest enclosure computed so far, so a run that
+first needed pi at 1024 bits gets narrower 128-bit enclosures, and
+narrower zeta and cos enclosures downstream, than a fresh process does.
+Every result is still certified; only widths (and the documents that
+report them) differ.  Nothing derived from a pi enclosure may be cached
+across precisions for the same reason.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, floor, ceil, isqrt
+from math import floor, ceil, isqrt
 from typing import Sequence, Union
 
 _NumLike = Union[int, Fraction]
@@ -151,8 +169,8 @@ class Interval:
     def round_outward(self, bits: int) -> "Interval":
         """Widen to endpoints with denominator dividing 2**bits."""
         scale = 1 << bits
-        lo = Fraction(floor(self.lo * scale), scale)
-        hi = Fraction(ceil(self.hi * scale), scale)
+        lo = Fraction(floor_scaled(self.lo.numerator, self.lo.denominator, bits), scale)
+        hi = Fraction(ceil_scaled(self.hi.numerator, self.hi.denominator, bits), scale)
         return Interval(lo, hi)
 
 
@@ -162,23 +180,60 @@ def _as_interval(x) -> Interval:
     return Interval(Fraction(x))
 
 
+def floor_scaled(num: int, den: int, bits: int) -> int:
+    """floor(num / den * 2^bits) for den > 0: the mantissa of a downward rounding."""
+    return (num << bits) // den
+
+
+def ceil_scaled(num: int, den: int, bits: int) -> int:
+    """ceil(num / den * 2^bits) for den > 0: the mantissa of an upward rounding."""
+    return -((-num << bits) // den)
+
+
 def pow_rounded(iv: Interval, n: int, bits: int) -> Interval:
     """iv**n for a nonnegative interval, outward-rounding after each step.
 
     Keeps endpoint sizes near `bits` fractional bits instead of letting exact
     powers grow to n times the operand size.  Always contains iv**n.
+    Square-and-multiply on integer mantissas over 2^bits: the first rounding
+    of the operand (and of its square) divides its own numerator by its own
+    denominator, since the operand need not lie on the 2^-bits grid; every
+    later step rounds a product of two mantissas by a shift.
     """
     if iv.lo < 0:
         raise ValueError("pow_rounded requires a nonnegative interval")
-    result = Interval(1)
-    base = iv
+    a, b = iv.lo.numerator, iv.lo.denominator
+    c, d = iv.hi.numerator, iv.hi.denominator
+    lo = hi = 1 << bits  # the exact 1 the product starts from
+    if n & 1:
+        lo, hi = floor_scaled(a, b, bits), ceil_scaled(c, d, bits)
+    n >>= 1
+    if n:
+        blo, bhi = floor_scaled(a * a, b * b, bits), ceil_scaled(c * c, d * d, bits)
     while n:
         if n & 1:
-            result = (result * base).round_outward(bits)
+            lo, hi = lo * blo >> bits, -(-hi * bhi >> bits)
         n >>= 1
         if n:
-            base = (base * base).round_outward(bits)
-    return result
+            blo, bhi = blo * blo >> bits, -(-bhi * bhi >> bits)
+    scale = 1 << bits
+    return Interval(Fraction(lo, scale), Fraction(hi, scale))
+
+
+def _horner_mantissas(coeffs: Sequence[tuple[int, int]], xlo: int, xhi: int,
+                      bits: int) -> tuple[int, int]:
+    """Step-rounded Horner on mantissas over 2^bits.
+
+    coeffs holds the (floor, ceil) mantissas of each coefficient, lowest
+    degree first, and [xlo, xhi] those of the argument; returns the
+    (floor, ceil) mantissas of the enclosure.
+    """
+    lo = hi = 0
+    for clo, chi in reversed(coeffs):
+        products = (lo * xlo, lo * xhi, hi * xlo, hi * xhi)
+        lo = (min(products) >> bits) + clo
+        hi = -(-max(products) >> bits) + chi
+    return lo, hi
 
 
 def horner_rounded(coeffs: Sequence[_NumLike], x: Interval, bits: int) -> Interval:
@@ -192,13 +247,10 @@ def horner_rounded(coeffs: Sequence[_NumLike], x: Interval, bits: int) -> Interv
     rounding x itself (none when x already lies on the 2^-bits grid).
     """
     scale = 1 << bits
-    xlo, xhi = floor(x.lo * scale), ceil(x.hi * scale)
-    lo = hi = 0
-    for c in reversed(coeffs):
-        products = (lo * xlo, lo * xhi, hi * xlo, hi * xhi)
-        c = c * scale
-        lo = (min(products) >> bits) + floor(c)
-        hi = -(-max(products) >> bits) + ceil(c)
+    lo, hi = _horner_mantissas(
+        [(floor(c * scale), ceil(c * scale)) for c in coeffs],
+        floor_scaled(x.lo.numerator, x.lo.denominator, bits),
+        ceil_scaled(x.hi.numerator, x.hi.denominator, bits), bits)
     return Interval(Fraction(lo, scale), Fraction(hi, scale))
 
 
@@ -232,18 +284,22 @@ def _arctan_recip_enclosure(x: int, precision: int) -> Interval:
     The series arctan(1/x) = sum (-1)^i / ((2i+1) x^(2i+1)) is alternating
     with strictly decreasing terms, so consecutive partial sums bracket the
     limit.  Terms are taken until the first omitted one is below 2^-precision.
+    The partial sums stay exact integer ratios num / den over
+    den = prod(2i+1) * x^(2i+1), reduced once at the end.
     """
-    bound = Fraction(1, 1 << precision)
-    s = Fraction(0)
+    num, den = 0, 1        # the partial sum before term i
+    odd_prod, xpow = 1, x  # prod_{l<i} (2l+1) and x^(2i+1)
     i = 0
-    sign = 1
     while True:
-        t = Fraction(1, (2 * i + 1) * x ** (2 * i + 1))
-        nxt = s + sign * t
-        if t < bound:
+        k = 2 * i + 1
+        # with step = den' / den, term i is odd_prod / den'
+        step = k * (x * x if i else x)
+        nxt_num = num * step + (-odd_prod if i % 2 else odd_prod)
+        nxt_den = den * step
+        if k * xpow > 1 << precision:  # term i is below 2^-precision
+            s, nxt = Fraction(num, den), Fraction(nxt_num, nxt_den)
             return Interval(min(s, nxt), max(s, nxt))
-        s = nxt
-        sign = -sign
+        num, den, odd_prod, xpow = nxt_num, nxt_den, odd_prod * k, xpow * x * x
         i += 1
 
 
@@ -259,11 +315,12 @@ def pi_enclosure(precision: int) -> Interval:
         precision = 4
     cached = _pi_cache.get(precision)
     if cached is not None:
-        # a hit may predate a tighter _pi_best; re-intersect so returns
-        # stay nested no matter the call order
-        cached = cached.intersect(_pi_best)
-        _pi_best = cached
-        _pi_cache[precision] = cached
+        if cached is not _pi_best:
+            # a hit may predate a tighter _pi_best; re-intersect so returns
+            # stay nested no matter the call order
+            cached = cached.intersect(_pi_best)
+            _pi_best = cached
+            _pi_cache[precision] = cached
         return cached
     a = _arctan_recip_enclosure(5, precision + 3)
     b = _arctan_recip_enclosure(239, precision + 3)
@@ -285,22 +342,45 @@ def cos_enclosure(x: Interval, precision: int) -> Interval:
     |x| up to a few units.  The n-term Horner runs in y = x^2 and rounds
     outward after each step; its rounding error is amplified by up to
     max(1, |y|)^n, so the guard bits grow by the bit length of ceil(|y|)
-    per term.
+    per term.  Everything runs on integers: y and the coefficients
+    (-1)^i / (2i)! enter the Horner kernel as mantissas over 2^bits, the
+    tail bound is kept as an integer numerator and denominator, and the
+    final clamp to [-1, 1] and rounding divide once.
     """
-    m = max(abs(x.lo), abs(x.hi))
-    msq = m * m
-    tol = Fraction(1, 1 << (precision + 2))
-    n = 1
-    term = msq / 2  # |x|^(2n) / (2n)! at n = 1
-    while term >= tol:
+    a, b = x.lo.numerator, x.lo.denominator
+    c, d = x.hi.numerator, x.hi.denominator
+    lo_sq, hi_sq = (a * a, b * b), (c * c, d * d)
+    lo_smaller = lo_sq[0] * hi_sq[1] <= hi_sq[0] * lo_sq[1]
+    # y = x^2 = [ylo, mn / md] as exact integer ratios
+    mn, md = hi_sq if lo_smaller else lo_sq
+    if a < 0 < c:
+        ylo = (0, 1)
+    else:
+        ylo = lo_sq if lo_smaller else hi_sq
+    # term = tn / td = |x|^(2n) / (2n)!, kept while >= 2^-(precision + 2)
+    n, tn, td = 1, mn, 2 * md
+    while tn << (precision + 2) >= td:
         n += 1
-        term = term * msq / ((2 * n - 1) * (2 * n))
-    bits = precision + 8 + n * max(1, ceil(msq).bit_length())
+        tn *= mn
+        td *= md * (2 * n - 1) * (2 * n)
+    bits = precision + 8 + n * max(1, (-(-mn // md)).bit_length())
     # partial sum sum_{i<n} (-1)^i y^i/(2i)!  evaluated at y = x^2
-    coeffs = [Fraction((-1) ** i, factorial(2 * i)) for i in range(n)]
-    out = horner_rounded(coeffs, x**2, bits) + Interval(-term, term)
-    out = out.intersect(Interval(-1, 1))
-    return out.round_outward(precision + 8)
+    coeffs = []
+    fact = 1
+    for i in range(n):
+        if i:
+            fact *= (2 * i - 1) * (2 * i)
+        unit = -1 << bits if i % 2 else 1 << bits
+        coeffs.append((unit // fact, -(-unit // fact)))
+    lo, hi = _horner_mantissas(coeffs, floor_scaled(*ylo, bits),
+                               ceil_scaled(mn, md, bits), bits)
+    # [lo, hi] / 2^bits widened by the tail, clamped to [-1, 1] and
+    # rounded outward to 2^-(precision + 8)
+    den = td << (bits - precision - 8)
+    one = 1 << (precision + 8)
+    lo = max((lo * td - (tn << bits)) // den, -one)
+    hi = min(-((-hi * td - (tn << bits)) // den), one)
+    return Interval(Fraction(lo, one), Fraction(hi, one))
 
 
 _cos_pi_cache: dict[tuple[Fraction, int], Interval] = {}

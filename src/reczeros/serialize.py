@@ -22,7 +22,6 @@ from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from importlib import resources
 
-from .analysis import analyze
 from .certify import alpha_enclosure, certify_zeros, roots_of_unity_zeros
 from .family import circle_approximant, monic_even_form, reciprocal_poly, sigma_of
 from .interval import Interval
@@ -122,6 +121,8 @@ def certificate_instance(k: int, ell: int,
 
 def analysis_instance(k: int, ell: int, force: bool = False,
                       precision: int = 128) -> dict:
+    from .analysis import analyze  # only `analyze` needs the resultant layer
+
     rec = analyze(k, ell, force=force, precision=precision)
     return {
         "k": str(rec.k),

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from fresh_process import fresh_python
 from reczeros.claims import (
     PREC_CAP_MAX,
     check_GH_signs,
@@ -61,6 +62,23 @@ def test_zeta_sum_bracket_is_tiny():
     r = check_zeta_sum_identity(64)
     assert r.status == "pass"
     assert r.data["width"] < F(1, 10**30)
+
+
+def _fresh_zeta_sum_width(before: str) -> str:
+    return fresh_python("-c", (
+        "from reczeros.claims import run_all\n" + before
+        + "print(run_all(14, 2).find('zeta-sum-half').data['width'])"))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "pi_enclosure intersects each new enclosure with the tightest one seen "
+    "so far in the process, so earlier high-precision work narrows later "
+    "zeta enclosures"))
+def test_zeta_sum_width_does_not_depend_on_pi_history():
+    # the k = 5 sign grid needs cos(pi/4) at 1024 bits, hence pi at 1024 bits
+    warmed = _fresh_zeta_sum_width(
+        "run_all(5, 1, precision=1024, suite='props')\n")
+    assert warmed == _fresh_zeta_sum_width("")
 
 
 def test_qj_monotone():

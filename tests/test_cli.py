@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import jsonschema
 import pytest
 
+from fresh_process import fresh_python
 from reczeros import claims, serialize
 from reczeros.cli import MAX_RANGE_VALUES, main, parse_values, parse_width
 
@@ -172,6 +173,45 @@ def test_certify_and_scan_instances_are_pinned():
         "cd7e1ea930197ac6797e33d0a4d2dbc18ca3a003ca72528130a2c06338ddbf15")
 
 
+#: sha256 of the JSON documents before the enclosure kernels moved to
+#: integers.  Each runs in a fresh process, because a pi enclosure depends
+#: on the precisions computed earlier in the same process.
+PINNED_DOCUMENTS = {
+    "verify --k-max 14 --ell-max 2 --prec 128":
+        "2987a3e76b3c9e9ccd56f2a707b1ad8fb7b0dafee43b8df09b587b55552d38a0",
+    "verify --k-max 14 --ell-max 2 --prec 126":
+        "5d0c32a290b9c687dc8232403c8d903d87ac5e6b2086d695e4203b1438e351e0",
+    "verify --k-max 14 --ell-max 2 --prec 130":
+        "b74697370243e1fb3bf42af21a589bee9b78cbd50885242ea8393f5da97edf81",
+    "verify --suite lemmas --k-max 56 --ell-max 6":
+        "169a944219cc0dabae2d5ea6058d7570ee6292d688c06b7c420d6ab4da6c29c0",
+    "analyze --k 1..12 --ell 1..4":
+        "949e4f3a22a752ec2135b36d20739623d2eb31cfc86e1743fb1fee4c07fcecd4",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_DOCUMENTS))
+def test_verify_and_analyze_documents_are_pinned(command):
+    out = fresh_python("-m", "reczeros.cli", *command.split(),
+                       "--format", "json")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DOCUMENTS[command]
+
+
+def test_cli_import_leaves_analysis_and_the_pool_unloaded():
+    out = fresh_python("-c", (
+        "import sys, json, reczeros.cli, reczeros\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('reczeros.'))\n"
+        "pool = 'concurrent.futures.process' in sys.modules\n"
+        "missing = [n for n in reczeros.__all__ if getattr(reczeros, n, None) is None]\n"
+        "print(json.dumps([loaded, pool, missing]))"))
+    loaded, pool_loaded, unresolved = json.loads(out)
+    assert loaded == ["reczeros." + m for m in (
+        "certify", "claims", "cli", "exactnum", "family", "interval",
+        "polycore", "serialize")]
+    assert not pool_loaded
+    assert unresolved == []
+
+
 # ---------------------------------------------------------------------------
 # behavior and exit codes
 # ---------------------------------------------------------------------------
@@ -279,7 +319,7 @@ def test_jobs_are_clamped_to_tasks_and_cpus(monkeypatch, tmp_path):
             fut.set_result(fn(*args))
             return fut
 
-    monkeypatch.setattr(claims, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     out = str(tmp_path / "construct.json")
     assert main(["construct", "--k", "1..3", "--ell", "1", "--jobs", "10000",
