@@ -19,6 +19,15 @@ A certificate "conforms" when the zeros are simple, exactly one pair sits
 off the circle, and that pair is real positive: then the unimodular count
 is k - 1 and the off-circle pair is (alpha, 1/alpha).
 
+The counts come from the paper's own argument first: exact signs of W at
+0, at 4, at the Cauchy bound B and at the cosine grid 4 cos^2(j pi/(2(k-1))).
+Floats only choose the grid points, which are rounded to dyadic rationals;
+integer Horner decides every sign.  When W (of degree h) shows h - 1 sign
+changes on [0, 4] and opposite signs at 4 and B, each change brackets its
+own root, so all h roots are real and simple: h - 1 in (0, 4) and one in
+(4, B).  Otherwise the counts come from a Sturm chain, which decides every
+case.  The certificate records which route closed.
+
 Rational zeros at roots of unity are detected separately by exact division
 with cyclotomic polynomials.  Each Phi_n is monic with integer coefficients,
 so the division runs on the member's integer-cleared coefficients and stays
@@ -29,12 +38,20 @@ first use.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
+from math import cos, inf, pi
 from typing import Sequence
 
 from .family import boundary_profile, reciprocal_poly
 from .interval import Interval, sqrt_enclosure
-from .polycore import Poly, SturmChain, isolate_real_roots, refine_root
+from .polycore import (
+    Poly,
+    RootBox,
+    SturmChain,
+    _sign_at,
+    cauchy_bound,
+    isolate_real_roots,
+    refine_root,
+)
 
 
 class ZeroCertificate:
@@ -43,6 +60,7 @@ class ZeroCertificate:
     Counts are in the base variable x (degree k + 1).  `v_box` isolates
     the W-root in (4, oo) when there is exactly one; it seeds
     `alpha_enclosure`.  When `simple` is False the counts are None.
+    `route` names the argument that closed: "alternation" or "sturm".
     """
 
     __slots__ = (
@@ -60,6 +78,7 @@ class ZeroCertificate:
         "conforms",
         "w_square",
         "v_box",
+        "route",
     )
 
     def __init__(self, **kw):
@@ -90,23 +109,81 @@ class ZeroCertificate:
         )
 
 
+#: Fractional bits of the dyadic rationals the cosine grid is rounded to.
+GRID_BITS = 24
+
+
+def cosine_grid(n: int) -> list[Fraction]:
+    """The points 4 cos^2(j pi / (2n)), j = 1..2n-1, sorted and distinct.
+
+    Floats place the points and each is rounded to a multiple of
+    2^-GRID_BITS, so the grid is exact rationals whatever the float error;
+    the alternation argument holds for any points.
+    """
+    scale = 1 << GRID_BITS
+    return sorted({Fraction(round(4 * cos(j * pi / (2 * n)) ** 2 * scale), scale)
+                   for j in range(1, 2 * n)})
+
+
+def alternation_box(w: Poly, n: int) -> RootBox | None:
+    """The box (4, B) of the one root of W beyond 4, when alternation proves it.
+
+    Signs of W are taken exactly at 0, at the interior points of
+    cosine_grid(n), at 4 and at the Cauchy bound B.  With h = deg W, h - 1
+    sign changes on [0, 4] plus opposite signs at 4 and B bracket h
+    distinct real roots in disjoint open intervals, which are all of them.
+    Returns None when a sign is zero or the changes fall short.
+    """
+    ints = w.int_coeffs()
+    points = [Fraction(0)] + [v for v in cosine_grid(n) if 0 < v < 4] + [Fraction(4)]
+    signs = [_sign_at(ints, v) for v in points]
+    changes = sum(a != b for a, b in zip(signs, signs[1:]))
+    if 0 in signs or changes != w.degree() - 1:
+        return None
+    bound = cauchy_bound(w)
+    sign_bound = _sign_at(ints, bound)
+    if sign_bound == signs[-1]:
+        return None
+    return RootBox(w, Fraction(4), bound, signs[-1], sign_bound)
+
+
+def _sturm_counts(w: Poly):
+    """(n_in, n_out, n_neg, n_cx, v_box) for W from its Sturm chain.
+
+    None when W is not simple: a root at 0 or 4, or a repeated root.
+    """
+    if w(0) == 0 or w(4) == 0:
+        return None
+    try:
+        chain = SturmChain(w)
+    except ValueError:
+        return None
+    n_in = chain.count_open(Fraction(0), Fraction(4))
+    n_out = chain.count_open(Fraction(4), inf)
+    n_neg = chain.count_open(-inf, Fraction(0))
+    n_real = chain.count_open(-inf, inf)
+    if n_in + n_out + n_neg != n_real:
+        raise AssertionError("root counts of W are inconsistent")
+    v_box = None
+    if n_out == 1:
+        (v_box,) = isolate_real_roots(w, Fraction(4), inf, chain=chain)
+    return n_in, n_out, n_neg, w.degree() - n_real, v_box
+
+
 def certify_zeros(k: int, ell: int) -> ZeroCertificate:
     """Count and classify all zeros of the (k, ell) member exactly."""
     profile = boundary_profile(k, ell)
     w = profile.w_square
-    h = w.degree()
     m0 = 1 if profile.w_parity == "odd" else 0
     circ = 1 if profile.sigma == -1 else 0
 
-    simple = w(0) != 0 and w(4) != 0
-    chain = None
-    if simple:
-        try:
-            chain = SturmChain(w)
-        except ValueError:
-            simple = False
+    v_box = alternation_box(w, max(k - 1, 1))
+    if v_box is not None:
+        route, counts = "alternation", (w.degree() - 1, 1, 0, 0, v_box)
+    else:
+        route, counts = "sturm", _sturm_counts(w)
 
-    if not simple:
+    if counts is None:
         return ZeroCertificate(
             k=k,
             ell=ell,
@@ -122,28 +199,18 @@ def certify_zeros(k: int, ell: int) -> ZeroCertificate:
             conforms=False,
             w_square=w,
             v_box=None,
+            route=route,
         )
+    n_in, n_out, n_neg, n_cx, v_box = counts
 
-    n_in = chain.count_open(Fraction(0), Fraction(4))
-    n_out = chain.count_open(Fraction(4), inf)
-    n_neg = chain.count_open(-inf, Fraction(0))
-    n_real = chain.count_open(-inf, inf)
-    n_cx = h - n_real
-    if n_in + n_out + n_neg != n_real:
-        raise AssertionError("root counts of W are inconsistent")
-
-    r = reciprocal_poly(k, ell)
-    at_one = r(1) == 0
-    at_minus_one = r(-1) == 0
+    ints = reciprocal_poly(k, ell).int_coeffs()
+    at_one = _sign_at(ints, 1) == 0
+    at_minus_one = _sign_at(ints, -1) == 0
     if at_minus_one != bool(m0) or at_one != bool(circ):
         raise AssertionError(
             "special zeros disagree with parity bookkeeping at k=%d, ell=%d"
             % (k, ell)
         )
-
-    v_box = None
-    if n_out == 1:
-        (v_box,) = isolate_real_roots(w, Fraction(4), inf, chain=chain)
 
     conforms = n_out == 1 and n_neg == 0 and n_cx == 0
     return ZeroCertificate(
@@ -161,6 +228,7 @@ def certify_zeros(k: int, ell: int) -> ZeroCertificate:
         conforms=conforms,
         w_square=w,
         v_box=v_box,
+        route=route,
     )
 
 

@@ -530,8 +530,9 @@ def check_sign_pattern(k: int, ell: int, precision: int = DEFAULT_PRECISION) -> 
         else:
             pr = max(precision, 64)
             while True:
-                wenc = 2 * cos_pi_enclosure(r, pr)
-                s = horner_rounded(ints, wenc, pr + len(ints) + 8).sign()
+                # T(2 cos): the doubling is folded into rounding the argument
+                s = horner_rounded(ints, cos_pi_enclosure(r, pr),
+                                   pr + len(ints) + 8, x_shift=1).sign()
                 if s:
                     break
                 pr *= 2

@@ -11,13 +11,15 @@ failure.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import ceil, log10
 
 from . import serialize
-from .claims import SUITES, map_calls, run_all
+from .claims import PREC_CAP_MAX, SUITES, map_calls, run_all
 from .family import RESULTANT_K_CAP
 
 DEFAULT_WIDTH = Fraction(1, 10**20)
@@ -51,10 +53,26 @@ def parse_values(text: str) -> list[int]:
     return sorted(values)
 
 
+#: Finest --width accepted: no enclosure is refined beyond the precision cap.
+MIN_WIDTH = Fraction(1, 1 << PREC_CAP_MAX)
+#: Largest decimal exponent magnitude in a --width text (19729): 10 to its
+#: negative is already below MIN_WIDTH, and checking the exponent first
+#: keeps Fraction from building a power of ten with that many digits.
+MAX_WIDTH_EXPONENT = ceil(PREC_CAP_MAX * log10(2))
+
+_EXPONENT = re.compile(r"e\s*([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+
+
 def parse_width(text: str) -> Fraction:
+    """A positive rational or decimal width no finer than MIN_WIDTH."""
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent.group(1))) > MAX_WIDTH_EXPONENT:
+        raise ValueError("width exponent beyond +-%d" % MAX_WIDTH_EXPONENT)
     width = Fraction(text)
     if width <= 0:
         raise ValueError("width must be positive")
+    if width < MIN_WIDTH:
+        raise ValueError("width finer than 2^-%d" % PREC_CAP_MAX)
     return width
 
 
@@ -91,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="RANGE",
                            help="ell values, same syntax as --k")
         p.add_argument("--prec", type=int, default=128,
-                       help="working precision in bits (>= 64)")
+                       help="working precision in bits (64..%d)"
+                            % PREC_CAP_MAX)
         p.add_argument("--width", type=parse_width, default=DEFAULT_WIDTH,
                        metavar="Q",
                        help="enclosure refinement width, rational or decimal")
@@ -152,8 +171,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.k_max = args.k_max
     if getattr(args, "ell_max", None) is not None:
         cfg.ell_max = args.ell_max
-    if cfg.precision < 64:
-        raise ValueError("precision must be at least 64 bits")
+    if not 64 <= cfg.precision <= PREC_CAP_MAX:
+        raise ValueError("precision must be between 64 and %d bits"
+                         % PREC_CAP_MAX)
     if cfg.jobs < 1:
         raise ValueError("jobs must be at least 1")
     return cfg

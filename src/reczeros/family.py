@@ -81,8 +81,15 @@ def monic_even_form(k: int, ell: int) -> Poly:
         s = -1 if ((ell + 1) * (k + j)) % 2 else 1
         coeffs[2 * j] = -scale * s * q(k, j) ** ell
     m = Poly(coeffs)
+    # both sides monic, so equal exactly when their primitive integer forms
+    # (positive leading coefficient) are
     r = reciprocal_poly(k, ell)
-    if (1 / r.lc()) * r.stretch(2) != m:
+    ints = r.int_coeffs()
+    stretched = [0] * (2 * len(ints) - 1)
+    stretched[::2] = ints
+    if r.lc() < 0:
+        stretched = [-c for c in stretched]
+    if tuple(stretched) != m.int_coeffs():
         raise AssertionError(
             "companion coefficient identity failed at k=%d, ell=%d" % (k, ell)
         )

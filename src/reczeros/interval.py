@@ -236,21 +236,25 @@ def _horner_mantissas(coeffs: Sequence[tuple[int, int]], xlo: int, xhi: int,
     return lo, hi
 
 
-def horner_rounded(coeffs: Sequence[_NumLike], x: Interval, bits: int) -> Interval:
-    """Enclosure of sum(coeffs[i] * x**i), outward-rounding after each Horner step.
+def horner_rounded(coeffs: Sequence[_NumLike], x: Interval, bits: int,
+                   x_shift: int = 0) -> Interval:
+    """Enclosure of sum(coeffs[i] * y**i) at y = x * 2^x_shift, rounding
+    outward after each Horner step.
 
-    x, each coefficient and each step's result are rounded outward to
+    y, each coefficient and each step's result are rounded outward to
     multiples of 2^-bits, as `Interval.round_outward` does, so the steps
-    run on integer mantissas with no gcd work.  Each step widens by less
-    than 2^(2-bits) before the later steps multiply it by x, so the
-    rounding adds less than 2^(2-bits) * sum |x|^i, plus the effect of
-    rounding x itself (none when x already lies on the 2^-bits grid).
+    run on integer mantissas with no gcd work.  y is rounded straight from
+    x, as floor(x * 2^(bits + x_shift)) and the ceiling, which are exactly
+    the mantissas of the rounded product.  Each step widens by less than
+    2^(2-bits) before the later steps multiply it by y, so the rounding
+    adds less than 2^(2-bits) * sum |y|^i, plus the effect of rounding y
+    itself (none when y already lies on the 2^-bits grid).
     """
     scale = 1 << bits
     lo, hi = _horner_mantissas(
         [(floor(c * scale), ceil(c * scale)) for c in coeffs],
-        floor_scaled(x.lo.numerator, x.lo.denominator, bits),
-        ceil_scaled(x.hi.numerator, x.hi.denominator, bits), bits)
+        floor_scaled(x.lo.numerator, x.lo.denominator, bits + x_shift),
+        ceil_scaled(x.hi.numerator, x.hi.denominator, bits + x_shift), bits)
     return Interval(Fraction(lo, scale), Fraction(hi, scale))
 
 

@@ -1,14 +1,17 @@
 """Dense univariate polynomials over exact rationals.
 
 The real-root machinery works over integers for speed: a polynomial is
-cleared to a primitive integer coefficient list, and the signed remainder
-(Sturm) chain uses content-stripped pseudo-remainders whose scalings are
-always positive, so sign variation counts are preserved exactly.  Root
-counts are over open intervals; callers detect endpoint roots by exact
-evaluation.  Root isolation returns boxes with nonzero opposite endpoint
-signs; refinement is sign bisection on integer numerators over a common
-denominator that doubles with each halving, with signs taken by
-homogeneous integer Horner.
+cleared to a primitive integer coefficient list, a positive multiple with
+the same signs, and `_sign_at` takes its exact sign at a rational point by
+integer Horner.  That sign kernel is all the primary certificate route
+(sign alternation on a grid, in `certify`) needs.  The signed remainder
+(Sturm) chain is the fallback that decides every case: it uses
+content-stripped pseudo-remainders whose scalings are always positive, so
+sign variation counts are preserved exactly.  Root counts are over open
+intervals; callers detect endpoint roots by exact evaluation.  Root
+isolation returns boxes with nonzero opposite endpoint signs; refinement
+is sign bisection on integer numerators over a common denominator that
+doubles with each halving, with signs taken by homogeneous integer Horner.
 
 Also here: the z + 1/z transform for self-reciprocal polynomials of even
 degree.  For m with z^(2d) m(1/z) = sigma * m(z):

@@ -52,6 +52,7 @@ def test_criterion_01_zero_location_full_grid():
             assert cert.complex_offcircle_count == 0, (k, ell)
             assert cert.unimodular_count == k - 1, (k, ell)
             assert cert.conforms is True, (k, ell)
+            assert cert.route == "alternation", (k, ell)
             instances += 1
             unimodular += cert.unimodular_count
     elapsed = time.monotonic() - start

@@ -1,16 +1,21 @@
 from fractions import Fraction as F
+from math import inf
 
 import pytest
+from hypothesis import given, strategies as st
 
+from reczeros import certify
 from reczeros.certify import (
     alpha_enclosure,
+    alternation_box,
     certify_zeros,
+    cosine_grid,
     cyclotomic,
     euler_phi,
     roots_of_unity_zeros,
 )
 from reczeros.family import monic_even_form, reciprocal_poly, sigma_of
-from reczeros.polycore import Poly
+from reczeros.polycore import Poly, SturmChain
 
 from numeric_oracle import root_classes
 
@@ -75,6 +80,78 @@ def test_certificates_match_float_oracle():
             assert got["pos_out"] == 2 * cert.positive_pair_count
             assert got["neg_out"] == 2 * cert.negative_pair_count
             assert got["complex_off"] == cert.complex_offcircle_count
+
+
+# -- the two certificate routes -----------------------------------------
+
+def _fields(cert):
+    box = cert.v_box
+    return ({name: getattr(cert, name) for name in cert.__slots__
+             if name not in ("v_box", "route")},
+            None if box is None else
+            (box.poly, box.lo, box.hi, box.sign_lo, box.sign_hi))
+
+
+def test_alternation_and_sturm_certificates_agree(monkeypatch):
+    fast = {(k, ell): certify_zeros(k, ell)
+            for k in range(1, 29) for ell in range(1, 7)}
+    monkeypatch.setattr(certify, "alternation_box", lambda w, n: None)
+    for (k, ell), cert in fast.items():
+        slow = certify_zeros(k, ell)
+        assert cert.route == "alternation" and slow.route == "sturm"
+        assert _fields(cert) == _fields(slow), (k, ell)
+
+
+def _sturm_root_counts(w):
+    chain = SturmChain(w)
+    return (chain.count_open(F(0), F(4)), chain.count_open(F(4), inf),
+            chain.count_open(-inf, F(0)), chain.count_open(-inf, inf))
+
+
+@given(inside=st.lists(st.fractions(min_value=0, max_value=4,
+                                    max_denominator=1 << 12),
+                       max_size=6),
+       beyond=st.fractions(min_value=4, max_value=40, max_denominator=64),
+       extra=st.lists(st.fractions(min_value=-8, max_value=40,
+                                   max_denominator=64), max_size=2),
+       n=st.integers(1, 40), scale=st.integers(-5, 5).filter(bool))
+def test_alternation_counts_match_sturm(inside, beyond, extra, n, scale):
+    # distinct rational roots, mostly laid out the way alternation can close
+    roots = set(inside) | {beyond} | set(extra)
+    w = Poly([scale])
+    for r in roots:
+        w = w * Poly([-r, 1])
+    box = alternation_box(w, n)
+    if box is None:
+        return
+    h = w.degree()
+    assert _sturm_root_counts(w) == (h - 1, 1, 0, h)
+    assert (box.lo, box.hi) == (F(4), certify.cauchy_bound(w))
+    assert box.lo < max(roots) < box.hi
+
+
+def _linears(*roots):
+    out = Poly([1])
+    for r in roots:
+        out = out * Poly([-F(r), 1])
+    return out
+
+
+@pytest.mark.parametrize("w, control", [
+    # a complex pair: two sign changes short on [0, 4]
+    (_linears("3/2", 5) * Poly([1, 0, 1]), _linears("1/2", "3/2", "5/2", 5)),
+    # a double root: W touches zero without changing sign
+    (_linears("3/2", "3/2", 5), _linears("3/2", "5/2", 5)),
+    # a root exactly on the grid point 4 cos^2(pi/3) = 1
+    (_linears(1, "3/2", 5), _linears("1/2", "3/2", 5)),
+    # the sign change on [0, 4] is there, but the other root is at -1
+    (_linears("3/2", -1), _linears("3/2", 5)),
+])
+def test_alternation_declines_what_it_cannot_prove(w, control):
+    assert F(1) in cosine_grid(6)
+    assert alternation_box(w, 6) is None
+    # the same shape without the defect closes
+    assert alternation_box(control, 6) is not None
 
 
 def test_alpha_enclosure_quartic_base():

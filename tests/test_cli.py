@@ -10,7 +10,13 @@ import pytest
 
 from fresh_process import fresh_python
 from reczeros import claims, serialize
-from reczeros.cli import MAX_RANGE_VALUES, main, parse_values, parse_width
+from reczeros.cli import (
+    MAX_RANGE_VALUES,
+    MIN_WIDTH,
+    main,
+    parse_values,
+    parse_width,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +67,33 @@ def test_parse_width_accepts_rational_and_decimal():
         parse_width("0")
     with pytest.raises(ValueError):
         parse_width("-1/3")
+
+
+def test_parse_width_bounds_the_exponent_before_building():
+    tracemalloc.start()
+    try:
+        for text in ("1e-999999999", "1e-3000000", "1E+999999999"):
+            with pytest.raises(ValueError):
+                parse_width(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    # 2^-65536 lies between 10^-19729 and 10^-19728
+    assert parse_width("1e-19728") >= MIN_WIDTH
+    with pytest.raises(ValueError):
+        parse_width("1e-19729")
+    with pytest.raises(ValueError):
+        parse_width("0.%s1" % ("0" * 19730))
+
+
+def test_width_and_precision_beyond_the_cap_are_usage_errors(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--k", "2", "--ell", "1", "--width", "1e-3000000"])
+    assert exc.value.code == 2
+    assert main(["certify", "--k", "2", "--ell", "1", "--prec", "65537"]) == 2
+    assert main(["verify", "--k-max", "3", "--prec", "100000"]) == 2
+    capsys.readouterr()
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -171,6 +204,15 @@ def test_certify_and_scan_instances_are_pinned():
              for k in range(1, 21) for ell in range(1, 7)]
     assert _digest(scans) == (
         "cd7e1ea930197ac6797e33d0a4d2dbc18ca3a003ca72528130a2c06338ddbf15")
+
+
+def test_paper_grid_certificates_are_pinned():
+    # digest of certify --k 1..40 --ell 1..6 before sign alternation
+    # replaced the Sturm chain as the primary route
+    certs = [serialize.certificate_instance(k, ell, F(1, 10**20))
+             for k in range(1, 41) for ell in range(1, 7)]
+    assert _digest(certs) == (
+        "0daaca4ff5323f1537dc771c4cc12bc341a113286834deb6d50ab1b3516d10da")
 
 
 #: sha256 of the JSON documents before the enclosure kernels moved to

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from reczeros import family
 from reczeros.exactnum import q
 from reczeros.family import (
     FamilyInstance,
@@ -69,6 +70,22 @@ def test_companion_shape_and_weights():
             # interior coefficients carry the ell-th quotient powers
             s = -1 if ((ell + 1) * (k + 1)) % 2 else 1
             assert m[2] == -(2**ell) * s * q(k, 1) ** ell
+
+
+@pytest.mark.parametrize("k, ell", [(5, 2), (5, 3), (6, 2)])
+def test_construction_check_catches_one_corrupted_coefficient(monkeypatch, k, ell):
+    r = reciprocal_poly(k, ell)
+    build = monic_even_form.__wrapped__  # past the cache
+    for j in range(k + 2):
+        for bad in (r[j] * F(10**6 + 1, 10**6), -r[j]):
+            cs = list(r.coeffs)
+            cs[j] = bad
+            monkeypatch.setattr(family, "reciprocal_poly", lambda *_: Poly(cs))
+            with pytest.raises(AssertionError):
+                build(k, ell)
+    # a negated base polynomial has the same monic companion
+    monkeypatch.setattr(family, "reciprocal_poly", lambda *_: -r)
+    assert build(k, ell) == monic_even_form(k, ell)
 
 
 def test_family_instance_bundles_both_forms():

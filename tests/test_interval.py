@@ -198,8 +198,9 @@ _rationals = st.fractions(min_value=-4, max_value=4, max_denominator=1 << 20)
 @given(data=st.data(),
        coeffs=st.lists(st.integers(-(1 << 80), 1 << 80) | _rationals,
                        min_size=1, max_size=12),
-       bits=st.integers(1, 96))
-def test_horner_rounded_contains_exact_value(data, coeffs, bits):
+       bits=st.integers(1, 96),
+       shift=st.integers(0, 2))
+def test_horner_rounded_contains_exact_value(data, coeffs, bits, shift):
     # endpoints on the 2^-bits grid leave the rounding no slack to hide in
     grid = st.integers(-4 << bits, 4 << bits).map(lambda n: F(n, 1 << bits))
     a, b = data.draw(grid | _rationals), data.draw(grid | _rationals)
@@ -207,5 +208,9 @@ def test_horner_rounded_contains_exact_value(data, coeffs, bits):
     t = data.draw(st.sampled_from((0, 1))
                   | st.fractions(0, 1, max_denominator=1 << 10))
     x = lo + t * (hi - lo)
-    exact = sum(c * x**i for i, c in enumerate(coeffs))
-    assert horner_rounded(coeffs, Interval(lo, hi), bits).contains(exact)
+    exact = sum(c * (x * 2**shift)**i for i, c in enumerate(coeffs))
+    got = horner_rounded(coeffs, Interval(lo, hi), bits, x_shift=shift)
+    assert got.contains(exact)
+    # the shift rounds x * 2^shift exactly as the scaled interval would
+    scaled = horner_rounded(coeffs, Interval(lo * 2**shift, hi * 2**shift), bits)
+    assert (got.lo, got.hi) == (scaled.lo, scaled.hi)
