@@ -29,7 +29,6 @@ _EXPORTS = {
     "bernoulli": "exactnum",
     "q": "exactnum",
     "zeta_even_rational": "exactnum",
-    "FamilyInstance": "family",
     "circle_approximant": "family",
     "monic_even_form": "family",
     "reciprocal_poly": "family",

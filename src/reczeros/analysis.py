@@ -10,10 +10,10 @@ lower endpoint is read off the discriminant:
     ((m^-m) prod_{i<j} (a_i - a_j)^2)^(1/(2m-2)),
 
 the product over zero differences being |Disc|/lc^(2m-2) exactly.  The
-upper endpoint is the same stated one the window checkers use -- and it
-inherits the same defect: for exponent 1 it is exceeded once k >= 7, so
-membership is reported honestly as False there (see claims.py for the
-certified finding and the corrected endpoint 4 + 3/k).
+upper endpoint is claims.stated_alpha_upper, the one the window checkers
+use -- and it inherits the same defect: for exponent 1 it is exceeded
+once k >= 7, so membership is reported honestly as False there (see
+claims.py for the certified finding and the corrected endpoint 4 + 3/k).
 
 Real 2k-th roots of rationals are enclosed by an integer floor-root plus
 dyadic bounds verified by exact powering, not by floating point.
@@ -26,9 +26,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .certify import alpha_enclosure, certify_zeros
-from .exactnum import d, zeta_even_enclosure
+from .claims import WIDTH_FLOOR, ladder, stated_alpha_upper
 from .family import RESULTANT_K_CAP, reciprocal_poly
-from .interval import Interval, pow_rounded
+from .interval import Interval
 from .polycore import Poly
 
 
@@ -178,17 +178,13 @@ def mahler_inequality_check(k: int, ell: int, certificate=None) -> bool:
     cert = certificate if certificate is not None else certify_zeros(k, ell)
     lhs = abs(_family_discriminant(k, ell))
     scale = (k + 1) ** (k + 1)
-    width = Fraction(1, 10**20)
-    floor = Fraction(1, 2**2048)
-    while True:
+    for width in ladder(Fraction(1, 10**20), Fraction(1, 2**32), WIDTH_FLOOR):
         measure = mahler_measure(k, ell, width=width, certificate=cert)
         if lhs <= scale * measure.lo ** (2 * k):
             return True
         if lhs > scale * measure.hi ** (2 * k):
             return False
-        width /= 2**32
-        if width < floor:
-            raise ArithmeticError("inequality undecided at the width floor")
+    raise ArithmeticError("inequality undecided at the width floor")
 
 
 # ---------------------------------------------------------------------------
@@ -212,24 +208,14 @@ def two_sided_window(k: int, ell: int, precision: int = 128,
     R = reciprocal_poly(k, ell)
     prod = abs(_family_discriminant(k, ell)) / abs(R.lc()) ** (2 * k)
     lower = nth_root_enclosure(prod / (k + 1) ** (k + 1), 2 * k, precision)
-    factor = 1 + 3 * d(ell) * Fraction(1, 4**k)
-    if ell == 1:
-        upper = Interval(4 * factor)
-    else:
-        pr = max(precision, 160)
-        upper = (pow_rounded(zeta_even_enclosure(1, pr), ell - 1, pr + 16)
-                 * (2 ** (ell + 1) * factor))
-    target = Fraction(1, 10**20)
-    floor = Fraction(1, 2**2048)
-    while True:
+    upper = stated_alpha_upper(k, ell, max(precision, 160))
+    for target in ladder(Fraction(1, 10**20), Fraction(1, 2**64), WIDTH_FLOOR):
         a = alpha_enclosure(k, ell, width=target, certificate=cert)
         if lower.hi < a.lo and a.hi < upper.lo:
             return lower, upper, True
         if a.lo > upper.hi or a.hi < lower.lo:
             return lower, upper, False
-        target /= 2**64
-        if target < floor:
-            raise ArithmeticError("membership undecided at the width floor")
+    raise ArithmeticError("membership undecided at the width floor")
 
 
 # ---------------------------------------------------------------------------
@@ -246,21 +232,6 @@ class AnalysisRecord:
     disc_lower: Interval
     stated_upper: Interval
     alpha_in_interval: bool
-
-    def as_dict(self) -> dict:
-        def iv(x: Interval) -> dict:
-            return {"lo": str(x.lo), "hi": str(x.hi)}
-
-        return {
-            "k": self.k,
-            "ell": self.ell,
-            "discriminant": str(self.discriminant),
-            "mahler": iv(self.mahler),
-            "mahler_inequality_ok": self.mahler_inequality_ok,
-            "disc_lower": iv(self.disc_lower),
-            "stated_upper": iv(self.stated_upper),
-            "alpha_in_interval": self.alpha_in_interval,
-        }
 
 
 def analyze(k: int, ell: int, force: bool = False,

@@ -4,9 +4,13 @@ Each checker establishes one arithmetic fact -- an inequality chain, a sign
 pattern on the unit circle, or an interval membership -- over a requested
 parameter range.  Facts that live in Q are decided by exact rational
 arithmetic and can only pass or fail; facts involving zeta values or pi go
-through certified enclosures with an escalating precision ladder and may
-additionally come back "inconclusive" if the ladder hits its cap before a
-sign is decided.
+through certified enclosures that are tightened until a sign is decided,
+and may additionally come back "inconclusive" when the ladder runs out
+first.  There is one ladder, `ladder`: precisions double up to
+precision_cap(), widths shrink toward WIDTH_FLOOR, and analysis uses the
+same helper.  The stated upper window endpoint is built only by
+stated_alpha_upper.  Results are plain records; serialize owns their
+wire form.
 
 A "finding" is a result that contradicts or sharpens the expected
 statement without invalidating the surrounding certificates: the single
@@ -22,6 +26,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 
 from .certify import alpha_enclosure, certify_zeros
 from .exactnum import (
@@ -59,6 +64,9 @@ EPS_TOTAL_CAP = Fraction(2762, 10000)
 #: their precision up to the cap, and each step costs more than the last.
 PREC_CAP_MAX = 65536
 
+#: Finest width a width ladder refines an enclosure to before it gives up.
+WIDTH_FLOOR = Fraction(1, 2**2048)
+
 
 def precision_cap() -> int:
     """Ladder ceiling in bits; override with the REC_ZEROS_PREC_CAP variable.
@@ -70,6 +78,26 @@ def precision_cap() -> int:
     except ValueError:
         return 4096
     return min(max(256, value), PREC_CAP_MAX)
+
+
+def ladder(first, factor, limit):
+    """The escalation rungs first, first*factor, first*factor^2, ...
+
+    The first rung is yielded unconditionally; each later one only while it
+    stays within `limit` (at most it for factor > 1, at least it for
+    factor < 1).  Precisions climb with factor 2 up to precision_cap(),
+    widths shrink toward WIDTH_FLOOR; a caller that exhausts the ladder
+    without a decision reports that through the loop's `else`.
+
+    >>> list(ladder(192, 2, 1024)), list(ladder(5000, 2, 4096))
+    ([192, 384, 768], [5000])
+    """
+    rung = first
+    while True:
+        yield rung
+        rung = rung * factor
+        if (rung > limit) if factor > 1 else (rung < limit):
+            return
 
 
 def map_calls(calls, jobs: int | None) -> list:
@@ -97,19 +125,6 @@ def _exp2(x) -> int:
     return x.numerator.bit_length() - x.denominator.bit_length()
 
 
-def _plain(obj):
-    """Recursively convert Fractions/Intervals to JSON-friendly values."""
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, Interval):
-        return {"lo": str(obj.lo), "hi": str(obj.hi)}
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
-
-
 @dataclass(frozen=True)
 class ClaimResult:
     claim_id: str
@@ -122,16 +137,6 @@ class ClaimResult:
     @property
     def ok(self) -> bool:
         return self.status in (PASS, FINDING)
-
-    def as_dict(self) -> dict:
-        return {
-            "claim": self.claim_id,
-            "params": _plain(self.params),
-            "status": self.status,
-            "witness": _plain(self.witness),
-            "detail": self.detail,
-            "data": _plain(self.data),
-        }
 
 
 @dataclass(frozen=True)
@@ -156,23 +161,6 @@ class VerificationReport:
         for r in self.results:
             out[r.status] = out.get(r.status, 0) + 1
         return out
-
-    def as_dict(self) -> dict:
-        return {
-            "k_max": self.k_max,
-            "ell_max": self.ell_max,
-            "precision": self.precision,
-            "ok": self.ok,
-            "counts": self.counts(),
-            "results": [r.as_dict() for r in self.results],
-        }
-
-    def table(self) -> str:
-        width = max((len(r.claim_id) for r in self.results), default=8)
-        lines = ["%-*s  %-12s  %s" % (width, "claim", "status", "detail")]
-        for r in self.results:
-            lines.append("%-*s  %-12s  %s" % (width, r.claim_id, r.status, r.detail))
-        return "\n".join(lines)
 
 
 def _vacuous(claim_id: str, **params) -> ClaimResult:
@@ -199,8 +187,7 @@ def check_zeta_bounds(n_max: int) -> ClaimResult:
     for n in range(2, n_max + 1):
         lo_bound = 1 + Fraction(1, 2**n)
         hi_bound = 1 + Fraction(n + 1, n - 1) / 2**n
-        pr = max(24, (8 * n) // 5 + 16)
-        while True:
+        for pr in ladder(max(24, (8 * n) // 5 + 16), 2, cap):
             try:
                 if n % 2 == 0:
                     enc = zeta_even_enclosure(n // 2, pr)
@@ -218,12 +205,11 @@ def check_zeta_bounds(n_max: int) -> ClaimResult:
                     "zeta-bounds", {"n_min": 2, "n_max": n_max}, FAIL,
                     {"n": n, "enclosure": enc}, {},
                     "enclosure escaped the stated bracket")
-            pr *= 2
-            if pr > cap:
-                return ClaimResult(
-                    "zeta-bounds", {"n_min": 2, "n_max": n_max}, INCONCLUSIVE,
-                    {"n": n, "precision_cap": cap}, {},
-                    "undecided at the precision cap")
+        else:
+            return ClaimResult(
+                "zeta-bounds", {"n_min": 2, "n_max": n_max}, INCONCLUSIVE,
+                {"n": n, "precision_cap": cap}, {},
+                "undecided at the precision cap")
         max_pr = max(max_pr, pr)
         margin = min(enc.lo - lo_bound, hi_bound - enc.hi)
         scaled = margin * 2**n
@@ -261,8 +247,7 @@ def check_quotient_bound(k_max: int) -> ClaimResult:
             rat = zeta_even_rational(k + 1 - j)
             rn = rat.numerator * r_den.denominator
             rd = rat.denominator * r_den.numerator
-            pr = 2 * (k + 1 - j) + 64
-            while True:
+            for pr in ladder(2 * (k + 1 - j) + 64, 2, cap):
                 power = pow_rounded(pi_enclosure(pr), 2 * j, pr + 16)
                 pn, pd = power.lo.numerator, power.lo.denominator
                 if rn * pd * e4 < (e4 + 3) * rd * pn:  # excess.hi < bound
@@ -274,12 +259,11 @@ def check_quotient_bound(k_max: int) -> ClaimResult:
                         {"k": k, "j": j,
                          "excess": Fraction(rn, rd) / power - 1}, {},
                         "bound violated")
-                pr *= 2
-                if pr > cap:
-                    return ClaimResult(
-                        "zeta-quotient-bound", params, INCONCLUSIVE,
-                        {"k": k, "j": j, "precision_cap": cap}, {},
-                        "undecided at the precision cap")
+            else:
+                return ClaimResult(
+                    "zeta-quotient-bound", params, INCONCLUSIVE,
+                    {"k": k, "j": j, "precision_cap": cap}, {},
+                    "undecided at the precision cap")
             max_pr = max(max_pr, pr)
             # (bound - excess.hi) / bound = rel_n / rel_d
             rel_d = 3 * rd * pn
@@ -528,19 +512,17 @@ def check_sign_pattern(k: int, ell: int, precision: int = DEFAULT_PRECISION) -> 
             s = 1 if value > 0 else -1
             exact_points += 1
         else:
-            pr = max(precision, 64)
-            while True:
+            for pr in ladder(max(precision, 64), 2, cap):
                 # T(2 cos): the doubling is folded into rounding the argument
                 s = horner_rounded(ints, cos_pi_enclosure(r, pr),
                                    pr + len(ints) + 8, x_shift=1).sign()
                 if s:
                     break
-                pr *= 2
-                if pr > cap:
-                    return ClaimResult(
-                        "sign-pattern-k%d-l%d" % (k, ell), params,
-                        INCONCLUSIVE, {"j": j, "precision_cap": cap}, {},
-                        "grid sign undecided at the precision cap")
+            else:
+                return ClaimResult(
+                    "sign-pattern-k%d-l%d" % (k, ell), params,
+                    INCONCLUSIVE, {"j": j, "precision_cap": cap}, {},
+                    "grid sign undecided at the precision cap")
             max_pr = max(max_pr, pr)
         if prof.sigma < 0 and r > 1:
             s = -s
@@ -677,6 +659,25 @@ def corrected_alpha_upper(k: int, ell: int) -> Fraction:
     return 4 + Fraction(3 * d(1), k)
 
 
+#: Precision of the stated endpoint's zeta(2) power where the window checks
+#: start; check_alpha_interval doubles it when alpha straddles the endpoint.
+WINDOW_PRECISION = 192
+
+
+def stated_alpha_upper(k: int, ell: int, precision: int) -> Interval:
+    """The stated upper window endpoint 2^(l+1) zeta(2)^(l-1) (1 + 3 d_l 4^-k).
+
+    Exact for l = 1 (the point interval 4 (1 + 3 d_1 4^-k)); otherwise the
+    zeta(2) enclosure at `precision` bits, raised to l - 1 with outward
+    rounding at precision + 16 bits, times the exact rational factor.
+    """
+    factor = 1 + 3 * d(ell) * Fraction(1, 4**k)
+    if ell == 1:
+        return Interval(4 * factor)
+    return (pow_rounded(zeta_even_enclosure(1, precision), ell - 1,
+                        precision + 16) * (2 ** (ell + 1) * factor))
+
+
 def check_alpha_interval(k_range, ell_odd_range) -> ClaimResult:
     """alpha against the window ((2 q_1)^l, 2^(l+1) zeta(2)^(l-1)(1+3 d_l 4^-k)).
 
@@ -702,29 +703,22 @@ def check_alpha_interval(k_range, ell_odd_range) -> ClaimResult:
     params = {"k": [k_lo, k_hi], "ell_odd": [l_lo, l_hi]}
     if not ells or k_hi < k_lo:
         return _vacuous("alpha-interval", **params)
-    width_floor = Fraction(1, 2**2048)
+    cap = precision_cap()
     checked = 0
     violations = []
     first_witness = None
     tight = None
     max_pr = 0
     for ell in ells:
-        d_ell = d(ell)
         for k in range(k_lo, k_hi + 1):
             lower = (2 * q(k, 1)) ** ell
-            factor = 1 + 3 * d_ell * Fraction(1, 4**k)
             value_at_one = monic_even_form(k, ell)(Fraction(1))
             if not value_at_one < 0:
                 return ClaimResult("alpha-interval", params, FAIL,
                                    {"k": k, "ell": ell,
                                     "at_one": value_at_one}, {},
                                    "companion fails to dip below 0 at 1")
-            pr = 192
-            if ell == 1:
-                upper = Interval(4 * factor)
-            else:
-                upper = (pow_rounded(zeta_even_enclosure(1, pr), ell - 1,
-                                     pr + 16) * (2 ** (ell + 1) * factor))
+            upper = stated_alpha_upper(k, ell, WINDOW_PRECISION)
             if not lower < upper.lo:
                 return ClaimResult("alpha-interval", params, FAIL,
                                    {"k": k, "ell": ell}, {},
@@ -734,8 +728,17 @@ def check_alpha_interval(k_range, ell_odd_range) -> ClaimResult:
                 return ClaimResult("alpha-interval", params, FAIL,
                                    {"k": k, "ell": ell}, {},
                                    "certificate does not conform")
-            target = Fraction(1, 10**20)
-            while True:
+            # l = 1 has an exact endpoint and walks the width ladder alone;
+            # for l > 1 the zeta(2) power is refined in step, and that
+            # ladder (9 rungs at most under PREC_CAP_MAX) runs out first.
+            widths = ladder(Fraction(1, 10**20), Fraction(1, 2**64),
+                            WIDTH_FLOOR)
+            precisions = (repeat(WINDOW_PRECISION) if ell == 1
+                          else ladder(WINDOW_PRECISION, 2, cap))
+            for target, pr in zip(widths, precisions):
+                if pr != WINDOW_PRECISION:
+                    upper = stated_alpha_upper(k, ell, pr)
+                    max_pr = max(max_pr, pr)
                 a = alpha_enclosure(k, ell, width=target, certificate=cert)
                 if a.hi < lower:
                     return ClaimResult("alpha-interval", params, FAIL,
@@ -743,17 +746,16 @@ def check_alpha_interval(k_range, ell_odd_range) -> ClaimResult:
                                        "alpha below the lower endpoint")
                 if lower < a.lo and (a.hi < upper.lo or a.lo > upper.hi):
                     break
-                target /= 2**64
-                if ell > 1:
-                    pr *= 2
-                    upper = (pow_rounded(zeta_even_enclosure(1, pr), ell - 1,
-                                         pr + 16) * (2 ** (ell + 1) * factor))
-                    max_pr = max(max_pr, pr)
-                if target < width_floor:
+            else:
+                if ell == 1:
                     return ClaimResult(
                         "alpha-interval", params, INCONCLUSIVE,
                         {"k": k, "ell": ell, "alpha": a}, {},
                         "window membership undecided at the width floor")
+                return ClaimResult(
+                    "alpha-interval", params, INCONCLUSIVE,
+                    {"k": k, "ell": ell, "alpha": a, "precision_cap": cap}, {},
+                    "window membership undecided at the precision cap")
             checked += 1
             if a.lo > upper.hi:
                 if ell != 1 or not a.hi < corrected_alpha_upper(k, ell):
@@ -803,12 +805,7 @@ def check_alpha_k2_report(ell_odd_max: int) -> ClaimResult:
     inside = {}
     for ell in ells:
         lower = (2 * q(2, 1)) ** ell
-        factor = 1 + 3 * d(ell) * Fraction(1, 16)
-        if ell == 1:
-            upper = Interval(4 * factor)
-        else:
-            upper = (pow_rounded(zeta_even_enclosure(1, 192), ell - 1, 208)
-                     * (2 ** (ell + 1) * factor))
+        upper = stated_alpha_upper(2, ell, WINDOW_PRECISION)
         a = alpha_enclosure(2, ell, width=Fraction(1, 10**20))
         inside[ell] = bool(lower < a.lo and a.hi < upper.lo)
     return ClaimResult("alpha-interval-k2", params, FINDING, None,

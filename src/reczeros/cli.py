@@ -31,24 +31,28 @@ MAX_RANGE_VALUES = 10_000
 
 
 def parse_values(text: str) -> list[int]:
-    """Inclusive `a..b` spans and comma lists, normalized sorted unique."""
+    """Inclusive `a..b` spans and comma lists, normalized sorted unique.
+
+    Refusals raise argparse.ArgumentTypeError, whose message argparse
+    prints; it drops the message of the ValueError a non-integer raises.
+    """
     values: set[int] = set()
     total = 0
     for token in text.split(","):
         token = token.strip()
         if not token:
-            raise ValueError("empty range token")
+            raise argparse.ArgumentTypeError("empty range token")
         if ".." in token:
             a, b = token.split("..", 1)
             lo, hi = int(a), int(b)
             if hi < lo:
-                raise ValueError("descending span %s" % token)
+                raise argparse.ArgumentTypeError("descending span %s" % token)
         else:
             lo = hi = int(token)
         total += hi - lo + 1
         if total > MAX_RANGE_VALUES:
-            raise ValueError("more than %d values in %r"
-                             % (MAX_RANGE_VALUES, text))
+            raise argparse.ArgumentTypeError("more than %d values in %r"
+                                             % (MAX_RANGE_VALUES, text))
         values.update(range(lo, hi + 1))
     return sorted(values)
 
@@ -64,15 +68,24 @@ _EXPONENT = re.compile(r"e\s*([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
 
 
 def parse_width(text: str) -> Fraction:
-    """A positive rational or decimal width no finer than MIN_WIDTH."""
+    """A positive rational or decimal width no finer than MIN_WIDTH.
+
+    Refusals raise argparse.ArgumentTypeError, as parse_values does.
+    """
     exponent = _EXPONENT.search(text)
     if exponent and abs(int(exponent.group(1))) > MAX_WIDTH_EXPONENT:
-        raise ValueError("width exponent beyond +-%d" % MAX_WIDTH_EXPONENT)
-    width = Fraction(text)
+        raise argparse.ArgumentTypeError(
+            "width exponent beyond +-%d" % MAX_WIDTH_EXPONENT)
+    try:
+        width = Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(
+            "zero denominator in %r" % text) from None
     if width <= 0:
-        raise ValueError("width must be positive")
+        raise argparse.ArgumentTypeError("width must be positive")
     if width < MIN_WIDTH:
-        raise ValueError("width finer than 2^-%d" % PREC_CAP_MAX)
+        raise argparse.ArgumentTypeError("width finer than 2^-%d"
+                                         % PREC_CAP_MAX)
     return width
 
 
@@ -192,11 +205,6 @@ def _note(message: str) -> None:
     print("note: " + message, file=sys.stderr)
 
 
-def _map_grid(fn, arg_tuples, jobs: int) -> list:
-    """Order-preserving map, on a process pool when jobs > 1."""
-    return map_calls([(fn, args) for args in arg_tuples], jobs)
-
-
 def _grid(cfg: RunConfig) -> list[tuple[int, int]]:
     if not cfg.ks or not cfg.ells:
         raise ValueError("empty parameter grid")
@@ -209,7 +217,8 @@ def _grid(cfg: RunConfig) -> list[tuple[int, int]]:
 
 def cmd_construct(cfg: RunConfig) -> int:
     grid = _grid(cfg)
-    instances = _map_grid(serialize.construct_instance, grid, cfg.jobs)
+    instances = map_calls([(serialize.construct_instance, args)
+                           for args in grid], cfg.jobs)
     _emit(cfg, serialize.envelope("construct", instances))
     return 0
 
@@ -217,9 +226,9 @@ def cmd_construct(cfg: RunConfig) -> int:
 def cmd_certify(cfg: RunConfig) -> int:
     grid = _grid(cfg)
     start = time.monotonic()
-    instances = _map_grid(serialize.certificate_instance,
-                          [(k, ell, cfg.width) for k, ell in grid],
-                          cfg.jobs)
+    instances = map_calls(
+        [(serialize.certificate_instance, (k, ell, cfg.width))
+         for k, ell in grid], cfg.jobs)
     elapsed = time.monotonic() - start
     _emit(cfg, serialize.envelope("certify", instances))
     print("certified %d instance(s) in %.2fs" % (len(instances), elapsed),
@@ -256,10 +265,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
               "expensive); offending k: %s"
               % (RESULTANT_K_CAP, sorted(set(over))), file=sys.stderr)
         return 2
-    instances = _map_grid(
-        serialize.analysis_instance,
-        [(k, ell, cfg.force, cfg.precision) for k, ell in grid],
-        cfg.jobs)
+    instances = map_calls(
+        [(serialize.analysis_instance, (k, ell, cfg.force, cfg.precision))
+         for k, ell in grid], cfg.jobs)
     _emit(cfg, serialize.envelope("analyze", instances))
     failed = [i for i in instances
               if not i["mahler_inequality_ok"] or i["discriminant"] == "0/1"]
@@ -273,7 +281,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 def cmd_scan(cfg: RunConfig) -> int:
     grid = _grid(cfg)
-    instances = _map_grid(serialize.scan_instance, grid, cfg.jobs)
+    instances = map_calls([(serialize.scan_instance, args) for args in grid],
+                          cfg.jobs)
     _emit(cfg, serialize.envelope("scan", instances))
     return 0
 

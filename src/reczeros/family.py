@@ -96,23 +96,6 @@ def monic_even_form(k: int, ell: int) -> Poly:
     return m
 
 
-class FamilyInstance:
-    """One (k, ell) member: the base polynomial and its monic companion."""
-
-    __slots__ = ("k", "ell", "sigma", "recip", "monic_even")
-
-    def __init__(self, k: int, ell: int):
-        _validate(k, ell)
-        self.k = k
-        self.ell = ell
-        self.sigma = sigma_of(k, ell)
-        self.recip = reciprocal_poly(k, ell)
-        self.monic_even = monic_even_form(k, ell)
-
-    def __repr__(self) -> str:
-        return "FamilyInstance(k=%d, ell=%d)" % (self.k, self.ell)
-
-
 class ApproximantPair:
     """The companion with interior weights snapped to 1, plus the difference.
 

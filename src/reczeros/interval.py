@@ -67,18 +67,11 @@ class Interval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def contains(self, x) -> bool:
         if isinstance(x, Interval):
             return self.lo <= x.lo and x.hi <= self.hi
         x = Fraction(x)
         return self.lo <= x <= self.hi
-
-    def strictly_inside(self, other: "Interval") -> bool:
-        """True if self lies in the open interior of `other`."""
-        return other.lo < self.lo and self.hi < other.hi
 
     def sign(self) -> int:
         """+1 / -1 if the interval is entirely positive / negative, else 0.
@@ -162,9 +155,6 @@ class Interval:
         if lo > hi:
             raise ValueError("disjoint intervals: %r, %r" % (self, other))
         return Interval(lo, hi)
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def round_outward(self, bits: int) -> "Interval":
         """Widen to endpoints with denominator dividing 2**bits."""

@@ -257,33 +257,6 @@ def _as_poly(x) -> Poly:
     raise TypeError("cannot coerce %r to Poly" % (x,))
 
 
-def eval_interval(p: Poly, x: Interval) -> Interval:
-    return p.eval_interval(x)
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the rationals (primitive pseudo-remainder sequence)."""
-    fa = list(a.int_coeffs())
-    fb = list(b.int_coeffs())
-    while fb:
-        if len(fa) < len(fb):
-            fa, fb = fb, fa
-            continue
-        r = _prem_signed(fa, fb)
-        fa, fb = fb, _prim(r)
-    if not fa:
-        return Poly.zero()
-    return Poly(fa).monic()
-
-
-def squarefree_part(p: Poly) -> Poly:
-    """p divided by gcd(p, p'), monic."""
-    g = poly_gcd(p, p.derivative())
-    if g.degree() <= 0:
-        return p.monic()
-    return p.exact_div(g).monic()
-
-
 # -- integer-level helpers ----------------------------------------------
 
 def _trim(c: list[int]) -> None:
@@ -424,11 +397,6 @@ def _lt(a, b) -> bool:
     av = -inf if a == -inf else (inf if a == inf else Fraction(a))
     bv = -inf if b == -inf else (inf if b == inf else Fraction(b))
     return av < bv
-
-
-def sturm_count(p: Poly, a, b) -> int:
-    """Count real roots of squarefree p in the open interval (a, b)."""
-    return SturmChain(p).count_open(a, b)
 
 
 def cauchy_bound(p: Poly) -> Fraction:

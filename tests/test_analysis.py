@@ -16,6 +16,7 @@ from reczeros.analysis import (
 )
 from reczeros.family import reciprocal_poly
 from reczeros.polycore import Poly
+from reczeros.serialize import analysis_instance
 
 from numeric_oracle import largest_real_root
 
@@ -144,7 +145,7 @@ def test_analyze_base_record():
     assert rec.discriminant == F(21, 518400)
     assert rec.mahler_inequality_ok
     assert rec.alpha_in_interval
-    d = rec.as_dict()
+    d = analysis_instance(1, 1)
     assert d["discriminant"] == "7/172800"  # reduced form of 21/518400
     assert set(d) == {"k", "ell", "discriminant", "mahler",
                       "mahler_inequality_ok", "disc_lower", "stated_upper",

@@ -4,8 +4,11 @@ from fractions import Fraction as F
 import pytest
 
 from fresh_process import fresh_python
+from reczeros import claims, serialize
+from reczeros.certify import alpha_enclosure
 from reczeros.claims import (
     PREC_CAP_MAX,
+    WIDTH_FLOOR,
     check_GH_signs,
     check_alpha_interval,
     check_alpha_k2_report,
@@ -19,11 +22,13 @@ from reczeros.claims import (
     check_zeta_bounds,
     check_zeta_sum_identity,
     corrected_alpha_upper,
+    ladder,
     precision_cap,
     run_all,
 )
 from reczeros.exactnum import q
 from reczeros.family import reciprocal_poly
+from reczeros.interval import Interval
 
 
 def test_zeta_bounds_bracket():
@@ -202,6 +207,59 @@ def test_alpha_interval_vacuous_and_validation():
         check_alpha_interval((2, 6), (1, 1))
 
 
+def test_alpha_interval_ladder_stops_at_the_precision_cap(monkeypatch):
+    # alpha pinned across the stated l = 3 endpoint (about 55.09) keeps the
+    # window undecided; the zeta(2) power may then climb only to the cap
+    real_zeta = claims.zeta_even_enclosure
+    asked = []
+
+    def capped_zeta(m, precision):
+        asked.append(precision)
+        if precision > precision_cap():
+            raise AssertionError("asked for %d bits" % precision)
+        return real_zeta(m, 192)  # no real work at an escalated precision
+
+    monkeypatch.setattr(claims, "zeta_even_enclosure", capped_zeta)
+    monkeypatch.setattr(claims, "alpha_enclosure",
+                        lambda k, ell, width, certificate=None:
+                        Interval(50, 60))
+    monkeypatch.delenv("REC_ZEROS_PREC_CAP", raising=False)
+    r = check_alpha_interval((3, 3), (3, 3))
+    assert r.status == "inconclusive"
+    assert r.witness["precision_cap"] == 4096
+    assert asked == [192, 384, 768, 1536, 3072]
+
+
+def test_alpha_interval_l1_walks_the_whole_width_ladder(monkeypatch):
+    # like k = 180, which needs 6 width steps; l = 1 must not stop at the
+    # length of a precision ladder
+    widths = []
+
+    def slow_alpha(k, ell, width, certificate=None):
+        widths.append(width)
+        if len(widths) <= 6:
+            return Interval(4, 5)  # straddles the stated endpoint 4.1875
+        return alpha_enclosure(k, ell, width=width, certificate=certificate)
+
+    monkeypatch.setattr(claims, "alpha_enclosure", slow_alpha)
+    r = check_alpha_interval((3, 3), (1, 1))
+    assert r.status == "pass" and r.data["checked"] == 1
+    assert widths == [F(1, 10**20) / 2 ** (64 * i) for i in range(7)]
+
+
+def test_ladder_rungs():
+    assert list(ladder(5000, 2, 4096)) == [5000]  # first rung beyond the limit
+    assert list(ladder(192, 2, 3072)) == [192, 384, 768, 1536, 3072]
+    assert list(ladder(192, 2, 3071)) == [192, 384, 768, 1536]
+    assert list(ladder(F(1), F(1, 4), F(1, 64))) == [1, F(1, 4), F(1, 16),
+                                                     F(1, 64)]
+    assert list(ladder(F(1), F(1, 4), F(1, 63))) == [1, F(1, 4), F(1, 16)]
+    assert list(ladder(F(1, 128), F(1, 4), F(1, 64))) == [F(1, 128)]
+    widths = list(ladder(F(1, 10**20), F(1, 2**64), WIDTH_FLOOR))
+    assert len(widths) == 31
+    assert widths[-1] / 2**64 < WIDTH_FLOOR <= widths[-1]
+
+
 def test_alpha_k2_report_is_informational():
     r = check_alpha_k2_report(5)
     assert r.status == "finding" and r.ok
@@ -240,7 +298,7 @@ def test_run_all_order_and_statuses():
     ]
     assert rep.find("index-ratio-bound").status == "finding"
     assert rep.find("alpha-interval").status == "pass"
-    table = rep.table()
+    table = serialize.to_table(serialize.verify_document(rep))
     assert table.splitlines()[0].startswith("claim")
     assert len(table.splitlines()) == len(rep.results) + 1
 
@@ -263,13 +321,15 @@ def test_run_all_suites_partition_the_plan():
 
 
 def test_run_all_is_deterministic():
-    assert run_all(4, 2).as_dict() == run_all(4, 2).as_dict()
+    assert (serialize.verify_document(run_all(4, 2))
+            == serialize.verify_document(run_all(4, 2)))
 
 
 def test_run_all_parallel_matches_serial():
     serial = run_all(4, 2)
     parallel = run_all(4, 2, jobs=3)
-    assert parallel.as_dict() == serial.as_dict()
+    assert (serialize.verify_document(parallel)
+            == serialize.verify_document(serial))
 
 
 def test_run_all_caps_the_sign_grid():
@@ -294,7 +354,7 @@ def test_run_all_empty_grid_is_all_vacuous_or_pass():
 
 def test_report_round_trips_to_plain_types():
     rep = run_all(3, 1)
-    d = rep.as_dict()
+    d = serialize.verify_document(rep)
     assert d["ok"] is True
 
     def walk(obj):

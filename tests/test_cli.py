@@ -1,4 +1,6 @@
+import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import tracemalloc
@@ -32,7 +34,10 @@ def test_parse_values_forms():
 
 
 def test_parse_values_rejects_garbage():
-    for bad in ("", "3..1", "1,,2", "a..b", "2.5"):
+    for bad in ("", "3..1", "1,,2"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_values(bad)
+    for bad in ("a..b", "2.5"):
         with pytest.raises(ValueError):
             parse_values(bad)
 
@@ -40,14 +45,14 @@ def test_parse_values_rejects_garbage():
 def test_parse_values_bounds_the_value_count_before_building():
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError):
+        with pytest.raises(argparse.ArgumentTypeError):
             parse_values("1..100000000000")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
     # the bound is on the running total over all tokens
-    with pytest.raises(ValueError):
+    with pytest.raises(argparse.ArgumentTypeError):
         parse_values("1..%d,%d" % (MAX_RANGE_VALUES, MAX_RANGE_VALUES + 5))
     assert len(parse_values("1..%d" % MAX_RANGE_VALUES)) == MAX_RANGE_VALUES
 
@@ -63,9 +68,9 @@ def test_parse_width_accepts_rational_and_decimal():
     assert parse_width("1/100") == F(1, 100)
     assert parse_width("1e-20") == F(1, 10**20)
     assert parse_width("0.5") == F(1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(argparse.ArgumentTypeError):
         parse_width("0")
-    with pytest.raises(ValueError):
+    with pytest.raises(argparse.ArgumentTypeError):
         parse_width("-1/3")
 
 
@@ -73,7 +78,7 @@ def test_parse_width_bounds_the_exponent_before_building():
     tracemalloc.start()
     try:
         for text in ("1e-999999999", "1e-3000000", "1E+999999999"):
-            with pytest.raises(ValueError):
+            with pytest.raises(argparse.ArgumentTypeError):
                 parse_width(text)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -81,9 +86,9 @@ def test_parse_width_bounds_the_exponent_before_building():
     assert peak < 1 << 16
     # 2^-65536 lies between 10^-19729 and 10^-19728
     assert parse_width("1e-19728") >= MIN_WIDTH
-    with pytest.raises(ValueError):
+    with pytest.raises(argparse.ArgumentTypeError):
         parse_width("1e-19729")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError):  # Fraction's own digit limit
         parse_width("0.%s1" % ("0" * 19730))
 
 
@@ -94,6 +99,21 @@ def test_width_and_precision_beyond_the_cap_are_usage_errors(capsys):
     assert main(["certify", "--k", "2", "--ell", "1", "--prec", "65537"]) == 2
     assert main(["verify", "--k-max", "3", "--prec", "100000"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags, reason", [
+    (["--width", "1e-3000000"], "width exponent beyond +-19729"),
+    (["--width", "1e-19729"], "width finer than 2^-65536"),
+    (["--width", "0"], "width must be positive"),
+    (["--width", "1/0"], "zero denominator in '1/0'"),
+    (["--k", "5..2"], "descending span 5..2"),
+    (["--k", "1..20000"], "more than 10000 values"),
+])
+def test_refused_flag_values_say_why(flags, reason, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--k", "2", "--ell", "1"] + flags)
+    assert exc.value.code == 2
+    assert reason in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -252,6 +272,25 @@ def test_cli_import_leaves_analysis_and_the_pool_unloaded():
         "polycore", "serialize")]
     assert not pool_loaded
     assert unresolved == []
+
+
+def test_tracer_entry_points_resolve():
+    """Every name the benchmark tracer wraps still exists, so a deletion
+    cannot silently zero a per-layer figure."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.ENTRY_POINTS
+    missing = []
+    for name, (module, attr_path) in sorted(tracer.ENTRY_POINTS.items()):
+        owner = importlib.import_module("reczeros." + module)
+        for attr in attr_path.split("."):
+            owner = getattr(owner, attr, None)
+        if owner is None:
+            missing.append(name)
+    assert missing == []
 
 
 # ---------------------------------------------------------------------------

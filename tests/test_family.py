@@ -5,7 +5,6 @@ import pytest
 from reczeros import family
 from reczeros.exactnum import q
 from reczeros.family import (
-    FamilyInstance,
     boundary_profile,
     circle_approximant,
     monic_even_form,
@@ -86,14 +85,6 @@ def test_construction_check_catches_one_corrupted_coefficient(monkeypatch, k, el
     # a negated base polynomial has the same monic companion
     monkeypatch.setattr(family, "reciprocal_poly", lambda *_: -r)
     assert build(k, ell) == monic_even_form(k, ell)
-
-
-def test_family_instance_bundles_both_forms():
-    inst = FamilyInstance(2, 2)
-    assert inst.sigma == -1
-    assert inst.recip == reciprocal_poly(2, 2)
-    assert inst.monic_even == monic_even_form(2, 2)
-    assert repr(inst) == "FamilyInstance(k=2, ell=2)"
 
 
 def test_approximant_difference_golden():

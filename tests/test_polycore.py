@@ -16,12 +16,9 @@ from reczeros.polycore import (
     cauchy_bound,
     detect_reversal_sign,
     isolate_real_roots,
-    poly_gcd,
     reciprocal_transform,
     refine_root,
     split_even_odd,
-    squarefree_part,
-    sturm_count,
 )
 
 X = Poly.x()
@@ -83,24 +80,14 @@ def test_eval_interval_is_inclusion():
         assert box.contains(p(t))
 
 
-def test_gcd_and_squarefree_part():
-    a = (X - 1) * (X + 2)
-    b = (X - 1) * (X - 3)
-    assert poly_gcd(a, b) == X - 1
-    assert poly_gcd(a, Poly([7])).degree() == 0
-    p = (X - 1) * (X - 1) * (X + 1)
-    assert squarefree_part(p) == (X - 1) * (X + 1)
-    chainable = squarefree_part(p)
-    assert SturmChain(chainable).count_open(-inf, inf) == 2
-
-
 def test_sturm_counts_golden():
     p = Poly([1, -5, 1])  # roots (5 +- sqrt(21))/2, approx 0.2087 and 4.7913
-    assert sturm_count(p, 0, 1) == 1
-    assert sturm_count(p, 1, 4) == 0
-    assert sturm_count(p, 4, 5) == 1
-    assert sturm_count(p, -inf, inf) == 2
-    assert sturm_count(p, -inf, 0) == 0
+    chain = SturmChain(p)
+    assert chain.count_open(0, 1) == 1
+    assert chain.count_open(1, 4) == 0
+    assert chain.count_open(4, 5) == 1
+    assert chain.count_open(-inf, inf) == 2
+    assert chain.count_open(-inf, 0) == 0
 
 
 def test_sturm_open_interval_endpoint_roots():
@@ -133,11 +120,28 @@ def test_sturm_count_random_products_of_linears():
         assert chain.count_open(a, cut) == left
 
 
+@given(st.lists(st.integers(-60, 60), min_size=2, max_size=12))
+def test_sturm_positive_count_obeys_descartes(coeffs):
+    """Roots on (0, inf) number at most the coefficient sign variations,
+    and the difference is even."""
+    p = Poly(coeffs)
+    assume(p.degree() >= 1)
+    try:
+        chain = SturmChain(p)
+    except ValueError:  # not squarefree
+        assume(False)
+    signs = [c > 0 for c in p.int_coeffs() if c]
+    variations = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    positive = chain.count_open(0, inf)
+    assert positive <= variations
+    assert (variations - positive) % 2 == 0
+
+
 def test_cauchy_bound():
     p = Poly([1, -5, 1])
     b = cauchy_bound(p)
     assert b == 6
-    assert sturm_count(p, -b, b) == 2
+    assert SturmChain(p).count_open(-b, b) == 2
 
 
 def test_rootbox_validation():
