@@ -23,6 +23,7 @@ _EXPORTS = {
     "alpha_enclosure": "certify",
     "certify_zeros": "certify",
     "roots_of_unity_zeros": "certify",
+    "zero_certificate": "certify",
     "ClaimResult": "claims",
     "VerificationReport": "claims",
     "run_all": "claims",

@@ -15,6 +15,10 @@ use -- and it inherits the same defect: for exponent 1 it is exceeded
 once k >= 7, so membership is reported honestly as False there (see
 claims.py for the certified finding and the corrected endpoint 4 + 3/k).
 
+Each function takes (k, ell) and reads the member's memoized
+certify.zero_certificate; the measure and the window refuse a member whose
+zeros do not conform.
+
 Real 2k-th roots of rationals are enclosed by an integer floor-root plus
 dyadic bounds verified by exact powering, not by floating point.
 """
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .certify import alpha_enclosure, certify_zeros
+from .certify import ALPHA_WIDTH, alpha_enclosure, zero_certificate
 from .claims import WIDTH_FLOOR, ladder, stated_alpha_upper
 from .family import RESULTANT_K_CAP, reciprocal_poly
 from .interval import Interval
@@ -151,23 +155,21 @@ def nth_root_enclosure(value, n: int, precision: int = 128) -> Interval:
 # Mahler measure and the discriminant inequality
 # ---------------------------------------------------------------------------
 
-def mahler_measure(k: int, ell: int, width: Fraction = Fraction(1, 10**20),
-                   certificate=None) -> Interval:
+def mahler_measure(k: int, ell: int, width: Fraction = ALPHA_WIDTH) -> Interval:
     """Enclosure of |lc| * alpha, the measure of the family member.
 
     Valid only because the certificate places every zero except the pair
     (alpha, 1/alpha) on the unit circle; a non-conforming certificate is
     refused rather than silently fed into the formula.
     """
-    cert = certificate if certificate is not None else certify_zeros(k, ell)
-    if not cert.conforms:
+    if not zero_certificate(k, ell).conforms:
         raise ValueError("certificate does not conform; measure formula "
                          "would be unjustified")
     lead = abs(reciprocal_poly(k, ell).lc())
-    return lead * alpha_enclosure(k, ell, width=width, certificate=cert)
+    return lead * alpha_enclosure(k, ell, width=width)
 
 
-def mahler_inequality_check(k: int, ell: int, certificate=None) -> bool:
+def mahler_inequality_check(k: int, ell: int) -> bool:
     """Certified verdict on |Disc| <= m^m M^(2m-2) with m = k + 1.
 
     Both sides are compared exactly: the right side is an endpoint power
@@ -175,11 +177,10 @@ def mahler_inequality_check(k: int, ell: int, certificate=None) -> bool:
     its magnitude (like 10^-900 already at k = 12) sits far below any
     practical absolute dyadic resolution.
     """
-    cert = certificate if certificate is not None else certify_zeros(k, ell)
     lhs = abs(_family_discriminant(k, ell))
     scale = (k + 1) ** (k + 1)
-    for width in ladder(Fraction(1, 10**20), Fraction(1, 2**32), WIDTH_FLOOR):
-        measure = mahler_measure(k, ell, width=width, certificate=cert)
+    for width in ladder(ALPHA_WIDTH, Fraction(1, 2**32), WIDTH_FLOOR):
+        measure = mahler_measure(k, ell, width=width)
         if lhs <= scale * measure.lo ** (2 * k):
             return True
         if lhs > scale * measure.hi ** (2 * k):
@@ -191,8 +192,8 @@ def mahler_inequality_check(k: int, ell: int, certificate=None) -> bool:
 # the discriminant window
 # ---------------------------------------------------------------------------
 
-def two_sided_window(k: int, ell: int, precision: int = 128,
-                     certificate=None) -> tuple[Interval, Interval, bool]:
+def two_sided_window(k: int, ell: int,
+                     precision: int = 128) -> tuple[Interval, Interval, bool]:
     """(lower, upper, alpha inside?) with the discriminant lower endpoint.
 
     lower = (|Disc|/lc^2k * (k+1)^-(k+1))^(1/2k); upper is the stated
@@ -202,15 +203,14 @@ def two_sided_window(k: int, ell: int, precision: int = 128,
     """
     if k < 1 or ell < 1:
         raise ValueError("needs k >= 1 and ell >= 1")
-    cert = certificate if certificate is not None else certify_zeros(k, ell)
-    if not cert.conforms:
+    if not zero_certificate(k, ell).conforms:
         raise ValueError("certificate does not conform")
     R = reciprocal_poly(k, ell)
     prod = abs(_family_discriminant(k, ell)) / abs(R.lc()) ** (2 * k)
     lower = nth_root_enclosure(prod / (k + 1) ** (k + 1), 2 * k, precision)
     upper = stated_alpha_upper(k, ell, max(precision, 160))
-    for target in ladder(Fraction(1, 10**20), Fraction(1, 2**64), WIDTH_FLOOR):
-        a = alpha_enclosure(k, ell, width=target, certificate=cert)
+    for target in ladder(ALPHA_WIDTH, Fraction(1, 2**64), WIDTH_FLOOR):
+        a = alpha_enclosure(k, ell, width=target)
         if lower.hi < a.lo and a.hi < upper.lo:
             return lower, upper, True
         if a.lo > upper.hi or a.hi < lower.lo:
@@ -247,13 +247,11 @@ def analyze(k: int, ell: int, force: bool = False,
         raise ValueError(
             "k = %d exceeds the exact-resultant cap %d; pass force=True "
             "to accept the cost" % (k, RESULTANT_K_CAP))
-    cert = certify_zeros(k, ell)
     disc = _family_discriminant(k, ell)
-    if (disc != 0) != cert.simple:
+    if (disc != 0) != zero_certificate(k, ell).simple:
         raise AssertionError(
             "discriminant and squarefreeness certificate disagree")
-    measure = mahler_measure(k, ell, certificate=cert)
-    ok = mahler_inequality_check(k, ell, certificate=cert)
-    lower, upper, inside = two_sided_window(k, ell, precision=precision,
-                                            certificate=cert)
+    measure = mahler_measure(k, ell)
+    ok = mahler_inequality_check(k, ell)
+    lower, upper, inside = two_sided_window(k, ell, precision=precision)
     return AnalysisRecord(k, ell, disc, measure, ok, lower, upper, inside)

@@ -28,6 +28,12 @@ own root, so all h roots are real and simple: h - 1 in (0, 4) and one in
 (4, B).  Otherwise the counts come from a Sturm chain, which decides every
 case.  The certificate records which route closed.
 
+The zero layout depends on (k, ell) alone.  `certify_zeros` computes a
+certificate; `zero_certificate` memoizes it per member, as
+`family.boundary_profile` is memoized, so `alpha_enclosure`, the claim
+checks, the analysis layer and the documents all take (k, ell) and share
+one certificate per member in a process.
+
 Rational zeros at roots of unity are detected separately by exact division
 with cyclotomic polynomials.  Each Phi_n is monic with integer coefficients,
 so the division runs on the member's integer-cleared coefficients and stays
@@ -38,6 +44,7 @@ first use.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import cos, inf, pi
 from typing import Sequence
 
@@ -232,29 +239,33 @@ def certify_zeros(k: int, ell: int) -> ZeroCertificate:
     )
 
 
-def alpha_enclosure(
-    k: int,
-    ell: int,
-    width: Fraction = Fraction(1, 10**20),
-    certificate: ZeroCertificate | None = None,
-) -> Interval:
+@lru_cache(maxsize=None)
+def zero_certificate(k: int, ell: int) -> ZeroCertificate:
+    """The (k, ell) certificate, computed once per process by certify_zeros."""
+    return certify_zeros(k, ell)
+
+
+#: Default width of an alpha enclosure, and the first rung of every width
+#: ladder that refines one.
+ALPHA_WIDTH = Fraction(1, 10**20)
+
+
+def alpha_enclosure(k: int, ell: int, width: Fraction = ALPHA_WIDTH) -> Interval:
     """Enclosure, to the requested width, of the real zero alpha > 1.
 
     alpha and 1/alpha are the preimages of the single W-root v0 > 4 under
     x + 1/x = v - 2, so alpha = ((v0 - 2) + sqrt((v0 - 2)^2 - 4)) / 2; the
-    v-box is refined and the square root widened outward until the interval
-    is narrow enough.
+    v-box of the member's certificate is refined and the square root
+    widened outward until the interval is narrow enough.
     """
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    if certificate is None:
-        certificate = certify_zeros(k, ell)
-    if certificate.v_box is None:
+    box = zero_certificate(k, ell).v_box
+    if box is None:
         raise ValueError(
             "no isolated real pair beyond the circle at k=%d, ell=%d" % (k, ell)
         )
-    box = certificate.v_box
     delta = width / 8
     bits = max(32, (width.denominator // max(width.numerator, 1)).bit_length() + 16)
     while True:

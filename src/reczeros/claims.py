@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 
-from .certify import alpha_enclosure, certify_zeros
+from .certify import ALPHA_WIDTH, alpha_enclosure, zero_certificate
 from .exactnum import (
     c_of,
     d,
@@ -723,23 +723,21 @@ def check_alpha_interval(k_range, ell_odd_range) -> ClaimResult:
                 return ClaimResult("alpha-interval", params, FAIL,
                                    {"k": k, "ell": ell}, {},
                                    "window is empty")
-            cert = certify_zeros(k, ell)
-            if not cert.conforms:
+            if not zero_certificate(k, ell).conforms:
                 return ClaimResult("alpha-interval", params, FAIL,
                                    {"k": k, "ell": ell}, {},
                                    "certificate does not conform")
             # l = 1 has an exact endpoint and walks the width ladder alone;
             # for l > 1 the zeta(2) power is refined in step, and that
             # ladder (9 rungs at most under PREC_CAP_MAX) runs out first.
-            widths = ladder(Fraction(1, 10**20), Fraction(1, 2**64),
-                            WIDTH_FLOOR)
+            widths = ladder(ALPHA_WIDTH, Fraction(1, 2**64), WIDTH_FLOOR)
             precisions = (repeat(WINDOW_PRECISION) if ell == 1
                           else ladder(WINDOW_PRECISION, 2, cap))
             for target, pr in zip(widths, precisions):
                 if pr != WINDOW_PRECISION:
                     upper = stated_alpha_upper(k, ell, pr)
                     max_pr = max(max_pr, pr)
-                a = alpha_enclosure(k, ell, width=target, certificate=cert)
+                a = alpha_enclosure(k, ell, width=target)
                 if a.hi < lower:
                     return ClaimResult("alpha-interval", params, FAIL,
                                        {"k": k, "ell": ell, "alpha": a}, {},
@@ -806,7 +804,7 @@ def check_alpha_k2_report(ell_odd_max: int) -> ClaimResult:
     for ell in ells:
         lower = (2 * q(2, 1)) ** ell
         upper = stated_alpha_upper(2, ell, WINDOW_PRECISION)
-        a = alpha_enclosure(2, ell, width=Fraction(1, 10**20))
+        a = alpha_enclosure(2, ell, width=ALPHA_WIDTH)
         inside[ell] = bool(lower < a.lo and a.hi < upper.lo)
     return ClaimResult("alpha-interval-k2", params, FINDING, None,
                        {"inside_unasserted": inside},
@@ -824,7 +822,7 @@ def check_zero_location_grid(k_max: int, ell_max: int) -> ClaimResult:
     unimodular = 0
     for k in range(1, k_max + 1):
         for ell in range(1, ell_max + 1):
-            cert = certify_zeros(k, ell)
+            cert = zero_certificate(k, ell)
             if not cert.conforms:
                 return ClaimResult("zero-location-grid", params, FAIL,
                                    {"k": k, "ell": ell,

@@ -5,7 +5,8 @@ table) to stdout or --out; wall-clock timing and advisory notes go to
 stderr so output files stay byte-identical across runs and worker
 counts.  Exit codes: 0 success (possibly with notes), 1 a certified
 mathematical failure or non-conformance, 2 usage, 3 internal accounting
-failure.
+failure.  Each subcommand registers only the flags its cmd_* function
+reads, so any other flag is a usage error rather than silently ignored.
 """
 
 from __future__ import annotations
@@ -14,16 +15,13 @@ import argparse
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, log10
 
 from . import serialize
+from .certify import ALPHA_WIDTH
 from .claims import PREC_CAP_MAX, SUITES, map_calls, run_all
 from .family import RESULTANT_K_CAP
-
-DEFAULT_WIDTH = Fraction(1, 10**20)
-
 
 #: Most values one --k or --ell flag may name, counted before deduplication,
 #: and most (k, ell) instances one grid may hold.
@@ -89,113 +87,10 @@ def parse_width(text: str) -> Fraction:
     return width
 
 
-@dataclass
-class RunConfig:
-    command: str
-    ks: list[int] = field(default_factory=list)
-    ells: list[int] = field(default_factory=list)
-    k_max: int = 8
-    ell_max: int = 3
-    precision: int = 128
-    width: Fraction = DEFAULT_WIDTH
-    jobs: int = 1
-    out: str | None = None
-    fmt: str = "table"
-    force: bool = False
-    suite: str = "all"
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="reczeros",
-        description="Exact construction, certification, and verification "
-                    "for the family of self-reciprocal polynomials with "
-                    "zeta-ratio coefficients.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, grid=True):
-        if grid:
-            p.add_argument("--k", type=parse_values, required=True,
-                           metavar="RANGE",
-                           help="k values: N, a..b (inclusive), or comma list")
-            p.add_argument("--ell", type=parse_values, required=True,
-                           metavar="RANGE",
-                           help="ell values, same syntax as --k")
-        p.add_argument("--prec", type=int, default=128,
-                       help="working precision in bits (64..%d)"
-                            % PREC_CAP_MAX)
-        p.add_argument("--width", type=parse_width, default=DEFAULT_WIDTH,
-                       metavar="Q",
-                       help="enclosure refinement width, rational or decimal")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (>= 1)")
-        p.add_argument("--out", default=None, metavar="PATH",
-                       help="write the document here instead of stdout")
-        p.add_argument("--format", dest="fmt", default="table",
-                       choices=("json", "csv", "table"))
-
-    p = sub.add_parser("construct",
-                       help="exact coefficients of the family members")
-    add_common(p)
-
-    p = sub.add_parser("certify",
-                       help="zero-location certificates over a grid")
-    add_common(p)
-
-    p = sub.add_parser("verify",
-                       help="run the arithmetic claim suite")
-    add_common(p, grid=False)
-    p.add_argument("--k", type=parse_values, default=None, metavar="RANGE",
-                   help="grid upper bound taken as max of these values")
-    p.add_argument("--ell", type=parse_values, default=None, metavar="RANGE",
-                   help="grid upper bound taken as max of these values")
-    p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--ell-max", type=int, default=None)
-    p.add_argument("--suite", default="all", choices=SUITES)
-
-    p = sub.add_parser("analyze",
-                       help="discriminant, measure, and window records")
-    add_common(p)
-    p.add_argument("--force", action="store_true",
-                   help="allow k beyond the exact-resultant cap %d"
-                        % RESULTANT_K_CAP)
-
-    p = sub.add_parser("scan",
-                       help="roots-of-unity orders dividing each member")
-    add_common(p)
-
-    return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("precision", "width", "jobs", "out", "fmt", "force",
-                 "suite"):
-        src = {"precision": "prec"}.get(name, name)
-        if hasattr(args, src):
-            setattr(cfg, name, getattr(args, src))
-    if getattr(args, "k", None) is not None:
-        cfg.ks = args.k
-        cfg.k_max = max(args.k)
-    if getattr(args, "ell", None) is not None:
-        cfg.ells = args.ell
-        cfg.ell_max = max(args.ell)
-    if getattr(args, "k_max", None) is not None:
-        cfg.k_max = args.k_max
-    if getattr(args, "ell_max", None) is not None:
-        cfg.ell_max = args.ell_max
-    if not 64 <= cfg.precision <= PREC_CAP_MAX:
-        raise ValueError("precision must be between 64 and %d bits"
-                         % PREC_CAP_MAX)
-    if cfg.jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    return cfg
-
-
-def _emit(cfg: RunConfig, doc: dict) -> None:
-    text = serialize.render(doc, cfg.fmt)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+def _emit(args: argparse.Namespace, doc: dict) -> None:
+    text = serialize.render(doc, args.fmt)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -205,32 +100,32 @@ def _note(message: str) -> None:
     print("note: " + message, file=sys.stderr)
 
 
-def _grid(cfg: RunConfig) -> list[tuple[int, int]]:
-    if not cfg.ks or not cfg.ells:
+def _grid(args: argparse.Namespace) -> list[tuple[int, int]]:
+    if not args.k or not args.ell:
         raise ValueError("empty parameter grid")
-    if cfg.ks[0] < 1 or cfg.ells[0] < 1:
+    if args.k[0] < 1 or args.ell[0] < 1:
         raise ValueError("k and ell must be at least 1")
-    if len(cfg.ks) * len(cfg.ells) > MAX_RANGE_VALUES:
+    if len(args.k) * len(args.ell) > MAX_RANGE_VALUES:
         raise ValueError("more than %d (k, ell) instances" % MAX_RANGE_VALUES)
-    return [(k, ell) for k in cfg.ks for ell in cfg.ells]
+    return [(k, ell) for k in args.k for ell in args.ell]
 
 
-def cmd_construct(cfg: RunConfig) -> int:
-    grid = _grid(cfg)
-    instances = map_calls([(serialize.construct_instance, args)
-                           for args in grid], cfg.jobs)
-    _emit(cfg, serialize.envelope("construct", instances))
+def cmd_construct(args: argparse.Namespace) -> int:
+    grid = _grid(args)
+    instances = map_calls([(serialize.construct_instance, pair)
+                           for pair in grid], args.jobs)
+    _emit(args, serialize.envelope("construct", instances))
     return 0
 
 
-def cmd_certify(cfg: RunConfig) -> int:
-    grid = _grid(cfg)
+def cmd_certify(args: argparse.Namespace) -> int:
+    grid = _grid(args)
     start = time.monotonic()
     instances = map_calls(
-        [(serialize.certificate_instance, (k, ell, cfg.width))
-         for k, ell in grid], cfg.jobs)
+        [(serialize.certificate_instance, (k, ell, args.width))
+         for k, ell in grid], args.jobs)
     elapsed = time.monotonic() - start
-    _emit(cfg, serialize.envelope("certify", instances))
+    _emit(args, serialize.envelope("certify", instances))
     print("certified %d instance(s) in %.2fs" % (len(instances), elapsed),
           file=sys.stderr)
     bad = [i for i in instances if not i["conforms"]]
@@ -241,12 +136,17 @@ def cmd_certify(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    report = run_all(cfg.k_max, cfg.ell_max, precision=cfg.precision,
-                     jobs=cfg.jobs, suite=cfg.suite)
-    _emit(cfg, serialize.verify_document(report, cfg.suite))
+def cmd_verify(args: argparse.Namespace) -> int:
+    # the plan and the grid checks grow with k_max and ell_max even where
+    # the other one is 0, so each counts as at least 1
+    if max(args.k_max, 1) * max(args.ell_max, 1) > MAX_RANGE_VALUES:
+        raise ValueError("more than %d (k, ell) instances in the verify grid"
+                         % MAX_RANGE_VALUES)
+    report = run_all(args.k_max, args.ell_max, precision=args.prec,
+                     jobs=args.jobs, suite=args.suite)
+    _emit(args, serialize.verify_document(report, args.suite))
     counts = report.counts()
-    if cfg.k_max < 1 or cfg.ell_max < 1:
+    if args.k_max < 1 or args.ell_max < 1:
         _note("empty parameter range; all claims vacuous")
     if counts["finding"]:
         _note("%d finding(s); see the report detail lines"
@@ -257,18 +157,18 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 1 if counts["fail"] else 0
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    grid = _grid(cfg)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    grid = _grid(args)
     over = [k for k, _ in grid if k > RESULTANT_K_CAP]
-    if over and not cfg.force:
+    if over and not args.force:
         print("refusing k > %d without --force (exact resultants get "
               "expensive); offending k: %s"
               % (RESULTANT_K_CAP, sorted(set(over))), file=sys.stderr)
         return 2
     instances = map_calls(
-        [(serialize.analysis_instance, (k, ell, cfg.force, cfg.precision))
-         for k, ell in grid], cfg.jobs)
-    _emit(cfg, serialize.envelope("analyze", instances))
+        [(serialize.analysis_instance, (k, ell, args.force, args.prec))
+         for k, ell in grid], args.jobs)
+    _emit(args, serialize.envelope("analyze", instances))
     failed = [i for i in instances
               if not i["mahler_inequality_ok"] or i["discriminant"] == "0/1"]
     outside = [i for i in instances if not i["alpha_in_interval"]]
@@ -279,29 +179,80 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return 1 if failed else 0
 
 
-def cmd_scan(cfg: RunConfig) -> int:
-    grid = _grid(cfg)
-    instances = map_calls([(serialize.scan_instance, args) for args in grid],
-                          cfg.jobs)
-    _emit(cfg, serialize.envelope("scan", instances))
+def cmd_scan(args: argparse.Namespace) -> int:
+    grid = _grid(args)
+    instances = map_calls([(serialize.scan_instance, pair) for pair in grid],
+                          args.jobs)
+    _emit(args, serialize.envelope("scan", instances))
     return 0
 
 
-COMMANDS = {
-    "construct": cmd_construct,
-    "certify": cmd_certify,
-    "verify": cmd_verify,
-    "analyze": cmd_analyze,
-    "scan": cmd_scan,
+#: Every flag a command may read: option string -> add_argument keywords.
+FLAGS = {
+    "--k": dict(type=parse_values, required=True, metavar="RANGE",
+                help="k values: N, a..b (inclusive), or comma list"),
+    "--ell": dict(type=parse_values, required=True, metavar="RANGE",
+                  help="ell values, same syntax as --k"),
+    "--k-max": dict(type=int, default=8, help="claim grid k = 1..K_MAX"),
+    "--ell-max": dict(type=int, default=3,
+                      help="claim grid ell = 1..ELL_MAX"),
+    "--suite": dict(default="all", choices=SUITES),
+    "--width": dict(type=parse_width, default=ALPHA_WIDTH, metavar="Q",
+                    help="alpha enclosure width, rational or decimal"),
+    "--prec": dict(type=int, default=128,
+                   help="working precision in bits (64..%d)" % PREC_CAP_MAX),
+    "--force": dict(action="store_true",
+                    help="allow k beyond the exact-resultant cap %d"
+                         % RESULTANT_K_CAP),
+    "--jobs": dict(type=int, default=1, help="worker processes (>= 1)"),
+    "--out": dict(default=None, metavar="PATH",
+                  help="write the document here instead of stdout"),
+    "--format": dict(dest="fmt", default="table",
+                     choices=("json", "csv", "table")),
 }
+
+#: command -> (its function, help line, the flags it reads besides
+#: --jobs --out --format, which every command reads)
+COMMANDS = {
+    "construct": (cmd_construct, "exact coefficients of the family members",
+                  ("--k", "--ell")),
+    "certify": (cmd_certify, "zero-location certificates over a grid",
+                ("--k", "--ell", "--width")),
+    "verify": (cmd_verify, "run the arithmetic claim suite",
+               ("--k-max", "--ell-max", "--suite", "--prec")),
+    "analyze": (cmd_analyze, "discriminant, measure, and window records",
+                ("--k", "--ell", "--prec", "--force")),
+    "scan": (cmd_scan, "roots-of-unity orders dividing each member",
+             ("--k", "--ell")),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command with exactly the flags it reads; prefix
+    matching is off, so `verify --k 5` is refused, not read as --k-max."""
+    parser = argparse.ArgumentParser(
+        prog="reczeros",
+        description="Exact construction, certification, and verification "
+                    "for the family of self-reciprocal polynomials with "
+                    "zeta-ratio coefficients.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
+        for flag in flags + ("--jobs", "--out", "--format"):
+            p.add_argument(flag, **FLAGS[flag])
+    return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        return COMMANDS[cfg.command](cfg)
+        if not 64 <= getattr(args, "prec", 128) <= PREC_CAP_MAX:
+            raise ValueError("precision must be between 64 and %d bits"
+                             % PREC_CAP_MAX)
+        if args.jobs < 1:
+            raise ValueError("jobs must be at least 1")
+        return COMMANDS[args.command][0](args)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -19,6 +19,7 @@ on the pi precisions computed earlier in the process.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .interval import Interval, ceil_scaled, floor_scaled, pi_enclosure, pow_rounded
 
@@ -91,17 +92,8 @@ def zeta_even_rational(m: int) -> Fraction:
     if got is None:
         sign = 1 if m % 2 == 1 else -1
         num = sign * (1 << (2 * m - 1)) * bernoulli(2 * m)
-        got = _zeta_rational_cache[m] = num / _factorial(2 * m)
+        got = _zeta_rational_cache[m] = num / factorial(2 * m)
     return got
-
-
-_fact_cache: list[int] = [1]
-
-
-def _factorial(n: int) -> int:
-    while len(_fact_cache) <= n:
-        _fact_cache.append(_fact_cache[-1] * len(_fact_cache))
-    return _fact_cache[n]
 
 
 def q(k: int, j: int) -> Fraction:
@@ -188,15 +180,19 @@ def zeta_even_enclosure(m: int, precision: int) -> Interval:
     return Interval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
 
 
-def zeta_series_enclosure(n: int, precision: int, max_terms: int = 1 << 22) -> Interval:
+#: Most terms zeta_series_enclosure sums before it refuses a precision.
+SERIES_TERM_LIMIT = 1 << 22
+
+
+def zeta_series_enclosure(n: int, precision: int) -> Interval:
     """Enclosure of zeta(n), n >= 2, by a partial sum plus an integral tail.
 
     sum_{i>N} i^-n < N^(1-n)/(n-1), so [S_N, S_N + tail] brackets zeta(n).
     N doubles until the tail drops below 2^-precision; raises if that would
-    need more than max_terms terms (small n with large precision).  The
-    partial sum is accumulated in fixed point with floor division -- exact
-    rational accumulation would build lcm-sized denominators -- and the
-    (< N ulp) downward rounding is absorbed into the upper endpoint.
+    need more than SERIES_TERM_LIMIT terms (small n with large precision).
+    The partial sum is accumulated in fixed point with floor division --
+    exact rational accumulation would build lcm-sized denominators -- and
+    the (< N ulp) downward rounding is absorbed into the upper endpoint.
     """
     if n < 2:
         raise ValueError("zeta_series_enclosure needs n >= 2")
@@ -204,10 +200,10 @@ def zeta_series_enclosure(n: int, precision: int, max_terms: int = 1 << 22) -> I
     big = 2
     while Fraction(1, (n - 1) * big ** (n - 1)) >= tol:  # tail at N = big
         big *= 2
-        if big > max_terms:
+        if big > SERIES_TERM_LIMIT:
             raise ValueError(
                 "zeta_series_enclosure: precision %d unreachable for n=%d "
-                "within %d terms" % (precision, n, max_terms)
+                "within %d terms" % (precision, n, SERIES_TERM_LIMIT)
             )
     scale = 1 << (precision + big.bit_length() + 2)
     acc = scale  # the i = 1 term, exact

@@ -134,19 +134,18 @@ def circle_approximant(k: int, ell: int) -> ApproximantPair:
 class BoundaryProfile:
     """The companion in the variable w = z + 1/z.
 
-    transform:  T with companion = z^e * cofactor * T(z + 1/z)
-    cofactor:   z^2 - 1 when the reversal sign is -1, else None
+    transform:  T with companion = z^e * T(z + 1/z), times z^2 - 1 when
+                the reversal sign sigma is -1
     w_square:   W with T(w) = W(w^2) (parity "even") or w * W(w^2) ("odd")
     """
 
-    __slots__ = ("k", "ell", "sigma", "transform", "cofactor", "w_parity", "w_square")
+    __slots__ = ("k", "ell", "sigma", "transform", "w_parity", "w_square")
 
-    def __init__(self, k, ell, sigma, transform, cofactor, w_parity, w_square):
+    def __init__(self, k, ell, sigma, transform, w_parity, w_square):
         self.k = k
         self.ell = ell
         self.sigma = sigma
         self.transform = transform
-        self.cofactor = cofactor
         self.w_parity = w_parity
         self.w_square = w_square
 
@@ -168,4 +167,4 @@ def boundary_profile(k: int, ell: int) -> BoundaryProfile:
             "transform shape mismatch at k=%d, ell=%d: degree %d parity %s"
             % (k, ell, tr.transform.degree(), tr.w_parity)
         )
-    return BoundaryProfile(k, ell, sig, tr.transform, tr.cofactor, tr.w_parity, tr.w_square)
+    return BoundaryProfile(k, ell, sig, tr.transform, tr.w_parity, tr.w_square)

@@ -48,7 +48,11 @@ _NumLike = Union[int, Fraction]
 
 
 class Interval:
-    """A closed interval with rational endpoints."""
+    """A closed interval with rational endpoints.
+
+    `contains` has no library caller; it is the inclusion check the tests
+    use to assert that an enclosure holds a known value.
+    """
 
     __slots__ = ("lo", "hi")
 

@@ -35,7 +35,14 @@ from .interval import Interval
 
 
 class Poly:
-    """Immutable dense polynomial with Fraction coefficients, low to high."""
+    """Immutable dense polynomial with Fraction coefficients, low to high.
+
+    The library needs only part of the ring algebra.  All of it (+ - * **
+    divmod // %), with `x`, `monomial` and `reverse`, is kept as the
+    independent exact reference the tests check the integer kernels
+    against: the Fraction transform oracle and the cyclotomic-division
+    oracle.
+    """
 
     __slots__ = ("_coeffs", "_ints")
 
@@ -188,33 +195,12 @@ class Poly:
     def __mod__(self, other) -> "Poly":
         return divmod(self, other)[1]
 
-    def exact_div(self, other: "Poly") -> "Poly":
-        quo, rem = divmod(self, other)
-        if not rem.is_zero():
-            raise ValueError("not an exact polynomial division")
-        return quo
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        l = self.lc()
-        return Poly(tuple(c / l for c in self._coeffs))
-
     def derivative(self) -> "Poly":
         return Poly(tuple(i * c for i, c in enumerate(self._coeffs) if i > 0))
 
     def reverse(self) -> "Poly":
         """x^deg * p(1/x): the coefficient list reversed."""
         return Poly(tuple(reversed(self._coeffs)))
-
-    def stretch(self, m: int) -> "Poly":
-        """p(x^m)."""
-        if m < 1:
-            raise ValueError("stretch needs m >= 1")
-        out = [Fraction(0)] * (m * self.degree() + 1) if self._coeffs else []
-        for i, c in enumerate(self._coeffs):
-            out[m * i] = c
-        return Poly(out)
 
     # -- evaluation -------------------------------------------------------
 
@@ -549,21 +535,20 @@ def refine_root(box: RootBox, width: Fraction) -> RootBox:
 # -- the z + 1/z transform ----------------------------------------------
 
 class TransformResult:
-    """Output of reciprocal_transform: T, the reversal sign, the explicit
-    (z^2 - 1) cofactor when sigma = -1, and the even/odd split of T.
+    """Output of reciprocal_transform: T, the reversal sign, and the
+    even/odd split of T.  The cofactor of T is z^2 - 1 when sigma = -1.
 
     w_parity is "even" (T(w) = W(w^2)), "odd" (T(w) = w W(w^2)) or "mixed",
     in which case w_square is None.  Transforms of polynomials that are even
     in z always have pure parity.
     """
 
-    __slots__ = ("transform", "sigma", "cofactor", "w_parity", "w_square")
+    __slots__ = ("transform", "sigma", "w_parity", "w_square")
 
-    def __init__(self, transform: Poly, sigma: int, cofactor: Poly | None,
-                 w_parity: str, w_square: Poly | None):
+    def __init__(self, transform: Poly, sigma: int, w_parity: str,
+                 w_square: Poly | None):
         self.transform = transform
         self.sigma = sigma
-        self.cofactor = cofactor
         self.w_parity = w_parity
         self.w_square = w_square
 
@@ -579,7 +564,7 @@ def detect_reversal_sign(m: Poly) -> int:
     raise ValueError("polynomial is not self-reciprocal up to sign")
 
 
-def reciprocal_transform(m: Poly, sigma: int | None = None) -> TransformResult:
+def reciprocal_transform(m: Poly) -> TransformResult:
     """Express a self-reciprocal even-degree m in the variable w = z + 1/z.
 
     The recurrences run on m.int_coeffs(), a positive integer multiple of
@@ -590,10 +575,7 @@ def reciprocal_transform(m: Poly, sigma: int | None = None) -> TransformResult:
         raise ValueError("transform needs even degree >= 2")
     if m[0] == 0:
         raise ValueError("transform needs m(0) != 0")
-    found = detect_reversal_sign(m)
-    if sigma is not None and sigma != found:
-        raise ValueError("declared sigma %d does not match coefficients" % sigma)
-    sigma = found
+    sigma = detect_reversal_sign(m)
     d = m.degree() // 2
     cs = m.int_coeffs()
     acc = [0] * (d + 1)
@@ -602,13 +584,11 @@ def reciprocal_transform(m: Poly, sigma: int | None = None) -> TransformResult:
         acc[0] = cs[d]
         prev, cur = [2], [0, 1]
         shift = d
-        cof = None
     else:
         # m/z^d = sum_{i>=1} c_{d+i} (z^i - z^-i)
         #       = (z - 1/z) * sum c_{d+i} S_{i-1}(w)
         prev, cur = [], [1]
         shift = d - 1
-        cof = Poly((-1, 0, 1))  # z^2 - 1
     for i in range(1, d + 1):
         c = cs[d + i]
         for j, v in enumerate(cur):
@@ -625,7 +605,7 @@ def reciprocal_transform(m: Poly, sigma: int | None = None) -> TransformResult:
         parity, w_sq = split_even_odd(t)
     except ValueError:
         parity, w_sq = "mixed", None
-    return TransformResult(t, sigma, cof, parity, w_sq)
+    return TransformResult(t, sigma, parity, w_sq)
 
 
 def _verify_resubstitution(m: Sequence[int], t: Sequence[int], shift: int,

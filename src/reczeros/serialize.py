@@ -22,7 +22,8 @@ from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from importlib import resources
 
-from .certify import alpha_enclosure, certify_zeros, roots_of_unity_zeros
+from .certify import (ALPHA_WIDTH, alpha_enclosure, roots_of_unity_zeros,
+                      zero_certificate)
 from .family import circle_approximant, monic_even_form, reciprocal_poly, sigma_of
 from .interval import Interval
 
@@ -109,13 +110,12 @@ def construct_instance(k: int, ell: int) -> dict:
 
 
 def certificate_instance(k: int, ell: int,
-                         width: Fraction = Fraction(1, 10**20)) -> dict:
-    cert = certify_zeros(k, ell)
+                         width: Fraction = ALPHA_WIDTH) -> dict:
+    cert = zero_certificate(k, ell)
     doc = wire(cert.as_dict())
     doc["unity_roots"] = [str(n) for n in roots_of_unity_zeros(k, ell)]
     if cert.conforms:
-        doc["alpha"] = enclosure_dict(
-            alpha_enclosure(k, ell, width=width, certificate=cert))
+        doc["alpha"] = enclosure_dict(alpha_enclosure(k, ell, width=width))
     return doc
 
 

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from reczeros import analysis
 from reczeros.analysis import (
     AnalysisRecord,
     RESULTANT_K_CAP,
@@ -103,9 +104,11 @@ def test_mahler_measure_positive_on_grid():
             assert m.lo > 0, (k, ell)
 
 
-def test_mahler_measure_refuses_nonconforming_certificate():
+def test_mahler_measure_refuses_nonconforming_certificate(monkeypatch):
+    monkeypatch.setattr(analysis, "zero_certificate",
+                        lambda k, ell: SimpleNamespace(conforms=False))
     with pytest.raises(ValueError):
-        mahler_measure(1, 1, certificate=SimpleNamespace(conforms=False))
+        mahler_measure(1, 1)
 
 
 def test_mahler_inequality_small_cases():

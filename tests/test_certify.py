@@ -13,6 +13,7 @@ from reczeros.certify import (
     cyclotomic,
     euler_phi,
     roots_of_unity_zeros,
+    zero_certificate,
 )
 from reczeros.family import monic_even_form, reciprocal_poly, sigma_of
 from reczeros.polycore import Poly, SturmChain
@@ -102,6 +103,20 @@ def test_alternation_and_sturm_certificates_agree(monkeypatch):
         assert _fields(cert) == _fields(slow), (k, ell)
 
 
+def test_one_certificate_per_member(monkeypatch):
+    calls = []
+    compute = certify.certify_zeros
+    monkeypatch.setattr(certify, "certify_zeros",
+                        lambda k, ell: calls.append((k, ell)) or compute(k, ell))
+    zero_certificate.cache_clear()
+    cert = zero_certificate(5, 2)
+    alpha_enclosure(5, 2)
+    alpha_enclosure(5, 2, F(1, 10**30))
+    assert zero_certificate(5, 2) is cert
+    assert calls == [(5, 2)]
+    assert _fields(cert) == _fields(compute(5, 2))
+
+
 def _sturm_root_counts(w):
     chain = SturmChain(w)
     return (chain.count_open(F(0), F(4)), chain.count_open(F(4), inf),
@@ -174,9 +189,8 @@ def test_alpha_enclosure_k2_sum_is_nine_halves():
 
 
 def test_alpha_enclosure_width_and_reuse():
-    cert = certify_zeros(4, 2)
-    wide = alpha_enclosure(4, 2, F(1, 10**6), certificate=cert)
-    tight = alpha_enclosure(4, 2, F(1, 10**40), certificate=cert)
+    wide = alpha_enclosure(4, 2, F(1, 10**6))
+    tight = alpha_enclosure(4, 2, F(1, 10**40))
     assert wide.width() <= F(1, 10**6)
     assert tight.width() <= F(1, 10**40)
     assert wide.lo <= tight.lo and tight.hi <= wide.hi
@@ -269,6 +283,7 @@ def test_unity_orders_stay_trivial_for_higher_ell():
 
 def test_unity_order_three_splits_off_exactly():
     r = reciprocal_poly(3, 1)
-    quotient = r.exact_div(cyclotomic(3))
+    quotient, remainder = divmod(r, cyclotomic(3))
+    assert remainder.is_zero()
     assert quotient.degree() == 2
     assert (r % cyclotomic(4)).is_zero() is False

@@ -221,7 +221,7 @@ def test_alpha_interval_ladder_stops_at_the_precision_cap(monkeypatch):
 
     monkeypatch.setattr(claims, "zeta_even_enclosure", capped_zeta)
     monkeypatch.setattr(claims, "alpha_enclosure",
-                        lambda k, ell, width, certificate=None:
+                        lambda k, ell, width:
                         Interval(50, 60))
     monkeypatch.delenv("REC_ZEROS_PREC_CAP", raising=False)
     r = check_alpha_interval((3, 3), (3, 3))
@@ -235,11 +235,11 @@ def test_alpha_interval_l1_walks_the_whole_width_ladder(monkeypatch):
     # length of a precision ladder
     widths = []
 
-    def slow_alpha(k, ell, width, certificate=None):
+    def slow_alpha(k, ell, width):
         widths.append(width)
         if len(widths) <= 6:
             return Interval(4, 5)  # straddles the stated endpoint 4.1875
-        return alpha_enclosure(k, ell, width=width, certificate=certificate)
+        return alpha_enclosure(k, ell, width=width)
 
     monkeypatch.setattr(claims, "alpha_enclosure", slow_alpha)
     r = check_alpha_interval((3, 3), (1, 1))

@@ -3,6 +3,8 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
+import shlex
 import tracemalloc
 from concurrent.futures import Future
 from fractions import Fraction as F
@@ -11,10 +13,11 @@ import jsonschema
 import pytest
 
 from fresh_process import fresh_python
-from reczeros import claims, serialize
+from reczeros import claims, cli, serialize
 from reczeros.cli import (
     MAX_RANGE_VALUES,
     MIN_WIDTH,
+    build_parser,
     main,
     parse_values,
     parse_width,
@@ -96,7 +99,7 @@ def test_width_and_precision_beyond_the_cap_are_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["certify", "--k", "2", "--ell", "1", "--width", "1e-3000000"])
     assert exc.value.code == 2
-    assert main(["certify", "--k", "2", "--ell", "1", "--prec", "65537"]) == 2
+    assert main(["analyze", "--k", "2", "--ell", "1", "--prec", "65537"]) == 2
     assert main(["verify", "--k-max", "3", "--prec", "100000"]) == 2
     capsys.readouterr()
 
@@ -116,6 +119,87 @@ def test_refused_flag_values_say_why(flags, reason, capsys):
     assert reason in capsys.readouterr().err
 
 
+#: The flags each command reads, and no others.
+COMMAND_FLAGS = {
+    "construct": {"--k", "--ell", "--jobs", "--out", "--format"},
+    "scan": {"--k", "--ell", "--jobs", "--out", "--format"},
+    "certify": {"--k", "--ell", "--width", "--jobs", "--out", "--format"},
+    "analyze": {"--k", "--ell", "--prec", "--force", "--jobs", "--out",
+                "--format"},
+    "verify": {"--k-max", "--ell-max", "--suite", "--prec", "--jobs",
+               "--out", "--format"},
+}
+
+
+def test_each_command_registers_only_the_flags_it_reads():
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: {opt for action in p._actions
+                    for opt in action.option_strings
+                    if opt not in ("-h", "--help")}
+             for name, p in subparsers.choices.items()}
+    assert flags == COMMAND_FLAGS
+    assert sum(map(len, flags.values())) == 30
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--k", "2", "--ell", "1", "--prec", "256"],
+    ["construct", "--k", "2", "--ell", "1", "--width", "1/10"],
+    ["scan", "--k", "2", "--ell", "1", "--prec", "256"],
+    ["verify", "--width", "1/10"],
+    ["verify", "--k", "5"],
+    ["verify", "--ell", "2"],
+    ["verify", "--k", "1..5"],
+])
+def test_a_flag_the_command_does_not_read_is_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _readme_invocations() -> list[str]:
+    """Every `reczeros ...` command line in README.md: code-block lines and
+    inline code spans, with shell comments dropped."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    found = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S):
+        found += [line for line in block.splitlines()
+                  if line.startswith("reczeros ")]
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    found += re.findall(r"`(reczeros [^`]+)`", prose)
+    return found
+
+
+def test_readme_invocations_parse():
+    invocations = _readme_invocations()
+    assert len(invocations) >= 8
+    for line in invocations:
+        argv = shlex.split(line, comments=True)[1:]
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail("README invocation does not parse: %s" % line)
+
+
+@pytest.mark.parametrize("k_max, ell_max", [
+    ("12", "1000000000"),
+    ("0", "1000000000"),
+    ("1000000000", "0"),
+    ("10001", "1"),
+])
+def test_verify_grid_beyond_the_bound_is_refused_before_planning(
+        k_max, ell_max, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "run_all", lambda *a, **kw: ran.append(a))
+    assert main(["verify", "--k-max", k_max, "--ell-max", ell_max]) == 2
+    assert ("error: more than %d (k, ell) instances in the verify grid"
+            % MAX_RANGE_VALUES) in capsys.readouterr().err
+    assert ran == []
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -132,7 +216,7 @@ def test_bad_range_is_usage_error(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["construct", "--k", "0", "--ell", "1"],
-    ["certify", "--k", "2", "--ell", "1", "--prec", "32"],
+    ["analyze", "--k", "2", "--ell", "1", "--prec", "32"],
     ["certify", "--k", "2", "--ell", "1", "--jobs", "0"],
     ["construct", "--k", "1..10000", "--ell", "1..10000"],
 ])

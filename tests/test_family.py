@@ -123,7 +123,7 @@ def test_approximant_snaps_interior_weights():
 
 def test_boundary_profile_golden():
     p = boundary_profile(1, 1)
-    assert p.sigma == 1 and p.cofactor is None
+    assert p.sigma == 1
     assert p.transform == Poly([-7, 0, 1])
     assert p.w_parity == "even" and p.w_square == Poly([-7, 1])
 
@@ -132,7 +132,7 @@ def test_boundary_profile_golden():
     assert p.w_parity == "odd" and p.w_square == Poly([F(-13, 2), 1])
 
     p = boundary_profile(2, 2)
-    assert p.sigma == -1 and p.cofactor == Poly([-1, 0, 1])
+    assert p.sigma == -1
     assert p.transform == Poly([F(-53, 4), 0, 1])
     assert p.w_square == Poly([F(-53, 4), 1])
 
