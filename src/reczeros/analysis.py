@@ -25,7 +25,6 @@ dyadic bounds verified by exact powering, not by floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -222,16 +221,24 @@ def two_sided_window(k: int, ell: int,
 # one-stop record
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class AnalysisRecord:
-    k: int
-    ell: int
-    discriminant: Fraction
-    mahler: Interval
-    mahler_inequality_ok: bool
-    disc_lower: Interval
-    stated_upper: Interval
-    alpha_in_interval: bool
+    """The analyze workup of one member, in the fields of its document."""
+
+    __slots__ = ("k", "ell", "discriminant", "mahler", "mahler_inequality_ok",
+                 "disc_lower", "stated_upper", "alpha_in_interval")
+
+    def __init__(self, k: int, ell: int, discriminant: Fraction,
+                 mahler: Interval, mahler_inequality_ok: bool,
+                 disc_lower: Interval, stated_upper: Interval,
+                 alpha_in_interval: bool):
+        self.k = k
+        self.ell = ell
+        self.discriminant = discriminant
+        self.mahler = mahler
+        self.mahler_inequality_ok = mahler_inequality_ok
+        self.disc_lower = disc_lower
+        self.stated_upper = stated_upper
+        self.alpha_in_interval = alpha_in_interval
 
 
 def analyze(k: int, ell: int, force: bool = False,

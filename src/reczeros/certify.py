@@ -22,7 +22,12 @@ is k - 1 and the off-circle pair is (alpha, 1/alpha).
 The counts come from the paper's own argument first: exact signs of W at
 0, at 4, at the Cauchy bound B and at the cosine grid 4 cos^2(j pi/(2(k-1))).
 Floats only choose the grid points, which are rounded to dyadic rationals;
-integer Horner decides every sign.  When W (of degree h) shows h - 1 sign
+integer Horner decides every sign.  The kernels follow one rule, integers
+inside and Fraction only at the boundaries: the grid signs are one
+homogeneous Horner on integer numerators over 2^GRID_BITS, the values at
+x = +-1 are coefficient sums, and each alpha step (u = v - 2, u^2 - 4,
+its isqrt bounds, (u + s) / 2) runs on the integer numerators and
+denominators of the v-box endpoints.  When W (of degree h) shows h - 1 sign
 changes on [0, 4] and opposite signs at 4 and B, each change brackets its
 own root, so all h roots are real and simple: h - 1 in (0, 4) and one in
 (4, B).  Otherwise the counts come from a Sturm chain, which decides every
@@ -45,15 +50,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import cos, inf, pi
+from math import cos, inf, isqrt, pi
 from typing import Sequence
 
 from .family import boundary_profile, reciprocal_poly
-from .interval import Interval, sqrt_enclosure
+from .interval import Interval
 from .polycore import (
     Poly,
     RootBox,
     SturmChain,
+    _dyadic_signs,
     _sign_at,
     cauchy_bound,
     isolate_real_roots,
@@ -120,15 +126,16 @@ class ZeroCertificate:
 GRID_BITS = 24
 
 
-def cosine_grid(n: int) -> list[Fraction]:
-    """The points 4 cos^2(j pi / (2n)), j = 1..2n-1, sorted and distinct.
+def cosine_grid(n: int) -> list[int]:
+    """The points 4 cos^2(j pi / (2n)), j = 1..2n-1, sorted and distinct,
+    as integer numerators over 2^GRID_BITS.
 
     Floats place the points and each is rounded to a multiple of
     2^-GRID_BITS, so the grid is exact rationals whatever the float error;
     the alternation argument holds for any points.
     """
     scale = 1 << GRID_BITS
-    return sorted({Fraction(round(4 * cos(j * pi / (2 * n)) ** 2 * scale), scale)
+    return sorted({round(4 * cos(j * pi / (2 * n)) ** 2 * scale)
                    for j in range(1, 2 * n)})
 
 
@@ -142,8 +149,9 @@ def alternation_box(w: Poly, n: int) -> RootBox | None:
     Returns None when a sign is zero or the changes fall short.
     """
     ints = w.int_coeffs()
-    points = [Fraction(0)] + [v for v in cosine_grid(n) if 0 < v < 4] + [Fraction(4)]
-    signs = [_sign_at(ints, v) for v in points]
+    four = 4 << GRID_BITS
+    points = [0] + [v for v in cosine_grid(n) if 0 < v < four] + [four]
+    signs = _dyadic_signs(ints, points, GRID_BITS)
     changes = sum(a != b for a, b in zip(signs, signs[1:]))
     if 0 in signs or changes != w.degree() - 1:
         return None
@@ -210,9 +218,10 @@ def certify_zeros(k: int, ell: int) -> ZeroCertificate:
         )
     n_in, n_out, n_neg, n_cx, v_box = counts
 
+    # the values at 1 and -1 are the plain and the alternating coefficient sums
     ints = reciprocal_poly(k, ell).int_coeffs()
-    at_one = _sign_at(ints, 1) == 0
-    at_minus_one = _sign_at(ints, -1) == 0
+    at_one = sum(ints) == 0
+    at_minus_one = sum(ints[0::2]) == sum(ints[1::2])
     if at_minus_one != bool(m0) or at_one != bool(circ):
         raise AssertionError(
             "special zeros disagree with parity bookkeeping at k=%d, ell=%d"
@@ -266,19 +275,52 @@ def alpha_enclosure(k: int, ell: int, width: Fraction = ALPHA_WIDTH) -> Interval
         raise ValueError(
             "no isolated real pair beyond the circle at k=%d, ell=%d" % (k, ell)
         )
+    return _alpha_from_box(box, width)
+
+
+def _alpha_from_box(box: RootBox, width: Fraction) -> Interval:
+    """The refinement loop of alpha_enclosure, on integer endpoints.
+
+    The first pass refines the v-box to width / 8, each later one to a
+    sixteenth of the previous target with 16 more square-root bits; each
+    encloses alpha by _alpha_step and compares the enclosure's width with
+    the target by cross-multiplication.
+    """
     delta = width / 8
-    bits = max(32, (width.denominator // max(width.numerator, 1)).bit_length() + 16)
+    bits = max(32, (width.denominator
+                    // max(width.numerator, 1)).bit_length() + 16)
+    wnum, wden = width.numerator, width.denominator
     while True:
         box = refine_root(box, delta)
-        u = box.as_interval() - Interval(2)
-        s = sqrt_enclosure(u**2 - Interval(4), bits)
-        alpha = (u + s) * Fraction(1, 2)
-        if alpha.width() <= width:
-            if alpha.lo <= 1:
+        (lo, lo_den), (hi, hi_den) = _alpha_step(box.lo, box.hi, bits)
+        if (hi * lo_den - lo * hi_den) * wden <= wnum * lo_den * hi_den:
+            if lo <= lo_den:
                 raise AssertionError("alpha enclosure fell inside the unit disc")
-            return alpha
+            return Interval(Fraction(lo, lo_den), Fraction(hi, hi_den))
         delta /= 16
         bits += 16
+
+
+def _alpha_step(lo: Fraction, hi: Fraction,
+                bits: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(numerator, denominator) of each end of (u + sqrt(u^2 - 4)) / 2 over
+    u = [lo - 2, hi - 2], for 4 <= lo < hi.
+
+    At an end p / D of the v-box, u^2 - 4 is p (p - 4D) / D^2; its square
+    root s is rounded outward to a multiple of 2^-bits by isqrt, and the
+    end of alpha is ((p - 2D) 2^bits + D s) / (D 2^(bits + 1)).  These are
+    the values the Interval chain u**2 - 4, sqrt_enclosure, (u + s) / 2
+    gives, without its Fraction reductions.
+    """
+    a, da = lo.numerator, lo.denominator
+    b, db = hi.numerator, hi.denominator
+    s_lo = isqrt((a * (a - 4 * da) << 2 * bits) // (da * da))
+    arg = -((-b * (b - 4 * db) << 2 * bits) // (db * db))
+    s_hi = isqrt(arg)
+    if s_hi * s_hi < arg:
+        s_hi += 1
+    return ((((a - 2 * da) << bits) + da * s_lo, da << (bits + 1)),
+            (((b - 2 * db) << bits) + db * s_hi, db << (bits + 1)))
 
 
 # -- zeros at roots of unity ---------------------------------------------

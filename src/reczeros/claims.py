@@ -9,8 +9,13 @@ and may additionally come back "inconclusive" when the ladder runs out
 first.  There is one ladder, `ladder`: precisions double up to
 precision_cap(), widths shrink toward WIDTH_FLOOR, and analysis uses the
 same helper.  The stated upper window endpoint is built only by
-stated_alpha_upper.  Results are plain records; serialize owns their
-wire form.
+stated_alpha_upper.  Values of a polynomial at +-1 are coefficient sums
+on its integer coefficients, so the exact checks follow the integer rule
+of the kernels; a fail witness still carries the exact Fraction value.
+Results (ClaimResult, VerificationReport) are plain __slots__ records,
+which keeps `dataclasses` and its imports out of every command;
+serialize owns their wire form.  run_all refuses a grid of more than
+MAX_RANGE_VALUES instances, the bound the command line reads too.
 
 A "finding" is a result that contradicts or sharpens the expected
 statement without invalidating the surrounding certificates: the single
@@ -24,7 +29,6 @@ Findings always carry enough witness data to reproduce the verdict.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 
@@ -63,6 +67,11 @@ EPS_TOTAL_CAP = Fraction(2762, 10000)
 #: Largest ladder ceiling REC_ZEROS_PREC_CAP may set; the ladders double
 #: their precision up to the cap, and each step costs more than the last.
 PREC_CAP_MAX = 65536
+
+#: Most values one --k or --ell flag may name, counted before
+#: deduplication, and most (k, ell) instances one grid may hold; run_all
+#: refuses a larger claim grid.
+MAX_RANGE_VALUES = 10_000
 
 #: Finest width a width ladder refines an enclosure to before it gives up.
 WIDTH_FLOOR = Fraction(1, 2**2048)
@@ -125,26 +134,45 @@ def _exp2(x) -> int:
     return x.numerator.bit_length() - x.denominator.bit_length()
 
 
-@dataclass(frozen=True)
 class ClaimResult:
-    claim_id: str
-    params: dict
-    status: str
-    witness: dict | None = None
-    data: dict = field(default_factory=dict)
-    detail: str = ""
+    """One claim's verdict over the parameters it covered.
+
+    `witness` holds the data that decided a fail, finding or inconclusive
+    verdict (None on pass), `data` the summary figures, `detail` one line
+    of prose.
+    """
+
+    __slots__ = ("claim_id", "params", "status", "witness", "data", "detail")
+
+    def __init__(self, claim_id: str, params: dict, status: str,
+                 witness: dict | None = None, data: dict | None = None,
+                 detail: str = ""):
+        self.claim_id = claim_id
+        self.params = params
+        self.status = status
+        self.witness = witness
+        self.data = {} if data is None else data
+        self.detail = detail
 
     @property
     def ok(self) -> bool:
         return self.status in (PASS, FINDING)
 
+    def __repr__(self) -> str:
+        return "ClaimResult(%r, status=%r)" % (self.claim_id, self.status)
 
-@dataclass(frozen=True)
+
 class VerificationReport:
-    k_max: int
-    ell_max: int
-    precision: int
-    results: tuple
+    """The results of one run_all, in plan order, with the grid they cover."""
+
+    __slots__ = ("k_max", "ell_max", "precision", "results")
+
+    def __init__(self, k_max: int, ell_max: int, precision: int,
+                 results: tuple):
+        self.k_max = k_max
+        self.ell_max = ell_max
+        self.precision = precision
+        self.results = results
 
     @property
     def ok(self) -> bool:
@@ -551,6 +579,17 @@ def check_sign_pattern(k: int, ell: int, precision: int = DEFAULT_PRECISION) -> 
 # values at +-1 and the derivative sums
 # ---------------------------------------------------------------------------
 
+def _companion_at_one(k: int, ell: int) -> tuple[Fraction, Fraction]:
+    """(m(1), m'(1)) for the monic companion m of (k, ell).
+
+    m is ints / ints[-1] for its integer coefficients ints, so the two
+    values are the plain and the index-weighted sums of ints over ints[-1].
+    """
+    ints = monic_even_form(k, ell).int_coeffs()
+    return (Fraction(sum(ints), ints[-1]),
+            Fraction(sum(i * c for i, c in enumerate(ints)), ints[-1]))
+
+
 def check_pm1_zero(k_max: int, ell_max: int) -> ClaimResult:
     """Exact vanishing pattern at the unit points.
 
@@ -561,8 +600,12 @@ def check_pm1_zero(k_max: int, ell_max: int) -> ClaimResult:
     checked = 0
     for k in range(1, k_max + 1):
         for ell in range(1, ell_max + 1):
+            # the plain and the alternating sums of r's integer
+            # coefficients are positive multiples of r(1) and r(-1)
             r = reciprocal_poly(k, ell)
-            at_one, at_minus = r(Fraction(1)), r(Fraction(-1))
+            ints = r.int_coeffs()
+            at_one = sum(ints)
+            at_minus = sum(ints[0::2]) - sum(ints[1::2])
             if k % 2 == 0:
                 want_zero, want_nonzero = (
                     (at_one, at_minus) if ell % 2 == 0 else (at_minus, at_one))
@@ -571,8 +614,8 @@ def check_pm1_zero(k_max: int, ell_max: int) -> ClaimResult:
                 good = at_one != 0 and at_minus != 0
             if not good:
                 return ClaimResult("unit-values", params, FAIL,
-                                   {"k": k, "ell": ell, "at_one": at_one,
-                                    "at_minus_one": at_minus}, {},
+                                   {"k": k, "ell": ell, "at_one": r(1),
+                                    "at_minus_one": r(-1)}, {},
                                    "vanishing pattern violated")
             checked += 1
     return ClaimResult("unit-values", params, PASS, None,
@@ -590,21 +633,20 @@ def check_GH_signs(k_max: int, ell_max: int) -> ClaimResult:
     (2k+2)(1 - H) < 0.  The k=2 value collapses to (2 q_1)^l / 3.
     """
     params = {"k_max": k_max, "ell_max": ell_max}
-    ells = [ell for ell in range(2, ell_max + 1) if ell % 2 == 0]
-    if not ells or k_max < 1:
+    if k_max < 1 or ell_max < 2:
         return _vacuous("derivative-sign-sums", **params)
     checked = 0
     g_tight = None
     h_tight = None
-    for ell in ells:
+    for ell in range(2, ell_max + 1, 2):
         for k in range(1, k_max + 1):
             qpow = [q(k, j) ** ell for j in range(1, k + 1)]
-            m = monic_even_form(k, ell)
+            m_at_one, m_slope = _companion_at_one(k, ell)
             if k % 2 == 1:
                 g = sum(-qpow[j - 1] if j % 2 else qpow[j - 1]
                         for j in range(1, k + 1))
                 value_at_one = 2 + 2**ell * g
-                if not (g < -1 and m(Fraction(1)) == value_at_one
+                if not (g < -1 and m_at_one == value_at_one
                         and value_at_one < 0):
                     return ClaimResult("derivative-sign-sums", params, FAIL,
                                        {"k": k, "ell": ell, "G": g}, {},
@@ -616,8 +658,7 @@ def check_GH_signs(k_max: int, ell_max: int) -> ClaimResult:
                           for j in range(1, k + 1))
                 h = Fraction(2**ell, k + 1) * alt
                 slope_at_one = (2 * k + 2) * (1 - h)
-                good = (h > 1 and m(Fraction(1)) == 0
-                        and m.derivative()(Fraction(1)) == slope_at_one
+                good = (h > 1 and m_at_one == 0 and m_slope == slope_at_one
                         and slope_at_one < 0)
                 if good and k >= 4:
                     good = h > Fraction(3, 2)
@@ -712,7 +753,7 @@ def check_alpha_interval(k_range, ell_odd_range) -> ClaimResult:
     for ell in ells:
         for k in range(k_lo, k_hi + 1):
             lower = (2 * q(k, 1)) ** ell
-            value_at_one = monic_even_form(k, ell)(Fraction(1))
+            value_at_one = _companion_at_one(k, ell)[0]
             if not value_at_one < 0:
                 return ClaimResult("alpha-interval", params, FAIL,
                                    {"k": k, "ell": ell,
@@ -849,10 +890,16 @@ def run_all(k_max: int, ell_max: int, precision: int = DEFAULT_PRECISION,
 
     Deterministic for fixed inputs; `jobs` > 1 fans independent checks out
     to worker processes without changing the report.  `suite` restricts
-    the plan to one of the SUITES groups.
+    the plan to one of the SUITES groups.  A grid of more than
+    MAX_RANGE_VALUES instances is refused before anything is planned.
     """
     if k_max < 0 or ell_max < 0:
         raise ValueError("grid bounds must be nonnegative")
+    # the plan and the grid checks grow with k_max and ell_max even where
+    # the other one is 0, so each counts as at least 1
+    if max(k_max, 1) * max(ell_max, 1) > MAX_RANGE_VALUES:
+        raise ValueError("more than %d (k, ell) instances in the verify grid"
+                         % MAX_RANGE_VALUES)
     if suite not in SUITES:
         raise ValueError("unknown suite %r" % (suite,))
     plan = []

@@ -20,12 +20,8 @@ from math import ceil, log10
 
 from . import serialize
 from .certify import ALPHA_WIDTH
-from .claims import PREC_CAP_MAX, SUITES, map_calls, run_all
+from .claims import MAX_RANGE_VALUES, PREC_CAP_MAX, SUITES, map_calls, run_all
 from .family import RESULTANT_K_CAP
-
-#: Most values one --k or --ell flag may name, counted before deduplication,
-#: and most (k, ell) instances one grid may hold.
-MAX_RANGE_VALUES = 10_000
 
 
 def parse_values(text: str) -> list[int]:
@@ -137,11 +133,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # the plan and the grid checks grow with k_max and ell_max even where
-    # the other one is 0, so each counts as at least 1
-    if max(args.k_max, 1) * max(args.ell_max, 1) > MAX_RANGE_VALUES:
-        raise ValueError("more than %d (k, ell) instances in the verify grid"
-                         % MAX_RANGE_VALUES)
     report = run_all(args.k_max, args.ell_max, precision=args.prec,
                      jobs=args.jobs, suite=args.suite)
     _emit(args, serialize.verify_document(report, args.suite))

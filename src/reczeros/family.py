@@ -9,7 +9,10 @@ with B the Bernoulli numbers.  Dividing by the leading coefficient and
 substituting x = z^2 gives a monic even companion of degree 2k + 2 whose
 interior coefficients are, up to sign, 2^ell times ell-th powers of the
 even-zeta quotients q(k, j); both routes are computed independently and
-compared exactly at construction time.
+compared exactly at construction time.  Each route builds one reduced
+coefficient per symmetric pair (j, k+1-j), straight from the integer
+numerators and denominators of its Bernoulli or zeta rationals, and the
+comparison runs on the two primitive integer coefficient lists.
 
 The companion is self-reciprocal with reversal sign -1 exactly when k and
 ell are both even; `boundary_profile` rewrites it in w = z + 1/z and splits
@@ -25,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .exactnum import bernoulli, q
+from .exactnum import bernoulli, q, zeta_even_rational
 from .polycore import Poly, reciprocal_transform
 
 #: Sylvester matrices for the family stay pleasant up to this k; beyond it
@@ -51,15 +54,15 @@ def sigma_of(k: int, ell: int) -> int:
 def reciprocal_poly(k: int, ell: int) -> Poly:
     """The degree k+1 base polynomial in x, directly from its coefficients."""
     _validate(k, ell)
-    coeffs = []
-    for j in range(k + 2):
-        base = (
-            bernoulli(2 * j)
-            * bernoulli(2 * k + 2 - 2 * j)
-            / (factorial(2 * j) * factorial(2 * k + 2 - 2 * j))
-        )
-        sign = -1 if ((ell + 1) * j) % 2 else 1
-        coeffs.append(sign * base**ell)
+    coeffs = [None] * (k + 2)
+    # a_j and a_(k+1-j) share their base; one reduction per pair
+    for j in range((k + 1) // 2 + 1):
+        b, c = bernoulli(2 * j), bernoulli(2 * k + 2 - 2 * j)
+        base = Fraction(b.numerator * c.numerator,
+                        b.denominator * c.denominator * factorial(2 * j)
+                        * factorial(2 * k + 2 - 2 * j)) ** ell
+        for i in (j, k + 1 - j):
+            coeffs[i] = -base if ((ell + 1) * i) % 2 else base
     return Poly(coeffs)
 
 
@@ -76,10 +79,16 @@ def monic_even_form(k: int, ell: int) -> Poly:
     coeffs = [Fraction(0)] * (2 * k + 3)
     coeffs[0] = Fraction(sig)
     coeffs[2 * k + 2] = Fraction(1)
-    scale = Fraction(2) ** ell
-    for j in range(1, k + 1):
-        s = -1 if ((ell + 1) * (k + j)) % 2 else 1
-        coeffs[2 * j] = -scale * s * q(k, j) ** ell
+    # 2 q(k, j) = 2 zeta(2j) zeta(2k+2-2j) / zeta(2k+2), reduced once on
+    # the numerators and denominators of the zeta rationals; q(k, j) =
+    # q(k, k+1-j), so one power serves each pair
+    top = zeta_even_rational(k + 1)
+    for j in range(1, (k + 1) // 2 + 1):
+        a, b = zeta_even_rational(j), zeta_even_rational(k + 1 - j)
+        weight = Fraction(2 * a.numerator * b.numerator * top.denominator,
+                          a.denominator * b.denominator * top.numerator) ** ell
+        for i in (j, k + 1 - j):
+            coeffs[2 * i] = weight if ((ell + 1) * (k + i)) % 2 else -weight
     m = Poly(coeffs)
     # both sides monic, so equal exactly when their primitive integer forms
     # (positive leading coefficient) are
@@ -87,7 +96,7 @@ def monic_even_form(k: int, ell: int) -> Poly:
     ints = r.int_coeffs()
     stretched = [0] * (2 * len(ints) - 1)
     stretched[::2] = ints
-    if r.lc() < 0:
+    if ints[-1] < 0:
         stretched = [-c for c in stretched]
     if tuple(stretched) != m.int_coeffs():
         raise AssertionError(

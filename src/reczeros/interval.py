@@ -59,8 +59,11 @@ class Interval:
     def __init__(self, lo: _NumLike, hi: _NumLike | None = None):
         if hi is None:
             hi = lo
-        lo = Fraction(lo)
-        hi = Fraction(hi)
+        # a Fraction is kept as it is, without the numbers.Rational check
+        if type(lo) is not Fraction:
+            lo = Fraction(lo)
+        if type(hi) is not Fraction:
+            hi = Fraction(hi)
         if lo > hi:
             raise ValueError("interval endpoints out of order: %s > %s" % (lo, hi))
         self.lo = lo
@@ -257,6 +260,9 @@ def sqrt_enclosure(iv: Interval, bits: int) -> Interval:
 
     Endpoints are multiples of 2^-bits obtained from integer square roots,
     so the result always contains the exact square root set.
+    `certify._alpha_step` takes the same bounds on integers; this interval
+    form stays as the reference the tests hold it to, and as an entry
+    point the benchmark tracer names.
     """
     if iv.lo < 0:
         raise ValueError("sqrt_enclosure requires a nonnegative interval")

@@ -3,15 +3,17 @@
 The real-root machinery works over integers for speed: a polynomial is
 cleared to a primitive integer coefficient list, a positive multiple with
 the same signs, and `_sign_at` takes its exact sign at a rational point by
-integer Horner.  That sign kernel is all the primary certificate route
-(sign alternation on a grid, in `certify`) needs.  The signed remainder
-(Sturm) chain is the fallback that decides every case: it uses
-content-stripped pseudo-remainders whose scalings are always positive, so
-sign variation counts are preserved exactly.  Root counts are over open
-intervals; callers detect endpoint roots by exact evaluation.  Root
-isolation returns boxes with nonzero opposite endpoint signs; refinement
-is sign bisection on integer numerators over a common denominator that
-doubles with each halving, with signs taken by homogeneous integer Horner.
+integer Horner; `_dyadic_signs` takes the signs at many points num / 2^bits
+with one set of shifted coefficients.  Those sign kernels are all the
+primary certificate route (sign alternation on a grid, in `certify`)
+needs.  The signed remainder (Sturm) chain is the fallback that decides
+every case: it uses content-stripped pseudo-remainders whose scalings are
+always positive, so sign variation counts are preserved exactly.  Root
+counts are over open intervals; callers detect endpoint roots by exact
+evaluation.  Root isolation returns boxes with nonzero opposite endpoint
+signs; refinement is sign bisection on integer numerators over a common
+denominator that doubles with each halving, with signs taken by
+homogeneous integer Horner.
 
 Also here: the z + 1/z transform for self-reciprocal polynomials of even
 degree.  For m with z^(2d) m(1/z) = sigma * m(z):
@@ -23,6 +25,11 @@ computed by the two Chebyshev-style recurrences for z^n + z^-n and
 (z^n - z^-n)/(z - 1/z) on the integer-cleared coefficients of m, verified
 by exact resubstitution on integers (a binomial expansion compared
 coefficient by coefficient), and scaled back to m's own coefficients once.
+The reversal sign and the parity split are decided on integers too.
+
+A `Fraction` handed to Poly, RootBox or Interval is kept as it is, and
+`int_coeffs` clears denominators on numerators, so building and clearing
+a polynomial does no Rational-ABC coercion.
 """
 
 from __future__ import annotations
@@ -47,8 +54,10 @@ class Poly:
     __slots__ = ("_coeffs", "_ints")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        # a Fraction is kept as it is: Fraction(c) would re-check it
+        # against the numbers.Rational ABC
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         self._coeffs = tuple(cs)
         self._ints = None
@@ -227,10 +236,9 @@ class Poly:
                 self._ints = ()
             else:
                 den = lcm(*(c.denominator for c in self._coeffs))
-                ints = [int(c * den) for c in self._coeffs]
-                g = 0
-                for c in ints:
-                    g = gcd(g, c)
+                ints = [c.numerator * (den // c.denominator)
+                        for c in self._coeffs]
+                g = gcd(*ints)
                 self._ints = tuple(c // g for c in ints)
         return self._ints
 
@@ -308,6 +316,27 @@ def _sign_at(ints: Sequence[int], x) -> int:
             dp *= den
             acc = acc * num + c * dp
     return (acc > 0) - (acc < 0)
+
+
+def _dyadic_signs(ints: Sequence[int], nums: Iterable[int],
+                  bits: int) -> list[int]:
+    """Signs of the integer-coefficient polynomial at each num / 2^bits.
+
+    Homogeneous Horner: sum c_i num^i 2^(bits (n - i)) is 2^(bits n) times
+    the value, so it has the same sign; the coefficients are shifted once
+    and shared by every point.
+    """
+    n = len(ints) - 1
+    scaled = [c << (bits * (n - i)) for i, c in enumerate(ints)]
+    lead = scaled.pop()
+    scaled.reverse()
+    signs = []
+    for x in nums:
+        acc = lead
+        for c in scaled:
+            acc = acc * x + c
+        signs.append((acc > 0) - (acc < 0))
+    return signs
 
 
 def _variations(signs: Iterable[int]) -> int:
@@ -389,9 +418,10 @@ def cauchy_bound(p: Poly) -> Fraction:
     """B with every real root of p strictly inside (-B, B)."""
     if p.degree() < 1:
         return Fraction(1)
-    l = abs(p.lc())
-    m = max(abs(c) for c in p.coeffs[:-1]) if p.degree() >= 1 else Fraction(0)
-    return 1 + m / l
+    # 1 + max |c_i| / |c_n| is the same on any positive multiple of p
+    ints = p.int_coeffs()
+    l = abs(ints[-1])
+    return Fraction(l + max(abs(c) for c in ints[:-1]), l)
 
 
 class RootBox:
@@ -406,8 +436,8 @@ class RootBox:
         if sign_lo == 0 or sign_hi == 0 or sign_lo == sign_hi:
             raise ValueError("root box endpoint signs must be nonzero and opposite")
         self.poly = poly
-        self.lo = Fraction(lo)
-        self.hi = Fraction(hi)
+        self.lo = lo if type(lo) is Fraction else Fraction(lo)
+        self.hi = hi if type(hi) is Fraction else Fraction(hi)
         self.sign_lo = sign_lo
         self.sign_hi = sign_hi
 
@@ -554,12 +584,15 @@ class TransformResult:
 
 
 def detect_reversal_sign(m: Poly) -> int:
-    """sigma with z^deg * m(1/z) = sigma * m(z); raises if m is neither."""
-    cs = m.coeffs
-    n = len(cs) - 1
-    if all(cs[i] == cs[n - i] for i in range(n + 1)):
+    """sigma with z^deg * m(1/z) = sigma * m(z); raises if m is neither.
+
+    Decided on m.int_coeffs(), a positive multiple of m.
+    """
+    cs = m.int_coeffs()
+    rev = cs[::-1]
+    if cs == rev:
         return 1
-    if all(cs[i] == -cs[n - i] for i in range(n + 1)):
+    if all(a == -b for a, b in zip(cs, rev)):
         return -1
     raise ValueError("polynomial is not self-reciprocal up to sign")
 
@@ -573,11 +606,11 @@ def reciprocal_transform(m: Poly) -> TransformResult:
     """
     if m.degree() < 2 or m.degree() % 2 != 0:
         raise ValueError("transform needs even degree >= 2")
-    if m[0] == 0:
+    cs = m.int_coeffs()
+    if cs[0] == 0:
         raise ValueError("transform needs m(0) != 0")
     sigma = detect_reversal_sign(m)
     d = m.degree() // 2
-    cs = m.int_coeffs()
     acc = [0] * (d + 1)
     if sigma == 1:
         # m/z^d = c_d + sum_{i>=1} c_{d+i} (z^i + z^-i); z^i + z^-i = V_i(w)
@@ -591,16 +624,18 @@ def reciprocal_transform(m: Poly) -> TransformResult:
         shift = d - 1
     for i in range(1, d + 1):
         c = cs[d + i]
-        for j, v in enumerate(cur):
-            acc[j] += c * v
-        nxt = [0] + cur
-        for j, v in enumerate(prev):
-            nxt[j] -= v
-        prev, cur = cur, nxt
+        if c:
+            acc[:len(cur)] = [a + c * v for a, v in zip(acc, cur)]
+        # next = w * cur - prev; prev is one shorter than cur
+        prev, cur = cur, [a - b for a, b in zip([0] + cur, prev + [0, 0])]
     _trim(acc)
     _verify_resubstitution(cs, acc, shift, sigma)
-    scale = m.lc() / cs[-1]
-    t = Poly(c * scale for c in acc)
+    # m = (lc / cs[-1]) * cs, so T's coefficients are acc * lc / cs[-1];
+    # half of them are 0 when T has one parity
+    lc = m.lc()
+    num, den = lc.numerator, lc.denominator * cs[-1]
+    zero = Fraction(0)
+    t = Poly([Fraction(c * num, den) if c else zero for c in acc])
     try:
         parity, w_sq = split_even_odd(t)
     except ValueError:
@@ -612,22 +647,21 @@ def _verify_resubstitution(m: Sequence[int], t: Sequence[int], shift: int,
                            sigma: int) -> None:
     """Raise unless m(z) = z^shift (z^2 - 1)^[sigma = -1] t(z + 1/z).
 
-    z^shift t(z + 1/z) = sum_i t_i (z^2 + 1)^i z^(shift - i) is expanded
-    with binomial coefficients and compared coefficient by coefficient.
+    With n = deg t, z^shift t(z + 1/z) = z^(shift - n) h_0 for
+    h_i = sum_{l >= i} t_l (z^2 + 1)^(l - i) z^(n - l), which Horner's rule
+    builds as h_i = (z^2 + 1) h_(i+1) + t_i z^(n - i), each step a shifted
+    add; the result is compared coefficient by coefficient.
     """
-    if len(t) - 1 > shift:
+    n = len(t) - 1
+    if n > shift:
         raise AssertionError("transform resubstitution mismatch")
-    acc = [0] * (2 * shift + 1)
-    row = [1]  # C(i, j) for j = 0..i
-    for i, c in enumerate(t):
-        if c:
-            for j, b in enumerate(row):
-                acc[shift - i + 2 * j] += c * b
-        row = [1] + [x + y for x, y in zip(row, row[1:])] + [1]
+    h = []
+    for i in range(n, -1, -1):
+        h = [a + b for a, b in zip(h + [0, 0], [0, 0] + h)]
+        h[n - i] += t[i]
+    acc = [0] * (shift - n) + h
     if sigma == -1:
-        acc = [0, 0] + acc
-        for i in range(len(acc) - 2):
-            acc[i] -= acc[i + 2]
+        acc = [a - b for a, b in zip([0, 0] + acc, acc + [0, 0])]
     _trim(acc)
     if acc != list(m):
         raise AssertionError("transform resubstitution mismatch")
@@ -641,8 +675,8 @@ def split_even_odd(t: Poly) -> tuple[str, Poly]:
     """
     evens = t.coeffs[0::2]
     odds = t.coeffs[1::2]
-    if all(c == 0 for c in odds):
+    if not any(odds):
         return "even", Poly(evens)
-    if all(c == 0 for c in evens):
+    if not any(evens):
         return "odd", Poly(odds)
     raise ValueError("polynomial has mixed parity")

@@ -15,12 +15,10 @@ runs (with any worker count) are byte-identical.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
-from importlib import resources
 
 from .certify import (ALPHA_WIDTH, alpha_enclosure, roots_of_unity_zeros,
                       zero_certificate)
@@ -248,6 +246,8 @@ def rows_for(doc: dict) -> tuple[list[str], list[list[str]]]:
 
 
 def to_csv(doc: dict) -> str:
+    import csv  # only the csv format needs it
+
     header, rows = rows_for(doc)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -285,6 +285,8 @@ def render(doc: dict, fmt: str) -> str:
 
 def load_schema(kind: str) -> dict:
     """The shipped JSON schema for one document kind."""
+    from importlib import resources  # only the schema checks need it
+
     path = resources.files("reczeros").joinpath("schemas").joinpath(
         kind + ".json")
     with path.open(encoding="utf-8") as fh:

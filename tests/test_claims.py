@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 
@@ -29,6 +30,7 @@ from reczeros.claims import (
 from reczeros.exactnum import q
 from reczeros.family import reciprocal_poly
 from reczeros.interval import Interval
+from reczeros.polycore import Poly
 
 
 def test_zeta_bounds_bracket():
@@ -166,6 +168,37 @@ def test_alternating_sums_vacuous_without_even_exponent():
     r = check_GH_signs(5, 1)
     assert r.status == "pass" and r.data["checked"] == 0
     assert r.detail == "empty parameter range"
+
+
+def test_unit_values_fail_witness_is_the_exact_value(monkeypatch):
+    # r(1) = 7/6 and r(-1) = 1/6: neither vanishes, so (2, 1) fails
+    monkeypatch.setattr(claims, "reciprocal_poly",
+                        lambda k, ell: Poly([F(1, 3), F(1, 2), F(1, 3)]))
+    r = check_pm1_zero(2, 1)
+    assert r.status == "fail"
+    assert r.witness == {"k": 2, "ell": 1, "at_one": F(7, 6),
+                         "at_minus_one": F(1, 6)}
+    assert all(type(r.witness[key]) is F for key in ("at_one", "at_minus_one"))
+
+
+def test_alternating_sums_vacuity_allocates_nothing_per_exponent():
+    tracemalloc.start()
+    try:
+        r = check_GH_signs(0, 2_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r.detail == "empty parameter range"
+    assert peak < 1 << 20
+
+
+def test_run_all_refuses_a_grid_beyond_the_bound(monkeypatch):
+    # the command-line test walks the other shapes of an oversized grid
+    planned = []
+    monkeypatch.setattr(claims, "map_calls", lambda *a: planned.append(a))
+    with pytest.raises(ValueError, match="more than 10000"):
+        run_all(0, 10**9)
+    assert planned == []
 
 
 def test_alpha_interval_passes_below_seven():

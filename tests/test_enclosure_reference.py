@@ -1,23 +1,41 @@
-"""The integer-mantissa enclosure kernels against their Fraction originals.
+"""The integer kernels against their Fraction originals.
 
 Each reference below is the `Fraction` code the kernel replaced, kept
-verbatim apart from names.  The kernels must return the same intervals,
-endpoint for endpoint, not merely enclosures of the same value.
+verbatim apart from names.  The kernels must return the same values --
+intervals endpoint for endpoint, signs, coefficient lists -- not merely
+enclosures of the same value.
 """
 
 from fractions import Fraction as F
-from math import comb, factorial, floor, ceil
+from math import comb, factorial, floor, ceil, gcd, lcm
 
 from hypothesis import given, settings, strategies as st
 
 from reczeros import claims, exactnum
-from reczeros.exactnum import bernoulli, zeta_even_enclosure, zeta_even_rational
+from reczeros.certify import _alpha_from_box, _alpha_step
+from reczeros.exactnum import (
+    bernoulli,
+    q,
+    zeta_even_enclosure,
+    zeta_even_rational,
+)
+from reczeros.family import monic_even_form, reciprocal_poly, sigma_of
 from reczeros.interval import (
     Interval,
     _arctan_recip_enclosure,
     cos_enclosure,
     pi_enclosure,
     pow_rounded,
+    sqrt_enclosure,
+)
+from reczeros.polycore import (
+    Poly,
+    RootBox,
+    _dyadic_signs,
+    _sign_at,
+    cauchy_bound,
+    reciprocal_transform,
+    refine_root,
 )
 
 
@@ -187,3 +205,167 @@ def test_quotient_bound_integer_test_matches_fraction_reference():
     data = claims.check_quotient_bound(40).data
     assert data["tightest"] == {"k": k, "j": j,
                                 "rel_margin_exp2": claims._exp2(rel)}
+
+
+# ---------------------------------------------------------------------------
+# the certify path: grid signs, integer clearing, the alpha step,
+# construction and the transform
+# ---------------------------------------------------------------------------
+
+def int_coeffs_ref(coeffs):
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    g = 0
+    for c in ints:
+        g = gcd(g, c)
+    return tuple(c // g for c in ints)
+
+
+def cauchy_bound_ref(p):
+    return 1 + max(abs(c) for c in p.coeffs[:-1]) / abs(p.lc())
+
+
+def alpha_step_ref(v, bits):
+    u = v - Interval(2)
+    s = sqrt_enclosure(u**2 - Interval(4), bits)
+    return (u + s) * F(1, 2)
+
+
+def alpha_from_box_ref(box, width):
+    """The Fraction loop, and the number of passes it took."""
+    delta = width / 8
+    bits = max(32, (width.denominator // max(width.numerator, 1)).bit_length() + 16)
+    passes = 0
+    while True:
+        box = refine_root(box, delta)
+        passes += 1
+        alpha = alpha_step_ref(box.as_interval(), bits)
+        if alpha.width() <= width:
+            return alpha, passes
+        delta /= 16
+        bits += 16
+
+
+def reciprocal_poly_ref(k, ell):
+    coeffs = []
+    for j in range(k + 2):
+        base = (
+            bernoulli(2 * j)
+            * bernoulli(2 * k + 2 - 2 * j)
+            / (factorial(2 * j) * factorial(2 * k + 2 - 2 * j))
+        )
+        sign = -1 if ((ell + 1) * j) % 2 else 1
+        coeffs.append(sign * base**ell)
+    return Poly(coeffs)
+
+
+def monic_even_form_ref(k, ell):
+    coeffs = [F(0)] * (2 * k + 3)
+    coeffs[0] = F(sigma_of(k, ell))
+    coeffs[2 * k + 2] = F(1)
+    scale = F(2) ** ell
+    for j in range(1, k + 1):
+        s = -1 if ((ell + 1) * (k + j)) % 2 else 1
+        coeffs[2 * j] = -scale * s * q(k, j) ** ell
+    return Poly(coeffs)
+
+
+@settings(max_examples=300)
+@given(data=st.data(), bits=st.integers(0, 40),
+       ints=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=9))
+def test_dyadic_signs_match_sign_at(data, bits, ints):
+    nums = data.draw(st.lists(st.integers(-8 << bits, 8 << bits), max_size=12))
+    if data.draw(st.booleans()):
+        # a factor 2^bits x - r puts an exact zero on the grid, at r
+        r = data.draw(st.integers(-8 << bits, 8 << bits))
+        ints = [int(c) for c in (Poly(ints) * Poly([-r, 1 << bits])).coeffs]
+        nums.append(r)
+        if ints:
+            assert _dyadic_signs(ints, [r], bits) == [0]
+    if ints:
+        assert _dyadic_signs(ints, nums, bits) == [
+            _sign_at(ints, F(n, 1 << bits)) for n in nums]
+
+
+@settings(max_examples=200)
+@given(coeffs=st.lists(st.fractions(-10**9, 10**9, max_denominator=10**12),
+                       min_size=1, max_size=12))
+def test_int_coeffs_match_fraction_clearing(coeffs):
+    p = Poly(coeffs)
+    if p.is_zero():
+        return
+    assert p.int_coeffs() == int_coeffs_ref(p.coeffs)
+    if p.degree() >= 1:
+        assert cauchy_bound(p) == cauchy_bound_ref(p)
+
+
+def v_box(data):
+    """A box (lo, hi) with 4 <= lo < hi, on a dyadic grid or off it."""
+    point = (st.integers(0, 1 << 70).map(lambda n: 4 + F(n, 1 << 66))
+             | st.fractions(4, 40, max_denominator=1 << 90))
+    a, b = data.draw(point), data.draw(point)
+    if a == b:
+        b += F(1, 1 << 80)
+    return min(a, b), max(a, b)
+
+
+@settings(max_examples=300)
+@given(data=st.data(), bits=st.integers(32, 200))
+def test_alpha_step_matches_interval_chain(data, bits):
+    lo, hi = v_box(data)
+    want = alpha_step_ref(Interval(lo, hi), bits)
+    (a, da), (b, db) = _alpha_step(lo, hi, bits)
+    assert (F(a, da), F(b, db)) == (want.lo, want.hi)
+
+
+@settings(max_examples=60)
+@given(eps=st.fractions(F(1, 10**12), 30, max_denominator=10**15),
+       exp=st.integers(6, 40))
+def test_alpha_loop_matches_interval_chain(eps, exp):
+    # W(v) = v - (4 + eps): the closer v0 is to 4, the steeper alpha(v0)
+    # and the more passes the loop needs
+    width = F(1, 10**exp)
+    box = RootBox(Poly([-(4 + eps), 1]), F(4), F(4) + eps + 1, -1, 1)
+    want, _ = alpha_from_box_ref(box, width)
+    assert _alpha_from_box(box, width) == want
+
+
+def test_alpha_loop_second_pass_matches_interval_chain():
+    width = F(1, 10**20)
+    box = RootBox(Poly([-(4 + F(1, 10**6)), 1]), F(4), F(5), -1, 1)
+    want, passes = alpha_from_box_ref(box, width)
+    assert passes >= 2
+    assert _alpha_from_box(box, width) == want
+
+
+def test_member_construction_matches_fraction_formulas():
+    for k in range(1, 16):
+        for ell in range(1, 7):
+            assert reciprocal_poly(k, ell) == reciprocal_poly_ref(k, ell)
+            assert monic_even_form(k, ell) == monic_even_form_ref(k, ell)
+
+
+@settings(max_examples=200)
+@given(half=st.lists(st.fractions(-20, 20, max_denominator=10**4),
+                     min_size=2, max_size=7).filter(lambda cs: cs[0] != 0),
+       sigma=st.sampled_from((1, -1)))
+def test_transform_resubstitutes_to_the_input(half, sigma):
+    # m of degree 2d with z^(2d) m(1/z) = sigma m(z); m(0) = half[0] != 0
+    d = len(half) - 1
+    if sigma == -1:
+        half[d] = F(0)
+    m = Poly(half[:d] + [half[d]] + [sigma * c for c in reversed(half[:d])])
+    tr = reciprocal_transform(m)
+    assert tr.sigma == sigma
+    shift = d if sigma == 1 else d - 1
+    back = Poly()
+    for i, t in enumerate(tr.transform.coeffs):
+        back = back + t * Poly([1, 0, 1]) ** i * Poly.monomial(shift - i)
+    if sigma == -1:
+        back = back * Poly([-1, 0, 1])
+    assert back == m
+    if tr.w_square is not None:
+        w = tr.w_square.coeffs
+        spread = [F(0)] * (2 * len(w))
+        spread[0 if tr.w_parity == "even" else 1::2] = w
+        assert Poly(spread) == tr.transform
