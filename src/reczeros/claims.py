@@ -191,9 +191,13 @@ class VerificationReport:
         return out
 
 
+#: The detail of a claim that holds vacuously: nothing in range to check.
+EMPTY_RANGE = "empty parameter range"
+
+
 def _vacuous(claim_id: str, **params) -> ClaimResult:
     return ClaimResult(claim_id, params, PASS, None, {"checked": 0},
-                       "empty parameter range")
+                       EMPTY_RANGE)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from math import ceil, log10
 
 from . import serialize
 from .certify import ALPHA_WIDTH
-from .claims import MAX_RANGE_VALUES, PREC_CAP_MAX, SUITES, map_calls, run_all
+from .claims import (EMPTY_RANGE, MAX_RANGE_VALUES, PREC_CAP_MAX, SUITES,
+                     map_calls, run_all)
 from .family import RESULTANT_K_CAP
 
 
@@ -137,8 +138,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                      jobs=args.jobs, suite=args.suite)
     _emit(args, serialize.verify_document(report, args.suite))
     counts = report.counts()
-    if args.k_max < 1 or args.ell_max < 1:
-        _note("empty parameter range; all claims vacuous")
+    vacuous = [r.claim_id for r in report.results if r.detail == EMPTY_RANGE]
+    if vacuous:
+        _note("%s; vacuous: %s" % (EMPTY_RANGE, ", ".join(vacuous)))
     if counts["finding"]:
         _note("%d finding(s); see the report detail lines"
               % counts["finding"])

@@ -11,9 +11,9 @@ arithmetic; certified real enclosures (pi, zeta values) live at the bottom
 and are built on `interval.Interval`.  `zeta_even_enclosure` rounds pi^2,
 its power and r_m times the power on integer mantissas, by the rule the
 `interval` module describes, and returns exactly what the same steps on
-`Fraction` endpoints would.  A zeta enclosure inherits the pi-history
-caveat of `interval.pi_enclosure`: its width, never its validity, depends
-on the pi precisions computed earlier in the process.
+`Fraction` endpoints would.  Like `interval.pi_enclosure`, a zeta
+enclosure is a pure function of its arguments, whatever ran earlier in the
+process.
 """
 
 from __future__ import annotations

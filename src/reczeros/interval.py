@@ -3,18 +3,17 @@
 Closed intervals [lo, hi] with `fractions.Fraction` endpoints.  Every
 operation is inclusion-correct: the result interval contains every value
 f(x) for x in the operand intervals.  Because rationals are closed under
-+, -, *, /, the arithmetic itself needs no rounding; `round_outward` keeps
-endpoint denominators from growing without bound in long computations (it
-only ever widens), and `horner_rounded` rounds the same way after every
-step of a polynomial evaluation.
++, -, *, /, the arithmetic itself needs no rounding; the rounded kernels
+keep endpoint denominators from growing without bound in long computations
+(they only ever widen).
 
-The rounded kernels (`round_outward`, `pow_rounded`, `horner_rounded`,
-`cos_enclosure`) run on integer mantissas over 2^bits: a value rounds to
-floor(num * 2^bits / den) or the matching ceiling by one integer floor
-division on its own numerator and denominator (`floor_scaled`,
-`ceil_scaled`), which needs no grid assumption about the operand, and a
-product of two mantissas rounds by a shift.  Each returns exactly the
-interval that the same steps on `Fraction` endpoints would, with no gcd
+The rounded kernels (`pow_rounded`, `horner_rounded`, `cos_enclosure`) run
+on integer mantissas over 2^bits: a value rounds to floor(num * 2^bits /
+den) or the matching ceiling by one integer floor division on its own
+numerator and denominator (`floor_scaled`, `ceil_scaled`), which needs no
+grid assumption about the operand, and a product of two mantissas rounds
+by a shift.  Each returns exactly the interval that the same steps on
+`Fraction` endpoints, each rounded outward, would give, and runs no gcd
 until the result is built.
 
 Also provides certified enclosures of pi (Machin's formula with
@@ -29,13 +28,9 @@ by the pi enclosure, so the series argument stays below pi/2, and it
 memoizes the reduced enclosure per (r, precision) in a module dict filled
 on first use.
 
-`pi_enclosure(p)` depends on the process's history: each result is
-intersected with the tightest enclosure computed so far, so a run that
-first needed pi at 1024 bits gets narrower 128-bit enclosures, and
-narrower zeta and cos enclosures downstream, than a fresh process does.
-Every result is still certified; only widths (and the documents that
-report them) differ.  Nothing derived from a pi enclosure may be cached
-across precisions for the same reason.
+Every enclosure here is a pure function of its arguments: `pi_enclosure(p)`
+is the cell of the 2^-(p + 8) grid that holds pi, whatever ran earlier in
+the process, so the memos change no result.
 """
 
 from __future__ import annotations
@@ -154,22 +149,6 @@ class Interval:
             return Interval(phi, plo)
         return Interval(Fraction(0), max(plo, phi))
 
-    # -- set operations and rounding -------------------------------------
-
-    def intersect(self, other: "Interval") -> "Interval":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            raise ValueError("disjoint intervals: %r, %r" % (self, other))
-        return Interval(lo, hi)
-
-    def round_outward(self, bits: int) -> "Interval":
-        """Widen to endpoints with denominator dividing 2**bits."""
-        scale = 1 << bits
-        lo = Fraction(floor_scaled(self.lo.numerator, self.lo.denominator, bits), scale)
-        hi = Fraction(ceil_scaled(self.hi.numerator, self.hi.denominator, bits), scale)
-        return Interval(lo, hi)
-
 
 def _as_interval(x) -> Interval:
     if isinstance(x, Interval):
@@ -239,13 +218,13 @@ def horner_rounded(coeffs: Sequence[_NumLike], x: Interval, bits: int,
     outward after each Horner step.
 
     y, each coefficient and each step's result are rounded outward to
-    multiples of 2^-bits, as `Interval.round_outward` does, so the steps
-    run on integer mantissas with no gcd work.  y is rounded straight from
-    x, as floor(x * 2^(bits + x_shift)) and the ceiling, which are exactly
-    the mantissas of the rounded product.  Each step widens by less than
-    2^(2-bits) before the later steps multiply it by y, so the rounding
-    adds less than 2^(2-bits) * sum |y|^i, plus the effect of rounding y
-    itself (none when y already lies on the 2^-bits grid).
+    multiples of 2^-bits (floor for the lower end, ceiling for the upper),
+    so the steps run on integer mantissas with no gcd work.  y is rounded
+    straight from x, as floor(x * 2^(bits + x_shift)) and the ceiling, which
+    are exactly the mantissas of the rounded product.  Each step widens by
+    less than 2^(2-bits) before the later steps multiply it by y, so the
+    rounding adds less than 2^(2-bits) * sum |y|^i, plus the effect of
+    rounding y itself (none when y already lies on the 2^-bits grid).
     """
     scale = 1 << bits
     lo, hi = _horner_mantissas(
@@ -279,7 +258,6 @@ def sqrt_enclosure(iv: Interval, bits: int) -> Interval:
 # -- pi ------------------------------------------------------------------
 
 _pi_cache: dict[int, Interval] = {}
-_pi_best: Interval | None = None
 
 
 def _arctan_recip_enclosure(x: int, precision: int) -> Interval:
@@ -308,32 +286,36 @@ def _arctan_recip_enclosure(x: int, precision: int) -> Interval:
 
 
 def pi_enclosure(precision: int) -> Interval:
-    """Certified enclosure of pi with width <= 2^(4 - precision).
+    """The cell [f, f + 1] / 2^b of the 2^-b grid that holds pi, where
+    b = precision + 8 and f = floor(pi * 2^b); its width is 2^-b.
 
-    Machin: pi = 16 arctan(1/5) - 4 arctan(1/239).  Enclosures computed at
-    different precisions are nested (each new one is intersected with the
-    tightest enclosure seen so far).
+    A pure function of `precision` (raised to 4 if smaller), memoized per
+    precision.  Enclosures at different precisions are nested, because a
+    finer dyadic grid refines a coarser one.  f is read off Machin's
+    pi = 16 arctan(1/5) - 4 arctan(1/239), enclosed at b + 3 bits and then
+    with more guard bits until both ends of that enclosure give the same
+    floor; pi is irrational, so this ends.
+
+    >>> pi_enclosure(8)
+    Interval(205887/65536, 3217/1024)
     """
-    global _pi_best
-    if precision < 4:
-        precision = 4
+    precision = max(precision, 4)
     cached = _pi_cache.get(precision)
     if cached is not None:
-        if cached is not _pi_best:
-            # a hit may predate a tighter _pi_best; re-intersect so returns
-            # stay nested no matter the call order
-            cached = cached.intersect(_pi_best)
-            _pi_best = cached
-            _pi_cache[precision] = cached
         return cached
-    a = _arctan_recip_enclosure(5, precision + 3)
-    b = _arctan_recip_enclosure(239, precision + 3)
-    raw = (16 * a - 4 * b).round_outward(precision + 8)
-    if _pi_best is not None:
-        raw = raw.intersect(_pi_best)
-    _pi_best = raw
-    _pi_cache[precision] = raw
-    return raw
+    b = precision + 8
+    guard = b + 3
+    while True:
+        a = _arctan_recip_enclosure(5, guard)
+        c = _arctan_recip_enclosure(239, guard)
+        lo, hi = 16 * a.lo - 4 * c.hi, 16 * a.hi - 4 * c.lo
+        f = floor_scaled(lo.numerator, lo.denominator, b)
+        if f == floor_scaled(hi.numerator, hi.denominator, b):
+            break
+        guard += 8
+    enc = Interval(Fraction(f, 1 << b), Fraction(f + 1, 1 << b))
+    _pi_cache[precision] = enc
+    return enc
 
 
 # -- cos -----------------------------------------------------------------

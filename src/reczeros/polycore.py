@@ -527,8 +527,8 @@ def refine_root(box: RootBox, width: Fraction) -> RootBox:
 
     The endpoints are integer numerators a < b over a common denominator
     D0 * 2^s that doubles with each halving, so a midpoint is (a + b) over
-    the next denominator, and its sign is the sign of the homogeneous form
-    sum c_i D0^(n-i) * x^i * 2^(s (n-i)) at the numerator x.
+    the next denominator, and its sign is the sign `_dyadic_signs` gives at
+    (a + b) / 2^s for the coefficients c_i D0^(n-i).
     """
     width = Fraction(width)
     if width <= 0:
@@ -545,17 +545,15 @@ def refine_root(box: RootBox, width: Fraction) -> RootBox:
     while (b - a) * wden > wnum * (den0 << s):
         s += 1
         x = a + b
-        acc = scaled[n]
-        for i in range(n - 1, -1, -1):
-            acc = acc * x + (scaled[i] << (s * (n - i)))
-        if acc == 0:
+        sign = _dyadic_signs(scaled, (x,), s)[0]
+        if sign == 0:
             # the root is exactly the midpoint; close symmetrically around it
             m = Fraction(x, den0 << s)
             delta = min(width, Fraction(b - a, den0 << (s - 1))) / 4
             while _sign_at(ints, m - delta) != slo or _sign_at(ints, m + delta) != shi:
                 delta /= 2
             return RootBox(box.poly, m - delta, m + delta, slo, shi)
-        if (acc > 0) - (acc < 0) == slo:
+        if sign == slo:
             a, b = x, 2 * b
         else:
             a, b = 2 * a, x

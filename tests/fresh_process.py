@@ -1,4 +1,5 @@
-"""Run Python in a new process, for results that depend on process history."""
+"""Run Python in a new process, so that nothing earlier in the test run
+can change what it computes or loads."""
 
 import os
 import subprocess

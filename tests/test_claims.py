@@ -77,10 +77,6 @@ def _fresh_zeta_sum_width(before: str) -> str:
         + "print(run_all(14, 2).find('zeta-sum-half').data['width'])"))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "pi_enclosure intersects each new enclosure with the tightest one seen "
-    "so far in the process, so earlier high-precision work narrows later "
-    "zeta enclosures"))
 def test_zeta_sum_width_does_not_depend_on_pi_history():
     # the k = 5 sign grid needs cos(pi/4) at 1024 bits, hence pi at 1024 bits
     warmed = _fresh_zeta_sum_width(

@@ -319,16 +319,17 @@ def test_paper_grid_certificates_are_pinned():
         "0daaca4ff5323f1537dc771c4cc12bc341a113286834deb6d50ab1b3516d10da")
 
 
-#: sha256 of the JSON documents before the enclosure kernels moved to
-#: integers.  Each runs in a fresh process, because a pi enclosure depends
-#: on the precisions computed earlier in the same process.
+#: sha256 of the JSON documents, each produced by the CLI in a fresh
+#: process.  The lemmas and analyze digests date from before the enclosure
+#: kernels moved to integers; the k_max 14 ones from when pi_enclosure(p)
+#: became the cell of the 2^-(p + 8) grid that holds pi.
 PINNED_DOCUMENTS = {
     "verify --k-max 14 --ell-max 2 --prec 128":
-        "2987a3e76b3c9e9ccd56f2a707b1ad8fb7b0dafee43b8df09b587b55552d38a0",
+        "f822036fc96ca3fc4713c19dba4ff94bc006f04bcc1be5b7a8e71b52b01c0b66",
     "verify --k-max 14 --ell-max 2 --prec 126":
-        "5d0c32a290b9c687dc8232403c8d903d87ac5e6b2086d695e4203b1438e351e0",
+        "cbfb49957d99cd015032d11c682aec51c9aea9e94725c59387ecd805ae6b158d",
     "verify --k-max 14 --ell-max 2 --prec 130":
-        "b74697370243e1fb3bf42af21a589bee9b78cbd50885242ea8393f5da97edf81",
+        "74fd2a5e8cf6108066505dbec4b2882841fed4164a015de77e846b6cad727137",
     "verify --suite lemmas --k-max 56 --ell-max 6":
         "169a944219cc0dabae2d5ea6058d7570ee6292d688c06b7c420d6ab4da6c29c0",
     "analyze --k 1..12 --ell 1..4":
@@ -407,6 +408,15 @@ def test_verify_finding_is_exit_zero_with_note(capsys):
     statuses = {r["claim"]: r["status"]
                 for r in json.loads(captured.out)["results"]}
     assert statuses["alpha-interval"] == "finding"
+
+
+def test_vacuous_note_names_only_the_vacuous_claims(capsys):
+    # zeta-bounds, zeta-sum-half and the k-only lemmas still check something
+    assert main(["verify", "--k-max", "5", "--ell-max", "0"]) == 0
+    notes = [line for line in capsys.readouterr().err.splitlines()
+             if "vacuous" in line]
+    assert notes == ["note: empty parameter range; vacuous: delta-majorant, "
+                     "derivative-sign-sums, alpha-interval, alpha-interval-k2"]
 
 
 def test_analyze_cap_refusal_and_force(capsys):

@@ -84,7 +84,7 @@ def cos_enclosure_ref(x, precision):
     bits = precision + 8 + n * max(1, ceil(msq).bit_length())
     coeffs = [F((-1) ** i, factorial(2 * i)) for i in range(n)]
     out = horner_ref(coeffs, x**2, bits) + Interval(-term, term)
-    out = out.intersect(Interval(-1, 1))
+    out = Interval(max(out.lo, -1), min(out.hi, 1))
     return round_outward_ref(out, precision + 8)
 
 
@@ -130,8 +130,8 @@ def test_pow_rounded_matches_fraction_reference(data, n, bits):
 
 
 def test_pow_rounded_on_a_finer_pi_enclosure():
-    # pi_enclosure may hand back endpoints from a finer, earlier enclosure
-    pi = pi_enclosure(400).intersect(pi_enclosure(100))
+    # endpoints on the 2^-408 grid, off the 2^-116 grid the powers round to
+    pi = pi_enclosure(400)
     for n in range(71):
         assert pow_rounded(pi, n, 116) == pow_rounded_ref(pi, n, 116)
 

@@ -117,22 +117,6 @@ def test_pow_matches_random_products():
             assert got.contains(t**n)
 
 
-def test_intersect():
-    a = Interval(0, 2)
-    b = Interval(1, 3)
-    assert a.intersect(b) == Interval(1, 2)
-    with pytest.raises(ValueError):
-        a.intersect(Interval(5, 6))
-
-
-def test_round_outward():
-    iv = Interval(F(1, 3), F(2, 3))
-    r = iv.round_outward(8)
-    assert r.contains(iv)
-    assert r.lo.denominator <= 256 and r.hi.denominator <= 256
-    assert r.width() <= iv.width() + F(2, 256)
-
-
 def test_pow_rounded_contains_exact():
     iv = Interval(F(10, 7), F(11, 7))
     exact = iv**13
@@ -157,11 +141,21 @@ def test_pi_enclosure_nesting():
     tight = pi_enclosure(200)
     fresh = pi_enclosure(96)
     again = pi_enclosure(48)
-    # any two enclosures are nested, and a fresh precision never widens
-    # past the tightest one seen so far
+    # any two enclosures are nested, whatever the call order
     assert wide.contains(tight)
     assert wide.contains(again)
-    assert tight.contains(fresh) and wide.contains(fresh)
+    assert fresh.contains(tight) and wide.contains(fresh)
+
+
+@given(p1=st.integers(4, 2000), p2=st.integers(4, 2000))
+def test_pi_enclosure_is_the_dyadic_cell_of_pi(p1, p2):
+    mpmath = pytest.importorskip("mpmath")
+    b = p1 + 8
+    with mpmath.workprec(p1 + 64):
+        f = int(mpmath.floor(mpmath.pi * 2**b))
+    assert pi_enclosure(p1) == Interval(F(f, 1 << b), F(f + 1, 1 << b))
+    lo, hi = sorted((p1, p2))
+    assert pi_enclosure(lo).contains(pi_enclosure(hi))
 
 
 def test_cos_point_values():
