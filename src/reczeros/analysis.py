@@ -2,7 +2,11 @@
 
 Everything here rides on one exact primitive: the resultant of two
 rational polynomials, computed fraction-free on the integer Sylvester
-matrix.  From it come the discriminant, the classical inequality
+matrix.  A member's discriminant applies it not to the degree k + 1
+polynomial R but, through the reciprocal structure, to the half-degree
+W of `family.boundary_profile`, whose Sylvester matrix has about half
+the dimension (see _family_discriminant).  From the discriminant come
+the classical inequality
 |Disc(f)| <= m^m M(f)^(2m-2) relating it to the Mahler measure (m the
 degree), and a two-sided window for the outlying real zero alpha whose
 lower endpoint is read off the discriminant:
@@ -30,7 +34,7 @@ from functools import lru_cache
 
 from .certify import ALPHA_WIDTH, alpha_enclosure, zero_certificate
 from .claims import WIDTH_FLOOR, ladder, stated_alpha_upper
-from .family import RESULTANT_K_CAP, reciprocal_poly
+from .family import boundary_profile, reciprocal_poly
 from .interval import Interval
 from .polycore import Poly
 
@@ -104,7 +108,30 @@ def discriminant(p: Poly) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _family_discriminant(k: int, ell: int) -> Fraction:
-    return discriminant(reciprocal_poly(k, ell))
+    """Disc(R) for R = reciprocal_poly(k, ell), from its half-degree W.
+
+    R = c * x^d W(x + 2 + 1/x) * F with d = deg W, c = lc(R) / lc(W) and
+    F = x - 1 (sigma = -1), x + 1 (W of odd parity) or 1; no member has
+    both.  The zeros x, 1/x over a zero v of W differ by v (v - 4) squared,
+    and the four differences between the pairs over v and v' multiply to
+    (v - v')^2, so with P(1) = W(4) and P(-1) = +-W(0) for the palindromic
+    P = x^d W(x + 2 + 1/x),
+
+        Disc(R) = c^(4d-2) Disc(W)^2 W(0) W(4) * E,
+
+    where E = (c W(4))^2, (c W(0))^2 or 1 is F's share Res(c P, F)^2.
+    """
+    profile = boundary_profile(k, ell)
+    w = profile.w_square
+    d = w.degree()
+    c = reciprocal_poly(k, ell).lc() / w.lc()
+    w0, w4 = w(0), w(4)
+    disc = c ** (4 * d - 2) * discriminant(w) ** 2 * w0 * w4
+    if profile.sigma == -1:
+        disc *= (c * w4) ** 2
+    elif profile.w_parity == "odd":
+        disc *= (c * w0) ** 2
+    return disc
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +268,14 @@ class AnalysisRecord:
         self.alpha_in_interval = alpha_in_interval
 
 
-def analyze(k: int, ell: int, force: bool = False,
-            precision: int = 128) -> AnalysisRecord:
+def analyze(k: int, ell: int, precision: int = 128) -> AnalysisRecord:
     """Full exact workup of one family member.
 
-    Refuses k beyond RESULTANT_K_CAP unless forced, since the integer
-    Sylvester entries blow up factorially.  Cross-checks that the
-    discriminant vanishes exactly when the squarefreeness certificate
-    says it should (two independent exact routes to the same fact).
+    Cross-checks that the discriminant vanishes exactly when the
+    squarefreeness certificate says it should.  Both read the same W; the
+    route independent of W, the full-degree Sylvester determinant
+    discriminant(reciprocal_poly(k, ell)), is the test oracle.
     """
-    if k > RESULTANT_K_CAP and not force:
-        raise ValueError(
-            "k = %d exceeds the exact-resultant cap %d; pass force=True "
-            "to accept the cost" % (k, RESULTANT_K_CAP))
     disc = _family_discriminant(k, ell)
     if (disc != 0) != zero_certificate(k, ell).simple:
         raise AssertionError(

@@ -22,7 +22,6 @@ from . import serialize
 from .certify import ALPHA_WIDTH
 from .claims import (EMPTY_RANGE, MAX_RANGE_VALUES, PREC_CAP_MAX, SUITES,
                      map_calls, run_all)
-from .family import RESULTANT_K_CAP
 
 
 def parse_values(text: str) -> list[int]:
@@ -151,16 +150,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    grid = _grid(args)
-    over = [k for k, _ in grid if k > RESULTANT_K_CAP]
-    if over and not args.force:
-        print("refusing k > %d without --force (exact resultants get "
-              "expensive); offending k: %s"
-              % (RESULTANT_K_CAP, sorted(set(over))), file=sys.stderr)
-        return 2
     instances = map_calls(
-        [(serialize.analysis_instance, (k, ell, args.force, args.prec))
-         for k, ell in grid], args.jobs)
+        [(serialize.analysis_instance, (k, ell, args.prec))
+         for k, ell in _grid(args)], args.jobs)
     _emit(args, serialize.envelope("analyze", instances))
     failed = [i for i in instances
               if not i["mahler_inequality_ok"] or i["discriminant"] == "0/1"]
@@ -194,9 +186,6 @@ FLAGS = {
                     help="alpha enclosure width, rational or decimal"),
     "--prec": dict(type=int, default=128,
                    help="working precision in bits (64..%d)" % PREC_CAP_MAX),
-    "--force": dict(action="store_true",
-                    help="allow k beyond the exact-resultant cap %d"
-                         % RESULTANT_K_CAP),
     "--jobs": dict(type=int, default=1, help="worker processes (>= 1)"),
     "--out": dict(default=None, metavar="PATH",
                   help="write the document here instead of stdout"),
@@ -214,7 +203,7 @@ COMMANDS = {
     "verify": (cmd_verify, "run the arithmetic claim suite",
                ("--k-max", "--ell-max", "--suite", "--prec")),
     "analyze": (cmd_analyze, "discriminant, measure, and window records",
-                ("--k", "--ell", "--prec", "--force")),
+                ("--k", "--ell", "--prec")),
     "scan": (cmd_scan, "roots-of-unity orders dividing each member",
              ("--k", "--ell")),
 }

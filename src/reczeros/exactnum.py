@@ -30,10 +30,8 @@ __all__ = [
     "c_of",
     "d",
     "epsilon",
-    "pi_enclosure",
     "zeta_even_enclosure",
     "zeta_series_enclosure",
-    "Interval",
 ]
 
 # cache of B_0, B_2, B_4, ... (even indices only; odd ones past B_1 vanish)

@@ -29,12 +29,7 @@ from functools import lru_cache
 from math import factorial
 
 from .exactnum import bernoulli, q, zeta_even_rational
-from .polycore import Poly, reciprocal_transform
-
-#: Sylvester matrices for the family stay pleasant up to this k; beyond it
-#: the coefficient bit-size (factorial powers) makes exact resultants take
-#: minutes, so `analysis.analyze` and the `analyze` command need an opt-in.
-RESULTANT_K_CAP = 15
+from .polycore import Poly, TransformResult, reciprocal_transform
 
 
 def _validate(k: int, ell: int) -> None:
@@ -140,27 +135,13 @@ def circle_approximant(k: int, ell: int) -> ApproximantPair:
     return ApproximantPair(k, ell, m - delta, delta, weight)
 
 
-class BoundaryProfile:
-    """The companion in the variable w = z + 1/z.
-
-    transform:  T with companion = z^e * T(z + 1/z), times z^2 - 1 when
-                the reversal sign sigma is -1
-    w_square:   W with T(w) = W(w^2) (parity "even") or w * W(w^2) ("odd")
-    """
-
-    __slots__ = ("k", "ell", "sigma", "transform", "w_parity", "w_square")
-
-    def __init__(self, k, ell, sigma, transform, w_parity, w_square):
-        self.k = k
-        self.ell = ell
-        self.sigma = sigma
-        self.transform = transform
-        self.w_parity = w_parity
-        self.w_square = w_square
-
-
 @lru_cache(maxsize=None)
-def boundary_profile(k: int, ell: int) -> BoundaryProfile:
+def boundary_profile(k: int, ell: int) -> TransformResult:
+    """The companion in the variable w = z + 1/z, its shape checked.
+
+    T has degree k + 1 and W parity "odd" for k even (even for k odd)
+    when sigma = 1, and degree k with parity "even" when sigma = -1.
+    """
     _validate(k, ell)
     m = monic_even_form(k, ell)
     tr = reciprocal_transform(m)
@@ -176,4 +157,4 @@ def boundary_profile(k: int, ell: int) -> BoundaryProfile:
             "transform shape mismatch at k=%d, ell=%d: degree %d parity %s"
             % (k, ell, tr.transform.degree(), tr.w_parity)
         )
-    return BoundaryProfile(k, ell, sig, tr.transform, tr.w_parity, tr.w_square)
+    return tr

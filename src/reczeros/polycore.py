@@ -564,11 +564,14 @@ def refine_root(box: RootBox, width: Fraction) -> RootBox:
 
 class TransformResult:
     """Output of reciprocal_transform: T, the reversal sign, and the
-    even/odd split of T.  The cofactor of T is z^2 - 1 when sigma = -1.
+    even/odd split of T.
 
-    w_parity is "even" (T(w) = W(w^2)), "odd" (T(w) = w W(w^2)) or "mixed",
-    in which case w_square is None.  Transforms of polynomials that are even
-    in z always have pure parity.
+    transform:  T with m = z^e * T(z + 1/z), times z^2 - 1 when the
+                reversal sign sigma is -1
+    w_parity:   "even" (T(w) = W(w^2)), "odd" (T(w) = w W(w^2)) or
+                "mixed", in which case w_square is None; transforms of
+                polynomials that are even in z always have pure parity
+    w_square:   W
     """
 
     __slots__ = ("transform", "sigma", "w_parity", "w_square")

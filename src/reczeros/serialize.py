@@ -117,11 +117,10 @@ def certificate_instance(k: int, ell: int,
     return doc
 
 
-def analysis_instance(k: int, ell: int, force: bool = False,
-                      precision: int = 128) -> dict:
+def analysis_instance(k: int, ell: int, precision: int = 128) -> dict:
     from .analysis import analyze  # only `analyze` needs the resultant layer
 
-    rec = analyze(k, ell, force=force, precision=precision)
+    rec = analyze(k, ell, precision=precision)
     return {
         "k": str(rec.k),
         "ell": str(rec.ell),

@@ -6,7 +6,7 @@ import pytest
 from reczeros import analysis
 from reczeros.analysis import (
     AnalysisRecord,
-    RESULTANT_K_CAP,
+    _family_discriminant,
     analyze,
     discriminant,
     mahler_inequality_check,
@@ -70,6 +70,16 @@ def test_discriminant_scaling_and_validation():
 def test_family_discriminant_base_case():
     """Disc of the quadratic member: leading scale squared times 21."""
     assert discriminant(reciprocal_poly(1, 1)) == F(21, 518400)
+
+
+def test_family_discriminant_matches_the_full_degree_sylvester_route():
+    """The half-degree identity against Bareiss on the (2k+1)-dimensional
+    Sylvester matrix of R itself, on a grid holding both parities of
+    deg W and both cases with a zero at x = +-1."""
+    for k in range(1, 16):
+        for ell in range(1, 7):
+            assert _family_discriminant(k, ell) == discriminant(
+                reciprocal_poly(k, ell)), (k, ell)
 
 
 def test_nth_root_enclosure_certified():
@@ -155,10 +165,8 @@ def test_analyze_base_record():
                       "alpha_in_interval"}
 
 
-def test_analyze_respects_the_resultant_cap():
-    with pytest.raises(ValueError):
-        analyze(RESULTANT_K_CAP + 1, 1)
-    rec = analyze(RESULTANT_K_CAP + 1, 1, force=True)
+def test_analyze_runs_past_the_old_resultant_cap():
+    rec = analyze(16, 1)
     assert rec.discriminant != 0
 
 
