@@ -1,15 +1,16 @@
 """Discriminants, Mahler measure, and the discriminant-based root window.
 
 Everything here rides on one exact primitive: the resultant of two
-rational polynomials, computed fraction-free on the integer Sylvester
-matrix.  A member's discriminant applies it not to the degree k + 1
-polynomial R but, through the reciprocal structure, to the half-degree
-W of `family.boundary_profile`, whose Sylvester matrix has about half
-the dimension (see _family_discriminant).  From the discriminant come
-the classical inequality
-|Disc(f)| <= m^m M(f)^(2m-2) relating it to the Mahler measure (m the
-degree), and a two-sided window for the outlying real zero alpha whose
-lower endpoint is read off the discriminant:
+rational polynomials, computed by the subresultant pseudo-remainder
+sequence on primitive integer coefficients, with `polycore._prem` (the
+kernel of the Sturm chain) as its only elimination step.  A member's
+discriminant applies it not to the degree k + 1 polynomial R but, through
+the reciprocal structure, to the half-degree W of
+`family.boundary_profile` (see _family_discriminant).  From the
+discriminant come the classical inequality |Disc(f)| <= m^m M(f)^(2m-2)
+relating it to the Mahler measure (m the degree), and a two-sided window
+for the outlying real zero alpha whose lower endpoint is read off the
+discriminant:
 
     ((m^-m) prod_{i<j} (a_i - a_j)^2)^(1/(2m-2)),
 
@@ -36,69 +37,58 @@ from .certify import ALPHA_WIDTH, alpha_enclosure, zero_certificate
 from .claims import WIDTH_FLOOR, ladder, stated_alpha_upper
 from .family import boundary_profile, reciprocal_poly
 from .interval import Interval
-from .polycore import Poly
+from .polycore import Poly, _prem
 
 
 # ---------------------------------------------------------------------------
 # exact resultants and discriminants
 # ---------------------------------------------------------------------------
 
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if m[i][i] == 0:
-            for r in range(i + 1, n):
-                if m[r][i] != 0:
-                    m[i], m[r] = m[r], m[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        piv = m[i][i]
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                m[r][c] = (m[r][c] * piv - m[r][i] * m[i][c]) // prev
-            m[r][i] = 0
-        prev = piv
-    return sign * m[n - 1][n - 1]
-
-
 def resultant(p: Poly, q: Poly) -> Fraction:
     """Res(p, q), exact.
 
-    Both polynomials are scaled to primitive integer form, the integer
-    Sylvester determinant is taken fraction-free, and the two scale
-    factors are restored via Res(c p, e q) = c^deg(q) e^deg(p) Res(p, q).
+    Both polynomials are scaled to primitive integer form and the integer
+    resultant is taken by the subresultant PRS of Collins and Brown-Traub
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 3.3.7),
+    in which every division is exact.  The scale factors are restored via
+    Res(c p, e q) = c^deg(q) e^deg(p) Res(p, q); Res(p, c) = c^deg(p) for a
+    constant c, and two constants have resultant 1.
     """
     if p.is_zero() or q.is_zero():
         return Fraction(0)
     dp, dq = p.degree(), q.degree()
     if dp == 0 and dq == 0:
         return Fraction(1)
-    pi, qi = p.int_coeffs(), q.int_coeffs()
-    sp = p.lc() / pi[-1]
-    sq = q.lc() / qi[-1]
-    pd = list(reversed(pi))
-    qd = list(reversed(qi))
-    n = dp + dq
-    rows = []
-    for i in range(dq):
-        rows.append([0] * i + pd + [0] * (n - i - len(pd)))
-    for i in range(dp):
-        rows.append([0] * i + qd + [0] * (n - i - len(qd)))
-    det = _bareiss_det(rows)
-    return sp**dq * sq**dp * det
+    a, b = p.int_coeffs(), q.int_coeffs()
+    scale = (p.lc() / a[-1]) ** dq * (q.lc() / b[-1]) ** dp
+    s = 1
+    if dp < dq:
+        a, b = b, a
+        s = -1 if dp & dq & 1 else 1
+    g = h = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da & db & 1:
+            s = -s
+        r = _prem(a, b)
+        if not r:
+            return Fraction(0)
+        div = g * h**delta
+        a, b = b, [c // div for c in r]
+        g = a[-1]
+        h = g**delta * h // h**delta
+    da = len(a) - 1
+    return scale * (s * b[0] ** da // h ** (da - 1))
 
 
 def discriminant(p: Poly) -> Fraction:
     """Disc(p) = (-1)^(d(d-1)/2) Res(p, p') / lc(p), exact; zero iff a
-    repeated zero exists."""
+    repeated zero exists.
+
+    >>> discriminant(Poly((1, -5, 1)))
+    Fraction(21, 1)
+    """
     dp = p.degree()
     if dp < 1:
         raise ValueError("needs degree >= 1")
@@ -273,8 +263,8 @@ def analyze(k: int, ell: int, precision: int = 128) -> AnalysisRecord:
 
     Cross-checks that the discriminant vanishes exactly when the
     squarefreeness certificate says it should.  Both read the same W; the
-    route independent of W, the full-degree Sylvester determinant
-    discriminant(reciprocal_poly(k, ell)), is the test oracle.
+    route independent of W and of the PRS, the full-degree Sylvester
+    determinant of reciprocal_poly(k, ell), is the test oracle.
     """
     disc = _family_discriminant(k, ell)
     if (disc != 0) != zero_certificate(k, ell).simple:

@@ -178,12 +178,6 @@ class VerificationReport:
     def ok(self) -> bool:
         return all(r.ok for r in self.results)
 
-    def find(self, claim_id: str) -> ClaimResult:
-        for r in self.results:
-            if r.claim_id == claim_id:
-                return r
-        raise KeyError(claim_id)
-
     def counts(self) -> dict:
         out = {PASS: 0, FAIL: 0, INCONCLUSIVE: 0, FINDING: 0}
         for r in self.results:

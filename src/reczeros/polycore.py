@@ -7,13 +7,14 @@ integer Horner; `_dyadic_signs` takes the signs at many points num / 2^bits
 with one set of shifted coefficients.  Those sign kernels are all the
 primary certificate route (sign alternation on a grid, in `certify`)
 needs.  The signed remainder (Sturm) chain is the fallback that decides
-every case: it uses content-stripped pseudo-remainders whose scalings are
-always positive, so sign variation counts are preserved exactly.  Root
-counts are over open intervals; callers detect endpoint roots by exact
-evaluation.  Root isolation returns boxes with nonzero opposite endpoint
-signs; refinement is sign bisection on integer numerators over a common
-denominator that doubles with each halving, with signs taken by
-homogeneous integer Horner.
+every case: it strips the content of each exact pseudo-remainder (`_prem`,
+the kernel `analysis.resultant` runs on too) and fixes its sign from the
+known sign of the lc power, so sign variation counts are preserved
+exactly.  Root counts are over open intervals; callers detect endpoint
+roots by exact evaluation.  Root isolation returns boxes with nonzero
+opposite endpoint signs; refinement is sign bisection on integer
+numerators over a common denominator that doubles with each halving,
+with signs taken by homogeneous integer Horner.
 
 Also here: the z + 1/z transform for self-reciprocal polynomials of even
 degree.  For m with z^(2d) m(1/z) = sigma * m(z):
@@ -268,29 +269,24 @@ def _prim(c: Sequence[int]) -> list[int]:
     return [x // g for x in c]
 
 
-def _prem_signed(f: Sequence[int], g: Sequence[int]) -> list[int]:
-    """Positive-scalar multiple of the remainder of f by g (deg f >= deg g).
+def _prem(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """The pseudo-remainder lc(g)^(deg f - deg g + 1) * (f mod g), exact.
 
-    Classic pseudo-remainder elimination; each step scales by lc(g), so the
-    net scalar is lc(g)^steps.  A final negation when that scalar would be
-    negative makes the result a *positive* multiple of rem(f, g), which is
-    what sign-variation arguments need.
+    Needs deg f >= deg g >= 0.  One elimination step per degree from deg f
+    down to deg g, each scaling by lc(g), so the scalar is the same power
+    of lc(g) however far a step happens to drop the degree.
     """
     dg = len(g) - 1
     lg = g[-1]
     r = list(f)
-    steps = 0
-    while len(r) - 1 >= dg and r:
-        lead = r[-1]
-        shift = len(r) - 1 - dg
-        r = [lg * c for c in r]
-        for i, cg in enumerate(g):
-            r[shift + i] -= lead * cg
-        r.pop()  # exact cancellation of the leading term
-        _trim(r)
-        steps += 1
-    if lg < 0 and steps % 2 == 1:
-        r = [-c for c in r]
+    for top in range(len(r) - 1, dg - 1, -1):
+        lead = r[top]
+        r = [lg * c for c in r[:top]]  # the top term cancels exactly
+        if lead:
+            shift = top - dg
+            for i in range(dg):
+                r[shift + i] -= lead * g[i]
+    _trim(r)
     return r
 
 
@@ -371,10 +367,15 @@ class SturmChain:
         fp = _prim([i * c for i, c in enumerate(f) if i > 0])
         chain = [f, fp]
         while len(chain[-1]) > 1:
-            r = _prem_signed(chain[-2], chain[-1])
+            a, b = chain[-2], chain[-1]
+            r = _prim(_prem(a, b))
             if not r:
                 break
-            chain.append([-c for c in _prim(r)])
+            # -rem(a, b) up to a positive scalar: lc(b)^(deg a - deg b + 1)
+            # is negative only when lc(b) < 0 and deg a - deg b is even
+            if b[-1] > 0 or (len(a) - len(b)) % 2:
+                r = [-c for c in r]
+            chain.append(r)
         if len(chain[-1]) > 1:
             raise ValueError(
                 "polynomial is not squarefree (chain degenerates with "
@@ -443,9 +444,6 @@ class RootBox:
 
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def as_interval(self) -> Interval:
-        return Interval(self.lo, self.hi)
 
     def __repr__(self) -> str:
         return "RootBox(%s, %s)" % (self.lo, self.hi)

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from reczeros import analysis
 from reczeros.analysis import (
@@ -20,6 +21,7 @@ from reczeros.polycore import Poly
 from reczeros.serialize import analysis_instance
 
 from numeric_oracle import largest_real_root
+from sylvester_oracle import sylvester_discriminant, sylvester_resultant
 
 
 def test_resultant_linear_pair():
@@ -45,6 +47,38 @@ def test_resultant_with_constant():
     p = Poly((1, 0, 0, 2))  # degree 3
     assert resultant(p, Poly((7,))) == 343
     assert resultant(Poly((0,)), p) == 0
+
+
+#: small entries make zero coefficients, and so degree gaps in the
+#: remainder sequence, common; rational entries exercise the scale restore
+_coeffs = st.one_of(st.integers(-3, 3), st.integers(-10**12, 10**12),
+                    st.builds(F, st.integers(-10**6, 10**6),
+                              st.integers(1, 10**6)))
+
+
+def _polys(max_degree):
+    return st.lists(_coeffs, min_size=1, max_size=max_degree + 1).map(Poly)
+
+
+@given(p=_polys(8), q=_polys(8))
+# a constant on either side, degree 1, and first-step degree gaps of 3 and 1
+# where the second step has a gap of 2
+@example(p=Poly((1, 0, 0, 2)), q=Poly((-7,)))
+@example(p=Poly((F(-3, 2),)), q=Poly((1, 2, 3, -4)))
+@example(p=Poly((3, -2)), q=Poly((5, 0, 0, 0, 0, -1)))
+@example(p=Poly((1, 2, 0, 0, 0, 0, 0, 0, -1)), q=Poly((3, 0, 0, 0, 0, 1)))
+@example(p=Poly((1, 0, 0, 0, 0, 1)), q=Poly((0, 1, 0, 0, 1)))
+def test_resultant_matches_the_sylvester_oracle(p, q):
+    assert resultant(p, q) == sylvester_resultant(p, q)
+
+
+@given(p=_polys(4), q=_polys(4), common=_polys(4))
+@example(p=Poly((1,)), q=Poly((2, -1)), common=Poly((-1, 1)))
+def test_resultant_vanishes_on_a_shared_factor(p, q, common):
+    a, b = p * common, q * common
+    if common.degree() >= 1:
+        assert resultant(a, b) == 0
+    assert resultant(a, b) == sylvester_resultant(a, b)
 
 
 def test_discriminant_quadratic_is_b2_minus_4ac():
@@ -73,12 +107,12 @@ def test_family_discriminant_base_case():
 
 
 def test_family_discriminant_matches_the_full_degree_sylvester_route():
-    """The half-degree identity against Bareiss on the (2k+1)-dimensional
-    Sylvester matrix of R itself, on a grid holding both parities of
-    deg W and both cases with a zero at x = +-1."""
+    """The half-degree identity and the PRS against Bareiss on the
+    (2k+1)-dimensional Sylvester matrix of R itself, on a grid holding both
+    parities of deg W and both cases with a zero at x = +-1."""
     for k in range(1, 16):
         for ell in range(1, 7):
-            assert _family_discriminant(k, ell) == discriminant(
+            assert _family_discriminant(k, ell) == sylvester_discriminant(
                 reciprocal_poly(k, ell)), (k, ell)
 
 

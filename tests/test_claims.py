@@ -74,7 +74,9 @@ def test_zeta_sum_bracket_is_tiny():
 def _fresh_zeta_sum_width(before: str) -> str:
     return fresh_python("-c", (
         "from reczeros.claims import run_all\n" + before
-        + "print(run_all(14, 2).find('zeta-sum-half').data['width'])"))
+        + "rep = run_all(14, 2)\n"
+        + "print({r.claim_id: r for r in rep.results}['zeta-sum-half']"
+        + ".data['width'])"))
 
 
 def test_zeta_sum_width_does_not_depend_on_pi_history():
@@ -325,8 +327,9 @@ def test_run_all_order_and_statuses():
         "alpha-interval-k2",
         "zero-location-grid",
     ]
-    assert rep.find("index-ratio-bound").status == "finding"
-    assert rep.find("alpha-interval").status == "pass"
+    by_id = {r.claim_id: r for r in rep.results}
+    assert by_id["index-ratio-bound"].status == "finding"
+    assert by_id["alpha-interval"].status == "pass"
     table = serialize.to_table(serialize.verify_document(rep))
     assert table.splitlines()[0].startswith("claim")
     assert len(table.splitlines()) == len(rep.results) + 1
@@ -368,7 +371,7 @@ def test_run_all_caps_the_sign_grid():
     assert "sign-pattern-k12-l1" in ids
     assert "sign-pattern-k13-l1" not in ids
     assert rep.ok
-    alpha = rep.find("alpha-interval")
+    alpha = {r.claim_id: r for r in rep.results}["alpha-interval"]
     assert alpha.status == "finding"
     assert [v["k"] for v in alpha.data["violations"]] == list(range(7, 14))
 

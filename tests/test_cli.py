@@ -323,8 +323,10 @@ def test_paper_grid_certificates_are_pinned():
 #: process.  The lemmas and analyze digests date from before the enclosure
 #: kernels moved to integers; the k_max 14 ones from when pi_enclosure(p)
 #: became the cell of the 2^-(p + 8) grid that holds pi.  The k 16..20
-#: analyze digest is that of the full-degree Sylvester discriminant, taken
-#: before the half-degree identity replaced it and lifted the k <= 15 cap.
+#: analyze digest was taken when Disc(R) was still the determinant of R's
+#: own Sylvester matrix, before the half-degree identity replaced it and
+#: lifted the k <= 15 cap; the k 31..32 one when Disc(W) was still the
+#: determinant of W's Sylvester matrix, before the subresultant PRS.
 PINNED_DOCUMENTS = {
     "verify --k-max 14 --ell-max 2 --prec 128":
         "f822036fc96ca3fc4713c19dba4ff94bc006f04bcc1be5b7a8e71b52b01c0b66",
@@ -338,6 +340,8 @@ PINNED_DOCUMENTS = {
         "949e4f3a22a752ec2135b36d20739623d2eb31cfc86e1743fb1fee4c07fcecd4",
     "analyze --k 16..20 --ell 1..6":
         "60943fa0a20790bdec3de69cdb0b7c55dc48a2ba1786f1f539975636a6f49749",
+    "analyze --k 31..32 --ell 1..6":
+        "859833077302bc645b0cb4c24d09e713c021e0e868110abc6114a2c00ad5a5c1",
 }
 
 

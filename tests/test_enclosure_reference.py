@@ -239,7 +239,7 @@ def alpha_from_box_ref(box, width):
     while True:
         box = refine_root(box, delta)
         passes += 1
-        alpha = alpha_step_ref(box.as_interval(), bits)
+        alpha = alpha_step_ref(Interval(box.lo, box.hi), bits)
         if alpha.width() <= width:
             return alpha, passes
         delta /= 16

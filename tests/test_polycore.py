@@ -13,6 +13,7 @@ from reczeros.polycore import (
     _verify_resubstitution,
     RootBox,
     SturmChain,
+    _prem,
     cauchy_bound,
     detect_reversal_sign,
     isolate_real_roots,
@@ -133,6 +134,27 @@ def test_sturm_positive_count_obeys_descartes(coeffs):
     assert (variations - positive) % 2 == 0
 
 
+_prem_coeffs = st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30))
+
+
+@st.composite
+def _prem_pairs(draw):
+    g = draw(st.lists(_prem_coeffs, min_size=1, max_size=7)
+             .filter(lambda c: c[-1] != 0))
+    f = draw(st.lists(_prem_coeffs, min_size=len(g), max_size=len(g) + 6)
+             .filter(lambda c: c[-1] != 0))
+    return f, g
+
+
+@given(_prem_pairs())
+def test_prem_is_the_scaled_remainder(pair):
+    """_prem(f, g) = lc(g)^(deg f - deg g + 1) * (f mod g), with the
+    Fraction divmod of Poly as the reference."""
+    f, g = pair
+    scale = F(g[-1]) ** (len(f) - len(g) + 1)
+    assert Poly(_prem(f, g)) == (Poly(f) % Poly(g)) * scale
+
+
 def test_cauchy_bound():
     p = Poly([1, -5, 1])
     b = cauchy_bound(p)
@@ -148,6 +170,10 @@ def test_rootbox_validation():
         RootBox(p, 2, 1, -1, 1)
 
 
+def _interval(box):
+    return Interval(box.lo, box.hi)
+
+
 def test_isolate_simple_quadratic():
     p = Poly([1, -5, 1])
     boxes = isolate_real_roots(p)
@@ -155,7 +181,7 @@ def test_isolate_simple_quadratic():
     assert boxes[0].hi <= boxes[1].lo
     for box in boxes:
         assert box.sign_lo * box.sign_hi < 0
-    a, b = (refine_root(box, F(1, 10**15)).as_interval() for box in boxes)
+    a, b = (_interval(refine_root(box, F(1, 10**15))) for box in boxes)
     # Vieta: the two roots sum to 5 and multiply to 1
     assert (a + b).contains(5)
     assert (a * b).contains(1)
@@ -168,7 +194,7 @@ def test_isolate_hits_rational_root_at_midpoint():
     assert len(boxes) == 3
     assert boxes[1].lo < 0 < boxes[1].hi
     for box in (boxes[0], boxes[2]):
-        tight = refine_root(box, F(1, 10**12)).as_interval()
+        tight = _interval(refine_root(box, F(1, 10**12)))
         assert tight.width() <= F(1, 10**12)
         assert (tight**2).contains(F(13, 2))
     # carved-out boxes may share endpoints; as open sets they are disjoint
