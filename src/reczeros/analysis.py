@@ -34,7 +34,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .certify import ALPHA_WIDTH, alpha_enclosure, zero_certificate
-from .claims import WIDTH_FLOOR, ladder, stated_alpha_upper
+from .claims import (DEFAULT_PRECISION, WIDTH_FLOOR, ladder,
+                     stated_alpha_upper)
 from .family import boundary_profile, reciprocal_poly
 from .interval import Interval
 from .polycore import Poly, _prem
@@ -147,7 +148,8 @@ def _floor_nth_root(a: int, n: int) -> int:
     return x
 
 
-def nth_root_enclosure(value, n: int, precision: int = 128) -> Interval:
+def nth_root_enclosure(value, n: int,
+                       precision: int = DEFAULT_PRECISION) -> Interval:
     """Dyadic enclosure of value^(1/n), width 2^-precision, exactly verified.
 
     Floor-root of the scaled numerator gives the candidate; raising both
@@ -208,8 +210,8 @@ def mahler_inequality_check(k: int, ell: int) -> bool:
 # the discriminant window
 # ---------------------------------------------------------------------------
 
-def two_sided_window(k: int, ell: int,
-                     precision: int = 128) -> tuple[Interval, Interval, bool]:
+def two_sided_window(k: int, ell: int, precision: int = DEFAULT_PRECISION
+                     ) -> tuple[Interval, Interval, bool]:
     """(lower, upper, alpha inside?) with the discriminant lower endpoint.
 
     lower = (|Disc|/lc^2k * (k+1)^-(k+1))^(1/2k); upper is the stated
@@ -258,7 +260,8 @@ class AnalysisRecord:
         self.alpha_in_interval = alpha_in_interval
 
 
-def analyze(k: int, ell: int, precision: int = 128) -> AnalysisRecord:
+def analyze(k: int, ell: int,
+            precision: int = DEFAULT_PRECISION) -> AnalysisRecord:
     """Full exact workup of one family member.
 
     Cross-checks that the discriminant vanishes exactly when the

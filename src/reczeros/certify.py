@@ -62,9 +62,15 @@ from .polycore import (
     _dyadic_signs,
     _sign_at,
     cauchy_bound,
-    isolate_real_roots,
     refine_root,
 )
+
+
+#: The fields of a certificate that its document records, in document order.
+DOCUMENT_FIELDS = ("k", "ell", "sigma", "degree", "simple", "unimodular_count",
+                   "positive_pair_count", "negative_pair_count",
+                   "complex_offcircle_count", "root_at_one",
+                   "root_at_minus_one", "conforms")
 
 
 class ZeroCertificate:
@@ -76,43 +82,15 @@ class ZeroCertificate:
     `route` names the argument that closed: "alternation" or "sturm".
     """
 
-    __slots__ = (
-        "k",
-        "ell",
-        "sigma",
-        "degree",
-        "simple",
-        "unimodular_count",
-        "positive_pair_count",
-        "negative_pair_count",
-        "complex_offcircle_count",
-        "root_at_one",
-        "root_at_minus_one",
-        "conforms",
-        "w_square",
-        "v_box",
-        "route",
-    )
+    __slots__ = DOCUMENT_FIELDS + ("w_square", "v_box", "route")
 
     def __init__(self, **kw):
         for name in self.__slots__:
             setattr(self, name, kw[name])
 
     def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "ell": self.ell,
-            "sigma": self.sigma,
-            "degree": self.degree,
-            "simple": self.simple,
-            "unimodular_count": self.unimodular_count,
-            "positive_pair_count": self.positive_pair_count,
-            "negative_pair_count": self.negative_pair_count,
-            "complex_offcircle_count": self.complex_offcircle_count,
-            "root_at_one": self.root_at_one,
-            "root_at_minus_one": self.root_at_minus_one,
-            "conforms": self.conforms,
-        }
+        """The DOCUMENT_FIELDS, in order, as library values."""
+        return {name: getattr(self, name) for name in DOCUMENT_FIELDS}
 
     def __repr__(self) -> str:
         return "ZeroCertificate(k=%d, ell=%d, conforms=%s)" % (
@@ -181,7 +159,11 @@ def _sturm_counts(w: Poly):
         raise AssertionError("root counts of W are inconsistent")
     v_box = None
     if n_out == 1:
-        (v_box,) = isolate_real_roots(w, Fraction(4), inf, chain=chain)
+        # one simple root in (4, B), with W(4) != 0 and B strict: the box
+        # alternation_box would return
+        bound = cauchy_bound(w)
+        v_box = RootBox(w, Fraction(4), bound, chain.sign_at(Fraction(4)),
+                        chain.sign_at(bound))
     return n_in, n_out, n_neg, w.degree() - n_real, v_box
 
 

@@ -20,8 +20,8 @@ from math import ceil, log10
 
 from . import serialize
 from .certify import ALPHA_WIDTH
-from .claims import (EMPTY_RANGE, MAX_RANGE_VALUES, PREC_CAP_MAX, SUITES,
-                     map_calls, run_all)
+from .claims import (DEFAULT_PRECISION, EMPTY_RANGE, MAX_RANGE_VALUES,
+                     PREC_CAP_MAX, SUITES, map_calls, run_all)
 
 
 def parse_values(text: str) -> list[int]:
@@ -184,7 +184,7 @@ FLAGS = {
     "--suite": dict(default="all", choices=SUITES),
     "--width": dict(type=parse_width, default=ALPHA_WIDTH, metavar="Q",
                     help="alpha enclosure width, rational or decimal"),
-    "--prec": dict(type=int, default=128,
+    "--prec": dict(type=int, default=DEFAULT_PRECISION,
                    help="working precision in bits (64..%d)" % PREC_CAP_MAX),
     "--jobs": dict(type=int, default=1, help="worker processes (>= 1)"),
     "--out": dict(default=None, metavar="PATH",
@@ -229,7 +229,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 64 <= getattr(args, "prec", 128) <= PREC_CAP_MAX:
+        if not 64 <= getattr(args, "prec", DEFAULT_PRECISION) <= PREC_CAP_MAX:
             raise ValueError("precision must be between 64 and %d bits"
                              % PREC_CAP_MAX)
         if args.jobs < 1:

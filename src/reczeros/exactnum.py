@@ -8,8 +8,8 @@ r_m with zeta(2m) = r_m * pi^(2m), the zeta-quotient coefficients
 (rational: the pi powers cancel), and the small closed-form quantities used
 by the inequality checks.  Everything here is exact `fractions.Fraction`
 arithmetic; certified real enclosures (pi, zeta values) live at the bottom
-and are built on `interval.Interval`.  `zeta_even_enclosure` rounds pi^2,
-its power and r_m times the power on integer mantissas, by the rule the
+and are built on `interval.Interval`.  `zeta_even_enclosure` rounds pi^(2m)
+and r_m times the power on integer mantissas, by the rule the
 `interval` module describes, and returns exactly what the same steps on
 `Fraction` endpoints would.  Like `interval.pi_enclosure`, a zeta
 enclosure is a pure function of its arguments, whatever ran earlier in the
@@ -156,20 +156,15 @@ def epsilon(k: int, j: int) -> Fraction:
 def zeta_even_enclosure(m: int, precision: int) -> Interval:
     """Enclosure of zeta(2m) via Euler's formula and a pi enclosure.
 
-    Relative width at most about 2^-precision.  pi^2, its m-th power and
-    r_m times that power are each rounded outward on integer mantissas:
-    one floor or ceiling division per endpoint, no gcd until the result.
+    Relative width at most about 2^-precision.  pi^(2m), by
+    square-and-multiply whose first rounded square is pi^2, and r_m times
+    that power are each rounded outward on integer mantissas: one floor or
+    ceiling division per endpoint, no gcd until the result.
     """
     if m < 1:
         raise ValueError("zeta_even_enclosure needs m >= 1")
     pp = precision + max(4, (2 * m).bit_length()) + 8
-    pi = pi_enclosure(pp)
-    a, b = pi.lo.numerator, pi.lo.denominator
-    c, d = pi.hi.numerator, pi.hi.denominator
-    scale = 1 << (pp + 4)
-    pisq = Interval(Fraction(floor_scaled(a * a, b * b, pp + 4), scale),
-                    Fraction(ceil_scaled(c * c, d * d, pp + 4), scale))
-    power = pow_rounded(pisq, m, pp + 4)
+    power = pow_rounded(pi_enclosure(pp), 2 * m, pp + 4)
     r = zeta_even_rational(m)
     rn, rd = r.numerator, r.denominator
     bits = precision + 16

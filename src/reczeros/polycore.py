@@ -453,7 +453,7 @@ def _make_box(p: Poly, ints, lo, hi) -> RootBox:
     return RootBox(p, lo, hi, _sign_at(ints, lo), _sign_at(ints, hi))
 
 
-def isolate_real_roots(p: Poly, a=-inf, b=inf, chain: SturmChain | None = None) -> list[RootBox]:
+def isolate_real_roots(p: Poly, a=-inf, b=inf) -> list[RootBox]:
     """Isolating boxes for all real roots of squarefree p in open (a, b).
 
     Boxes are returned in increasing order; as open intervals they are
@@ -463,8 +463,7 @@ def isolate_real_roots(p: Poly, a=-inf, b=inf, chain: SturmChain | None = None) 
     """
     if p.degree() < 1:
         return []
-    if chain is None:
-        chain = SturmChain(p)
+    chain = SturmChain(p)
     ints = p.int_coeffs()
     bound = cauchy_bound(p)
     lo = -bound if a == -inf else Fraction(a)

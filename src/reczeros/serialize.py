@@ -1,16 +1,24 @@
 """Wire formats: JSON documents, CSV rows, and aligned text tables.
 
-Exactness survives serialization by construction.  Integers travel as
-decimal strings, rationals as reduced "num/den" strings (the slash always
-present), and enclosure endpoints as decimal strings rounded *outward* to
-40 significant digits, so a parsed document never claims more than the
-computation proved.  Floats never appear.
+Exactness survives serialization by construction.  `wire` is the one
+place a value becomes wire text: integers travel as decimal strings,
+rationals as reduced "num/den" strings (the slash always present), and
+enclosures as {"lo", "hi"} with decimal strings rounded *outward* to 40
+significant digits, so a parsed document never claims more than the
+computation proved.  Floats never appear.  Each builder collects library
+values in document order and hands them to `wire` once.
 
 Every JSON document carries format "reczeros.<kind>" and version "1" and
 validates against the matching schema shipped under schemas/.  Documents
 are built deterministically: instances are emitted in the exact grid
 order handed in, and dicts are created in a fixed key order, so repeated
 runs (with any worker count) are byte-identical.
+
+The CSV and table columns are the document's own fields.  A construct
+document gives one row per power and a verify document one row per claim;
+any other instance gives one row of its fields in document order, a list
+joined with ";" and an enclosure split into <name>_lo and <name>_hi.  The
+header is the ordered union of the instances' columns.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from fractions import Fraction
 
 from .certify import (ALPHA_WIDTH, alpha_enclosure, roots_of_unity_zeros,
                       zero_certificate)
+from .claims import DEFAULT_PRECISION
 from .family import circle_approximant, monic_even_form, reciprocal_poly, sigma_of
 from .interval import Interval
 
@@ -40,14 +49,6 @@ def decimal_str(x, rounding) -> str:
     return str(value)
 
 
-def enclosure_dict(iv: Interval) -> dict:
-    """Outward-rounded endpoints: lo toward -oo, hi toward +oo."""
-    return {
-        "lo": decimal_str(iv.lo, ROUND_FLOOR),
-        "hi": decimal_str(iv.hi, ROUND_CEILING),
-    }
-
-
 def int_str(n: int) -> str:
     """Decimal digits of n at any size.
 
@@ -63,15 +64,26 @@ def rational_str(x: Fraction) -> str:
 
 
 def wire(value):
-    """Recursive conversion to the wire vocabulary; floats are refused."""
+    """Recursive conversion to the wire vocabulary; floats are refused.
+
+    >>> third = Fraction(1, 3)
+    >>> doc = {"k": 3, "q": Fraction(6, -4), "alpha": Interval(third, third),
+    ...        "orders": [1, 2], "detail": None}
+    >>> wire(doc)  # doctest: +NORMALIZE_WHITESPACE
+    {'k': '3', 'q': '-3/2',
+     'alpha': {'lo': '0.3333333333333333333333333333333333333333',
+               'hi': '0.3333333333333333333333333333333333333334'},
+     'orders': ['1', '2'], 'detail': None}
+    """
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, int):
         return int_str(value)
     if isinstance(value, Fraction):
         return rational_str(value)
-    if isinstance(value, Interval):
-        return enclosure_dict(value)
+    if isinstance(value, Interval):  # outward: lo down, hi up
+        return {"lo": decimal_str(value.lo, ROUND_FLOOR),
+                "hi": decimal_str(value.hi, ROUND_CEILING)}
     if isinstance(value, dict):
         return {str(k): wire(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -92,80 +104,61 @@ def construct_instance(k: int, ell: int) -> dict:
     """Exact coefficients, constant term first; the snapped approximant
     and its difference appear once there are interior weights (k >= 3)."""
     doc = {
-        "k": str(k),
-        "ell": str(ell),
-        "sigma": str(sigma_of(k, ell)),
-        "recip": [rational_str(c) for c in reciprocal_poly(k, ell).coeffs],
-        "monic_even": [rational_str(c)
-                       for c in monic_even_form(k, ell).coeffs],
+        "k": k,
+        "ell": ell,
+        "sigma": sigma_of(k, ell),
+        "recip": reciprocal_poly(k, ell).coeffs,
+        "monic_even": monic_even_form(k, ell).coeffs,
     }
     if k >= 3:
         pair = circle_approximant(k, ell)
-        doc["approx"] = [rational_str(c) for c in pair.approx.coeffs]
-        doc["delta"] = [rational_str(c) for c in pair.delta.coeffs]
-        doc["delta_weight"] = rational_str(pair.weight)
-    return doc
+        doc["approx"] = pair.approx.coeffs
+        doc["delta"] = pair.delta.coeffs
+        doc["delta_weight"] = pair.weight
+    return wire(doc)
 
 
 def certificate_instance(k: int, ell: int,
                          width: Fraction = ALPHA_WIDTH) -> dict:
     cert = zero_certificate(k, ell)
-    doc = wire(cert.as_dict())
-    doc["unity_roots"] = [str(n) for n in roots_of_unity_zeros(k, ell)]
+    doc = cert.as_dict()
+    doc["unity_roots"] = roots_of_unity_zeros(k, ell)
     if cert.conforms:
-        doc["alpha"] = enclosure_dict(alpha_enclosure(k, ell, width=width))
-    return doc
+        doc["alpha"] = alpha_enclosure(k, ell, width=width)
+    return wire(doc)
 
 
-def analysis_instance(k: int, ell: int, precision: int = 128) -> dict:
+def analysis_instance(k: int, ell: int,
+                      precision: int = DEFAULT_PRECISION) -> dict:
     from .analysis import analyze  # only `analyze` needs the resultant layer
 
     rec = analyze(k, ell, precision=precision)
-    return {
-        "k": str(rec.k),
-        "ell": str(rec.ell),
-        "discriminant": rational_str(rec.discriminant),
-        "mahler": enclosure_dict(rec.mahler),
-        "mahler_inequality_ok": rec.mahler_inequality_ok,
-        "disc_lower": enclosure_dict(rec.disc_lower),
-        "stated_upper": enclosure_dict(rec.stated_upper),
-        "alpha_in_interval": rec.alpha_in_interval,
-    }
+    return wire({name: getattr(rec, name) for name in rec.__slots__})
 
 
 def scan_instance(k: int, ell: int) -> dict:
-    return {
-        "k": str(k),
-        "ell": str(ell),
-        "unity_root_orders": [str(n) for n in roots_of_unity_zeros(k, ell)],
-    }
+    return wire({"k": k, "ell": ell,
+                 "unity_root_orders": roots_of_unity_zeros(k, ell)})
 
 
 def verify_document(report, suite: str = "all") -> dict:
-    """Whole-report document; results keep their raw exactness via wire()."""
-    results = []
-    for r in report.results:
-        results.append({
-            "claim": r.claim_id,
-            "status": r.status,
-            "params": wire(r.params),
-            "witness": wire(r.witness),
-            "detail": r.detail,
-            "data": wire(r.data),
-        })
-    return {
+    """Whole-report document, converted by one wire() call."""
+    return wire({
         "format": "reczeros.verify",
         "version": VERSION,
         "grid": {
-            "k_max": str(report.k_max),
-            "ell_max": str(report.ell_max),
-            "precision": str(report.precision),
+            "k_max": report.k_max,
+            "ell_max": report.ell_max,
+            "precision": report.precision,
             "suite": suite,
         },
         "ok": report.ok,
-        "counts": wire(report.counts()),
-        "results": results,
-    }
+        "counts": report.counts(),
+        "results": [{"claim": r.claim_id, "status": r.status,
+                     "params": r.params, "witness": r.witness,
+                     "detail": r.detail, "data": r.data}
+                    for r in report.results],
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +179,32 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _columns(inst: dict) -> dict:
+    """One instance's cells keyed by column name, in document order."""
+    cells = {}
+    for name, value in inst.items():
+        if isinstance(value, list):
+            cells[name] = ";".join(value)
+        elif isinstance(value, dict):
+            cells[name + "_lo"] = value["lo"]
+            cells[name + "_hi"] = value["hi"]
+        else:
+            cells[name] = _cell(value)
+    return cells
+
+
 def rows_for(doc: dict) -> tuple[list[str], list[list[str]]]:
-    """Header and rows for the CSV/table renderings of a JSON document."""
+    """Header and rows for the CSV/table renderings of a JSON document.
+
+    >>> doc = envelope("scan", [
+    ...     {"k": "3", "ell": "1", "unity_root_orders": ["3"]},
+    ...     {"k": "4", "ell": "2", "unity_root_orders": ["1", "2"]}])
+    >>> header, rows = rows_for(doc)
+    >>> header
+    ['k', 'ell', 'unity_root_orders']
+    >>> rows
+    [['3', '1', '3'], ['4', '2', '1;2']]
+    """
     kind = doc["format"].split(".", 1)[1]
     if kind == "construct":
         header = ["k", "ell", "power", "recip", "monic_even", "approx",
@@ -202,46 +219,14 @@ def rows_for(doc: dict) -> tuple[list[str], list[list[str]]]:
                     row.append(v[power] if power < len(v) else "")
                 rows.append(row)
         return header, rows
-    if kind == "certify":
-        header = ["k", "ell", "sigma", "degree", "simple",
-                  "unimodular_count", "positive_pair_count",
-                  "negative_pair_count", "complex_offcircle_count",
-                  "root_at_one", "root_at_minus_one", "conforms",
-                  "unity_roots", "alpha_lo", "alpha_hi"]
-        rows = []
-        for inst in doc["instances"]:
-            alpha = inst.get("alpha", {})
-            rows.append([_cell(inst[n]) for n in header[:12]]
-                        + [";".join(inst["unity_roots"]),
-                           alpha.get("lo", ""), alpha.get("hi", "")])
-        return header, rows
-    if kind == "analyze":
-        header = ["k", "ell", "discriminant", "mahler_lo", "mahler_hi",
-                  "mahler_inequality_ok", "disc_lower_lo", "disc_lower_hi",
-                  "stated_upper_lo", "stated_upper_hi", "alpha_in_interval"]
-        rows = []
-        for inst in doc["instances"]:
-            rows.append([
-                inst["k"], inst["ell"], inst["discriminant"],
-                inst["mahler"]["lo"], inst["mahler"]["hi"],
-                _cell(inst["mahler_inequality_ok"]),
-                inst["disc_lower"]["lo"], inst["disc_lower"]["hi"],
-                inst["stated_upper"]["lo"], inst["stated_upper"]["hi"],
-                _cell(inst["alpha_in_interval"]),
-            ])
-        return header, rows
-    if kind == "scan":
-        header = ["k", "ell", "unity_root_orders"]
-        rows = [[inst["k"], inst["ell"],
-                 ";".join(inst["unity_root_orders"])]
-                for inst in doc["instances"]]
-        return header, rows
     if kind == "verify":
         header = ["claim", "status", "detail"]
         rows = [[r["claim"], r["status"], r["detail"]]
                 for r in doc["results"]]
         return header, rows
-    raise ValueError("unknown document kind %r" % kind)
+    cells = [_columns(inst) for inst in doc["instances"]]
+    header = list(dict.fromkeys(name for row in cells for name in row))
+    return header, [[row.get(name, "") for name in header] for row in cells]
 
 
 def to_csv(doc: dict) -> str:

@@ -352,6 +352,51 @@ def test_verify_and_analyze_documents_are_pinned(command):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DOCUMENTS[command]
 
 
+#: sha256 of each command's JSON, CSV and table renderings, produced by
+#: the CLI in a fresh process; taken when every builder still converted
+#: its fields by hand and rows_for spelled out each header.
+RENDERED_DOCUMENTS = {
+    ("construct --k 1..6 --ell 1..3", "json"):
+        "f27b9c462f56384de05f6927d6f71e42bb4416ef4d067cf041db40017ff9083f",
+    ("construct --k 1..6 --ell 1..3", "csv"):
+        "3740d28b9fef976b626af54ad0a376129716163ca5e976d9ffa6b4c5e3a29a5a",
+    ("construct --k 1..6 --ell 1..3", "table"):
+        "2c72e0b1de208b4eb5fd0b5ef8cdc2a63340b04e752b1bb4236995f6a96fa229",
+    ("certify --k 1..14 --ell 1..6", "json"):
+        "8fb7cdd1612c4b0d9b07b05fd992ac5c94e4ae8d136c81f5ad58c6e30047565d",
+    ("certify --k 1..14 --ell 1..6", "csv"):
+        "f054401c4141120ae4f8bb2111b13939b24e94391d8e268bd1cfa3d42cb18e1a",
+    ("certify --k 1..14 --ell 1..6", "table"):
+        "6b7e22fb8847710b8442fa139ddce73560ee1e872099f8927d7ffa7b59dfacb8",
+    ("scan --k 1..12 --ell 1..6", "json"):
+        "df0afa6bbde36e9c97bef36f91135a2b195a05ea9a686afc416fc50c5926690d",
+    ("scan --k 1..12 --ell 1..6", "csv"):
+        "2f837d4b938f51aa97531b4ba20f3930f227144efc7e252e1b0b6bceceb36bf1",
+    ("scan --k 1..12 --ell 1..6", "table"):
+        "c3714bff923c4c6e3635d617c9501a59004ef5e431d5cf9a2214da33bf41a635",
+    ("analyze --k 1..8 --ell 1..3", "json"):
+        "92cc1bca469eacdaff32623a78bde06287b81d3a99f351f03908b120d137949f",
+    ("analyze --k 1..8 --ell 1..3", "csv"):
+        "b9ddeecc2b72a11c69461e36c9fcfd11a40de5fe3a94a05955e080e84ee28b70",
+    ("analyze --k 1..8 --ell 1..3", "table"):
+        "8091cd3fb8d12d401e56ce0423984e88fe2ac6cad041087507bd8610c1637d06",
+    ("verify --k-max 8 --ell-max 3", "json"):
+        "f5ed700bc2082f8a7fb3d4e6dff65367e653add0b4916459b46003860f297f36",
+    ("verify --k-max 8 --ell-max 3", "csv"):
+        "8ac68bb316d62ea3728173add06e0af408af65cef52c7f7718be42434cc30f6d",
+    ("verify --k-max 8 --ell-max 3", "table"):
+        "f89f9123d1ff475eacbe3ea7256fdb29954b22b032c8c76c68ac4e4c5c04c778",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(RENDERED_DOCUMENTS))
+def test_rendered_documents_are_pinned(command, fmt):
+    out = fresh_python("-m", "reczeros.cli", *command.split(),
+                       "--format", fmt)
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == RENDERED_DOCUMENTS[command, fmt])
+
+
 def test_cli_import_leaves_analysis_and_the_pool_unloaded():
     """The eight layer modules load (the benchmark tracer looks each one up
     in sys.modules), and dataclasses with its inspect import does not."""
@@ -473,6 +518,23 @@ def test_csv_and_table_render(capsys):
     table = capsys.readouterr().out.splitlines()
     assert table[0].startswith("k  ell  sigma")
     assert table[1].split()[:3] == ["2", "1", "1"]
+
+
+def test_rows_keep_the_alpha_columns_when_the_first_member_does_not_conform():
+    good = serialize.certificate_instance(2, 1)
+    bad = dict(good, k="9", conforms=False)
+    del bad["alpha"]
+    header, rows = serialize.rows_for(serialize.envelope("certify",
+                                                         [bad, good]))
+    assert header == ["k", "ell", "sigma", "degree", "simple",
+                      "unimodular_count", "positive_pair_count",
+                      "negative_pair_count", "complex_offcircle_count",
+                      "root_at_one", "root_at_minus_one", "conforms",
+                      "unity_roots", "alpha_lo", "alpha_hi"]
+    assert rows[0][0] == "9" and rows[0][11] == "false"
+    assert rows[0][-2:] == ["", ""]
+    assert rows[1][-2:] == [good["alpha"]["lo"], good["alpha"]["hi"]]
+    assert rows[1][11:13] == ["true", ";".join(good["unity_roots"])]
 
 
 def test_certify_width_controls_alpha_enclosure(capsys):
