@@ -34,8 +34,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .certify import ALPHA_WIDTH, alpha_enclosure, zero_certificate
-from .claims import (DEFAULT_PRECISION, WIDTH_FLOOR, ladder,
-                     stated_alpha_upper)
+from .claims import (DEFAULT_PRECISION, WIDTH_FLOOR, WINDOW_PRECISION,
+                     ladder, stated_alpha_upper)
 from .family import boundary_profile, reciprocal_poly
 from .interval import Interval
 from .polycore import Poly, _prem
@@ -210,12 +210,13 @@ def mahler_inequality_check(k: int, ell: int) -> bool:
 # the discriminant window
 # ---------------------------------------------------------------------------
 
-def two_sided_window(k: int, ell: int, precision: int = DEFAULT_PRECISION
-                     ) -> tuple[Interval, Interval, bool]:
+def two_sided_window(k: int, ell: int) -> tuple[Interval, Interval, bool]:
     """(lower, upper, alpha inside?) with the discriminant lower endpoint.
 
-    lower = (|Disc|/lc^2k * (k+1)^-(k+1))^(1/2k); upper is the stated
-    endpoint 2^(l+1) zeta(2)^(l-1) (1 + 3 d_l 4^-k).  The boolean is a
+    lower = (|Disc|/lc^2k * (k+1)^-(k+1))^(1/2k), enclosed at
+    DEFAULT_PRECISION bits; upper is the stated endpoint
+    2^(l+1) zeta(2)^(l-1) (1 + 3 d_l 4^-k) at WINDOW_PRECISION, where the
+    window claim check starts it.  The boolean is a
     certified strict membership verdict; False is a real answer (it is
     the honest one for l = 1, k >= 7), not a failure.
     """
@@ -225,8 +226,8 @@ def two_sided_window(k: int, ell: int, precision: int = DEFAULT_PRECISION
         raise ValueError("certificate does not conform")
     R = reciprocal_poly(k, ell)
     prod = abs(_family_discriminant(k, ell)) / abs(R.lc()) ** (2 * k)
-    lower = nth_root_enclosure(prod / (k + 1) ** (k + 1), 2 * k, precision)
-    upper = stated_alpha_upper(k, ell, max(precision, 160))
+    lower = nth_root_enclosure(prod / (k + 1) ** (k + 1), 2 * k)
+    upper = stated_alpha_upper(k, ell, WINDOW_PRECISION)
     for target in ladder(ALPHA_WIDTH, Fraction(1, 2**64), WIDTH_FLOOR):
         a = alpha_enclosure(k, ell, width=target)
         if lower.hi < a.lo and a.hi < upper.lo:
@@ -260,8 +261,7 @@ class AnalysisRecord:
         self.alpha_in_interval = alpha_in_interval
 
 
-def analyze(k: int, ell: int,
-            precision: int = DEFAULT_PRECISION) -> AnalysisRecord:
+def analyze(k: int, ell: int) -> AnalysisRecord:
     """Full exact workup of one family member.
 
     Cross-checks that the discriminant vanishes exactly when the
@@ -275,5 +275,5 @@ def analyze(k: int, ell: int,
             "discriminant and squarefreeness certificate disagree")
     measure = mahler_measure(k, ell)
     ok = mahler_inequality_check(k, ell)
-    lower, upper, inside = two_sided_window(k, ell, precision=precision)
+    lower, upper, inside = two_sided_window(k, ell)
     return AnalysisRecord(k, ell, disc, measure, ok, lower, upper, inside)

@@ -329,6 +329,8 @@ def _divmod_monic(f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[i
 
 
 def _cyclotomic_ints(n: int) -> tuple[int, ...]:
+    """Coefficients of the n-th cyclotomic polynomial, by exact division of
+    x^n - 1."""
     got = _cyclo_cache.get(n)
     if got is None:
         num = [-1] + [0] * (n - 1) + [1]
@@ -339,13 +341,6 @@ def _cyclotomic_ints(n: int) -> tuple[int, ...]:
                     raise AssertionError("cyclotomic division is not exact")
         got = _cyclo_cache[n] = tuple(num)
     return got
-
-
-def cyclotomic(n: int) -> Poly:
-    """The n-th cyclotomic polynomial, by exact division of x^n - 1."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("cyclotomic needs n >= 1")
-    return Poly(_cyclotomic_ints(n))
 
 
 def _totients(limit: int) -> list[int]:
@@ -362,16 +357,10 @@ def _totients(limit: int) -> list[int]:
     return _phi_table
 
 
-def euler_phi(n: int) -> int:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("euler_phi needs n >= 1")
-    return _totients(n)[n]
-
-
 def roots_of_unity_zeros(k: int, ell: int) -> list[int]:
     """Orders n for which every primitive n-th root of unity is a zero.
 
-    Scans all n with euler_phi(n) <= k+1, read from a totient sieve; since
+    Scans all n with phi(n) <= k+1, read from a totient sieve; since
     phi(n) >= sqrt(n/2), the scan can stop at 2 (k+1)^2.  Phi_n is monic
     with integer coefficients, so it divides the member over the rationals
     exactly when the integer remainder of r.int_coeffs() by Phi_n is zero.

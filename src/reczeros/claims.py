@@ -6,12 +6,14 @@ parameter range.  Facts that live in Q are decided by exact rational
 arithmetic and can only pass or fail; facts involving zeta values or pi go
 through certified enclosures that are tightened until a sign is decided,
 and may additionally come back "inconclusive" when the ladder runs out
-first.  There is one ladder, `ladder`: precisions double up to
-precision_cap(), widths shrink toward WIDTH_FLOOR, and analysis uses the
-same helper.  The stated upper window endpoint is built only by
-stated_alpha_upper.  Values of a polynomial at +-1 are coefficient sums
-on its integer coefficients, so the exact checks follow the integer rule
-of the kernels; a fail witness still carries the exact Fraction value.
+first.  There is one ladder, `ladder`: precisions double up to the
+constant PRECISION_CAP, which no setting changes, widths shrink toward
+WIDTH_FLOOR, and analysis uses the same helper.  The stated upper window
+endpoint is built only by stated_alpha_upper, first at WINDOW_PRECISION
+in the window checks and in analysis alike.  Values of a polynomial at
++-1 are coefficient sums on its integer coefficients, so the exact checks
+follow the integer rule of the kernels; a fail witness still carries the
+exact Fraction value.
 Results (ClaimResult, VerificationReport) are plain __slots__ records,
 which keeps `dataclasses` and its imports out of every command;
 serialize owns their wire form.  run_all refuses a grid of more than
@@ -63,10 +65,9 @@ DEFAULT_PRECISION = 128
 EPS_SINGLE_CAP = Fraction(306, 1000)
 EPS_TOTAL_CAP = Fraction(2762, 10000)
 
-
-#: Largest ladder ceiling REC_ZEROS_PREC_CAP may set; the ladders double
-#: their precision up to the cap, and each step costs more than the last.
-PREC_CAP_MAX = 65536
+#: Ceiling of every precision ladder in bits; the ladders double their
+#: precision up to it, and each step costs more than the last.
+PRECISION_CAP = 4096
 
 #: Most values one --k or --ell flag may name, counted before
 #: deduplication, and most (k, ell) instances one grid may hold; run_all
@@ -77,24 +78,12 @@ MAX_RANGE_VALUES = 10_000
 WIDTH_FLOOR = Fraction(1, 2**2048)
 
 
-def precision_cap() -> int:
-    """Ladder ceiling in bits; override with the REC_ZEROS_PREC_CAP variable.
-
-    The override is clamped to [256, PREC_CAP_MAX].
-    """
-    try:
-        value = int(os.environ.get("REC_ZEROS_PREC_CAP", ""))
-    except ValueError:
-        return 4096
-    return min(max(256, value), PREC_CAP_MAX)
-
-
 def ladder(first, factor, limit):
     """The escalation rungs first, first*factor, first*factor^2, ...
 
     The first rung is yielded unconditionally; each later one only while it
     stays within `limit` (at most it for factor > 1, at least it for
-    factor < 1).  Precisions climb with factor 2 up to precision_cap(),
+    factor < 1).  Precisions climb with factor 2 up to PRECISION_CAP,
     widths shrink toward WIDTH_FLOOR; a caller that exhausts the ladder
     without a decision reports that through the loop's `else`.
 
@@ -207,13 +196,12 @@ def check_zeta_bounds(n_max: int) -> ClaimResult:
     """
     if n_max < 2:
         raise ValueError("needs n_max >= 2")
-    cap = precision_cap()
     max_pr = 0
     tight = None
     for n in range(2, n_max + 1):
         lo_bound = 1 + Fraction(1, 2**n)
         hi_bound = 1 + Fraction(n + 1, n - 1) / 2**n
-        for pr in ladder(max(24, (8 * n) // 5 + 16), 2, cap):
+        for pr in ladder(max(24, (8 * n) // 5 + 16), 2, PRECISION_CAP):
             try:
                 if n % 2 == 0:
                     enc = zeta_even_enclosure(n // 2, pr)
@@ -234,7 +222,7 @@ def check_zeta_bounds(n_max: int) -> ClaimResult:
         else:
             return ClaimResult(
                 "zeta-bounds", {"n_min": 2, "n_max": n_max}, INCONCLUSIVE,
-                {"n": n, "precision_cap": cap}, {},
+                {"n": n, "precision_cap": PRECISION_CAP}, {},
                 "undecided at the precision cap")
         max_pr = max(max_pr, pr)
         margin = min(enc.lo - lo_bound, hi_bound - enc.hi)
@@ -262,7 +250,6 @@ def check_quotient_bound(k_max: int) -> ClaimResult:
     """
     if k_max < 1:
         raise ValueError("needs k_max >= 1")
-    cap = precision_cap()
     params = {"k_min": 1, "k_max": k_max}
     max_pr = 0
     tight = None
@@ -273,7 +260,7 @@ def check_quotient_bound(k_max: int) -> ClaimResult:
             rat = zeta_even_rational(k + 1 - j)
             rn = rat.numerator * r_den.denominator
             rd = rat.denominator * r_den.numerator
-            for pr in ladder(2 * (k + 1 - j) + 64, 2, cap):
+            for pr in ladder(2 * (k + 1 - j) + 64, 2, PRECISION_CAP):
                 power = pow_rounded(pi_enclosure(pr), 2 * j, pr + 16)
                 pn, pd = power.lo.numerator, power.lo.denominator
                 if rn * pd * e4 < (e4 + 3) * rd * pn:  # excess.hi < bound
@@ -288,7 +275,7 @@ def check_quotient_bound(k_max: int) -> ClaimResult:
             else:
                 return ClaimResult(
                     "zeta-quotient-bound", params, INCONCLUSIVE,
-                    {"k": k, "j": j, "precision_cap": cap}, {},
+                    {"k": k, "j": j, "precision_cap": PRECISION_CAP}, {},
                     "undecided at the precision cap")
             max_pr = max(max_pr, pr)
             # (bound - excess.hi) / bound = rel_n / rel_d
@@ -522,7 +509,6 @@ def check_sign_pattern(k: int, ell: int, precision: int = DEFAULT_PRECISION) -> 
         case = "ell odd" if ell % 2 else "ell even, k odd"
     if prof.sigma != (-1 if even_even else 1):
         raise AssertionError("reversal sign disagrees with the parity split")
-    cap = precision_cap()
     params = {"k": k, "ell": ell, "precision": precision}
     signs = []
     exact_points = 0
@@ -538,7 +524,7 @@ def check_sign_pattern(k: int, ell: int, precision: int = DEFAULT_PRECISION) -> 
             s = 1 if value > 0 else -1
             exact_points += 1
         else:
-            for pr in ladder(max(precision, 64), 2, cap):
+            for pr in ladder(max(precision, 64), 2, PRECISION_CAP):
                 # T(2 cos): the doubling is folded into rounding the argument
                 s = horner_rounded(ints, cos_pi_enclosure(r, pr),
                                    pr + len(ints) + 8, x_shift=1).sign()
@@ -547,7 +533,7 @@ def check_sign_pattern(k: int, ell: int, precision: int = DEFAULT_PRECISION) -> 
             else:
                 return ClaimResult(
                     "sign-pattern-k%d-l%d" % (k, ell), params,
-                    INCONCLUSIVE, {"j": j, "precision_cap": cap}, {},
+                    INCONCLUSIVE, {"j": j, "precision_cap": PRECISION_CAP}, {},
                     "grid sign undecided at the precision cap")
             max_pr = max(max_pr, pr)
         if prof.sigma < 0 and r > 1:
@@ -742,7 +728,6 @@ def check_alpha_interval(k_range, ell_odd_range) -> ClaimResult:
     params = {"k": [k_lo, k_hi], "ell_odd": [l_lo, l_hi]}
     if not ells or k_hi < k_lo:
         return _vacuous("alpha-interval", **params)
-    cap = precision_cap()
     checked = 0
     violations = []
     first_witness = None
@@ -768,10 +753,10 @@ def check_alpha_interval(k_range, ell_odd_range) -> ClaimResult:
                                    "certificate does not conform")
             # l = 1 has an exact endpoint and walks the width ladder alone;
             # for l > 1 the zeta(2) power is refined in step, and that
-            # ladder (9 rungs at most under PREC_CAP_MAX) runs out first.
+            # ladder (5 rungs at most under PRECISION_CAP) runs out first.
             widths = ladder(ALPHA_WIDTH, Fraction(1, 2**64), WIDTH_FLOOR)
             precisions = (repeat(WINDOW_PRECISION) if ell == 1
-                          else ladder(WINDOW_PRECISION, 2, cap))
+                          else ladder(WINDOW_PRECISION, 2, PRECISION_CAP))
             for target, pr in zip(widths, precisions):
                 if pr != WINDOW_PRECISION:
                     upper = stated_alpha_upper(k, ell, pr)
@@ -791,7 +776,8 @@ def check_alpha_interval(k_range, ell_odd_range) -> ClaimResult:
                         "window membership undecided at the width floor")
                 return ClaimResult(
                     "alpha-interval", params, INCONCLUSIVE,
-                    {"k": k, "ell": ell, "alpha": a, "precision_cap": cap}, {},
+                    {"k": k, "ell": ell, "alpha": a,
+                     "precision_cap": PRECISION_CAP}, {},
                     "window membership undecided at the precision cap")
             checked += 1
             if a.lo > upper.hi:

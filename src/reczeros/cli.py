@@ -21,7 +21,7 @@ from math import ceil, log10
 from . import serialize
 from .certify import ALPHA_WIDTH
 from .claims import (DEFAULT_PRECISION, EMPTY_RANGE, MAX_RANGE_VALUES,
-                     PREC_CAP_MAX, SUITES, map_calls, run_all)
+                     PRECISION_CAP, SUITES, map_calls, run_all)
 
 
 def parse_values(text: str) -> list[int]:
@@ -51,12 +51,14 @@ def parse_values(text: str) -> list[int]:
     return sorted(values)
 
 
-#: Finest --width accepted: no enclosure is refined beyond the precision cap.
-MIN_WIDTH = Fraction(1, 1 << PREC_CAP_MAX)
+#: Largest verify --prec accepted, in bits, and the exponent of MIN_WIDTH.
+MAX_PRECISION = 65536
+#: Finest --width accepted: 2^-MAX_PRECISION.
+MIN_WIDTH = Fraction(1, 1 << MAX_PRECISION)
 #: Largest decimal exponent magnitude in a --width text (19729): 10 to its
 #: negative is already below MIN_WIDTH, and checking the exponent first
 #: keeps Fraction from building a power of ten with that many digits.
-MAX_WIDTH_EXPONENT = ceil(PREC_CAP_MAX * log10(2))
+MAX_WIDTH_EXPONENT = ceil(MAX_PRECISION * log10(2))
 
 _EXPONENT = re.compile(r"e\s*([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
 
@@ -79,7 +81,7 @@ def parse_width(text: str) -> Fraction:
         raise argparse.ArgumentTypeError("width must be positive")
     if width < MIN_WIDTH:
         raise argparse.ArgumentTypeError("width finer than 2^-%d"
-                                         % PREC_CAP_MAX)
+                                         % MAX_PRECISION)
     return width
 
 
@@ -133,6 +135,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if not 64 <= args.prec <= MAX_PRECISION:
+        raise ValueError("precision must be between 64 and %d bits"
+                         % MAX_PRECISION)
     report = run_all(args.k_max, args.ell_max, precision=args.prec,
                      jobs=args.jobs, suite=args.suite)
     _emit(args, serialize.verify_document(report, args.suite))
@@ -144,15 +149,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _note("%d finding(s); see the report detail lines"
               % counts["finding"])
     if counts["inconclusive"]:
-        _note("%d inconclusive claim(s); raise REC_ZEROS_PREC_CAP to retry"
-              % counts["inconclusive"])
+        _note("%d inconclusive claim(s): undecided at the %d-bit precision "
+              "cap" % (counts["inconclusive"], PRECISION_CAP))
     return 1 if counts["fail"] else 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     instances = map_calls(
-        [(serialize.analysis_instance, (k, ell, args.prec))
-         for k, ell in _grid(args)], args.jobs)
+        [(serialize.analysis_instance, pair) for pair in _grid(args)],
+        args.jobs)
     _emit(args, serialize.envelope("analyze", instances))
     failed = [i for i in instances
               if not i["mahler_inequality_ok"] or i["discriminant"] == "0/1"]
@@ -185,7 +190,7 @@ FLAGS = {
     "--width": dict(type=parse_width, default=ALPHA_WIDTH, metavar="Q",
                     help="alpha enclosure width, rational or decimal"),
     "--prec": dict(type=int, default=DEFAULT_PRECISION,
-                   help="working precision in bits (64..%d)" % PREC_CAP_MAX),
+                   help="working precision in bits (64..%d)" % MAX_PRECISION),
     "--jobs": dict(type=int, default=1, help="worker processes (>= 1)"),
     "--out": dict(default=None, metavar="PATH",
                   help="write the document here instead of stdout"),
@@ -203,7 +208,7 @@ COMMANDS = {
     "verify": (cmd_verify, "run the arithmetic claim suite",
                ("--k-max", "--ell-max", "--suite", "--prec")),
     "analyze": (cmd_analyze, "discriminant, measure, and window records",
-                ("--k", "--ell", "--prec")),
+                ("--k", "--ell")),
     "scan": (cmd_scan, "roots-of-unity orders dividing each member",
              ("--k", "--ell")),
 }
@@ -229,9 +234,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 64 <= getattr(args, "prec", DEFAULT_PRECISION) <= PREC_CAP_MAX:
-            raise ValueError("precision must be between 64 and %d bits"
-                             % PREC_CAP_MAX)
         if args.jobs < 1:
             raise ValueError("jobs must be at least 1")
         return COMMANDS[args.command][0](args)

@@ -30,7 +30,6 @@ from fractions import Fraction
 
 from .certify import (ALPHA_WIDTH, alpha_enclosure, roots_of_unity_zeros,
                       zero_certificate)
-from .claims import DEFAULT_PRECISION
 from .family import circle_approximant, monic_even_form, reciprocal_poly, sigma_of
 from .interval import Interval
 
@@ -128,11 +127,10 @@ def certificate_instance(k: int, ell: int,
     return wire(doc)
 
 
-def analysis_instance(k: int, ell: int,
-                      precision: int = DEFAULT_PRECISION) -> dict:
+def analysis_instance(k: int, ell: int) -> dict:
     from .analysis import analyze  # only `analyze` needs the resultant layer
 
-    rec = analyze(k, ell, precision=precision)
+    rec = analyze(k, ell)
     return wire({name: getattr(rec, name) for name in rec.__slots__})
 
 
@@ -141,8 +139,12 @@ def scan_instance(k: int, ell: int) -> dict:
                  "unity_root_orders": roots_of_unity_zeros(k, ell)})
 
 
-def verify_document(report, suite: str = "all") -> dict:
-    """Whole-report document, converted by one wire() call."""
+def verify_document(report, suite: str) -> dict:
+    """Whole-report document, converted by one wire() call.
+
+    `suite` is the one run_all ran; it has no default, since a default
+    would label a partial report as another suite.
+    """
     return wire({
         "format": "reczeros.verify",
         "version": VERSION,

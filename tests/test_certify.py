@@ -6,12 +6,12 @@ from hypothesis import given, strategies as st
 
 from reczeros import certify
 from reczeros.certify import (
+    _cyclotomic_ints,
+    _totients,
     alpha_enclosure,
     alternation_box,
     certify_zeros,
     cosine_grid,
-    cyclotomic,
-    euler_phi,
     roots_of_unity_zeros,
     zero_certificate,
 )
@@ -214,14 +214,14 @@ def test_alpha_against_float_oracle():
 
 
 def test_cyclotomic_golden():
-    assert cyclotomic(1) == Poly([-1, 1])
-    assert cyclotomic(2) == Poly([1, 1])
-    assert cyclotomic(3) == Poly([1, 1, 1])
-    assert cyclotomic(4) == Poly([1, 0, 1])
-    assert cyclotomic(6) == Poly([1, -1, 1])
-    assert cyclotomic(8) == Poly([1, 0, 0, 0, 1])
-    assert cyclotomic(12) == Poly([1, 0, -1, 0, 1])
-    assert cyclotomic(7) == Poly([1] * 7)
+    assert Poly(_cyclotomic_ints(1)) == Poly([-1, 1])
+    assert Poly(_cyclotomic_ints(2)) == Poly([1, 1])
+    assert Poly(_cyclotomic_ints(3)) == Poly([1, 1, 1])
+    assert Poly(_cyclotomic_ints(4)) == Poly([1, 0, 1])
+    assert Poly(_cyclotomic_ints(6)) == Poly([1, -1, 1])
+    assert Poly(_cyclotomic_ints(8)) == Poly([1, 0, 0, 0, 1])
+    assert Poly(_cyclotomic_ints(12)) == Poly([1, 0, -1, 0, 1])
+    assert Poly(_cyclotomic_ints(7)) == Poly([1] * 7)
 
 
 def test_cyclotomic_product_recovers_power():
@@ -229,7 +229,7 @@ def test_cyclotomic_product_recovers_power():
         prod = Poly([1])
         for d in range(1, n + 1):
             if n % d == 0:
-                prod = prod * cyclotomic(d)
+                prod = prod * Poly(_cyclotomic_ints(d))
         assert prod == Poly.monomial(n, 1) + Poly([-1]), n
 
 
@@ -249,10 +249,11 @@ def _phi_by_trial_division(n: int) -> int:
 
 
 def test_euler_phi():
-    assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
-    assert euler_phi(97) == 96
-    assert euler_phi(360) == 96
-    assert [euler_phi(n) for n in range(1, 3001)] == [
+    assert [_totients(n)[n] for n in range(1, 13)] == [
+        1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+    assert _totients(97)[97] == 96
+    assert _totients(360)[360] == 96
+    assert [_totients(n)[n] for n in range(1, 3001)] == [
         _phi_by_trial_division(n) for n in range(1, 3001)]
 
 
@@ -270,7 +271,8 @@ def test_unity_orders_match_fraction_division_oracle():
                   if _phi_by_trial_division(n) <= deg]
         for ell in range(1, 7):
             r = reciprocal_poly(k, ell)
-            want = [n for n in orders if (r % cyclotomic(n)).is_zero()]
+            want = [n for n in orders
+                    if (r % Poly(_cyclotomic_ints(n))).is_zero()]
             assert roots_of_unity_zeros(k, ell) == want, (k, ell)
 
 
@@ -283,7 +285,7 @@ def test_unity_orders_stay_trivial_for_higher_ell():
 
 def test_unity_order_three_splits_off_exactly():
     r = reciprocal_poly(3, 1)
-    quotient, remainder = divmod(r, cyclotomic(3))
+    quotient, remainder = divmod(r, Poly(_cyclotomic_ints(3)))
     assert remainder.is_zero()
     assert quotient.degree() == 2
-    assert (r % cyclotomic(4)).is_zero() is False
+    assert (r % Poly(_cyclotomic_ints(4))).is_zero() is False

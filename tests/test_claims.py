@@ -8,7 +8,7 @@ from fresh_process import fresh_python
 from reczeros import claims, serialize
 from reczeros.certify import alpha_enclosure
 from reczeros.claims import (
-    PREC_CAP_MAX,
+    PRECISION_CAP,
     WIDTH_FLOOR,
     check_GH_signs,
     check_alpha_interval,
@@ -24,7 +24,6 @@ from reczeros.claims import (
     check_zeta_sum_identity,
     corrected_alpha_upper,
     ladder,
-    precision_cap,
     run_all,
 )
 from reczeros.exactnum import q
@@ -240,13 +239,14 @@ def test_alpha_interval_vacuous_and_validation():
 
 def test_alpha_interval_ladder_stops_at_the_precision_cap(monkeypatch):
     # alpha pinned across the stated l = 3 endpoint (about 55.09) keeps the
-    # window undecided; the zeta(2) power may then climb only to the cap
+    # window undecided; the zeta(2) power may then climb only to the cap,
+    # and no environment variable lifts it
     real_zeta = claims.zeta_even_enclosure
     asked = []
 
     def capped_zeta(m, precision):
         asked.append(precision)
-        if precision > precision_cap():
+        if precision > PRECISION_CAP:
             raise AssertionError("asked for %d bits" % precision)
         return real_zeta(m, 192)  # no real work at an escalated precision
 
@@ -254,7 +254,7 @@ def test_alpha_interval_ladder_stops_at_the_precision_cap(monkeypatch):
     monkeypatch.setattr(claims, "alpha_enclosure",
                         lambda k, ell, width:
                         Interval(50, 60))
-    monkeypatch.delenv("REC_ZEROS_PREC_CAP", raising=False)
+    monkeypatch.setenv("REC_ZEROS_PREC_CAP", "8192")
     r = check_alpha_interval((3, 3), (3, 3))
     assert r.status == "inconclusive"
     assert r.witness["precision_cap"] == 4096
@@ -330,7 +330,7 @@ def test_run_all_order_and_statuses():
     by_id = {r.claim_id: r for r in rep.results}
     assert by_id["index-ratio-bound"].status == "finding"
     assert by_id["alpha-interval"].status == "pass"
-    table = serialize.to_table(serialize.verify_document(rep))
+    table = serialize.to_table(serialize.verify_document(rep, "all"))
     assert table.splitlines()[0].startswith("claim")
     assert len(table.splitlines()) == len(rep.results) + 1
 
@@ -353,15 +353,15 @@ def test_run_all_suites_partition_the_plan():
 
 
 def test_run_all_is_deterministic():
-    assert (serialize.verify_document(run_all(4, 2))
-            == serialize.verify_document(run_all(4, 2)))
+    assert (serialize.verify_document(run_all(4, 2), "all")
+            == serialize.verify_document(run_all(4, 2), "all"))
 
 
 def test_run_all_parallel_matches_serial():
     serial = run_all(4, 2)
     parallel = run_all(4, 2, jobs=3)
-    assert (serialize.verify_document(parallel)
-            == serialize.verify_document(serial))
+    assert (serialize.verify_document(parallel, "all")
+            == serialize.verify_document(serial, "all"))
 
 
 def test_run_all_caps_the_sign_grid():
@@ -386,7 +386,7 @@ def test_run_all_empty_grid_is_all_vacuous_or_pass():
 
 def test_report_round_trips_to_plain_types():
     rep = run_all(3, 1)
-    d = serialize.verify_document(rep)
+    d = serialize.verify_document(rep, "all")
     assert d["ok"] is True
 
     def walk(obj):
@@ -402,14 +402,10 @@ def test_report_round_trips_to_plain_types():
     walk(d)
 
 
-def test_precision_cap_env(monkeypatch):
-    monkeypatch.delenv("REC_ZEROS_PREC_CAP", raising=False)
-    assert precision_cap() == 4096
-    monkeypatch.setenv("REC_ZEROS_PREC_CAP", "100")
-    assert precision_cap() == 256
-    monkeypatch.setenv("REC_ZEROS_PREC_CAP", "8192")
-    assert precision_cap() == 8192
-    monkeypatch.setenv("REC_ZEROS_PREC_CAP", "junk")
-    assert precision_cap() == 4096
-    monkeypatch.setenv("REC_ZEROS_PREC_CAP", str(10**9))
-    assert precision_cap() == PREC_CAP_MAX == 65536
+def test_verify_document_requires_the_suite():
+    # a default would label this lemmas-only report as the full suite
+    rep = run_all(4, 2, suite="lemmas")
+    with pytest.raises(TypeError):
+        serialize.verify_document(rep)
+    doc = serialize.verify_document(rep, "lemmas")
+    assert doc["grid"]["suite"] == "lemmas"
