@@ -12,17 +12,20 @@ relating it to the Mahler measure (m the degree), and a two-sided window
 for the outlying real zero alpha whose lower endpoint is read off the
 discriminant:
 
-    ((m^-m) prod_{i<j} (a_i - a_j)^2)^(1/(2m-2)),
+    L = ((m^-m) prod_{i<j} (a_i - a_j)^2)^(1/(2m-2)),
 
-the product over zero differences being |Disc|/lc^(2m-2) exactly.  The
-upper endpoint is claims.stated_alpha_upper, the one the window checkers
-use -- and it inherits the same defect: for exponent 1 it is exceeded
-once k >= 7, so membership is reported honestly as False there (see
-claims.py for the certified finding and the corrected endpoint 4 + 3/k).
+the product over zero differences being |Disc|/lc^(2m-2) exactly.  With
+every zero but the pair (alpha, 1/alpha) on the unit circle, M = |lc|
+alpha, so the inequality says exactly alpha >= L, and `analyze` decides
+both it and window membership on one pass of claims.window_walk, the walk
+the window checks take.  The upper endpoint is claims.stated_alpha_upper
+-- and it inherits the checks' defect: for exponent 1 it is exceeded once
+k >= 7, so membership is reported honestly as False there (see claims.py
+for the certified finding and the corrected endpoint 4 + 3/k).
 
 Each function takes (k, ell) and reads the member's memoized
-certify.zero_certificate; the measure and the window refuse a member whose
-zeros do not conform.
+certify.zero_certificate; the measure refuses a member whose zeros do not
+conform, and so does analyze through it.
 
 Real 2k-th roots of rationals are enclosed by an integer floor-root plus
 dyadic bounds verified by exact powering, not by floating point.
@@ -33,9 +36,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .certify import ALPHA_WIDTH, alpha_enclosure, zero_certificate
-from .claims import (DEFAULT_PRECISION, WIDTH_FLOOR, WINDOW_PRECISION,
-                     ladder, stated_alpha_upper)
+from .certify import alpha_enclosure, zero_certificate
+from .claims import DEFAULT_PRECISION, window_walk
 from .family import boundary_profile, reciprocal_poly
 from .interval import Interval
 from .polycore import Poly, _prem
@@ -148,9 +150,9 @@ def _floor_nth_root(a: int, n: int) -> int:
     return x
 
 
-def nth_root_enclosure(value, n: int,
-                       precision: int = DEFAULT_PRECISION) -> Interval:
-    """Dyadic enclosure of value^(1/n), width 2^-precision, exactly verified.
+def nth_root_enclosure(value, n: int) -> Interval:
+    """Dyadic enclosure of value^(1/n), width 2^-DEFAULT_PRECISION, exactly
+    verified.
 
     Floor-root of the scaled numerator gives the candidate; raising both
     dyadic endpoints to the n-th power certifies them against the input.
@@ -158,22 +160,22 @@ def nth_root_enclosure(value, n: int,
     value = Fraction(value)
     if value <= 0:
         raise ValueError("needs a positive value")
-    if n < 1 or precision < 1:
-        raise ValueError("needs n >= 1 and precision >= 1")
-    t = (value.numerator << (n * precision)) // value.denominator
+    if n < 1:
+        raise ValueError("needs n >= 1")
+    t = (value.numerator << (n * DEFAULT_PRECISION)) // value.denominator
     r = _floor_nth_root(t, n)
-    lo = Fraction(r, 1 << precision)
-    hi = Fraction(r + 1, 1 << precision)
+    lo = Fraction(r, 1 << DEFAULT_PRECISION)
+    hi = Fraction(r + 1, 1 << DEFAULT_PRECISION)
     if not (lo**n <= value < hi**n):
         raise AssertionError("root enclosure failed its own certificate")
     return Interval(lo, hi)
 
 
 # ---------------------------------------------------------------------------
-# Mahler measure and the discriminant inequality
+# Mahler measure
 # ---------------------------------------------------------------------------
 
-def mahler_measure(k: int, ell: int, width: Fraction = ALPHA_WIDTH) -> Interval:
+def mahler_measure(k: int, ell: int) -> Interval:
     """Enclosure of |lc| * alpha, the measure of the family member.
 
     Valid only because the certificate places every zero except the pair
@@ -184,57 +186,7 @@ def mahler_measure(k: int, ell: int, width: Fraction = ALPHA_WIDTH) -> Interval:
         raise ValueError("certificate does not conform; measure formula "
                          "would be unjustified")
     lead = abs(reciprocal_poly(k, ell).lc())
-    return lead * alpha_enclosure(k, ell, width=width)
-
-
-def mahler_inequality_check(k: int, ell: int) -> bool:
-    """Certified verdict on |Disc| <= m^m M^(2m-2) with m = k + 1.
-
-    Both sides are compared exactly: the right side is an endpoint power
-    of the measure enclosure, kept rational rather than rounded, because
-    its magnitude (like 10^-900 already at k = 12) sits far below any
-    practical absolute dyadic resolution.
-    """
-    lhs = abs(_family_discriminant(k, ell))
-    scale = (k + 1) ** (k + 1)
-    for width in ladder(ALPHA_WIDTH, Fraction(1, 2**32), WIDTH_FLOOR):
-        measure = mahler_measure(k, ell, width=width)
-        if lhs <= scale * measure.lo ** (2 * k):
-            return True
-        if lhs > scale * measure.hi ** (2 * k):
-            return False
-    raise ArithmeticError("inequality undecided at the width floor")
-
-
-# ---------------------------------------------------------------------------
-# the discriminant window
-# ---------------------------------------------------------------------------
-
-def two_sided_window(k: int, ell: int) -> tuple[Interval, Interval, bool]:
-    """(lower, upper, alpha inside?) with the discriminant lower endpoint.
-
-    lower = (|Disc|/lc^2k * (k+1)^-(k+1))^(1/2k), enclosed at
-    DEFAULT_PRECISION bits; upper is the stated endpoint
-    2^(l+1) zeta(2)^(l-1) (1 + 3 d_l 4^-k) at WINDOW_PRECISION, where the
-    window claim check starts it.  The boolean is a
-    certified strict membership verdict; False is a real answer (it is
-    the honest one for l = 1, k >= 7), not a failure.
-    """
-    if k < 1 or ell < 1:
-        raise ValueError("needs k >= 1 and ell >= 1")
-    if not zero_certificate(k, ell).conforms:
-        raise ValueError("certificate does not conform")
-    R = reciprocal_poly(k, ell)
-    prod = abs(_family_discriminant(k, ell)) / abs(R.lc()) ** (2 * k)
-    lower = nth_root_enclosure(prod / (k + 1) ** (k + 1), 2 * k)
-    upper = stated_alpha_upper(k, ell, WINDOW_PRECISION)
-    for target in ladder(ALPHA_WIDTH, Fraction(1, 2**64), WIDTH_FLOOR):
-        a = alpha_enclosure(k, ell, width=target)
-        if lower.hi < a.lo and a.hi < upper.lo:
-            return lower, upper, True
-        if a.lo > upper.hi or a.hi < lower.lo:
-            return lower, upper, False
-    raise ArithmeticError("membership undecided at the width floor")
+    return lead * alpha_enclosure(k, ell)
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +220,31 @@ def analyze(k: int, ell: int) -> AnalysisRecord:
     squarefreeness certificate says it should.  Both read the same W; the
     route independent of W and of the PRS, the full-degree Sylvester
     determinant of reciprocal_poly(k, ell), is the test oracle.
+
+    The Mahler inequality is alpha >= L, decided exactly against the
+    rational L^2k = size / scale, so it and window membership are read off
+    the first rung of claims.window_walk that settles both: alpha below L
+    fails both, and alpha above L and clear of the stated endpoint passes
+    the inequality, inside the window when below the endpoint.  A walk
+    that ends undecided raises ArithmeticError.
     """
     disc = _family_discriminant(k, ell)
     if (disc != 0) != zero_certificate(k, ell).simple:
         raise AssertionError(
             "discriminant and squarefreeness certificate disagree")
     measure = mahler_measure(k, ell)
-    ok = mahler_inequality_check(k, ell)
-    lower, upper, inside = two_sided_window(k, ell)
+    # |Disc| <= (k+1)^(k+1) M^2k with M = |lc| alpha is size <= scale alpha^2k
+    size = abs(disc)
+    scale = abs(reciprocal_poly(k, ell).lc()) ** (2 * k) * (k + 1) ** (k + 1)
+    lower = nth_root_enclosure(size / scale, 2 * k)
+    for a, upper, _ in window_walk(k, ell):
+        if size > scale * a.hi ** (2 * k):  # alpha < L: both fail
+            ok = inside = False
+            break
+        if size < scale * a.lo ** (2 * k) and (a.hi < upper.lo
+                                               or a.lo > upper.hi):
+            ok, inside = True, a.hi < upper.lo
+            break
+    else:
+        raise ArithmeticError("window undecided at the last rung")
     return AnalysisRecord(k, ell, disc, measure, ok, lower, upper, inside)

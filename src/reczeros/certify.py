@@ -82,7 +82,7 @@ class ZeroCertificate:
     `route` names the argument that closed: "alternation" or "sturm".
     """
 
-    __slots__ = DOCUMENT_FIELDS + ("w_square", "v_box", "route")
+    __slots__ = DOCUMENT_FIELDS + ("v_box", "route")
 
     def __init__(self, **kw):
         for name in self.__slots__:
@@ -180,51 +180,34 @@ def certify_zeros(k: int, ell: int) -> ZeroCertificate:
     else:
         route, counts = "sturm", _sturm_counts(w)
 
-    if counts is None:
-        return ZeroCertificate(
-            k=k,
-            ell=ell,
-            sigma=profile.sigma,
-            degree=k + 1,
-            simple=False,
-            unimodular_count=None,
-            positive_pair_count=None,
-            negative_pair_count=None,
-            complex_offcircle_count=None,
-            root_at_one=None,
-            root_at_minus_one=None,
-            conforms=False,
-            w_square=w,
-            v_box=None,
-            route=route,
-        )
-    n_in, n_out, n_neg, n_cx, v_box = counts
-
-    # the values at 1 and -1 are the plain and the alternating coefficient sums
-    ints = reciprocal_poly(k, ell).int_coeffs()
-    at_one = sum(ints) == 0
-    at_minus_one = sum(ints[0::2]) == sum(ints[1::2])
-    if at_minus_one != bool(m0) or at_one != bool(circ):
-        raise AssertionError(
-            "special zeros disagree with parity bookkeeping at k=%d, ell=%d"
-            % (k, ell)
-        )
-
-    conforms = n_out == 1 and n_neg == 0 and n_cx == 0
+    simple = counts is not None
+    unimodular = pos = neg = cx = at_one = at_minus_one = v_box = None
+    conforms = False
+    if simple:
+        n_in, n_out, n_neg, n_cx, v_box = counts
+        # the values at 1 and -1 are the plain and the alternating
+        # coefficient sums
+        ints = reciprocal_poly(k, ell).int_coeffs()
+        at_one = sum(ints) == 0
+        at_minus_one = sum(ints[0::2]) == sum(ints[1::2])
+        if at_minus_one != bool(m0) or at_one != bool(circ):
+            raise AssertionError("special zeros disagree with parity "
+                                 "bookkeeping at k=%d, ell=%d" % (k, ell))
+        unimodular, pos, neg, cx = 2 * n_in + m0 + circ, n_out, n_neg, 2 * n_cx
+        conforms = n_out == 1 and n_neg == 0 and n_cx == 0
     return ZeroCertificate(
         k=k,
         ell=ell,
         sigma=profile.sigma,
         degree=k + 1,
-        simple=True,
-        unimodular_count=2 * n_in + m0 + circ,
-        positive_pair_count=n_out,
-        negative_pair_count=n_neg,
-        complex_offcircle_count=2 * n_cx,
+        simple=simple,
+        unimodular_count=unimodular,
+        positive_pair_count=pos,
+        negative_pair_count=neg,
+        complex_offcircle_count=cx,
         root_at_one=at_one,
         root_at_minus_one=at_minus_one,
         conforms=conforms,
-        w_square=w,
         v_box=v_box,
         route=route,
     )

@@ -7,10 +7,11 @@ arithmetic and can only pass or fail; facts involving zeta values or pi go
 through certified enclosures that are tightened until a sign is decided,
 and may additionally come back "inconclusive" when the ladder runs out
 first.  There is one ladder, `ladder`: precisions double up to the
-constant PRECISION_CAP, which no setting changes, widths shrink toward
-WIDTH_FLOOR, and analysis uses the same helper.  The stated upper window
-endpoint is built only by stated_alpha_upper, first at WINDOW_PRECISION
-in the window checks and in analysis alike.  Values of a polynomial at
+constant PRECISION_CAP, which no setting changes, and widths shrink
+toward WIDTH_FLOOR.  The stated upper window endpoint is built only by
+stated_alpha_upper, and alpha is read against it only along window_walk,
+whose first rung takes it at WINDOW_PRECISION; the window checks and
+analysis.analyze share that walk.  Values of a polynomial at
 +-1 are coefficient sums on its integer coefficients, so the exact checks
 follow the integer rule of the kernels; a fail witness still carries the
 exact Fraction value.
@@ -703,6 +704,29 @@ def stated_alpha_upper(k: int, ell: int, precision: int) -> Interval:
                         precision + 16) * (2 ** (ell + 1) * factor))
 
 
+def window_walk(k: int, ell: int):
+    """(alpha enclosure, stated upper endpoint, precision) per ladder rung.
+
+    The one walk that reads alpha against the window: alpha_enclosure
+    narrows from ALPHA_WIDTH by 2^-64 per rung toward WIDTH_FLOOR, and the
+    stated endpoint is taken at WINDOW_PRECISION, doubling in step for
+    l > 1 up to PRECISION_CAP; that ladder runs out first.  For l = 1 the
+    endpoint is exact and the widths alone set the length.  The consumer
+    stops at the first rung that decides what it reads.
+
+    >>> [pr for _, _, pr in window_walk(3, 3)]
+    [192, 384, 768, 1536, 3072]
+    >>> len(list(window_walk(3, 1)))
+    31
+    """
+    precisions = (repeat(WINDOW_PRECISION) if ell == 1
+                  else ladder(WINDOW_PRECISION, 2, PRECISION_CAP))
+    for width, pr in zip(ladder(ALPHA_WIDTH, Fraction(1, 2**64), WIDTH_FLOOR),
+                         precisions):
+        yield (alpha_enclosure(k, ell, width=width),
+               stated_alpha_upper(k, ell, pr), pr)
+
+
 def check_alpha_interval(k_range, ell_odd_range) -> ClaimResult:
     """alpha against the window ((2 q_1)^l, 2^(l+1) zeta(2)^(l-1)(1+3 d_l 4^-k)).
 
@@ -742,26 +766,17 @@ def check_alpha_interval(k_range, ell_odd_range) -> ClaimResult:
                                    {"k": k, "ell": ell,
                                     "at_one": value_at_one}, {},
                                    "companion fails to dip below 0 at 1")
-            upper = stated_alpha_upper(k, ell, WINDOW_PRECISION)
-            if not lower < upper.lo:
-                return ClaimResult("alpha-interval", params, FAIL,
-                                   {"k": k, "ell": ell}, {},
-                                   "window is empty")
             if not zero_certificate(k, ell).conforms:
                 return ClaimResult("alpha-interval", params, FAIL,
                                    {"k": k, "ell": ell}, {},
                                    "certificate does not conform")
-            # l = 1 has an exact endpoint and walks the width ladder alone;
-            # for l > 1 the zeta(2) power is refined in step, and that
-            # ladder (5 rungs at most under PRECISION_CAP) runs out first.
-            widths = ladder(ALPHA_WIDTH, Fraction(1, 2**64), WIDTH_FLOOR)
-            precisions = (repeat(WINDOW_PRECISION) if ell == 1
-                          else ladder(WINDOW_PRECISION, 2, PRECISION_CAP))
-            for target, pr in zip(widths, precisions):
-                if pr != WINDOW_PRECISION:
-                    upper = stated_alpha_upper(k, ell, pr)
+            for a, upper, pr in window_walk(k, ell):
+                if not lower < upper.lo:
+                    return ClaimResult("alpha-interval", params, FAIL,
+                                       {"k": k, "ell": ell}, {},
+                                       "window is empty")
+                if pr > WINDOW_PRECISION:
                     max_pr = max(max_pr, pr)
-                a = alpha_enclosure(k, ell, width=target)
                 if a.hi < lower:
                     return ClaimResult("alpha-interval", params, FAIL,
                                        {"k": k, "ell": ell, "alpha": a}, {},
@@ -828,8 +843,7 @@ def check_alpha_k2_report(ell_odd_max: int) -> ClaimResult:
     inside = {}
     for ell in ells:
         lower = (2 * q(2, 1)) ** ell
-        upper = stated_alpha_upper(2, ell, WINDOW_PRECISION)
-        a = alpha_enclosure(2, ell, width=ALPHA_WIDTH)
+        a, upper, _ = next(window_walk(2, ell))
         inside[ell] = bool(lower < a.lo and a.hi < upper.lo)
     return ClaimResult("alpha-interval-k2", params, FINDING, None,
                        {"inside_unasserted": inside},

@@ -87,11 +87,15 @@ def parse_width(text: str) -> Fraction:
 
 def _emit(args: argparse.Namespace, doc: dict) -> None:
     text = serialize.render(doc, args.fmt)
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:  # a usage error, not a mathematical failure
+        raise ValueError("cannot write --out %s: %s"
+                         % (args.out, exc.strerror)) from None
 
 
 def _note(message: str) -> None:

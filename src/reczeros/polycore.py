@@ -401,18 +401,12 @@ class SturmChain:
         """
         if not self.chain:
             return 0
-        if not _lt(a, b):
+        if not a < b:
             raise ValueError("count_open needs a < b")
         n = self.variations(a) - self.variations(b)
         if b != inf and self.sign_at(b) == 0:
             n -= 1
         return n
-
-
-def _lt(a, b) -> bool:
-    av = -inf if a == -inf else (inf if a == inf else Fraction(a))
-    bv = -inf if b == -inf else (inf if b == inf else Fraction(b))
-    return av < bv
 
 
 def cauchy_bound(p: Poly) -> Fraction:

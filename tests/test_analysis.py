@@ -4,19 +4,20 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, strategies as st
 
-from reczeros import analysis
+from reczeros import analysis, claims
 from reczeros.analysis import (
     AnalysisRecord,
     _family_discriminant,
     analyze,
     discriminant,
-    mahler_inequality_check,
     mahler_measure,
     nth_root_enclosure,
     resultant,
-    two_sided_window,
 )
+from reczeros.certify import ALPHA_WIDTH
+from reczeros.claims import check_alpha_interval, stated_alpha_upper
 from reczeros.family import reciprocal_poly
+from reczeros.interval import Interval
 from reczeros.polycore import Poly
 from reczeros.serialize import analysis_instance
 
@@ -117,12 +118,13 @@ def test_family_discriminant_matches_the_full_degree_sylvester_route():
 
 
 def test_nth_root_enclosure_certified():
-    r = nth_root_enclosure(2, 2, 200)
+    r = nth_root_enclosure(2, 2)
     assert r.lo**2 <= 2 <= r.hi**2
-    assert r.width() == F(1, 2**200)
-    r = nth_root_enclosure(F(27, 8), 3, 64)
+    assert r.width() == F(1, 2**128)
+    r = nth_root_enclosure(F(27, 8), 3)
     assert r.lo <= F(3, 2) <= r.hi
-    r = nth_root_enclosure(F(10**30), 5, 16)
+    assert r.width() == F(1, 2**128)
+    r = nth_root_enclosure(F(10**30), 5)
     assert r.lo <= 10**6 <= r.hi
 
 
@@ -156,34 +158,53 @@ def test_mahler_measure_refuses_nonconforming_certificate(monkeypatch):
 
 
 def test_mahler_inequality_small_cases():
-    assert mahler_inequality_check(1, 1)
-    assert mahler_inequality_check(2, 1)
+    assert analyze(1, 1).mahler_inequality_ok
+    assert analyze(2, 1).mahler_inequality_ok
     # direct arithmetic for (1,1): 21/518400 <= 4 M^2 with M < 0.0066547
     m_hi = F(66547, 10**7)
     assert F(21, 518400) <= 4 * m_hi**2
 
 
 def test_window_base_case():
-    lower, upper, inside = two_sided_window(1, 1)
-    assert lower.lo**2 <= F(21, 4) <= lower.hi**2
-    assert upper.lo == upper.hi == 7
-    assert inside
+    rec = analyze(1, 1)
+    assert rec.disc_lower.lo**2 <= F(21, 4) <= rec.disc_lower.hi**2
+    assert rec.stated_upper.lo == rec.stated_upper.hi == 7
+    assert rec.alpha_in_interval
 
 
 def test_window_membership_fails_where_the_endpoint_is_wrong():
     """l = 1, k = 7 exceeds the stated upper endpoint; False is certified."""
-    lower, upper, inside = two_sided_window(7, 1)
-    assert upper.hi == 4 + F(12, 4**7)
-    assert not inside
-    _, _, inside32 = two_sided_window(3, 2)
-    assert inside32
+    rec = analyze(7, 1)
+    assert rec.stated_upper.hi == 4 + F(12, 4**7)
+    assert not rec.alpha_in_interval
+    assert rec.mahler_inequality_ok  # alpha clears L while missing the window
+    assert analyze(3, 2).alpha_in_interval
 
 
 def test_window_validation():
     with pytest.raises(ValueError):
-        two_sided_window(0, 1)
+        analyze(0, 1)
     with pytest.raises(ValueError):
-        two_sided_window(1, 0)
+        analyze(1, 0)
+
+
+def test_analyze_and_the_window_check_share_one_walk(monkeypatch):
+    """An alpha enclosure straddling the l = 3 endpoint (about 55.09) at
+    ALPHA_WIDTH sends analyze and check_alpha_interval alike to the second
+    rung of claims.window_walk, where the endpoint is taken at 384 bits."""
+    real_alpha = claims.alpha_enclosure
+
+    def straddling_alpha(k, ell, width):
+        if width == ALPHA_WIDTH:
+            return Interval(50, 60)
+        return real_alpha(k, ell, width=width)
+
+    monkeypatch.setattr(claims, "alpha_enclosure", straddling_alpha)
+    rec = analyze(3, 3)
+    assert rec.stated_upper == stated_alpha_upper(3, 3, 384)
+    assert rec.mahler_inequality_ok and rec.alpha_in_interval
+    r = check_alpha_interval((3, 3), (3, 3))
+    assert r.status == "pass" and r.data["max_precision"] == 384
 
 
 def test_analyze_base_record():

@@ -496,6 +496,16 @@ def test_out_writes_file_and_stdout_stays_clean(tmp_path, capsys):
     validate("construct", doc)
 
 
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_out_is_a_usage_error(where, tmp_path, capsys):
+    target = tmp_path if where == "directory" else tmp_path / "no" / "x.json"
+    code = main(["scan", "--k", "1..3", "--ell", "1", "--out", str(target)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write --out %s: " % target)
+    assert "Traceback" not in err
+
+
 def test_jobs_do_not_change_bytes(tmp_path):
     paths = []
     for jobs in ("1", "3"):

@@ -94,6 +94,9 @@ def test_sturm_open_interval_endpoint_roots():
     assert chain.count_open(-1, 0) == 0
     assert chain.count_open(0, inf) == 1
     assert chain.count_open(-2, 2) == 3
+    for a, b in ((F(1), F(1)), (inf, inf), (F(1), -inf)):
+        with pytest.raises(ValueError):
+            chain.count_open(a, b)
 
 
 def test_sturm_rejects_repeated_roots():
