@@ -18,7 +18,6 @@ _EXPORTS = {
     "AnalysisRecord": "analysis",
     "analyze": "analysis",
     "discriminant": "analysis",
-    "mahler_measure": "analysis",
     "ZeroCertificate": "certify",
     "alpha_enclosure": "certify",
     "certify_zeros": "certify",
@@ -37,7 +36,6 @@ _EXPORTS = {
     "Interval": "interval",
     "Poly": "polycore",
     "SturmChain": "polycore",
-    "isolate_real_roots": "polycore",
 }
 
 __all__ = sorted(_EXPORTS)

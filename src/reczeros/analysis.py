@@ -18,14 +18,15 @@ the product over zero differences being |Disc|/lc^(2m-2) exactly.  With
 every zero but the pair (alpha, 1/alpha) on the unit circle, M = |lc|
 alpha, so the inequality says exactly alpha >= L, and `analyze` decides
 both it and window membership on one pass of claims.window_walk, the walk
-the window checks take.  The upper endpoint is claims.stated_alpha_upper
+the window checks take; the measure itself is |lc| times the walk's first
+alpha enclosure.  The upper endpoint is claims.stated_alpha_upper
 -- and it inherits the checks' defect: for exponent 1 it is exceeded once
 k >= 7, so membership is reported honestly as False there (see claims.py
 for the certified finding and the corrected endpoint 4 + 3/k).
 
 Each function takes (k, ell) and reads the member's memoized
-certify.zero_certificate; the measure refuses a member whose zeros do not
-conform, and so does analyze through it.
+certify.zero_certificate; analyze refuses a member whose zeros do not
+conform, for which the measure formula would not hold.
 
 Real 2k-th roots of rationals are enclosed by an integer floor-root plus
 dyadic bounds verified by exact powering, not by floating point.
@@ -36,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .certify import alpha_enclosure, zero_certificate
+from .certify import zero_certificate
 from .claims import DEFAULT_PRECISION, window_walk
 from .family import boundary_profile, reciprocal_poly
 from .interval import Interval
@@ -172,24 +173,6 @@ def nth_root_enclosure(value, n: int) -> Interval:
 
 
 # ---------------------------------------------------------------------------
-# Mahler measure
-# ---------------------------------------------------------------------------
-
-def mahler_measure(k: int, ell: int) -> Interval:
-    """Enclosure of |lc| * alpha, the measure of the family member.
-
-    Valid only because the certificate places every zero except the pair
-    (alpha, 1/alpha) on the unit circle; a non-conforming certificate is
-    refused rather than silently fed into the formula.
-    """
-    if not zero_certificate(k, ell).conforms:
-        raise ValueError("certificate does not conform; measure formula "
-                         "would be unjustified")
-    lead = abs(reciprocal_poly(k, ell).lc())
-    return lead * alpha_enclosure(k, ell)
-
-
-# ---------------------------------------------------------------------------
 # one-stop record
 # ---------------------------------------------------------------------------
 
@@ -221,6 +204,9 @@ def analyze(k: int, ell: int) -> AnalysisRecord:
     route independent of W and of the PRS, the full-degree Sylvester
     determinant of reciprocal_poly(k, ell), is the test oracle.
 
+    The Mahler measure |lc| alpha takes alpha off the walk's first rung;
+    a certificate that does not conform, for which it fails, is refused.
+
     The Mahler inequality is alpha >= L, decided exactly against the
     rational L^2k = size / scale, so it and window membership are read off
     the first rung of claims.window_walk that settles both: alpha below L
@@ -229,15 +215,22 @@ def analyze(k: int, ell: int) -> AnalysisRecord:
     that ends undecided raises ArithmeticError.
     """
     disc = _family_discriminant(k, ell)
-    if (disc != 0) != zero_certificate(k, ell).simple:
+    cert = zero_certificate(k, ell)
+    if (disc != 0) != cert.simple:
         raise AssertionError(
             "discriminant and squarefreeness certificate disagree")
-    measure = mahler_measure(k, ell)
+    if not cert.conforms:
+        raise ValueError("certificate does not conform; measure formula "
+                         "would be unjustified")
     # |Disc| <= (k+1)^(k+1) M^2k with M = |lc| alpha is size <= scale alpha^2k
+    lead = abs(reciprocal_poly(k, ell).lc())
     size = abs(disc)
-    scale = abs(reciprocal_poly(k, ell).lc()) ** (2 * k) * (k + 1) ** (k + 1)
+    scale = lead ** (2 * k) * (k + 1) ** (k + 1)
     lower = nth_root_enclosure(size / scale, 2 * k)
+    measure = None
     for a, upper, _ in window_walk(k, ell):
+        if measure is None:  # the first rung: alpha at ALPHA_WIDTH
+            measure = lead * a
         if size > scale * a.hi ** (2 * k):  # alpha < L: both fail
             ok = inside = False
             break

@@ -274,7 +274,7 @@ def _alpha_step(lo: Fraction, hi: Fraction,
     At an end p / D of the v-box, u^2 - 4 is p (p - 4D) / D^2; its square
     root s is rounded outward to a multiple of 2^-bits by isqrt, and the
     end of alpha is ((p - 2D) 2^bits + D s) / (D 2^(bits + 1)).  These are
-    the values the Interval chain u**2 - 4, sqrt_enclosure, (u + s) / 2
+    the values the Interval reference in tests/test_enclosure_reference.py
     gives, without its Fraction reductions.
     """
     a, da = lo.numerator, lo.denominator

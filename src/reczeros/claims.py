@@ -920,7 +920,7 @@ def run_all(k_max: int, ell_max: int, precision: int = DEFAULT_PRECISION,
     else:
         done("lemmas", _vacuous("index-ratio-bound", k_max=k_max))
     call("lemmas", check_zeta_sum_identity, 64)
-    if k_max >= 2:
+    if k_max >= 3:  # q(2, .) has one index on its half: nothing to compare
         call("lemmas", check_qj_monotone, k_max)
     else:
         done("lemmas", _vacuous("q-monotone", k_max=k_max))
@@ -930,7 +930,10 @@ def run_all(k_max: int, ell_max: int, precision: int = DEFAULT_PRECISION,
         done("lemmas", _vacuous("delta-majorant", k_max=k_max,
                                 ell_max=ell_max))
     call("props", check_GH_signs, k_max, ell_max)
-    call("props", check_pm1_zero, k_max, ell_max)
+    if k_max >= 1 and ell_max >= 1:
+        call("props", check_pm1_zero, k_max, ell_max)
+    else:
+        done("props", _vacuous("unit-values", k_max=k_max, ell_max=ell_max))
     for k in range(3, min(k_max, 12) + 1):
         for ell in range(1, ell_max + 1):
             call("props", check_sign_pattern, k, ell, precision)
@@ -942,7 +945,11 @@ def run_all(k_max: int, ell_max: int, precision: int = DEFAULT_PRECISION,
                                    ell_max=ell_max))
         done("intervals", _vacuous("alpha-interval-k2", k_max=k_max,
                                    ell_max=ell_max))
-    call("props", check_zero_location_grid, k_max, ell_max)
+    if k_max >= 1 and ell_max >= 1:
+        call("props", check_zero_location_grid, k_max, ell_max)
+    else:
+        done("props", _vacuous("zero-location-grid", k_max=k_max,
+                               ell_max=ell_max))
 
     computed = iter(map_calls([step for step in plan if step[0] is not None],
                               jobs))

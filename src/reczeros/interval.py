@@ -14,7 +14,8 @@ numerator and denominator (`floor_scaled`, `ceil_scaled`), which needs no
 grid assumption about the operand, and a product of two mantissas rounds
 by a shift.  Each returns exactly the interval that the same steps on
 `Fraction` endpoints, each rounded outward, would give, and runs no gcd
-until the result is built.
+until the result is built.  (The one square root, in `certify`'s alpha
+step, is rounded by `isqrt` there.)
 
 Also provides certified enclosures of pi (Machin's formula with
 alternating-series tail bounds, summed as exact integer ratios) and of cos
@@ -36,7 +37,7 @@ the process, so the memos change no result.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, ceil, isqrt
+from math import floor, ceil
 from typing import Sequence, Union
 
 _NumLike = Union[int, Fraction]
@@ -232,27 +233,6 @@ def horner_rounded(coeffs: Sequence[_NumLike], x: Interval, bits: int,
         floor_scaled(x.lo.numerator, x.lo.denominator, bits + x_shift),
         ceil_scaled(x.hi.numerator, x.hi.denominator, bits + x_shift), bits)
     return Interval(Fraction(lo, scale), Fraction(hi, scale))
-
-
-def sqrt_enclosure(iv: Interval, bits: int) -> Interval:
-    """Certified enclosure of the square root of a nonnegative interval.
-
-    Endpoints are multiples of 2^-bits obtained from integer square roots,
-    so the result always contains the exact square root set.
-    `certify._alpha_step` takes the same bounds on integers; this interval
-    form stays as the reference the tests hold it to, and as an entry
-    point the benchmark tracer names.
-    """
-    if iv.lo < 0:
-        raise ValueError("sqrt_enclosure requires a nonnegative interval")
-    sq = 1 << (2 * bits)
-    lo_num = isqrt(floor(iv.lo * sq))
-    hi_arg = ceil(iv.hi * sq)
-    hi_num = isqrt(hi_arg)
-    if hi_num * hi_num < hi_arg:
-        hi_num += 1
-    scale = 1 << bits
-    return Interval(Fraction(lo_num, scale), Fraction(hi_num, scale))
 
 
 # -- pi ------------------------------------------------------------------

@@ -11,10 +11,11 @@ every case: it strips the content of each exact pseudo-remainder (`_prem`,
 the kernel `analysis.resultant` runs on too) and fixes its sign from the
 known sign of the lc power, so sign variation counts are preserved
 exactly.  Root counts are over open intervals; callers detect endpoint
-roots by exact evaluation.  Root isolation returns boxes with nonzero
-opposite endpoint signs; refinement is sign bisection on integer
-numerators over a common denominator that doubles with each halving,
-with signs taken by homogeneous integer Horner.
+roots by exact evaluation.  A root box, which `certify` builds as (4, B)
+around W's one zero beyond 4, has nonzero opposite endpoint signs; its
+refinement is sign bisection on integer numerators over a common
+denominator that doubles with each halving, with signs taken by
+homogeneous integer Horner.
 
 Also here: the z + 1/z transform for self-reciprocal polynomials of even
 degree.  For m with z^(2d) m(1/z) = sigma * m(z):
@@ -38,8 +39,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, inf
 from typing import Iterable, Sequence
-
-from .interval import Interval
 
 
 class Poly:
@@ -219,13 +218,6 @@ class Poly:
         acc = Fraction(0)
         for c in reversed(self._coeffs):
             acc = acc * x + c
-        return acc
-
-    def eval_interval(self, x: Interval) -> Interval:
-        """Inclusion-correct interval Horner evaluation."""
-        acc = Interval(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + Interval(c)
         return acc
 
     # -- integer clearing -------------------------------------------------
@@ -441,76 +433,6 @@ class RootBox:
 
     def __repr__(self) -> str:
         return "RootBox(%s, %s)" % (self.lo, self.hi)
-
-
-def _make_box(p: Poly, ints, lo, hi) -> RootBox:
-    return RootBox(p, lo, hi, _sign_at(ints, lo), _sign_at(ints, hi))
-
-
-def isolate_real_roots(p: Poly, a=-inf, b=inf) -> list[RootBox]:
-    """Isolating boxes for all real roots of squarefree p in open (a, b).
-
-    Boxes are returned in increasing order; as open intervals they are
-    pairwise disjoint and each contains exactly one root.  Rational roots
-    hit exactly by a bisection point get a small symmetric box carved out
-    around them.
-    """
-    if p.degree() < 1:
-        return []
-    chain = SturmChain(p)
-    ints = p.int_coeffs()
-    bound = cauchy_bound(p)
-    lo = -bound if a == -inf else Fraction(a)
-    hi = bound if b == inf else Fraction(b)
-    if not lo < hi:
-        return []
-
-    def count(x, y):
-        return chain.count_open(x, y)
-
-    def nudge_off_root(x, other):
-        # move x inward (towards `other`) until it is not a root and no
-        # root sits strictly between the original x and its replacement
-        step = (other - x) / 4
-        while True:
-            cand = x + step
-            if _sign_at(ints, cand) != 0 and count(min(x, cand), max(x, cand)) == 0:
-                return cand
-            step /= 2
-
-    out: list[RootBox] = []
-    if _sign_at(ints, lo) == 0:
-        lo = nudge_off_root(lo, hi)
-    if _sign_at(ints, hi) == 0:
-        hi = nudge_off_root(hi, lo)
-    stack = [(lo, hi, count(lo, hi))]
-    while stack:
-        x, y, n = stack.pop()
-        if n == 0:
-            continue
-        sx, sy = _sign_at(ints, x), _sign_at(ints, y)
-        if n == 1 and sx * sy < 0:
-            out.append(RootBox(p, x, y, sx, sy))
-            continue
-        m = (x + y) / 2
-        sm = _sign_at(ints, m)
-        if sm == 0:
-            # exact rational root at the midpoint: carve out its own box
-            delta = (y - x) / 8
-            while (
-                _sign_at(ints, m - delta) == 0
-                or _sign_at(ints, m + delta) == 0
-                or count(m - delta, m + delta) != 1
-            ):
-                delta /= 2
-            out.append(_make_box(p, ints, m - delta, m + delta))
-            stack.append((x, m - delta, count(x, m - delta)))
-            stack.append((m + delta, y, count(m + delta, y)))
-        else:
-            stack.append((x, m, count(x, m)))
-            stack.append((m, y, count(m, y)))
-    out.sort(key=lambda box: box.lo)
-    return out
 
 
 def refine_root(box: RootBox, width: Fraction) -> RootBox:

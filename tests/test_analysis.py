@@ -4,18 +4,19 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, strategies as st
 
-from reczeros import analysis, claims
+from reczeros import analysis, certify, claims
 from reczeros.analysis import (
     AnalysisRecord,
     _family_discriminant,
+    _floor_nth_root,
     analyze,
     discriminant,
-    mahler_measure,
     nth_root_enclosure,
     resultant,
 )
-from reczeros.certify import ALPHA_WIDTH
-from reczeros.claims import check_alpha_interval, stated_alpha_upper
+from reczeros.certify import ALPHA_WIDTH, alpha_enclosure
+from reczeros.claims import (DEFAULT_PRECISION, check_alpha_interval,
+                             stated_alpha_upper)
 from reczeros.family import reciprocal_poly
 from reczeros.interval import Interval
 from reczeros.polycore import Poly
@@ -137,24 +138,66 @@ def test_nth_root_enclosure_validation():
         nth_root_enclosure(2, 0)
 
 
+@given(a=st.one_of(st.integers(0, 64), st.integers(0, 10**400)),
+       n=st.integers(1, 80), base=st.integers(0, 10**6),
+       step=st.integers(-1, 1))
+@example(a=2, n=2, base=1, step=1)
+def test_floor_nth_root_brackets(a, n, base, step):
+    """r^n <= a < (r + 1)^n, on any a and on a next to an exact power."""
+    for value in (a, max(base**n + step, 0)):
+        r = _floor_nth_root(value, n)
+        assert r**n <= value < (r + 1) ** n
+
+
+@given(num=st.integers(1, 10**60), den=st.integers(1, 10**60),
+       n=st.integers(1, 80))
+@example(num=27, den=8, n=3)
+@example(num=1, den=1, n=80)
+def test_nth_root_enclosure_brackets(num, den, n):
+    v = F(num, den)
+    r = nth_root_enclosure(v, n)
+    assert r.lo**n <= v < r.hi**n
+    assert r.width() == F(1, 2**DEFAULT_PRECISION)
+
+
 def test_mahler_measure_base_case():
     """(1,1): measure is (5 + sqrt(21))/1440 ~ 0.0066546."""
-    m = mahler_measure(1, 1)
+    m = analyze(1, 1).mahler
     assert F(66545, 10**7) < m.lo < m.hi < F(66546, 10**7)
 
 
 def test_mahler_measure_positive_on_grid():
     for k in range(1, 7):
         for ell in range(1, 4):
-            m = mahler_measure(k, ell)
+            m = analyze(k, ell).mahler
             assert m.lo > 0, (k, ell)
 
 
 def test_mahler_measure_refuses_nonconforming_certificate(monkeypatch):
     monkeypatch.setattr(analysis, "zero_certificate",
-                        lambda k, ell: SimpleNamespace(conforms=False))
-    with pytest.raises(ValueError):
-        mahler_measure(1, 1)
+                        lambda k, ell: SimpleNamespace(conforms=False,
+                                                       simple=True))
+    with pytest.raises(ValueError, match="does not conform"):
+        analyze(1, 1)
+
+
+def test_analyze_refines_alpha_once_per_member(monkeypatch):
+    """The measure is |lc| times the window walk's first alpha enclosure,
+    so a member whose walk settles on its first rung refines alpha once."""
+    widths = []
+    real_refine = certify._alpha_from_box
+
+    def counted(box, width):
+        widths.append(width)
+        return real_refine(box, width)
+
+    monkeypatch.setattr(certify, "_alpha_from_box", counted)
+    members = [(k, ell) for k in range(1, 7) for ell in range(1, 4)]
+    records = [analyze(k, ell) for k, ell in members]
+    assert widths == [ALPHA_WIDTH] * len(members)
+    for (k, ell), rec in zip(members, records):
+        lead = abs(reciprocal_poly(k, ell).lc())
+        assert rec.mahler == lead * alpha_enclosure(k, ell), (k, ell)
 
 
 def test_mahler_inequality_small_cases():

@@ -8,6 +8,7 @@ from fresh_process import fresh_python
 from reczeros import claims, serialize
 from reczeros.certify import alpha_enclosure
 from reczeros.claims import (
+    EMPTY_RANGE,
     PRECISION_CAP,
     WIDTH_FLOOR,
     check_GH_signs,
@@ -382,6 +383,14 @@ def test_run_all_empty_grid_is_all_vacuous_or_pass():
     assert all(r.status == "pass" for r in rep.results)
     with pytest.raises(ValueError):
         run_all(-1, 0)
+
+
+def test_claims_that_check_nothing_are_marked_vacuous():
+    """q(2, .) has one index on its half, and no member has ell = 0."""
+    by_id = {r.claim_id: r for r in run_all(2, 0).results}
+    for claim_id in ("q-monotone", "unit-values", "zero-location-grid"):
+        assert by_id[claim_id].status == "pass"
+        assert by_id[claim_id].detail == EMPTY_RANGE, claim_id
 
 
 def test_report_round_trips_to_plain_types():

@@ -7,7 +7,7 @@ enclosures of the same value.
 """
 
 from fractions import Fraction as F
-from math import comb, factorial, floor, ceil, gcd, lcm
+from math import comb, factorial, floor, ceil, gcd, isqrt, lcm
 
 from hypothesis import given, settings, strategies as st
 
@@ -26,7 +26,6 @@ from reczeros.interval import (
     cos_enclosure,
     pi_enclosure,
     pow_rounded,
-    sqrt_enclosure,
 )
 from reczeros.polycore import (
     Poly,
@@ -225,9 +224,27 @@ def cauchy_bound_ref(p):
     return 1 + max(abs(c) for c in p.coeffs[:-1]) / abs(p.lc())
 
 
+def sqrt_enclosure_ref(iv, bits):
+    """Certified enclosure of the square root of a nonnegative interval.
+
+    Endpoints are multiples of 2^-bits obtained from integer square roots,
+    so the result always contains the exact square root set.
+    """
+    if iv.lo < 0:
+        raise ValueError("sqrt_enclosure requires a nonnegative interval")
+    sq = 1 << (2 * bits)
+    lo_num = isqrt(floor(iv.lo * sq))
+    hi_arg = ceil(iv.hi * sq)
+    hi_num = isqrt(hi_arg)
+    if hi_num * hi_num < hi_arg:
+        hi_num += 1
+    scale = 1 << bits
+    return Interval(F(lo_num, scale), F(hi_num, scale))
+
+
 def alpha_step_ref(v, bits):
     u = v - Interval(2)
-    s = sqrt_enclosure(u**2 - Interval(4), bits)
+    s = sqrt_enclosure_ref(u**2 - Interval(4), bits)
     return (u + s) * F(1, 2)
 
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from reczeros.certify import certify_zeros
-from reczeros.interval import Interval
 from reczeros.polycore import (
     Poly,
     _sign_at,
@@ -16,7 +15,6 @@ from reczeros.polycore import (
     _prem,
     cauchy_bound,
     detect_reversal_sign,
-    isolate_real_roots,
     reciprocal_transform,
     refine_root,
     split_even_odd,
@@ -68,13 +66,6 @@ def test_call_and_int_coeffs():
     assert p.int_coeffs() == (3, -2, 6)
     assert Poly([F(2, 3), F(4, 3)]).int_coeffs() == (1, 2)
     assert Poly.zero().int_coeffs() == ()
-
-
-def test_eval_interval_is_inclusion():
-    p = Poly([-2, 0, 1])  # x^2 - 2
-    box = p.eval_interval(Interval(1, 2))
-    for t in (F(1), F(3, 2), F(2), F(7, 5)):
-        assert box.contains(p(t))
 
 
 def test_sturm_counts_golden():
@@ -173,55 +164,6 @@ def test_rootbox_validation():
         RootBox(p, 2, 1, -1, 1)
 
 
-def _interval(box):
-    return Interval(box.lo, box.hi)
-
-
-def test_isolate_simple_quadratic():
-    p = Poly([1, -5, 1])
-    boxes = isolate_real_roots(p)
-    assert len(boxes) == 2
-    assert boxes[0].hi <= boxes[1].lo
-    for box in boxes:
-        assert box.sign_lo * box.sign_hi < 0
-    a, b = (_interval(refine_root(box, F(1, 10**15))) for box in boxes)
-    # Vieta: the two roots sum to 5 and multiply to 1
-    assert (a + b).contains(5)
-    assert (a * b).contains(1)
-
-
-def test_isolate_hits_rational_root_at_midpoint():
-    # roots 0 and +-sqrt(13/2); the first bisection midpoint is exactly 0
-    p = Poly([0, F(-13, 2), 0, 1])
-    boxes = isolate_real_roots(p)
-    assert len(boxes) == 3
-    assert boxes[1].lo < 0 < boxes[1].hi
-    for box in (boxes[0], boxes[2]):
-        tight = _interval(refine_root(box, F(1, 10**12)))
-        assert tight.width() <= F(1, 10**12)
-        assert (tight**2).contains(F(13, 2))
-    # carved-out boxes may share endpoints; as open sets they are disjoint
-    assert boxes[0].hi <= boxes[1].lo and boxes[1].hi <= boxes[2].lo
-
-
-def test_isolate_with_endpoint_roots():
-    p = X * (X - 1) * (X + 1)
-    boxes = isolate_real_roots(p, 0, inf)
-    assert len(boxes) == 1
-    assert boxes[0].lo < 1 < boxes[0].hi
-    boxes = isolate_real_roots(p, -1, 1)
-    assert len(boxes) == 1
-    assert boxes[0].lo < 0 < boxes[0].hi
-
-
-def test_isolate_respects_requested_window():
-    p = Poly([1, -5, 1])
-    inside = isolate_real_roots(p, 0, 1)
-    assert len(inside) == 1
-    assert 0 <= inside[0].lo and inside[0].hi <= 1
-    assert isolate_real_roots(p, 1, 4) == []
-
-
 def test_refine_closes_on_exact_rational_root():
     p = (X - F(1, 2)) * (X - 3)
     box = RootBox(p, F(1, 4), F(3, 4), 1, -1)
@@ -235,7 +177,9 @@ def test_refine_random_linear_roots():
     for _ in range(25):
         r = F(rng.randrange(-50, 50), rng.randrange(1, 20))
         p = (X - r) * (X - (r + 7))
-        (box,) = isolate_real_roots(p, r - F(1, 3), r + F(1, 3))
+        ints = p.int_coeffs()
+        lo, hi = r - F(1, 3), r + F(1, 3)
+        box = RootBox(p, lo, hi, _sign_at(ints, lo), _sign_at(ints, hi))
         tight = refine_root(box, F(1, 10**9))
         assert tight.lo < r < tight.hi
         assert tight.width() <= F(1, 10**9)
