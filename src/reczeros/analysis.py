@@ -35,7 +35,6 @@ dyadic bounds verified by exact powering, not by floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .certify import zero_certificate
 from .claims import DEFAULT_PRECISION, window_walk
@@ -100,7 +99,6 @@ def discriminant(p: Poly) -> Fraction:
     return sign * resultant(p, p.derivative()) / p.lc()
 
 
-@lru_cache(maxsize=None)
 def _family_discriminant(k: int, ell: int) -> Fraction:
     """Disc(R) for R = reciprocal_poly(k, ell), from its half-degree W.
 

@@ -132,7 +132,8 @@ def circle_approximant(k: int, ell: int) -> ApproximantPair:
         delta_coeffs[2 * j] = -scale * s * excess
         weight += scale * excess
     delta = Poly(delta_coeffs)
-    return ApproximantPair(k, ell, m - delta, delta, weight)
+    approx = Poly([c - dc for c, dc in zip(m.coeffs, delta_coeffs)])
+    return ApproximantPair(k, ell, approx, delta, weight)
 
 
 @lru_cache(maxsize=None)

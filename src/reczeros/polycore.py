@@ -1,9 +1,10 @@
-"""Dense univariate polynomials over exact rationals.
+"""Exact rational polynomials and the integer kernels that run on them.
 
-The real-root machinery works over integers for speed: a polynomial is
-cleared to a primitive integer coefficient list, a positive multiple with
-the same signs, and `_sign_at` takes its exact sign at a rational point by
-integer Horner; `_dyadic_signs` takes the signs at many points num / 2^bits
+`Poly` holds a polynomial's exact rational coefficients, as documents
+print them; the real-root machinery works over integers for speed.  A
+polynomial is cleared to a primitive integer coefficient list, a positive
+multiple with the same signs, and `_sign_at` takes its exact sign at a
+rational point by integer Horner; `_dyadic_signs` takes the signs at many points num / 2^bits
 with one set of shifted coefficients.  Those sign kernels are all the
 primary certificate route (sign alternation on a grid, in `certify`)
 needs.  The signed remainder (Sturm) chain is the fallback that decides
@@ -44,11 +45,10 @@ from typing import Iterable, Sequence
 class Poly:
     """Immutable dense polynomial with Fraction coefficients, low to high.
 
-    The library needs only part of the ring algebra.  All of it (+ - * **
-    divmod // %), with `x`, `monomial` and `reverse`, is kept as the
-    independent exact reference the tests check the integer kernels
-    against: the Fraction transform oracle and the cyclotomic-division
-    oracle.
+    It holds the exact coefficients that documents print, evaluates and
+    differentiates them, and caches the primitive integer form
+    (`int_coeffs`) that every kernel runs on.  There is no ring algebra:
+    no command adds, multiplies or divides polynomials.
     """
 
     __slots__ = ("_coeffs", "_ints")
@@ -61,24 +61,6 @@ class Poly:
             cs.pop()
         self._coeffs = tuple(cs)
         self._ints = None
-
-    # -- construction -----------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "Poly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "Poly":
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, n: int, c=1) -> "Poly":
-        return cls((0,) * n + (c,))
 
     # -- queries ----------------------------------------------------------
 
@@ -96,11 +78,6 @@ class Poly:
         if not self._coeffs:
             return Fraction(0)
         return self._coeffs[-1]
-
-    def __getitem__(self, i: int) -> Fraction:
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
-        return Fraction(0)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self._coeffs == other._coeffs
@@ -123,93 +100,8 @@ class Poly:
                 parts.append("%s*x^%d" % (c, i))
         return "Poly(" + " + ".join(parts) + ")"
 
-    # -- ring operations --------------------------------------------------
-
-    def __add__(self, other) -> "Poly":
-        other = _as_poly(other)
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self._coeffs))
-
-    def __sub__(self, other) -> "Poly":
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other) -> "Poly":
-        return _as_poly(other) + (-self)
-
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly(tuple(c * other for c in self._coeffs))
-        other = _as_poly(other)
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return Poly.zero()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        other = _as_poly(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
-        dq = len(rem) - len(other._coeffs)
-        if dq < 0:
-            return Poly.zero(), self
-        quo = [Fraction(0)] * (dq + 1)
-        dlc = other.lc()
-        db = other.degree()
-        for i in range(dq, -1, -1):
-            if len(rem) - 1 != db + i or not rem:
-                continue
-            c = rem[-1] / dlc
-            quo[i] = c
-            for j, cb in enumerate(other._coeffs):
-                rem[i + j] -= c * cb
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(quo), Poly(rem)
-
-    def __floordiv__(self, other) -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other) -> "Poly":
-        return divmod(self, other)[1]
-
     def derivative(self) -> "Poly":
         return Poly(tuple(i * c for i, c in enumerate(self._coeffs) if i > 0))
-
-    def reverse(self) -> "Poly":
-        """x^deg * p(1/x): the coefficient list reversed."""
-        return Poly(tuple(reversed(self._coeffs)))
 
     # -- evaluation -------------------------------------------------------
 
@@ -234,14 +126,6 @@ class Poly:
                 g = gcd(*ints)
                 self._ints = tuple(c // g for c in ints)
         return self._ints
-
-
-def _as_poly(x) -> Poly:
-    if isinstance(x, Poly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Poly((x,))
-    raise TypeError("cannot coerce %r to Poly" % (x,))
 
 
 # -- integer-level helpers ----------------------------------------------

@@ -1,0 +1,52 @@
+"""Exact polynomial arithmetic for the tests, from sympy.
+
+`Poly` has no ring algebra, so the tests' exact references (products,
+remainders, cyclotomic polynomials, resubstitution) are sympy's, written
+independently of the integer kernels they check.  Polynomials cross over
+as `sympy.Poly` in `z` over QQ, coefficients as `sympy.Rational`.
+"""
+
+from fractions import Fraction
+
+import sympy
+
+from reczeros.polycore import Poly
+
+z = sympy.Symbol("z")
+
+
+def to_rational(c) -> sympy.Rational:
+    c = Fraction(c)
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def to_fraction(c: sympy.Rational) -> Fraction:
+    return Fraction(int(c.p), int(c.q))
+
+
+def to_sympy(p) -> sympy.Poly:
+    """A Poly, or a low-to-high coefficient list, as a sympy.Poly."""
+    cs = p.coeffs if isinstance(p, Poly) else p
+    return sympy.Poly([to_rational(c) for c in reversed(cs)] or [0], z,
+                      domain=sympy.QQ)
+
+
+def from_sympy(p) -> Poly:
+    """A sympy.Poly, or an expression in z, as a Poly."""
+    p = sympy.Poly(p, z, domain=sympy.QQ)
+    return Poly(to_fraction(c) for c in reversed(p.all_coeffs()))
+
+
+def from_roots(*roots, lc=1) -> Poly:
+    """lc * prod (z - r), each root anything Fraction() takes."""
+    return from_sympy(to_rational(lc) * sympy.prod(
+        [z - to_rational(r) for r in roots]))
+
+
+def resubstitute(t: Poly, shift: int, sigma: int) -> Poly:
+    """z^shift (z^2 - 1)^[sigma < 0] T(z + 1/z), expanded: m itself when T
+    is m's transform."""
+    expr = z**shift * to_sympy(t).as_expr().subs(z, z + 1 / z)
+    if sigma < 0:
+        expr *= z**2 - 1
+    return from_sympy(expr)

@@ -23,6 +23,7 @@ from reczeros.polycore import Poly
 from reczeros.serialize import analysis_instance
 
 from numeric_oracle import largest_real_root
+from sympy_oracle import from_sympy, to_sympy
 from sylvester_oracle import sylvester_discriminant, sylvester_resultant
 
 
@@ -42,7 +43,8 @@ def test_resultant_scaling_law():
     p = Poly((1, -5, 1))
     q = p.derivative()
     base = resultant(p, q)
-    assert resultant(3 * p, 5 * q) == F(3) ** q.degree() * F(5) ** p.degree() * base
+    p3, q5 = from_sympy(3 * to_sympy(p)), from_sympy(5 * to_sympy(q))
+    assert resultant(p3, q5) == F(3) ** q.degree() * F(5) ** p.degree() * base
 
 
 def test_resultant_with_constant():
@@ -77,7 +79,8 @@ def test_resultant_matches_the_sylvester_oracle(p, q):
 @given(p=_polys(4), q=_polys(4), common=_polys(4))
 @example(p=Poly((1,)), q=Poly((2, -1)), common=Poly((-1, 1)))
 def test_resultant_vanishes_on_a_shared_factor(p, q, common):
-    a, b = p * common, q * common
+    a = from_sympy(to_sympy(p) * to_sympy(common))
+    b = from_sympy(to_sympy(q) * to_sympy(common))
     if common.degree() >= 1:
         assert resultant(a, b) == 0
     assert resultant(a, b) == sylvester_resultant(a, b)
@@ -97,7 +100,7 @@ def test_discriminant_depressed_cubic():
 
 def test_discriminant_scaling_and_validation():
     p = Poly((1, -5, 1))
-    assert discriminant(3 * p) == 9 * discriminant(p)
+    assert discriminant(from_sympy(3 * to_sympy(p))) == 9 * discriminant(p)
     assert discriminant(Poly((1, 2))) == 1
     with pytest.raises(ValueError):
         discriminant(Poly((5,)))

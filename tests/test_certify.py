@@ -2,6 +2,7 @@ from fractions import Fraction as F
 from math import inf
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from reczeros import certify
@@ -15,10 +16,11 @@ from reczeros.certify import (
     roots_of_unity_zeros,
     zero_certificate,
 )
-from reczeros.family import monic_even_form, reciprocal_poly, sigma_of
+from reczeros.family import reciprocal_poly, sigma_of
 from reczeros.polycore import Poly, SturmChain
 
 from numeric_oracle import root_classes
+from sympy_oracle import from_roots, from_sympy, to_sympy, z
 
 
 def test_certificate_quartic_base():
@@ -133,9 +135,7 @@ def _sturm_root_counts(w):
 def test_alternation_counts_match_sturm(inside, beyond, extra, n, scale):
     # distinct rational roots, mostly laid out the way alternation can close
     roots = set(inside) | {beyond} | set(extra)
-    w = Poly([scale])
-    for r in roots:
-        w = w * Poly([-r, 1])
+    w = from_roots(*roots, lc=scale)
     box = alternation_box(w, n)
     if box is None:
         return
@@ -145,22 +145,16 @@ def test_alternation_counts_match_sturm(inside, beyond, extra, n, scale):
     assert box.lo < max(roots) < box.hi
 
 
-def _linears(*roots):
-    out = Poly([1])
-    for r in roots:
-        out = out * Poly([-F(r), 1])
-    return out
-
-
 @pytest.mark.parametrize("w, control", [
     # a complex pair: two sign changes short on [0, 4]
-    (_linears("3/2", 5) * Poly([1, 0, 1]), _linears("1/2", "3/2", "5/2", 5)),
+    (from_sympy((z - sympy.Rational(3, 2)) * (z - 5) * (z**2 + 1)),
+     from_roots("1/2", "3/2", "5/2", 5)),
     # a double root: W touches zero without changing sign
-    (_linears("3/2", "3/2", 5), _linears("3/2", "5/2", 5)),
+    (from_roots("3/2", "3/2", 5), from_roots("3/2", "5/2", 5)),
     # a root exactly on the grid point 4 cos^2(pi/3) = 1
-    (_linears(1, "3/2", 5), _linears("1/2", "3/2", 5)),
+    (from_roots(1, "3/2", 5), from_roots("1/2", "3/2", 5)),
     # the sign change on [0, 4] is there, but the other root is at -1
-    (_linears("3/2", -1), _linears("3/2", 5)),
+    (from_roots("3/2", -1), from_roots("3/2", 5)),
 ])
 def test_alternation_declines_what_it_cannot_prove(w, control):
     assert 1 << certify.GRID_BITS in cosine_grid(6)  # the grid point 1
@@ -224,13 +218,16 @@ def test_cyclotomic_golden():
     assert Poly(_cyclotomic_ints(7)) == Poly([1] * 7)
 
 
+def _sympy_cyclotomic(n: int) -> Poly:
+    return from_sympy(sympy.cyclotomic_poly(n, z))
+
+
 def test_cyclotomic_product_recovers_power():
     for n in range(1, 61):
-        prod = Poly([1])
-        for d in range(1, n + 1):
-            if n % d == 0:
-                prod = prod * Poly(_cyclotomic_ints(d))
-        assert prod == Poly.monomial(n, 1) + Poly([-1]), n
+        assert Poly(_cyclotomic_ints(n)) == _sympy_cyclotomic(n), n
+        factors = [to_sympy(_cyclotomic_ints(d))
+                   for d in range(1, n + 1) if n % d == 0]
+        assert sympy.prod(factors) == to_sympy([-1] + [0] * (n - 1) + [1]), n
 
 
 def _phi_by_trial_division(n: int) -> int:
@@ -257,6 +254,15 @@ def test_euler_phi():
         _phi_by_trial_division(n) for n in range(1, 3001)]
 
 
+def test_cyclotomic_ints_match_sympy_for_the_k40_scan():
+    deg = 41  # the orders roots_of_unity_zeros(40, ell) divides by
+    orders = [n for n in range(1, 2 * deg * deg + 1)
+              if _phi_by_trial_division(n) <= deg]
+    assert len(orders) == 81
+    for n in orders:
+        assert Poly(_cyclotomic_ints(n)) == _sympy_cyclotomic(n), n
+
+
 def test_unity_orders_golden():
     assert roots_of_unity_zeros(1, 1) == []
     assert roots_of_unity_zeros(2, 1) == [2]
@@ -267,12 +273,13 @@ def test_unity_orders_golden():
 def test_unity_orders_match_fraction_division_oracle():
     for k in range(1, 21):
         deg = k + 1
-        orders = [n for n in range(1, 2 * deg * deg + 1)
-                  if _phi_by_trial_division(n) <= deg]
+        cyclotomic = {n: sympy.cyclotomic_poly(n, z, polys=True)
+                      for n in range(1, 2 * deg * deg + 1)
+                      if _phi_by_trial_division(n) <= deg}
         for ell in range(1, 7):
-            r = reciprocal_poly(k, ell)
-            want = [n for n in orders
-                    if (r % Poly(_cyclotomic_ints(n))).is_zero()]
+            r = to_sympy(reciprocal_poly(k, ell))
+            want = [n for n, phi_n in cyclotomic.items()
+                    if sympy.rem(r, phi_n).is_zero]
             assert roots_of_unity_zeros(k, ell) == want, (k, ell)
 
 
@@ -284,8 +291,8 @@ def test_unity_orders_stay_trivial_for_higher_ell():
 
 
 def test_unity_order_three_splits_off_exactly():
-    r = reciprocal_poly(3, 1)
-    quotient, remainder = divmod(r, Poly(_cyclotomic_ints(3)))
-    assert remainder.is_zero()
+    r = to_sympy(reciprocal_poly(3, 1))
+    quotient, remainder = sympy.div(r, to_sympy(_cyclotomic_ints(3)))
+    assert remainder.is_zero
     assert quotient.degree() == 2
-    assert (r % Poly(_cyclotomic_ints(4))).is_zero() is False
+    assert not sympy.rem(r, to_sympy(_cyclotomic_ints(4))).is_zero

@@ -53,6 +53,18 @@ def test_quotient_bound_counts_pairs():
     assert r.data["tightest"]["rel_margin_exp2"] < 0
 
 
+def test_quotient_bound_fail_witness(monkeypatch):
+    # pi taken as 2: zeta(2)/zeta(4) = 15/pi^2 reads 15/4, so the excess at
+    # (k, j) = (1, 1) reaches 11/4, far past the bound 3/4
+    monkeypatch.setattr(claims, "pi_enclosure",
+                        lambda p: Interval(2, 2 + F(1, 2**p)))
+    r = check_quotient_bound(3)
+    assert r.status == "fail"
+    assert r.detail == "bound violated"
+    assert (r.witness["k"], r.witness["j"]) == (1, 1)
+    assert r.witness["excess"].hi == F(11, 4)
+
+
 def test_ratio_corner_is_a_finding():
     """The index-ratio bound is strict except at (k, j) = (3, 2) exactly."""
     r = check_ratio_max(6)
