@@ -20,7 +20,8 @@ off the circle, and that pair is real positive: then the unimodular count
 is k - 1 and the off-circle pair is (alpha, 1/alpha).
 
 The counts come from the paper's own argument first: exact signs of W at
-0, at 4, at the Cauchy bound B and at the cosine grid 4 cos^2(j pi/(2(k-1))).
+0, at 4 and at the cosine grid 4 cos^2(j pi/(2(k-1))), and at the Cauchy
+bound B the sign of W's leading coefficient, which the bound's proof gives.
 Floats only choose the grid points, which are rounded to dyadic rationals;
 integer Horner decides every sign.  The kernels follow one rule, integers
 inside and Fraction only at the boundaries: the grid signs are one
@@ -60,7 +61,6 @@ from .polycore import (
     RootBox,
     SturmChain,
     _dyadic_signs,
-    _sign_at,
     cauchy_bound,
     refine_root,
 )
@@ -121,10 +121,11 @@ def alternation_box(w: Poly, n: int) -> RootBox | None:
     """The box (4, B) of the one root of W beyond 4, when alternation proves it.
 
     Signs of W are taken exactly at 0, at the interior points of
-    cosine_grid(n), at 4 and at the Cauchy bound B.  With h = deg W, h - 1
-    sign changes on [0, 4] plus opposite signs at 4 and B bracket h
-    distinct real roots in disjoint open intervals, which are all of them.
-    Returns None when a sign is zero or the changes fall short.
+    cosine_grid(n) and at 4; at the Cauchy bound B, W has the sign of its
+    leading coefficient (see `cauchy_bound`).  With h = deg W, h - 1 sign
+    changes on [0, 4] plus opposite signs at 4 and B bracket h distinct
+    real roots in disjoint open intervals, which are all of them.  Returns
+    None when a sign is zero or the changes fall short.
     """
     ints = w.int_coeffs()
     four = 4 << GRID_BITS
@@ -133,11 +134,10 @@ def alternation_box(w: Poly, n: int) -> RootBox | None:
     changes = sum(a != b for a, b in zip(signs, signs[1:]))
     if 0 in signs or changes != w.degree() - 1:
         return None
-    bound = cauchy_bound(w)
-    sign_bound = _sign_at(ints, bound)
+    sign_bound = 1 if ints[-1] > 0 else -1
     if sign_bound == signs[-1]:
         return None
-    return RootBox(w, Fraction(4), bound, signs[-1], sign_bound)
+    return RootBox(w, Fraction(4), cauchy_bound(w), signs[-1], sign_bound)
 
 
 def _sturm_counts(w: Poly):
@@ -161,9 +161,8 @@ def _sturm_counts(w: Poly):
     if n_out == 1:
         # one simple root in (4, B), with W(4) != 0 and B strict: the box
         # alternation_box would return
-        bound = cauchy_bound(w)
-        v_box = RootBox(w, Fraction(4), bound, chain.sign_at(Fraction(4)),
-                        chain.sign_at(bound))
+        v_box = RootBox(w, Fraction(4), cauchy_bound(w),
+                        chain.sign_at(Fraction(4)), 1 if w.lc() > 0 else -1)
     return n_in, n_out, n_neg, w.degree() - n_real, v_box
 
 

@@ -268,10 +268,13 @@ def check_quotient_bound(k_max: int) -> ClaimResult:
                     break
                 if (rn * power.hi.denominator * e4
                         >= (e4 + 3) * rd * power.hi.numerator):
+                    # the quotient rn/rd over the pi power, less 1; both
+                    # are positive, so the ends pair up crosswise
+                    ratio = Fraction(rn, rd)
+                    excess = Interval(ratio / power.hi - 1, ratio / power.lo - 1)
                     return ClaimResult(
                         "zeta-quotient-bound", params, FAIL,
-                        {"k": k, "j": j,
-                         "excess": Fraction(rn, rd) / power - 1}, {},
+                        {"k": k, "j": j, "excess": excess}, {},
                         "bound violated")
             else:
                 return ClaimResult(

@@ -2,10 +2,11 @@
 
 Closed intervals [lo, hi] with `fractions.Fraction` endpoints.  Every
 operation is inclusion-correct: the result interval contains every value
-f(x) for x in the operand intervals.  Because rationals are closed under
-+, -, *, /, the arithmetic itself needs no rounding; the rounded kernels
-keep endpoint denominators from growing without bound in long computations
-(they only ever widen).
+f(x) for x in the operand intervals.  `Interval` itself has only the
+exact operations the enclosures combine with (negation, sums and
+products), which need no rounding; the rounded kernels keep endpoint
+denominators from growing without bound in long computations (they only
+ever widen).
 
 The rounded kernels (`pow_rounded`, `horner_rounded`, `cos_enclosure`) run
 on integer mantissas over 2^bits: a value rounds to floor(num * 2^bits /
@@ -46,8 +47,10 @@ _NumLike = Union[int, Fraction]
 class Interval:
     """A closed interval with rational endpoints.
 
-    `contains` has no library caller; it is the inclusion check the tests
-    use to assert that an enclosure holds a known value.
+    It holds an enclosure, reports its width and its sign, and combines
+    with others by exact negation, sum and product; a number operand is
+    read as a point interval.  Nothing in the library subtracts, divides
+    or raises one, so it has no such operators.
     """
 
     __slots__ = ("lo", "hi")
@@ -69,12 +72,6 @@ class Interval:
 
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def contains(self, x) -> bool:
-        if isinstance(x, Interval):
-            return self.lo <= x.lo and x.hi <= self.hi
-        x = Fraction(x)
-        return self.lo <= x <= self.hi
 
     def sign(self) -> int:
         """+1 / -1 if the interval is entirely positive / negative, else 0.
@@ -105,14 +102,6 @@ class Interval:
         other = _as_interval(other)
         return Interval(self.lo + other.lo, self.hi + other.hi)
 
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Interval":
-        return self + (-_as_interval(other))
-
-    def __rsub__(self, other) -> "Interval":
-        return _as_interval(other) + (-self)
-
     def __mul__(self, other) -> "Interval":
         other = _as_interval(other)
         products = (
@@ -124,31 +113,6 @@ class Interval:
         return Interval(min(products), max(products))
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "Interval":
-        if self.lo <= 0 <= self.hi:
-            raise ZeroDivisionError("interval straddles zero: %r" % self)
-        return Interval(1 / self.hi, 1 / self.lo)
-
-    def __truediv__(self, other) -> "Interval":
-        return self * _as_interval(other).inverse()
-
-    def __rtruediv__(self, other) -> "Interval":
-        return _as_interval(other) * self.inverse()
-
-    def __pow__(self, n: int) -> "Interval":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        if n == 0:
-            return Interval(1)
-        plo, phi = self.lo**n, self.hi**n
-        if n % 2 == 1:
-            return Interval(plo, phi)
-        if self.lo >= 0:
-            return Interval(plo, phi)
-        if self.hi <= 0:
-            return Interval(phi, plo)
-        return Interval(Fraction(0), max(plo, phi))
 
 
 def _as_interval(x) -> Interval:

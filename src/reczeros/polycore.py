@@ -286,7 +286,12 @@ class SturmChain:
 
 
 def cauchy_bound(p: Poly) -> Fraction:
-    """B with every real root of p strictly inside (-B, B)."""
+    """B = 1 + M, M = max |c_i / c_n|: every real root of p lies strictly
+    inside (-B, B), and p has the sign of c_n at B.
+
+    For x >= B, |sum_{i<n} c_i x^i| <= M |c_n| (x^n - 1) / (x - 1)
+    < |c_n| x^n, since x - 1 >= M; so c_n x^n decides the sign there.
+    """
     if p.degree() < 1:
         return Fraction(1)
     # 1 + max |c_i| / |c_n| is the same on any positive multiple of p
@@ -311,9 +316,6 @@ class RootBox:
         self.hi = hi if type(hi) is Fraction else Fraction(hi)
         self.sign_lo = sign_lo
         self.sign_hi = sign_hi
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
     def __repr__(self) -> str:
         return "RootBox(%s, %s)" % (self.lo, self.hi)

@@ -1,15 +1,19 @@
-"""Exact polynomial arithmetic for the tests, from sympy.
+"""Exact polynomial and interval arithmetic for the tests, from sympy.
 
-`Poly` has no ring algebra, so the tests' exact references (products,
-remainders, cyclotomic polynomials, resubstitution) are sympy's, written
-independently of the integer kernels they check.  Polynomials cross over
-as `sympy.Poly` in `z` over QQ, coefficients as `sympy.Rational`.
+`Poly` has no ring algebra and `Interval` only negation, sums and
+products, so the tests' exact references (products, remainders,
+cyclotomic polynomials, resubstitution, and interval differences,
+quotients and powers) are sympy's, written independently of the integer
+kernels they check.  Polynomials cross over as `sympy.Poly` in `z` over
+QQ, intervals as `sympy.AccumBounds`, numbers as `sympy.Rational`.
 """
 
 from fractions import Fraction
 
 import sympy
+from sympy import AccumBounds
 
+from reczeros.interval import Interval
 from reczeros.polycore import Poly
 
 z = sympy.Symbol("z")
@@ -50,3 +54,28 @@ def resubstitute(t: Poly, shift: int, sigma: int) -> Poly:
     if sigma < 0:
         expr *= z**2 - 1
     return from_sympy(expr)
+
+
+def to_bounds(iv: Interval):
+    """An Interval as an AccumBounds; a point interval becomes its Rational,
+    as sympy collapses it."""
+    return AccumBounds(to_rational(iv.lo), to_rational(iv.hi))
+
+
+def from_bounds(b) -> Interval:
+    """An AccumBounds, or the number sympy collapsed a point interval to,
+    as an Interval."""
+    if isinstance(b, AccumBounds):
+        return Interval(to_fraction(b.min), to_fraction(b.max))
+    return Interval(to_fraction(b))
+
+
+def encloses(outer: Interval, x) -> bool:
+    """Whether `outer` holds x, an Interval or anything Fraction() takes:
+    whether sympy finds x's endpoints in it, which by convexity is the
+    same."""
+    b = to_bounds(outer)
+    ends = (x.lo, x.hi) if isinstance(x, Interval) else (x,)
+    if not isinstance(b, AccumBounds):  # a point interval
+        return all(to_rational(e) == b for e in ends)
+    return all(bool(to_rational(e) in b) for e in ends)

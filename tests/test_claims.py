@@ -30,7 +30,7 @@ from reczeros.claims import (
 from reczeros.exactnum import q
 from reczeros.family import reciprocal_poly
 from reczeros.interval import Interval
-from reczeros.polycore import Poly
+from reczeros.polycore import Poly, TransformResult
 
 
 def test_zeta_bounds_bracket():
@@ -148,6 +148,36 @@ def test_sign_pattern_change_count_matches_circle_pairs():
             max_precision[r.data["max_precision"]] += 1
     # 0 when every grid angle has a rational 2cos; none escalates past 128
     assert max_precision == {128: 51, 0: 9}
+
+
+def test_sign_pattern_undecided_at_the_cap(monkeypatch):
+    # cos taken as [-1, 1] leaves T(2 cos theta) straddling 0 at any
+    # precision; j = 1 (theta = pi/4) is the first angle off the exact set
+    monkeypatch.setattr(claims, "cos_pi_enclosure", lambda r, p: Interval(-1, 1))
+    r = check_sign_pattern(5, 1)
+    assert r.status == "inconclusive"
+    assert r.witness == {"j": 1, "precision_cap": PRECISION_CAP}
+    assert r.detail == "grid sign undecided at the precision cap"
+
+
+def test_sign_pattern_fail_on_a_wrong_grid_sign(monkeypatch):
+    monkeypatch.setattr(claims, "horner_rounded", lambda *a, **kw: Interval(-1))
+    r = check_sign_pattern(5, 1)
+    assert r.status == "fail"
+    assert r.witness == {"j": 1, "theta_over_pi": F(1, 4), "got": -1,
+                         "expected": 1}
+    assert r.detail == "grid sign disagrees"
+
+
+def test_sign_pattern_fail_on_a_grid_zero(monkeypatch):
+    # T(w) = 3w/2 - w^2 has the expected signs at theta = 0 and pi/4 and
+    # vanishes at theta = pi/2, where 2 cos theta = 0 is evaluated exactly
+    monkeypatch.setattr(claims, "boundary_profile", lambda k, ell: TransformResult(
+        Poly([0, F(3, 2), -1]), 1, "mixed", None))
+    r = check_sign_pattern(5, 1)
+    assert r.status == "fail"
+    assert r.witness == {"j": 2, "theta_over_pi": F(1, 2)}
+    assert r.detail == "profile vanishes at a grid point"
 
 
 def test_sign_pattern_needs_k3():

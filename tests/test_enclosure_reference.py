@@ -1,10 +1,12 @@
 """The integer kernels against their Fraction originals.
 
 Each reference below is the `Fraction` code the kernel replaced, kept
-verbatim apart from names; polynomial products and the z + 1/z
-resubstitution are sympy's.  The kernels must return the same values --
-intervals endpoint for endpoint, signs, coefficient lists -- not merely
-enclosures of the same value.
+apart from names; its interval arithmetic (sympy's `AccumBounds`),
+polynomial products and the z + 1/z resubstitution are sympy's, and only
+the outward rounding to a dyadic grid is done here, on `Fraction`
+endpoints.  The kernels must return the same values -- intervals endpoint
+for endpoint, signs, coefficient lists -- not merely enclosures of the
+same value.
 """
 
 from fractions import Fraction as F
@@ -38,40 +40,51 @@ from reczeros.polycore import (
     refine_root,
 )
 
-from sympy_oracle import from_sympy, resubstitute, to_sympy
+from sympy_oracle import (
+    from_bounds,
+    from_sympy,
+    resubstitute,
+    to_bounds,
+    to_rational,
+    to_sympy,
+)
 
 
-def round_outward_ref(iv, bits):
+def round_outward_ref(b, bits):
+    """The AccumBounds b rounded outward to the 2^-bits grid."""
+    iv = from_bounds(b)
     scale = 1 << bits
-    return Interval(F(floor(iv.lo * scale), scale), F(ceil(iv.hi * scale), scale))
+    return to_bounds(Interval(F(floor(iv.lo * scale), scale),
+                              F(ceil(iv.hi * scale), scale)))
 
 
 def horner_ref(coeffs, x, bits):
-    acc = Interval(0)
+    acc = to_rational(0)
     xr = round_outward_ref(x, bits)
     for c in reversed(coeffs):
-        acc = round_outward_ref(acc * xr + round_outward_ref(Interval(c), bits), bits)
+        acc = round_outward_ref(acc * xr + round_outward_ref(to_rational(c), bits),
+                                bits)
     return acc
 
 
-def pow_rounded_ref(iv, n, bits):
-    result = Interval(1)
-    base = iv
+def pow_rounded_ref(b, n, bits):
+    """Square-and-multiply on a nonnegative AccumBounds b."""
+    result = to_rational(1)
     while n:
         if n & 1:
-            result = round_outward_ref(result * base, bits)
+            result = round_outward_ref(result * b, bits)
         n >>= 1
         if n:
-            base = round_outward_ref(base * base, bits)
+            b = round_outward_ref(b**2, bits)
     return result
 
 
 def zeta_even_enclosure_ref(m, precision):
     pp = precision + max(4, (2 * m).bit_length()) + 8
-    pisq = round_outward_ref(pi_enclosure(pp) ** 2, pp + 4)
+    pisq = round_outward_ref(to_bounds(pi_enclosure(pp)) ** 2, pp + 4)
     power = pow_rounded_ref(pisq, m, pp + 4)
-    r = zeta_even_rational(m)
-    return round_outward_ref(Interval(r * power.lo, r * power.hi), precision + 16)
+    r = to_rational(zeta_even_rational(m))
+    return from_bounds(round_outward_ref(r * power, precision + 16))
 
 
 def cos_enclosure_ref(x, precision):
@@ -85,9 +98,10 @@ def cos_enclosure_ref(x, precision):
         term = term * msq / ((2 * n - 1) * (2 * n))
     bits = precision + 8 + n * max(1, ceil(msq).bit_length())
     coeffs = [F((-1) ** i, factorial(2 * i)) for i in range(n)]
-    out = horner_ref(coeffs, x**2, bits) + Interval(-term, term)
+    out = from_bounds(horner_ref(coeffs, to_bounds(x)**2, bits)
+                      + to_bounds(Interval(-term, term)))
     out = Interval(max(out.lo, -1), min(out.hi, 1))
-    return round_outward_ref(out, precision + 8)
+    return from_bounds(round_outward_ref(to_bounds(out), precision + 8))
 
 
 def arctan_recip_ref(x, precision):
@@ -128,14 +142,16 @@ def endpoint(bits):
 def test_pow_rounded_matches_fraction_reference(data, n, bits):
     a, b = data.draw(endpoint(bits)), data.draw(endpoint(bits))
     iv = Interval(min(a, b), max(a, b))
-    assert pow_rounded(iv, n, bits) == pow_rounded_ref(iv, n, bits)
+    want = pow_rounded_ref(to_bounds(iv), n, bits)
+    assert pow_rounded(iv, n, bits) == from_bounds(want)
 
 
 def test_pow_rounded_on_a_finer_pi_enclosure():
     # endpoints on the 2^-408 grid, off the 2^-116 grid the powers round to
     pi = pi_enclosure(400)
     for n in range(71):
-        assert pow_rounded(pi, n, 116) == pow_rounded_ref(pi, n, 116)
+        assert pow_rounded(pi, n, 116) == from_bounds(
+            pow_rounded_ref(to_bounds(pi), n, 116))
 
 
 @settings(max_examples=150)
@@ -187,11 +203,12 @@ def quotient_margins_ref(k_max):
     for k in range(1, k_max + 1):
         for j in range(1, k + 1):
             bound = F(3, 4 ** (k + 1 - j))
-            rat = zeta_even_rational(k + 1 - j) / zeta_even_rational(k + 1)
+            rat = to_rational(zeta_even_rational(k + 1 - j)
+                              / zeta_even_rational(k + 1))
             pr = 2 * (k + 1 - j) + 64
             while True:
-                power = pow_rounded_ref(pi_enclosure(pr), 2 * j, pr + 16)
-                excess = rat / power - 1
+                power = pow_rounded_ref(to_bounds(pi_enclosure(pr)), 2 * j, pr + 16)
+                excess = from_bounds(rat / power - 1)
                 if excess.hi < bound:
                     break
                 assert excess.lo < bound
@@ -227,12 +244,13 @@ def cauchy_bound_ref(p):
     return 1 + max(abs(c) for c in p.coeffs[:-1]) / abs(p.lc())
 
 
-def sqrt_enclosure_ref(iv, bits):
-    """Certified enclosure of the square root of a nonnegative interval.
+def sqrt_enclosure_ref(b, bits):
+    """Certified enclosure of the square root of a nonnegative AccumBounds.
 
     Endpoints are multiples of 2^-bits obtained from integer square roots,
     so the result always contains the exact square root set.
     """
+    iv = from_bounds(b)
     if iv.lo < 0:
         raise ValueError("sqrt_enclosure requires a nonnegative interval")
     sq = 1 << (2 * bits)
@@ -242,13 +260,14 @@ def sqrt_enclosure_ref(iv, bits):
     if hi_num * hi_num < hi_arg:
         hi_num += 1
     scale = 1 << bits
-    return Interval(F(lo_num, scale), F(hi_num, scale))
+    return to_bounds(Interval(F(lo_num, scale), F(hi_num, scale)))
 
 
 def alpha_step_ref(v, bits):
-    u = v - Interval(2)
-    s = sqrt_enclosure_ref(u**2 - Interval(4), bits)
-    return (u + s) * F(1, 2)
+    """(u + sqrt(u^2 - 4)) / 2 at u = v - 2, with v an Interval."""
+    u = to_bounds(v) - 2
+    s = sqrt_enclosure_ref(u**2 - 4, bits)
+    return from_bounds((u + s) / 2)
 
 
 def alpha_from_box_ref(box, width):

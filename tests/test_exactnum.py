@@ -16,6 +16,8 @@ from reczeros.exactnum import (
 )
 from reczeros.interval import Interval
 
+from sympy_oracle import encloses
+
 ZETA2_40 = F("1.644934066848226436472415166646025189218")
 ZETA3_30 = F("1.202056903159594285399738161511")
 ZETA4_30 = F("1.082323233711138191516003696541")
@@ -121,20 +123,20 @@ def test_zeta_even_enclosure_tight():
     e = zeta_even_enclosure(1, 160)
     assert e.width() <= F(1, 10**45)
     loose = Interval(ZETA2_40 - F(1, 10**38), ZETA2_40 + F(1, 10**38))
-    assert loose.contains(e)
+    assert encloses(loose, e)
 
 
 def test_zeta_even_enclosure_zeta4():
     e = zeta_even_enclosure(2, 120)
     assert e.width() <= F(1, 10**33)
     loose = Interval(ZETA4_30 - F(1, 10**28), ZETA4_30 + F(1, 10**28))
-    assert loose.contains(e)
+    assert encloses(loose, e)
 
 
 def test_zeta_series_contains_zeta3():
     e = zeta_series_enclosure(3, 40)
     assert e.width() <= F(1, 1 << 38)
-    assert e.contains(ZETA3_30)
+    assert encloses(e, ZETA3_30)
 
 
 def test_zeta_series_agrees_with_euler_route():

@@ -129,6 +129,14 @@ def test_cauchy_bound():
     assert SturmChain(p).count_open(-b, b) == 2
 
 
+@given(st.lists(st.integers(-10**6, 10**6)
+                | st.fractions(-100, 100, max_denominator=10**6),
+                min_size=2, max_size=12).filter(lambda cs: cs[-1] != 0))
+def test_cauchy_bound_has_the_leading_sign(coeffs):
+    p = Poly(coeffs)
+    assert _sign_at(p.int_coeffs(), cauchy_bound(p)) == (1 if p.lc() > 0 else -1)
+
+
 def test_rootbox_validation():
     p = Poly([-2, 0, 1])
     with pytest.raises(ValueError):
@@ -141,7 +149,7 @@ def test_refine_closes_on_exact_rational_root():
     p = from_roots(F(1, 2), 3)
     box = RootBox(p, F(1, 4), F(3, 4), 1, -1)
     tight = refine_root(box, F(1, 128))
-    assert tight.width() <= F(1, 128)
+    assert tight.hi - tight.lo <= F(1, 128)
     assert tight.lo < F(1, 2) < tight.hi
 
 
@@ -155,7 +163,7 @@ def test_refine_random_linear_roots():
         box = RootBox(p, lo, hi, _sign_at(ints, lo), _sign_at(ints, hi))
         tight = refine_root(box, F(1, 10**9))
         assert tight.lo < r < tight.hi
-        assert tight.width() <= F(1, 10**9)
+        assert tight.hi - tight.lo <= F(1, 10**9)
 
 
 def _fraction_refine(box, width):
@@ -202,7 +210,7 @@ def test_refine_midpoint_root_matches_fraction_bisection(p, lo, hi, sign_lo, roo
         got = refine_root(box, width)
         assert (got.lo, got.hi) == _fraction_refine(box, width)
         assert got.lo + got.hi == 2 * root
-        assert got.width() <= width
+        assert got.hi - got.lo <= width
 
 
 # -- the z + 1/z transform ----------------------------------------------
