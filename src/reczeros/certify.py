@@ -61,6 +61,7 @@ from .polycore import (
     RootBox,
     SturmChain,
     _dyadic_signs,
+    _sign_at,
     cauchy_bound,
     refine_root,
 )
@@ -145,7 +146,9 @@ def _sturm_counts(w: Poly):
 
     None when W is not simple: a root at 0 or 4, or a repeated root.
     """
-    if w(0) == 0 or w(4) == 0:
+    ints = w.int_coeffs()
+    sign_four = _sign_at(ints, 4)
+    if ints[0] == 0 or sign_four == 0:
         return None
     try:
         chain = SturmChain(w)
@@ -154,16 +157,13 @@ def _sturm_counts(w: Poly):
     n_in = chain.count_open(Fraction(0), Fraction(4))
     n_out = chain.count_open(Fraction(4), inf)
     n_neg = chain.count_open(-inf, Fraction(0))
-    n_real = chain.count_open(-inf, inf)
-    if n_in + n_out + n_neg != n_real:
-        raise AssertionError("root counts of W are inconsistent")
     v_box = None
     if n_out == 1:
         # one simple root in (4, B), with W(4) != 0 and B strict: the box
         # alternation_box would return
         v_box = RootBox(w, Fraction(4), cauchy_bound(w),
-                        chain.sign_at(Fraction(4)), 1 if w.lc() > 0 else -1)
-    return n_in, n_out, n_neg, w.degree() - n_real, v_box
+                        sign_four, 1 if ints[-1] > 0 else -1)
+    return n_in, n_out, n_neg, w.degree() - (n_in + n_out + n_neg), v_box
 
 
 def certify_zeros(k: int, ell: int) -> ZeroCertificate:

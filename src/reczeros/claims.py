@@ -49,10 +49,11 @@ from .family import boundary_profile, monic_even_form, reciprocal_poly
 from .interval import (
     Interval,
     cos_pi_enclosure,
-    horner_rounded,
+    horner_sign,
     pi_enclosure,
     pow_rounded,
 )
+from .polycore import _sign_at
 
 PASS = "pass"
 FAIL = "fail"
@@ -179,7 +180,7 @@ class VerificationReport:
 EMPTY_RANGE = "empty parameter range"
 
 
-def _vacuous(claim_id: str, **params) -> ClaimResult:
+def _vacuous(claim_id: str, params: dict) -> ClaimResult:
     return ClaimResult(claim_id, params, PASS, None, {"checked": 0},
                        EMPTY_RANGE)
 
@@ -491,17 +492,17 @@ def check_sign_pattern(k: int, ell: int, precision: int = DEFAULT_PRECISION) -> 
                                     j = 1..2k-2, expected sign (-1)^j.
 
     Alternation at the full cyclic grid forces 2k-2 sign changes per turn,
-    which is exactly the number of unimodular zero pairs times two.  Grid
-    angles with 2 cos theta in {0, +-1, +-2} are evaluated exactly; the
-    rest through cos(pi r) enclosures and a step-rounded Horner on the
-    integer coefficients of T, with an escalating precision ladder.
+    which is exactly the number of unimodular zero pairs times two.  Every
+    sign is taken on the integer coefficients of T: at grid angles with
+    2 cos theta in {0, +-1, +-2} exactly, by `_sign_at`; at the rest by
+    `horner_sign` on cos(pi r) enclosures, with an escalating precision
+    ladder.
     """
     if k < 3:
         raise ValueError("needs k >= 3")
     prof = boundary_profile(k, ell)
-    T = prof.transform
-    # a positive multiple of T: same signs, integer Horner steps
-    ints = T.int_coeffs()
+    # a positive multiple of T: same signs and zeros, integer Horner steps
+    ints = prof.transform.int_coeffs()
     even_even = ell % 2 == 0 and k % 2 == 0
     if even_even:
         points = [(j, Fraction(2 * j - 1, 2 * (k - 1)), 1 if j % 2 == 0 else -1)
@@ -520,18 +521,17 @@ def check_sign_pattern(k: int, ell: int, precision: int = DEFAULT_PRECISION) -> 
     for j, r, expected in points:
         two_cos = _exact_two_cos(r)
         if two_cos is not None:
-            value = T(two_cos)
-            if value == 0:
+            s = _sign_at(ints, two_cos)
+            if s == 0:
                 return ClaimResult("sign-pattern-k%d-l%d" % (k, ell), params,
                                    FAIL, {"j": j, "theta_over_pi": r}, {},
                                    "profile vanishes at a grid point")
-            s = 1 if value > 0 else -1
             exact_points += 1
         else:
             for pr in ladder(max(precision, 64), 2, PRECISION_CAP):
                 # T(2 cos): the doubling is folded into rounding the argument
-                s = horner_rounded(ints, cos_pi_enclosure(r, pr),
-                                   pr + len(ints) + 8, x_shift=1).sign()
+                s = horner_sign(ints, cos_pi_enclosure(r, pr),
+                                pr + len(ints) + 8, x_shift=1)
                 if s:
                     break
             else:
@@ -622,7 +622,7 @@ def check_GH_signs(k_max: int, ell_max: int) -> ClaimResult:
     """
     params = {"k_max": k_max, "ell_max": ell_max}
     if k_max < 1 or ell_max < 2:
-        return _vacuous("derivative-sign-sums", **params)
+        return _vacuous("derivative-sign-sums", params)
     checked = 0
     g_tight = None
     h_tight = None
@@ -754,7 +754,7 @@ def check_alpha_interval(k_range, ell_odd_range) -> ClaimResult:
     ells = [ell for ell in range(max(1, l_lo), l_hi + 1) if ell % 2 == 1]
     params = {"k": [k_lo, k_hi], "ell_odd": [l_lo, l_hi]}
     if not ells or k_hi < k_lo:
-        return _vacuous("alpha-interval", **params)
+        return _vacuous("alpha-interval", params)
     checked = 0
     violations = []
     first_witness = None
@@ -842,7 +842,7 @@ def check_alpha_k2_report(ell_odd_max: int) -> ClaimResult:
     ells = [ell for ell in range(1, ell_odd_max + 1) if ell % 2 == 1]
     params = {"k": 2, "ell_odd_max": ell_odd_max}
     if not ells:
-        return _vacuous("alpha-interval-k2", **params)
+        return _vacuous("alpha-interval-k2", params)
     inside = {}
     for ell in ells:
         lower = (2 * q(2, 1)) ** ell
@@ -909,34 +909,30 @@ def run_all(k_max: int, ell_max: int, precision: int = DEFAULT_PRECISION,
         if suite in ("all", tag):
             plan.append((fn, args))
 
-    def done(tag, result):
-        if suite in ("all", tag):
-            plan.append((None, result))
-
     call("lemmas", check_zeta_bounds, 2 * k_max + 2 if k_max >= 1 else 2)
     if k_max >= 1:
         call("lemmas", check_quotient_bound, k_max)
     else:
-        done("lemmas", _vacuous("zeta-quotient-bound", k_max=k_max))
+        call("lemmas", _vacuous, "zeta-quotient-bound", {"k_max": k_max})
     if k_max >= 3:
         call("lemmas", check_ratio_max, k_max)
     else:
-        done("lemmas", _vacuous("index-ratio-bound", k_max=k_max))
+        call("lemmas", _vacuous, "index-ratio-bound", {"k_max": k_max})
     call("lemmas", check_zeta_sum_identity, 64)
     if k_max >= 3:  # q(2, .) has one index on its half: nothing to compare
         call("lemmas", check_qj_monotone, k_max)
     else:
-        done("lemmas", _vacuous("q-monotone", k_max=k_max))
+        call("lemmas", _vacuous, "q-monotone", {"k_max": k_max})
+    grid = {"k_max": k_max, "ell_max": ell_max}
     if k_max >= 3 and ell_max >= 1:
         call("lemmas", check_delta_bound, (3, k_max), (1, ell_max))
     else:
-        done("lemmas", _vacuous("delta-majorant", k_max=k_max,
-                                ell_max=ell_max))
+        call("lemmas", _vacuous, "delta-majorant", grid)
     call("props", check_GH_signs, k_max, ell_max)
     if k_max >= 1 and ell_max >= 1:
         call("props", check_pm1_zero, k_max, ell_max)
     else:
-        done("props", _vacuous("unit-values", k_max=k_max, ell_max=ell_max))
+        call("props", _vacuous, "unit-values", grid)
     for k in range(3, min(k_max, 12) + 1):
         for ell in range(1, ell_max + 1):
             call("props", check_sign_pattern, k, ell, precision)
@@ -944,18 +940,12 @@ def run_all(k_max: int, ell_max: int, precision: int = DEFAULT_PRECISION,
         call("intervals", check_alpha_interval, (3, k_max), (1, ell_max))
         call("intervals", check_alpha_k2_report, ell_max)
     else:
-        done("intervals", _vacuous("alpha-interval", k_max=k_max,
-                                   ell_max=ell_max))
-        done("intervals", _vacuous("alpha-interval-k2", k_max=k_max,
-                                   ell_max=ell_max))
+        call("intervals", _vacuous, "alpha-interval", grid)
+        call("intervals", _vacuous, "alpha-interval-k2", grid)
     if k_max >= 1 and ell_max >= 1:
         call("props", check_zero_location_grid, k_max, ell_max)
     else:
-        done("props", _vacuous("zero-location-grid", k_max=k_max,
-                               ell_max=ell_max))
+        call("props", _vacuous, "zero-location-grid", grid)
 
-    computed = iter(map_calls([step for step in plan if step[0] is not None],
-                              jobs))
-    results = tuple(payload if fn is None else next(computed)
-                    for fn, payload in plan)
+    results = tuple(map_calls(plan, jobs))
     return VerificationReport(k_max, ell_max, precision, results)

@@ -163,8 +163,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         [(serialize.analysis_instance, pair) for pair in _grid(args)],
         args.jobs)
     _emit(args, serialize.envelope("analyze", instances))
-    failed = [i for i in instances
-              if not i["mahler_inequality_ok"] or i["discriminant"] == "0/1"]
+    failed = [i for i in instances if not i["mahler_inequality_ok"]]
     outside = [i for i in instances if not i["alpha_in_interval"]]
     if outside:
         _note("%d instance(s) fall outside the stated window (the l = 1 "

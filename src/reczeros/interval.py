@@ -6,9 +6,10 @@ f(x) for x in the operand intervals.  `Interval` itself has only the
 exact operations the enclosures combine with (negation, sums and
 products), which need no rounding; the rounded kernels keep endpoint
 denominators from growing without bound in long computations (they only
-ever widen).
+ever widen).  It takes no sign: signs come from integer kernels, here
+`horner_sign` and in `polycore`.
 
-The rounded kernels (`pow_rounded`, `horner_rounded`, `cos_enclosure`) run
+The rounded kernels (`pow_rounded`, `horner_sign`, `cos_enclosure`) run
 on integer mantissas over 2^bits: a value rounds to floor(num * 2^bits /
 den) or the matching ceiling by one integer floor division on its own
 numerator and denominator (`floor_scaled`, `ceil_scaled`), which needs no
@@ -38,7 +39,6 @@ the process, so the memos change no result.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, ceil
 from typing import Sequence, Union
 
 _NumLike = Union[int, Fraction]
@@ -47,10 +47,10 @@ _NumLike = Union[int, Fraction]
 class Interval:
     """A closed interval with rational endpoints.
 
-    It holds an enclosure, reports its width and its sign, and combines
-    with others by exact negation, sum and product; a number operand is
-    read as a point interval.  Nothing in the library subtracts, divides
-    or raises one, so it has no such operators.
+    It holds an enclosure, reports its width, and combines with others by
+    exact negation, sum and product; a number operand is read as a point
+    interval.  Nothing in the library subtracts, divides or raises one,
+    or takes its sign, so it has no such operators.
     """
 
     __slots__ = ("lo", "hi")
@@ -72,17 +72,6 @@ class Interval:
 
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def sign(self) -> int:
-        """+1 / -1 if the interval is entirely positive / negative, else 0.
-
-        0 means the sign is undecided at this width, not that the value is 0.
-        """
-        if self.lo > 0:
-            return 1
-        if self.hi < 0:
-            return -1
-        return 0
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Interval) and self.lo == other.lo and self.hi == other.hi
@@ -177,26 +166,23 @@ def _horner_mantissas(coeffs: Sequence[tuple[int, int]], xlo: int, xhi: int,
     return lo, hi
 
 
-def horner_rounded(coeffs: Sequence[_NumLike], x: Interval, bits: int,
-                   x_shift: int = 0) -> Interval:
-    """Enclosure of sum(coeffs[i] * y**i) at y = x * 2^x_shift, rounding
-    outward after each Horner step.
+def horner_sign(coeffs: Sequence[int], x: Interval, bits: int,
+                x_shift: int = 0) -> int:
+    """Sign of sum(coeffs[i] * y**i) on y = x * 2^x_shift for integer
+    coefficients: +1 / -1 when its enclosure is positive / negative, else
+    0 (undecided at this precision, not a zero).
 
-    y, each coefficient and each step's result are rounded outward to
-    multiples of 2^-bits (floor for the lower end, ceiling for the upper),
-    so the steps run on integer mantissas with no gcd work.  y is rounded
-    straight from x, as floor(x * 2^(bits + x_shift)) and the ceiling, which
-    are exactly the mantissas of the rounded product.  Each step widens by
-    less than 2^(2-bits) before the later steps multiply it by y, so the
-    rounding adds less than 2^(2-bits) * sum |y|^i, plus the effect of
-    rounding y itself (none when y already lies on the 2^-bits grid).
+    The enclosure is Horner on integer mantissas over 2^bits: y is rounded
+    outward straight from x, as floor(x * 2^(bits + x_shift)) and the
+    ceiling, each step's result is rounded outward, and a coefficient c
+    enters exactly as c * 2^bits.  Each step widens by less than 2^(1-bits)
+    before the later steps multiply it by y.
     """
-    scale = 1 << bits
     lo, hi = _horner_mantissas(
-        [(floor(c * scale), ceil(c * scale)) for c in coeffs],
+        [(c << bits, c << bits) for c in coeffs],
         floor_scaled(x.lo.numerator, x.lo.denominator, bits + x_shift),
         ceil_scaled(x.hi.numerator, x.hi.denominator, bits + x_shift), bits)
-    return Interval(Fraction(lo, scale), Fraction(hi, scale))
+    return 1 if lo > 0 else -1 if hi < 0 else 0
 
 
 # -- pi ------------------------------------------------------------------

@@ -2,21 +2,22 @@
 
 `Poly` holds a polynomial's exact rational coefficients, as documents
 print them; the real-root machinery works over integers for speed.  A
-polynomial is cleared to a primitive integer coefficient list, a positive
-multiple with the same signs, and `_sign_at` takes its exact sign at a
-rational point by integer Horner; `_dyadic_signs` takes the signs at many points num / 2^bits
-with one set of shifted coefficients.  Those sign kernels are all the
-primary certificate route (sign alternation on a grid, in `certify`)
-needs.  The signed remainder (Sturm) chain is the fallback that decides
-every case: it strips the content of each exact pseudo-remainder (`_prem`,
-the kernel `analysis.resultant` runs on too) and fixes its sign from the
-known sign of the lc power, so sign variation counts are preserved
-exactly.  Root counts are over open intervals; callers detect endpoint
-roots by exact evaluation.  A root box, which `certify` builds as (4, B)
-around W's one zero beyond 4, has nonzero opposite endpoint signs; its
-refinement is sign bisection on integer numerators over a common
-denominator that doubles with each halving, with signs taken by
-homogeneous integer Horner.
+polynomial is cleared to a primitive integer coefficient list, a
+positive multiple with the same signs, and `_sign_at` takes its exact
+sign at a rational point by integer Horner; `_dyadic_signs` takes the
+signs at many points num / 2^bits with one set of shifted coefficients.
+With `interval.horner_sign` they take every sign the library decides,
+and they are all the primary certificate route (sign alternation on a
+grid, in `certify`) needs.  The signed remainder (Sturm) chain is the
+fallback that decides every case: it strips the content of each exact
+pseudo-remainder (`_prem`, the kernel `analysis.resultant` runs on too)
+and fixes its sign from the known sign of the lc power, so sign
+variation counts are preserved exactly.  Root counts are over open
+intervals; callers detect endpoint roots by exact signs.  A root box,
+which `certify` builds as (4, B) around W's one zero beyond 4, has
+nonzero opposite endpoint signs; its refinement is sign bisection on
+integer numerators over a common denominator that doubles with each
+halving, with signs taken by homogeneous integer Horner.
 
 Also here: the z + 1/z transform for self-reciprocal polynomials of even
 degree.  For m with z^(2d) m(1/z) = sigma * m(z):
@@ -177,16 +178,11 @@ def _sign_at(ints: Sequence[int], x) -> int:
         return s
     x = Fraction(x)
     num, den = x.numerator, x.denominator
-    if den == 1:
-        acc = 0
-        for c in reversed(ints):
-            acc = acc * num + c
-    else:
-        acc = ints[-1]
-        dp = 1
-        for c in reversed(ints[:-1]):
-            dp *= den
-            acc = acc * num + c * dp
+    acc = ints[-1]
+    dp = 1
+    for c in reversed(ints[:-1]):
+        dp *= den
+        acc = acc * num + c * dp
     return (acc > 0) - (acc < 0)
 
 
@@ -267,9 +263,6 @@ class SturmChain:
             self._vcache[x] = v
         return v
 
-    def sign_at(self, x) -> int:
-        return _sign_at(self.chain[0], x)
-
     def count_open(self, a, b) -> int:
         """Number of real roots in the open interval (a, b).
 
@@ -280,7 +273,7 @@ class SturmChain:
         if not a < b:
             raise ValueError("count_open needs a < b")
         n = self.variations(a) - self.variations(b)
-        if b != inf and self.sign_at(b) == 0:
+        if b != inf and _sign_at(self.chain[0], b) == 0:
             n -= 1
         return n
 

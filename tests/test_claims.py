@@ -161,7 +161,7 @@ def test_sign_pattern_undecided_at_the_cap(monkeypatch):
 
 
 def test_sign_pattern_fail_on_a_wrong_grid_sign(monkeypatch):
-    monkeypatch.setattr(claims, "horner_rounded", lambda *a, **kw: Interval(-1))
+    monkeypatch.setattr(claims, "horner_sign", lambda *a, **kw: -1)
     r = check_sign_pattern(5, 1)
     assert r.status == "fail"
     assert r.witness == {"j": 1, "theta_over_pi": F(1, 4), "got": -1,
@@ -405,6 +405,16 @@ def test_run_all_parallel_matches_serial():
     parallel = run_all(4, 2, jobs=3)
     assert (serialize.verify_document(parallel, "all")
             == serialize.verify_document(serial, "all"))
+
+
+@pytest.mark.parametrize("k_max, ell_max", [(0, 0), (1, 0), (2, 1), (3, 0)])
+def test_degenerate_grids_match_serial_through_the_pool(k_max, ell_max):
+    # vacuous claims are planned as calls too, so they cross the pool
+    for suite in claims.SUITES:
+        serial = run_all(k_max, ell_max, suite=suite)
+        parallel = run_all(k_max, ell_max, jobs=2, suite=suite)
+        assert (serialize.verify_document(parallel, suite)
+                == serialize.verify_document(serial, suite)), suite
 
 
 def test_run_all_caps_the_sign_grid():

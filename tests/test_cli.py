@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 from fresh_process import fresh_python
-from reczeros import claims, serialize
+from reczeros import certify, claims, serialize
 from reczeros.cli import (
     MAX_RANGE_VALUES,
     MIN_WIDTH,
@@ -395,6 +395,22 @@ def test_rendered_documents_are_pinned(command, fmt):
                        "--format", fmt)
     assert (hashlib.sha256(out.encode()).hexdigest()
             == RENDERED_DOCUMENTS[command, fmt])
+
+
+def test_forced_sturm_fallback_gives_the_same_certify_document(
+        monkeypatch, capsys):
+    # the fallback boxes the root beyond 4 as (4, B) with the same endpoint
+    # signs, and the route is not a document field
+    monkeypatch.setattr(certify, "alternation_box", lambda w, n: None)
+    certify.zero_certificate.cache_clear()
+    try:
+        main(["certify", "--k", "1..14", "--ell", "1..6", "--format", "json"])
+        assert certify.zero_certificate(14, 6).route == "sturm"
+    finally:
+        certify.zero_certificate.cache_clear()
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == RENDERED_DOCUMENTS["certify --k 1..14 --ell 1..6", "json"])
 
 
 def test_cli_import_leaves_analysis_and_the_pool_unloaded():

@@ -325,6 +325,12 @@ def test_dyadic_signs_match_sign_at(data, bits, ints):
     if ints:
         assert _dyadic_signs(ints, nums, bits) == [
             _sign_at(ints, F(n, 1 << bits)) for n in nums]
+        # integer points (denominator 1) against the exact value
+        for m in data.draw(st.lists(st.integers(-8, 8), max_size=6)):
+            value = sum(c * m**i for i, c in enumerate(ints))
+            assert _sign_at(ints, m) == _sign_at(ints, F(m)) == (
+                (value > 0) - (value < 0))
+            assert _dyadic_signs(ints, [m << bits], bits) == [_sign_at(ints, m)]
 
 
 @settings(max_examples=200)

@@ -5,9 +5,12 @@ from hypothesis import given, strategies as st
 
 from reczeros.interval import (
     Interval,
+    _horner_mantissas,
+    ceil_scaled,
     cos_enclosure,
     cos_pi_enclosure,
-    horner_rounded,
+    floor_scaled,
+    horner_sign,
     pi_enclosure,
     pow_rounded,
 )
@@ -33,10 +36,12 @@ def test_point_interval_and_order_check():
 
 
 def test_signs():
-    assert Interval(1, 2).sign() == 1
-    assert Interval(-3, -1).sign() == -1
-    assert Interval(-1, 1).sign() == 0
-    assert Interval(0, 1).sign() == 0
+    # y itself over the interval: decided only where it keeps one sign
+    y = [0, 1]
+    assert horner_sign(y, Interval(1, 2), 8) == 1
+    assert horner_sign(y, Interval(-3, -1), 8) == -1
+    assert horner_sign(y, Interval(-1, 1), 8) == 0
+    assert horner_sign(y, Interval(0, 1), 8) == 0
 
 
 def test_arithmetic_basics():
@@ -122,7 +127,7 @@ def test_cos_point_values():
     assert encloses(c1, F("0.5403023058681397174009366074429766037323"))
     c2 = cos_enclosure(Interval(2), 96)
     assert encloses(c2, F("-0.4161468365471423869975682295007621897660"))
-    assert c2.sign() == -1
+    assert c2.hi < 0
 
 
 def test_cos_stays_in_unit_range():
@@ -162,11 +167,11 @@ _rationals = st.fractions(min_value=-4, max_value=4, max_denominator=1 << 20)
 
 
 @given(data=st.data(),
-       coeffs=st.lists(st.integers(-(1 << 80), 1 << 80) | _rationals,
+       coeffs=st.lists(st.integers(-(1 << 80), 1 << 80),
                        min_size=1, max_size=12),
        bits=st.integers(1, 96),
        shift=st.integers(0, 2))
-def test_horner_rounded_contains_exact_value(data, coeffs, bits, shift):
+def test_horner_sign_matches_exact_sign(data, coeffs, bits, shift):
     # endpoints on the 2^-bits grid leave the rounding no slack to hide in
     grid = st.integers(-4 << bits, 4 << bits).map(lambda n: F(n, 1 << bits))
     a, b = data.draw(grid | _rationals), data.draw(grid | _rationals)
@@ -175,8 +180,16 @@ def test_horner_rounded_contains_exact_value(data, coeffs, bits, shift):
                   | st.fractions(0, 1, max_denominator=1 << 10))
     x = lo + t * (hi - lo)
     exact = sum(c * (x * 2**shift)**i for i, c in enumerate(coeffs))
-    got = horner_rounded(coeffs, Interval(lo, hi), bits, x_shift=shift)
-    assert encloses(got, exact)
+    # the mantissa enclosure holds the exact value
+    mlo, mhi = _horner_mantissas(
+        [(c << bits, c << bits) for c in coeffs],
+        floor_scaled(lo.numerator, lo.denominator, bits + shift),
+        ceil_scaled(hi.numerator, hi.denominator, bits + shift), bits)
+    assert encloses(Interval(F(mlo, 1 << bits), F(mhi, 1 << bits)), exact)
+    # a decided sign is the exact value's sign, wherever x lies
+    got = horner_sign(coeffs, Interval(lo, hi), bits, x_shift=shift)
+    if got:
+        assert got == (exact > 0) - (exact < 0)
     # the shift rounds x * 2^shift exactly as the scaled interval would
-    scaled = horner_rounded(coeffs, Interval(lo * 2**shift, hi * 2**shift), bits)
-    assert (got.lo, got.hi) == (scaled.lo, scaled.hi)
+    scaled = horner_sign(coeffs, Interval(lo * 2**shift, hi * 2**shift), bits)
+    assert got == scaled
