@@ -40,11 +40,14 @@ certificate; `zero_certificate` memoizes it per member, as
 checks, the analysis layer and the documents all take (k, ell) and share
 one certificate per member in a process.
 
-Rational zeros at roots of unity are detected separately by exact division
-with cyclotomic polynomials.  Each Phi_n is monic with integer coefficients,
-so the division runs on the member's integer-cleared coefficients and stays
-in the integers; the orders n to try come from a totient sieve built on
-first use.
+Zeros at roots of unity are detected separately, by cyclotomic factors.
+Each Phi_n is monic with integer coefficients, so when it divides the
+member R over the rationals the quotient has integer coefficients, and
+the integer Phi_n(t) divides R(t) for every integer t.  R(2^64) is
+computed once by shifts and each Phi_n(2^64) once per process; a nonzero
+residue rules the order n out, and an order that passes is decided by
+exact division on the member's integer-cleared coefficients.  The orders
+n to try come from a totient sieve built on first use.
 """
 
 from __future__ import annotations
@@ -289,7 +292,11 @@ def _alpha_step(lo: Fraction, hi: Fraction,
 
 # -- zeros at roots of unity ---------------------------------------------
 
+#: The unity scan tests each order on integers at t = 2^RESIDUE_BITS first.
+RESIDUE_BITS = 64
+
 _cyclo_cache: dict[int, tuple[int, ...]] = {1: (-1, 1)}
+_cyclo_value_cache: dict[int, int] = {}
 _phi_table: list[int] = []
 
 
@@ -325,6 +332,18 @@ def _cyclotomic_ints(n: int) -> tuple[int, ...]:
     return got
 
 
+def _cyclotomic_value(n: int) -> int:
+    """Phi_n(2^RESIDUE_BITS), by exact division of 2^(RESIDUE_BITS n) - 1."""
+    got = _cyclo_value_cache.get(n)
+    if got is None:
+        got = (1 << RESIDUE_BITS * n) - 1
+        for d in range(1, n // 2 + 1):
+            if n % d == 0:
+                got //= _cyclotomic_value(d)
+        _cyclo_value_cache[n] = got
+    return got
+
+
 def _totients(limit: int) -> list[int]:
     """Euler's phi for 0..limit (at least), from a sieve grown on demand."""
     global _phi_table
@@ -340,21 +359,36 @@ def _totients(limit: int) -> list[int]:
 
 
 def roots_of_unity_zeros(k: int, ell: int) -> list[int]:
-    """Orders n for which every primitive n-th root of unity is a zero.
+    """Orders n for which every primitive n-th root of unity is a zero of
+    the (k, ell) member: `_unity_orders` of its integer coefficients."""
+    return _unity_orders(reciprocal_poly(k, ell).int_coeffs())
 
-    Scans all n with phi(n) <= k+1, read from a totient sieve; since
-    phi(n) >= sqrt(n/2), the scan can stop at 2 (k+1)^2.  Phi_n is monic
-    with integer coefficients, so it divides the member over the rationals
-    exactly when the integer remainder of r.int_coeffs() by Phi_n is zero.
+
+def _unity_orders(ints: Sequence[int]) -> list[int]:
+    """Orders n for which Phi_n divides the integer polynomial.
+
+    Scans all n with phi(n) <= deg (`_orders`).  Phi_n is monic
+    with integer coefficients, so when it divides the polynomial f over
+    the rationals, the quotient has integer coefficients, and Phi_n(t)
+    divides f(t) for every integer t.  Each order is tested at
+    t = 2^RESIDUE_BITS first: a nonzero f(t) mod Phi_n(t) rules it out,
+    and an order that passes is decided by the exact integer division.
+
+    >>> _unity_orders([1, 0, 0, 1])  # x^3 + 1 = Phi_2 Phi_6
+    [2, 6]
     """
-    ints = reciprocal_poly(k, ell).int_coeffs()
-    deg = k + 1
+    value = 0
+    for c in reversed(ints):
+        value = (value << RESIDUE_BITS) + c
+    return [n for n in _orders(len(ints) - 1)
+            if not value % _cyclotomic_value(n)
+            and not _divmod_monic(ints, _cyclotomic_ints(n))[1]]
+
+
+@lru_cache(maxsize=None)
+def _orders(deg: int) -> tuple[int, ...]:
+    """The n with phi(n) <= deg, in order; phi(n) >= sqrt(n/2) bounds them
+    by 2 deg^2."""
     limit = 2 * deg * deg
     phi = _totients(limit)
-    out = []
-    for n in range(1, limit + 1):
-        if phi[n] > deg:
-            continue
-        if not _divmod_monic(ints, _cyclotomic_ints(n))[1]:
-            out.append(n)
-    return out
+    return tuple(n for n in range(1, limit + 1) if phi[n] <= deg)

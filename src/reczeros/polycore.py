@@ -4,8 +4,9 @@
 print them; the real-root machinery works over integers for speed.  A
 polynomial is cleared to a primitive integer coefficient list, a
 positive multiple with the same signs, and `_sign_at` takes its exact
-sign at a rational point by integer Horner; `_dyadic_signs` takes the
-signs at many points num / 2^bits with one set of shifted coefficients.
+sign at a rational point by integer Horner; `_dyadic_values` takes the
+values (times a power of two) at many points num / 2^bits with one set
+of shifted coefficients, and `_dyadic_signs` their signs.
 With `interval.horner_sign` they take every sign the library decides,
 and they are all the primary certificate route (sign alternation on a
 grid, in `certify`) needs.  The signed remainder (Sturm) chain is the
@@ -15,9 +16,12 @@ and fixes its sign from the known sign of the lc power, so sign
 variation counts are preserved exactly.  Root counts are over open
 intervals; callers detect endpoint roots by exact signs.  A root box,
 which `certify` builds as (4, B) around W's one zero beyond 4, has
-nonzero opposite endpoint signs; its refinement is sign bisection on
-integer numerators over a common denominator that doubles with each
-halving, with signs taken by homogeneous integer Horner.
+nonzero opposite endpoint signs.  Its refinement returns the dyadic cell
+that sign bisection reaches, but jumps there: a float estimate or a
+secant only chooses a candidate cell, and the candidate is accepted when
+the exact signs at its two ends, by homogeneous integer Horner, are the
+box's end signs, both nonzero.  Such a cell holds the box's one simple
+root, so it is the cell bisection reaches at that level.
 
 Also here: the z + 1/z transform for self-reciprocal polynomials of even
 degree.  For m with z^(2d) m(1/z) = sigma * m(z):
@@ -39,7 +43,7 @@ a polynomial does no Rational-ABC coercion.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, inf
+from math import frexp, gcd, inf, lcm, ldexp, sqrt
 from typing import Iterable, Sequence
 
 
@@ -186,25 +190,31 @@ def _sign_at(ints: Sequence[int], x) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _dyadic_signs(ints: Sequence[int], nums: Iterable[int],
-                  bits: int) -> list[int]:
-    """Signs of the integer-coefficient polynomial at each num / 2^bits.
+def _dyadic_values(ints: Sequence[int], nums: Iterable[int],
+                   bits: int) -> list[int]:
+    """2^(bits n) times the integer-coefficient polynomial at each num / 2^bits.
 
-    Homogeneous Horner: sum c_i num^i 2^(bits (n - i)) is 2^(bits n) times
-    the value, so it has the same sign; the coefficients are shifted once
-    and shared by every point.
+    Homogeneous Horner: sum c_i num^i 2^(bits (n - i)) is an integer with
+    the sign of the value; the coefficients are shifted once and shared
+    by every point.
     """
     n = len(ints) - 1
     scaled = [c << (bits * (n - i)) for i, c in enumerate(ints)]
     lead = scaled.pop()
     scaled.reverse()
-    signs = []
+    values = []
     for x in nums:
         acc = lead
         for c in scaled:
             acc = acc * x + c
-        signs.append((acc > 0) - (acc < 0))
-    return signs
+        values.append(acc)
+    return values
+
+
+def _dyadic_signs(ints: Sequence[int], nums: Iterable[int],
+                  bits: int) -> list[int]:
+    """Signs of the integer-coefficient polynomial at each num / 2^bits."""
+    return [(v > 0) - (v < 0) for v in _dyadic_values(ints, nums, bits)]
 
 
 def _variations(signs: Iterable[int]) -> int:
@@ -314,13 +324,75 @@ class RootBox:
         return "RootBox(%s, %s)" % (self.lo, self.hi)
 
 
-def refine_root(box: RootBox, width: Fraction) -> RootBox:
-    """Shrink a root box below the requested width by sign bisection.
+def _float_root(ints: Sequence[int], hi: Fraction) -> tuple[float, int] | None:
+    """A float estimate of a real root of the integer polynomial below hi,
+    with how many of its leading bits to trust, or None.
 
-    The endpoints are integer numerators a < b over a common denominator
-    D0 * 2^s that doubles with each halving, so a midpoint is (a + b) over
-    the next denominator, and its sign is the sign `_dyadic_signs` gives at
-    (a + b) / 2^s for the coefficients c_i D0^(n-i).
+    Laguerre's method, started at hi or at 2^e if that is smaller, which
+    for a polynomial with real roots converges to the largest root below
+    the start.  It runs in y = x / 2^e, with e from the coefficients' bit
+    lengths so that 2^e bounds every root (Fujiwara's bound) and every
+    scaled coefficient c_i 2^(e i) is at most c_n 2^(e n): the floats stay
+    small whatever the size of the coefficients.  It stops when a step no
+    longer shrinks, at the rounding noise of the float evaluation; the
+    last step taken sizes the error, and ten bits are kept in hand.
+    """
+    n = len(ints) - 1
+    top = ints[-1].bit_length()
+    e = 1 + max([0] + [-(-(c.bit_length() - top + 1) // (n - i))
+                       for i, c in enumerate(ints[:-1]) if c])
+    cs = [ldexp(float(c >> (sh := max(c.bit_length() - 60, 0))),
+                sh + e * (i - n) - top) for i, c in enumerate(ints)]
+    num, den = hi.numerator, hi.denominator << e
+    y = 1.0 if num >= den else num / den
+    last = inf
+    for _ in range(100):
+        p = dp = dd = 0.0
+        for c in reversed(cs):
+            dd = dd * y + dp
+            dp = dp * y + p
+            p = p * y + c
+        if not p:
+            last = 0.0
+            break
+        g = dp / p
+        r = sqrt(max((n - 1) * (n * (g * g - 2 * dd / p) - g * g), 0.0))
+        step = n / (g + r if g >= 0 else g - r) if g or r else 0.0
+        if not abs(step) < last:
+            break
+        y -= step
+        last = abs(step)
+        if last <= abs(y) * 2.0 ** -52:
+            break
+    x = ldexp(y, e)
+    if not y or not -inf < x < inf:
+        return None
+    return x, frexp(y / max(last, abs(y) * 2.0 ** -52))[1] - 10
+
+
+def refine_root(box: RootBox, width: Fraction) -> RootBox:
+    """Shrink a root box below the requested width: the dyadic cell that
+    sign bisection reaches, found by verified jumps.
+
+    The endpoints are integer numerators a < a + L over D0; a cell of
+    level t is [a 2^t + j L, a 2^t + (j + 1) L] over D0 2^t, and the
+    result is the cell of the least level s with L / (D0 2^s) <= width.
+    A candidate cell some levels deeper is accepted only when the exact
+    signs at its two ends (`_dyadic_values` on the coefficients
+    c_i D0^(n-i)) are (sign_lo, sign_hi), both nonzero: it then holds the
+    box's one simple root, so it is the cell bisection reaches at that
+    level.  The first candidate is the cell of a float estimate of the
+    root (`_float_root`), as narrow as the estimate's trusted bits allow;
+    the next ones come from a secant through the exact values at the
+    current cell's ends.  The jump doubles on acceptance and halves on
+    rejection, as in quadratic interval refinement (Abbott, 2006), and a
+    rejected half leaves the other half.  A zero at a cell end is the
+    root itself, and the box closes symmetrically around it, as
+    bisection does when a midpoint is the root.
+
+    >>> box = RootBox(Poly([-2, 0, 1]), Fraction(1), Fraction(2), -1, 1)
+    >>> refine_root(box, Fraction(1, 1000))
+    RootBox(181/128, 1449/1024)
     """
     width = Fraction(width)
     if width <= 0:
@@ -328,28 +400,72 @@ def refine_root(box: RootBox, width: Fraction) -> RootBox:
     ints = box.poly.int_coeffs()
     slo, shi = box.sign_lo, box.sign_hi
     den0 = lcm(box.lo.denominator, box.hi.denominator)
-    a = box.lo.numerator * (den0 // box.lo.denominator)
-    b = box.hi.numerator * (den0 // box.hi.denominator)
+    a0 = box.lo.numerator * (den0 // box.lo.denominator)
+    span = box.hi.numerator * (den0 // box.hi.denominator) - a0
+    # the least s with span / (den0 2^s) <= width
+    s = (-(-span * width.denominator // (width.numerator * den0))
+         - 1).bit_length()
     n = len(ints) - 1
-    scaled = [c * den0 ** (n - i) for i, c in enumerate(ints)]
-    wnum, wden = width.numerator, width.denominator
-    s = 0
-    while (b - a) * wden > wnum * (den0 << s):
-        s += 1
-        x = a + b
-        sign = _dyadic_signs(scaled, (x,), s)[0]
-        if sign == 0:
-            # the root is exactly the midpoint; close symmetrically around it
-            m = Fraction(x, den0 << s)
-            delta = min(width, Fraction(b - a, den0 << (s - 1))) / 4
-            while _sign_at(ints, m - delta) != slo or _sign_at(ints, m + delta) != shi:
-                delta /= 2
-            return RootBox(box.poly, m - delta, m + delta, slo, shi)
-        if sign == slo:
-            a, b = x, 2 * b
+    # c_i den0^(n-i), by a running power: den0 can have thousands of bits
+    scaled, power = list(ints), 1
+    for i in range(n - 1, -1, -1):
+        power *= den0
+        scaled[i] *= power
+    # the first candidate: the cell of the float estimate, at the level
+    # where a cell is about as wide as the estimate's error
+    guess = None
+    estimate = _float_root(ints, box.hi) if s else None
+    if estimate is not None:
+        num, den = estimate[0].as_integer_ratio()
+        d = min(s, max(1, span.bit_length() - den0.bit_length()
+                       - num.bit_length() + den.bit_length() + estimate[1]))
+        j = ((num * den0 - a0 * den) << d) // (span * den)
+        if 0 <= j < 1 << d:
+            guess = d, j
+    # the current cell is [a, a + span] over den0 2^t, with the values
+    # fa and fb at its ends once they are known
+    a, t, jump, fa, fb = a0, 0, 1, None, None
+    root = None
+    while t < s:
+        if guess is not None:
+            (d, j), guess = guess, None
         else:
-            a, b = 2 * a, x
-    return RootBox(box.poly, Fraction(a, den0 << s), Fraction(b, den0 << s), slo, shi)
+            if fa is None:
+                fa, fb = _dyadic_values(scaled, (a, a + span), 0)
+            d = min(jump, s - t)
+            j = (fa << d) // (fa - fb)
+        lo = (a << d) + j * span
+        flo, fhi = _dyadic_values(scaled, (lo, lo + span), t + d)
+        if flo * slo > 0 and fhi * shi > 0:
+            # a secant step's reach doubles; the estimate's holds
+            jump = d if fa is None else 2 * d
+            a, fa, fb, t = lo, flo, fhi, t + d
+            continue
+        if not flo or not fhi:
+            root = (lo + span if flo else lo), t + d
+            break
+        if d > 1 or fa is None:
+            jump = max(1, d // 2)
+            continue
+        # the rejected cell is a half, so the other half holds the root
+        if j:
+            a, fa, fb = 2 * a, fa << n, flo
+        else:
+            a, fa, fb = lo + span, fhi, fb << n
+        t += 1
+    if root is None:
+        return RootBox(box.poly, Fraction(a, den0 << s),
+                       Fraction(a + span, den0 << s), slo, shi)
+    # the root is x over den0 2^t; bisection meets it on the first level
+    # whose grid holds it, as the midpoint of a cell one level up
+    x, t = root
+    m = Fraction(x, den0 << t)
+    j = (x - (a0 << t)) // span
+    t -= (j & -j).bit_length() - 1
+    delta = min(width, Fraction(span, den0 << (t - 1))) / 4
+    while _sign_at(ints, m - delta) != slo or _sign_at(ints, m + delta) != shi:
+        delta /= 2
+    return RootBox(box.poly, m - delta, m + delta, slo, shi)
 
 
 # -- the z + 1/z transform ----------------------------------------------
@@ -429,10 +545,15 @@ def reciprocal_transform(m: Poly) -> TransformResult:
     num, den = lc.numerator, lc.denominator * cs[-1]
     zero = Fraction(0)
     t = Poly([Fraction(c * num, den) if c else zero for c in acc])
+    # T and W are positive multiples of acc and of its parity slice, so
+    # their primitive integer forms are read off acc
+    t._ints = tuple(_prim(acc))
     try:
         parity, w_sq = split_even_odd(t)
     except ValueError:
         parity, w_sq = "mixed", None
+    else:
+        w_sq._ints = tuple(_prim(acc[1::2] if parity == "odd" else acc[0::2]))
     return TransformResult(t, sigma, parity, w_sq)
 
 

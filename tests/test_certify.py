@@ -7,8 +7,11 @@ from hypothesis import given, strategies as st
 
 from reczeros import certify
 from reczeros.certify import (
+    RESIDUE_BITS,
     _cyclotomic_ints,
+    _cyclotomic_value,
     _totients,
+    _unity_orders,
     alpha_enclosure,
     alternation_box,
     certify_zeros,
@@ -269,6 +272,39 @@ def test_cyclotomic_ints_match_sympy_for_the_k40_scan():
     assert len(orders) == 81
     for n in orders:
         assert Poly(_cyclotomic_ints(n)) == _sympy_cyclotomic(n), n
+
+
+def _times(f, g):
+    return [int(c) for c in from_sympy(to_sympy(f) * to_sympy(g)).coeffs]
+
+
+_ORDERS_UP_TO_12 = [n for n in range(1, 2 * 12 * 12 + 1)
+                    if _phi_by_trial_division(n) <= 12]
+_int_polys = st.lists(st.integers(-50, 50), min_size=1, max_size=6).filter(
+    lambda f: f[-1] != 0)
+
+
+@given(f=_int_polys, n=st.sampled_from(_ORDERS_UP_TO_12))
+def test_residue_filter_keeps_every_cyclotomic_divisor(f, n):
+    assert n in _unity_orders(_times(f, _cyclotomic_ints(n)))
+
+
+@given(f=_int_polys, factors=st.lists(st.sampled_from(_ORDERS_UP_TO_12[:20]),
+                                      max_size=2))
+def test_unity_orders_match_exact_division(f, factors):
+    for n in factors:
+        f = _times(f, _cyclotomic_ints(n))
+    deg = len(f) - 1
+    want = [n for n in range(1, 2 * deg * deg + 1)
+            if _phi_by_trial_division(n) <= deg
+            and to_sympy(f).rem(to_sympy(_sympy_cyclotomic(n))).is_zero]
+    assert _unity_orders(f) == want
+
+
+def test_cyclotomic_values_are_the_polynomials_at_the_residue_point():
+    for n in range(1, 301):
+        assert _cyclotomic_value(n) == sum(
+            c << (RESIDUE_BITS * i) for i, c in enumerate(_cyclotomic_ints(n))), n
 
 
 def test_unity_orders_golden():

@@ -352,6 +352,27 @@ def test_verify_and_analyze_documents_are_pinned(command):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DOCUMENTS[command]
 
 
+#: sha256 of large-k certify documents, in JSON from the CLI in a fresh
+#: process; taken while alpha refinement was plain sign bisection.  Their
+#: boxes are where a float estimate of the root is hardest to use.
+PINNED_LARGE_K_DOCUMENTS = {
+    "certify --k 44 --ell 1..3":
+        "9b0d60548bfc7a975bcca6e6668fe20202e87ec776d75974a8736c90711e0b61",
+    "certify --k 64 --ell 1..6":
+        "01cb5f0b99f86afdef19f698c0de0efe08d6d81d0a6dcadd7205fa24073d380a",
+    "certify --k 100 --ell 1":
+        "2959f5f4515ade9adc4c293d30beef296f9b49868f61d1372a5c2ee97c6d40d3",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_LARGE_K_DOCUMENTS))
+def test_large_k_certify_documents_are_pinned(command):
+    out = fresh_python("-m", "reczeros.cli", *command.split(),
+                       "--format", "json")
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == PINNED_LARGE_K_DOCUMENTS[command])
+
+
 #: sha256 of each command's JSON, CSV and table renderings, produced by
 #: the CLI in a fresh process; taken when every builder still converted
 #: its fields by hand and rows_for spelled out each header.

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction as F
-from math import inf
+from math import inf, isqrt
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from reczeros import polycore
 from reczeros.certify import certify_zeros
 from reczeros.polycore import (
     Poly,
@@ -20,7 +22,7 @@ from reczeros.polycore import (
     split_even_odd,
 )
 
-from sympy_oracle import from_roots, resubstitute, to_sympy
+from sympy_oracle import from_roots, from_sympy, resubstitute, to_sympy, z
 
 
 def test_construction_trims_and_compares():
@@ -213,6 +215,75 @@ def test_refine_midpoint_root_matches_fraction_bisection(p, lo, hi, sign_lo, roo
         assert got.hi - got.lo <= width
 
 
+@st.composite
+def _planted_boxes(draw):
+    """A box around the one real root of an integer polynomial: a rational
+    root, sqrt(a) for a non-square a, or a dyadic point of the box's
+    bisection grid, times factors x^2 + m with no real root, some of them
+    past float range."""
+    kind = draw(st.sampled_from(("rational", "irrational", "dyadic")))
+    if kind == "irrational":
+        a = draw(st.integers(2, 10**12).filter(lambda a: isqrt(a) ** 2 != a))
+        r = isqrt(a)
+        lo = r - draw(st.fractions(0, r, max_denominator=1000))
+        hi = r + 1 + draw(st.fractions(0, 100, max_denominator=1000))
+        factor = z**2 - a
+    else:
+        lo = draw(st.fractions(-100, 100, max_denominator=1000))
+        hi = lo + draw(st.fractions(F(1, 1000), 100, max_denominator=1000))
+        if kind == "dyadic":
+            q = draw(st.integers(1, 40))
+            root = lo + (hi - lo) * F(draw(st.integers(1, 2**q - 1)), 2**q)
+        else:
+            root = draw(st.fractions(lo, hi, max_denominator=10**12)
+                        .filter(lambda r: lo < r < hi))
+        factor = root.denominator * z - root.numerator
+    for m in draw(st.lists(st.integers(1, 10**6) | st.integers(2**1100, 2**3000),
+                           max_size=3)):
+        factor *= z**2 + m
+    p = from_sympy(draw(st.sampled_from((1, -1, 3, -10**20))) * factor)
+    ints = p.int_coeffs()
+    return RootBox(p, lo, hi, _sign_at(ints, lo), _sign_at(ints, hi))
+
+
+_widths = st.builds(lambda num, e: F(num, 2000 * 10**e),
+                    st.integers(1, 1000), st.integers(0, 40))
+
+
+@given(box=_planted_boxes(), width=_widths,
+       estimate=st.sampled_from(("float", "none"))
+       | st.tuples(st.fractions(0, 1), st.integers(-10, 60)))
+def test_refine_matches_fraction_bisection(box, width, estimate):
+    """Whatever the float estimate and its trusted bits say, the exact
+    signs pick the cell that bisection reaches: the float estimate, none,
+    or any point of the box with any number of bits."""
+    if estimate == "float":
+        got = refine_root(box, width)
+    else:
+        guess = None if estimate == "none" else (
+            float(box.lo + (box.hi - box.lo) * estimate[0]), estimate[1])
+        with patch.object(polycore, "_float_root", lambda ints, hi: guess):
+            got = refine_root(box, width)
+    assert (got.lo, got.hi) == _fraction_refine(box, width)
+    assert (got.sign_lo, got.sign_hi) == (box.sign_lo, box.sign_hi)
+
+
+def test_refine_rejects_a_float_estimate_off_the_root():
+    """Two roots 2^-40 apart put Laguerre's float estimate outside the cell
+    its trusted bits give around the larger one, so that cell's end signs
+    reject it."""
+    root = F(5, 3) + F(1, 2**40)
+    p = from_roots(F(5, 3), root, 7)
+    ints = p.int_coeffs()
+    lo = F(5, 3) + F(1, 2**41)
+    box = RootBox(p, lo, F(3), _sign_at(ints, lo), _sign_at(ints, F(3)))
+    x, bits = polycore._float_root(ints, box.hi)
+    assert abs(F(x) - root) > root / 2**bits
+    for width in (F(1, 10**30), F(1, 2**45)):
+        got = refine_root(box, width)
+        assert (got.lo, got.hi) == _fraction_refine(box, width)
+
+
 # -- the z + 1/z transform ----------------------------------------------
 
 def test_detect_reversal_sign():
@@ -311,6 +382,11 @@ def test_transform_matches_fraction_reference(half, mid, sigma):
     assert tr.sigma == sigma
     shift = len(half) if sigma == 1 else len(half) - 1
     assert resubstitute(tr.transform, shift, sigma) == m
+    # the integer forms handed over from the recurrence are the ones a
+    # fresh Poly clears from the Fractions
+    for q in (tr.transform, tr.w_square):
+        if q is not None:
+            assert q.int_coeffs() == Poly(q.coeffs).int_coeffs()
 
 
 @pytest.mark.parametrize("m", [
