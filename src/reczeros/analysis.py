@@ -116,8 +116,12 @@ def _family_discriminant(k: int, ell: int) -> Fraction:
     profile = boundary_profile(k, ell)
     w = profile.w_square
     d = w.degree()
-    c = reciprocal_poly(k, ell).lc() / w.lc()
-    w0, w4 = w(0), w(4)
+    # W is its own primitive integer form
+    ints = w.int_coeffs()
+    c = reciprocal_poly(k, ell).lc() / ints[-1]
+    w0, w4 = ints[0], 0
+    for a in reversed(ints):
+        w4 = 4 * w4 + a
     disc = c ** (4 * d - 2) * discriminant(w) ** 2 * w0 * w4
     if profile.sigma == -1:
         disc *= (c * w4) ** 2

@@ -1,16 +1,17 @@
 """Zero-location certificates for the reciprocal family.
 
-All counting happens on the half-degree polynomial W in v = w^2 = z + 1/z
-squared, produced by `family.boundary_profile`.  Writing x = z^2 for the
-base polynomial's variable, a simple real root v0 of W corresponds to:
+All counting happens on the half-degree polynomial W in v = x + 2 + 1/x,
+produced by `family.boundary_profile` from the base polynomial's own
+integer coefficients (x = z^2, so v = w^2 for w = z + 1/z).  A simple
+real root v0 of W corresponds to:
 
     v0 in (0, 4)   one conjugate pair of unimodular zeros x, 1/x = conj(x)
     v0 in (4, oo)  one pair of real zeros (alpha, 1/alpha) with alpha > 1
     v0 < 0         one pair of real zeros (-g, -1/g) with g > 1
     v0 non-real    two non-real zeros off the unit circle (per root)
 
-plus a zero at x = -1 when the transform has odd parity and a zero at
-x = +1 when the reversal sign is -1.  Simplicity of the full zero set is
+plus a zero at x = -1 when W has odd parity and a zero at x = +1 when
+the reversal sign is -1: the linear factors the transform divides out.  Simplicity of the full zero set is
 equivalent to W being squarefree with W(0) != 0 and W(4) != 0: a root of
 W at 0 or 4 forces x = -1 or x = +1 to a multiplicity of at least two,
 and any repeated root of W pulls back to a repeated zero.

@@ -492,17 +492,20 @@ def check_sign_pattern(k: int, ell: int, precision: int = DEFAULT_PRECISION) -> 
                                     j = 1..2k-2, expected sign (-1)^j.
 
     Alternation at the full cyclic grid forces 2k-2 sign changes per turn,
-    which is exactly the number of unimodular zero pairs times two.  Every
-    sign is taken on the integer coefficients of T: at grid angles with
-    2 cos theta in {0, +-1, +-2} exactly, by `_sign_at`; at the rest by
-    `horner_sign` on cos(pi r) enclosures, with an escalating precision
-    ladder.
+    which is exactly the number of unimodular zero pairs times two.  T is
+    read through W: T(w) = W(w^2), times w when W's parity is odd, so
+    every sign is taken on the integer coefficients of W, and w's sign
+    comes from theta.  At grid angles with 2 cos theta in {0, +-1, +-2},
+    W(4 cos^2 theta) is taken exactly, by `_sign_at`; at the rest by
+    `horner_sign` on squared cos(pi r) enclosures, with an escalating
+    precision ladder.
     """
     if k < 3:
         raise ValueError("needs k >= 3")
     prof = boundary_profile(k, ell)
-    # a positive multiple of T: same signs and zeros, integer Horner steps
-    ints = prof.transform.int_coeffs()
+    # a positive multiple of W: same signs and zeros, integer Horner steps
+    ints = prof.w_square.int_coeffs()
+    odd = prof.w_parity == "odd"
     even_even = ell % 2 == 0 and k % 2 == 0
     if even_even:
         points = [(j, Fraction(2 * j - 1, 2 * (k - 1)), 1 if j % 2 == 0 else -1)
@@ -521,7 +524,9 @@ def check_sign_pattern(k: int, ell: int, precision: int = DEFAULT_PRECISION) -> 
     for j, r, expected in points:
         two_cos = _exact_two_cos(r)
         if two_cos is not None:
-            s = _sign_at(ints, two_cos)
+            s = _sign_at(ints, two_cos * two_cos)
+            if odd:
+                s *= (two_cos > 0) - (two_cos < 0)
             if s == 0:
                 return ClaimResult("sign-pattern-k%d-l%d" % (k, ell), params,
                                    FAIL, {"j": j, "theta_over_pi": r}, {},
@@ -529,9 +534,9 @@ def check_sign_pattern(k: int, ell: int, precision: int = DEFAULT_PRECISION) -> 
             exact_points += 1
         else:
             for pr in ladder(max(precision, 64), 2, PRECISION_CAP):
-                # T(2 cos): the doubling is folded into rounding the argument
-                s = horner_sign(ints, cos_pi_enclosure(r, pr),
-                                pr + len(ints) + 8, x_shift=1)
+                # W(4 cos^2): the factor 4 is folded into rounding the argument
+                cos = cos_pi_enclosure(r, pr)
+                s = horner_sign(ints, cos * cos, pr + len(ints) + 8, x_shift=2)
                 if s:
                     break
             else:
@@ -540,6 +545,9 @@ def check_sign_pattern(k: int, ell: int, precision: int = DEFAULT_PRECISION) -> 
                     INCONCLUSIVE, {"j": j, "precision_cap": PRECISION_CAP}, {},
                     "grid sign undecided at the precision cap")
             max_pr = max(max_pr, pr)
+            # w = 2 cos(pi r) < 0 exactly when r mod 2 lies in (1/2, 3/2)
+            if odd and abs(r % 2 - 1) < Fraction(1, 2):
+                s = -s
         if prof.sigma < 0 and r > 1:
             s = -s
         if s != expected:
@@ -602,8 +610,10 @@ def check_pm1_zero(k_max: int, ell_max: int) -> ClaimResult:
                 good = at_one != 0 and at_minus != 0
             if not good:
                 return ClaimResult("unit-values", params, FAIL,
-                                   {"k": k, "ell": ell, "at_one": r(1),
-                                    "at_minus_one": r(-1)}, {},
+                                   {"k": k, "ell": ell,
+                                    "at_one": sum(r.coeffs),
+                                    "at_minus_one": sum(r.coeffs[0::2])
+                                    - sum(r.coeffs[1::2])}, {},
                                    "vanishing pattern violated")
             checked += 1
     return ClaimResult("unit-values", params, PASS, None,

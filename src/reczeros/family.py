@@ -14,12 +14,13 @@ coefficient per symmetric pair (j, k+1-j), straight from the integer
 numerators and denominators of its Bernoulli or zeta rationals, and the
 comparison runs on the two primitive integer coefficient lists.
 
-The companion is self-reciprocal with reversal sign -1 exactly when k and
-ell are both even; `boundary_profile` rewrites it in w = z + 1/z and splits
-off the half-degree polynomial in v = w^2 that the root-counting machinery
-works on.  `circle_approximant` snaps the interior quotient weights to 1 and
-keeps the exact difference, whose coefficient mass bounds the perturbation
-on the unit circle.
+Both are self-reciprocal with reversal sign -1 exactly when k and ell are
+both even.  `boundary_profile` rewrites the base polynomial in x + 1/x,
+straight from its integer coefficients, as the half-degree polynomial W
+in v = x + 2 + 1/x (= w^2 for w = z + 1/z) that the root-counting
+machinery works on.  `circle_approximant` snaps the interior quotient
+weights to 1 and keeps the exact difference, whose coefficient mass
+bounds the perturbation on the unit circle.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from .exactnum import bernoulli, q, zeta_even_rational
-from .polycore import Poly, TransformResult, reciprocal_transform
+from .polycore import Poly, reciprocal_transform
 
 
 def _validate(k: int, ell: int) -> None:
@@ -136,26 +138,33 @@ def circle_approximant(k: int, ell: int) -> ApproximantPair:
     return ApproximantPair(k, ell, approx, delta, weight)
 
 
-@lru_cache(maxsize=None)
-def boundary_profile(k: int, ell: int) -> TransformResult:
-    """The companion in the variable w = z + 1/z, its shape checked.
+class BoundaryProfile(NamedTuple):
+    """A member's W, with its reversal sign and W's parity.
 
-    T has degree k + 1 and W parity "odd" for k even (even for k odd)
-    when sigma = 1, and degree k with parity "even" when sigma = -1.
+    R = c x^h W(x + 2 + 1/x) times x - 1 when sigma = -1 and times x + 1
+    when w_parity is "odd"; W is primitive with a positive leading
+    coefficient.
+    """
+
+    sigma: int
+    w_parity: str
+    w_square: Poly
+
+
+@lru_cache(maxsize=None)
+def boundary_profile(k: int, ell: int) -> BoundaryProfile:
+    """W straight from the base polynomial's integer coefficients, its shape
+    checked: degree ceil(k/2), and parity "odd" exactly when sigma = 1
+    and k is even.  The companion is built too, for its identity check.
     """
     _validate(k, ell)
-    m = monic_even_form(k, ell)
-    tr = reciprocal_transform(m)
+    monic_even_form(k, ell)
     sig = sigma_of(k, ell)
-    if tr.sigma != sig:
-        raise AssertionError("reversal sign mismatch at k=%d, ell=%d" % (k, ell))
-    if sig == 1:
-        want_deg, want_parity = k + 1, ("even" if k % 2 else "odd")
-    else:
-        want_deg, want_parity = k, "even"
-    if tr.transform.degree() != want_deg or tr.w_parity != want_parity:
+    w, parity = reciprocal_transform(reciprocal_poly(k, ell).int_coeffs(), sig)
+    if w.degree() != (k + 1) // 2 or parity != (
+            "odd" if sig == 1 and k % 2 == 0 else "even"):
         raise AssertionError(
             "transform shape mismatch at k=%d, ell=%d: degree %d parity %s"
-            % (k, ell, tr.transform.degree(), tr.w_parity)
+            % (k, ell, w.degree(), parity)
         )
-    return tr
+    return BoundaryProfile(sig, parity, w)

@@ -23,17 +23,12 @@ the exact signs at its two ends, by homogeneous integer Horner, are the
 box's end signs, both nonzero.  Such a cell holds the box's one simple
 root, so it is the cell bisection reaches at that level.
 
-Also here: the z + 1/z transform for self-reciprocal polynomials of even
-degree.  For m with z^(2d) m(1/z) = sigma * m(z):
-
-    sigma = +1:  m(z) = z^d * T(z + 1/z),          deg T = d
-    sigma = -1:  m(z) = z^(d-1) (z^2 - 1) T(z + 1/z),  deg T = d - 1
-
-computed by the two Chebyshev-style recurrences for z^n + z^-n and
-(z^n - z^-n)/(z - 1/z) on the integer-cleared coefficients of m, verified
-by exact resubstitution on integers (a binomial expansion compared
-coefficient by coefficient), and scaled back to m's own coefficients once.
-The reversal sign and the parity split are decided on integers too.
+Also here: the x + 1/x transform, which writes a self-reciprocal integer
+polynomial R, after dividing out its zeros at x = 1 and x = -1 that the
+reversal sign and the degree force, as x^h W(x + 2 + 1/x).  It runs one
+Chebyshev-style recurrence on R's integer coefficients and is verified by
+exact resubstitution on integers (a binomial expansion by shifted adds,
+compared coefficient by coefficient).
 
 A `Fraction` handed to Poly, RootBox or Interval is kept as it is, and
 `int_coeffs` clears denominators on numerators, so building and clearing
@@ -50,8 +45,8 @@ from typing import Iterable, Sequence
 class Poly:
     """Immutable dense polynomial with Fraction coefficients, low to high.
 
-    It holds the exact coefficients that documents print, evaluates and
-    differentiates them, and caches the primitive integer form
+    It holds the exact coefficients that documents print, differentiates
+    them, and caches the primitive integer form
     (`int_coeffs`) that every kernel runs on.  There is no ring algebra:
     no command adds, multiplies or divides polynomials.
     """
@@ -107,15 +102,6 @@ class Poly:
 
     def derivative(self) -> "Poly":
         return Poly(tuple(i * c for i, c in enumerate(self._coeffs) if i > 0))
-
-    # -- evaluation -------------------------------------------------------
-
-    def __call__(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
 
     # -- integer clearing -------------------------------------------------
 
@@ -468,129 +454,72 @@ def refine_root(box: RootBox, width: Fraction) -> RootBox:
     return RootBox(box.poly, m - delta, m + delta, slo, shi)
 
 
-# -- the z + 1/z transform ----------------------------------------------
+# -- the x + 1/x transform ----------------------------------------------
 
-class TransformResult:
-    """Output of reciprocal_transform: T, the reversal sign, and the
-    even/odd split of T.
+def reciprocal_transform(ints: Sequence[int], sigma: int) -> tuple[Poly, str]:
+    """W and its parity for a self-reciprocal integer polynomial R.
 
-    transform:  T with m = z^e * T(z + 1/z), times z^2 - 1 when the
-                reversal sign sigma is -1
-    w_parity:   "even" (T(w) = W(w^2)), "odd" (T(w) = w W(w^2)) or
-                "mixed", in which case w_square is None; transforms of
-                polynomials that are even in z always have pure parity
-    w_square:   W
+    ints is R's primitive integer coefficient list and sigma its reversal
+    sign, x^N R(1/x) = sigma R(x).  Dividing out x - 1 (sigma = -1), then
+    x + 1 if the degree left is odd (parity "odd"), leaves Q of degree 2h
+    with Q = x^h P(x + 1/x), and W(v) = P(v - 2): with v = x + 2 + 1/x,
+    Q / x^h = q_h + sum_i q_(h+i) V_i(v) for V_i = x^i + x^-i, which
+    satisfy V_0 = 2, V_1 = v - 2 and V_(i+1) = (v - 2) V_i - V_(i-1).
+    The result is primitive with a positive leading coefficient, and is
+    verified by exact resubstitution.
+
+    >>> reciprocal_transform((1, -5, 1), 1)  # x^2 - 5x + 1 = x (v - 7)
+    (Poly(-7 + 1*x), 'even')
     """
-
-    __slots__ = ("transform", "sigma", "w_parity", "w_square")
-
-    def __init__(self, transform: Poly, sigma: int, w_parity: str,
-                 w_square: Poly | None):
-        self.transform = transform
-        self.sigma = sigma
-        self.w_parity = w_parity
-        self.w_square = w_square
-
-
-def detect_reversal_sign(m: Poly) -> int:
-    """sigma with z^deg * m(1/z) = sigma * m(z); raises if m is neither.
-
-    Decided on m.int_coeffs(), a positive multiple of m.
-    """
-    cs = m.int_coeffs()
-    rev = cs[::-1]
-    if cs == rev:
-        return 1
-    if all(a == -b for a, b in zip(cs, rev)):
-        return -1
-    raise ValueError("polynomial is not self-reciprocal up to sign")
-
-
-def reciprocal_transform(m: Poly) -> TransformResult:
-    """Express a self-reciprocal even-degree m in the variable w = z + 1/z.
-
-    The recurrences run on m.int_coeffs(), a positive integer multiple of
-    m; the integer transform is verified by exact resubstitution and then
-    scaled back once, so T is exactly the transform of m itself.
-    """
-    if m.degree() < 2 or m.degree() % 2 != 0:
-        raise ValueError("transform needs even degree >= 2")
-    cs = m.int_coeffs()
-    if cs[0] == 0:
-        raise ValueError("transform needs m(0) != 0")
-    sigma = detect_reversal_sign(m)
-    d = m.degree() // 2
-    acc = [0] * (d + 1)
-    if sigma == 1:
-        # m/z^d = c_d + sum_{i>=1} c_{d+i} (z^i + z^-i); z^i + z^-i = V_i(w)
-        acc[0] = cs[d]
-        prev, cur = [2], [0, 1]
-        shift = d
-    else:
-        # m/z^d = sum_{i>=1} c_{d+i} (z^i - z^-i)
-        #       = (z - 1/z) * sum c_{d+i} S_{i-1}(w)
-        prev, cur = [], [1]
-        shift = d - 1
-    for i in range(1, d + 1):
-        c = cs[d + i]
+    roots = [1] if sigma == -1 else []
+    if (len(ints) - len(roots)) % 2 == 0:
+        roots.append(-1)  # the degree left is odd
+    q = list(ints)
+    for root in roots:
+        # synthetic division by x - root, from the top
+        acc, quotient = 0, []
+        for c in reversed(q):
+            acc = c + root * acc
+            quotient.append(acc)
+        if quotient.pop():
+            raise AssertionError("transform division leaves a remainder")
+        q = quotient[::-1]
+    h = len(q) // 2
+    acc = [q[h]] + [0] * h
+    prev, cur = [2], [-2, 1]
+    for i in range(1, h + 1):
+        c = q[h + i]
         if c:
-            acc[:len(cur)] = [a + c * v for a, v in zip(acc, cur)]
-        # next = w * cur - prev; prev is one shorter than cur
-        prev, cur = cur, [a - b for a, b in zip([0] + cur, prev + [0, 0])]
-    _trim(acc)
-    _verify_resubstitution(cs, acc, shift, sigma)
-    # m = (lc / cs[-1]) * cs, so T's coefficients are acc * lc / cs[-1];
-    # half of them are 0 when T has one parity
-    lc = m.lc()
-    num, den = lc.numerator, lc.denominator * cs[-1]
-    zero = Fraction(0)
-    t = Poly([Fraction(c * num, den) if c else zero for c in acc])
-    # T and W are positive multiples of acc and of its parity slice, so
-    # their primitive integer forms are read off acc
-    t._ints = tuple(_prim(acc))
-    try:
-        parity, w_sq = split_even_odd(t)
-    except ValueError:
-        parity, w_sq = "mixed", None
-    else:
-        w_sq._ints = tuple(_prim(acc[1::2] if parity == "odd" else acc[0::2]))
-    return TransformResult(t, sigma, parity, w_sq)
+            acc[:i + 1] = [a + c * v for a, v in zip(acc, cur)]
+        # V_(i+1) = (v - 2) V_i - V_(i-1); prev is one shorter than cur
+        prev, cur = cur, [a - 2 * b - p for a, b, p
+                          in zip([0] + cur, cur + [0], prev + [0, 0])]
+    w = _prim(acc)
+    if w[-1] < 0:
+        w = [-c for c in w]
+    _verify_resubstitution(ints, w, roots)
+    poly = Poly(w)
+    poly._ints = tuple(w)
+    return poly, "odd" if -1 in roots else "even"
 
 
-def _verify_resubstitution(m: Sequence[int], t: Sequence[int], shift: int,
-                           sigma: int) -> None:
-    """Raise unless m(z) = z^shift (z^2 - 1)^[sigma = -1] t(z + 1/z).
+def _verify_resubstitution(r: Sequence[int], w: Sequence[int],
+                           roots: Sequence[int]) -> None:
+    """Raise unless r = +-x^h w(x + 2 + 1/x) prod (x - root), h = deg w.
 
-    With n = deg t, z^shift t(z + 1/z) = z^(shift - n) h_0 for
-    h_i = sum_{l >= i} t_l (z^2 + 1)^(l - i) z^(n - l), which Horner's rule
-    builds as h_i = (z^2 + 1) h_(i+1) + t_i z^(n - i), each step a shifted
-    add; the result is compared coefficient by coefficient.
+    x^h w(x + 2 + 1/x) = sum_i w_i (x + 1)^(2i) x^(h - i) is g_0 for
+    g_i = (x + 1)^2 g_(i+1) + w_i x^(h - i), which Horner's rule builds by
+    shifted adds, as it does each linear factor; the product is compared
+    coefficient by coefficient.  It is primitive when w is, so it matches
+    a primitive r up to sign.
     """
-    n = len(t) - 1
-    if n > shift:
+    h = len(w) - 1
+    g = [w[h]]
+    for i in range(h - 1, -1, -1):
+        g = [a + 2 * b + c for a, b, c
+             in zip(g + [0, 0], [0] + g + [0], [0, 0] + g)]
+        g[h - i] += w[i]
+    for root in roots:
+        g = [a - root * b for a, b in zip([0] + g, g + [0])]
+    if g != list(r) and g != [-c for c in r]:
         raise AssertionError("transform resubstitution mismatch")
-    h = []
-    for i in range(n, -1, -1):
-        h = [a + b for a, b in zip(h + [0, 0], [0, 0] + h)]
-        h[n - i] += t[i]
-    acc = [0] * (shift - n) + h
-    if sigma == -1:
-        acc = [a - b for a, b in zip([0, 0] + acc, acc + [0, 0])]
-    _trim(acc)
-    if acc != list(m):
-        raise AssertionError("transform resubstitution mismatch")
-
-
-def split_even_odd(t: Poly) -> tuple[str, Poly]:
-    """Write t(w) = W(w^2) ('even') or w * W(w^2) ('odd').
-
-    Raises if t has mixed parity, which cannot happen for transforms of
-    even self-reciprocal polynomials.
-    """
-    evens = t.coeffs[0::2]
-    odds = t.coeffs[1::2]
-    if not any(odds):
-        return "even", Poly(evens)
-    if not any(evens):
-        return "odd", Poly(odds)
-    raise ValueError("polynomial has mixed parity")

@@ -47,12 +47,13 @@ def from_roots(*roots, lc=1) -> Poly:
         [z - to_rational(r) for r in roots]))
 
 
-def resubstitute(t: Poly, shift: int, sigma: int) -> Poly:
-    """z^shift (z^2 - 1)^[sigma < 0] T(z + 1/z), expanded: m itself when T
-    is m's transform."""
-    expr = z**shift * to_sympy(t).as_expr().subs(z, z + 1 / z)
-    if sigma < 0:
-        expr *= z**2 - 1
+def resubstitute(w: Poly, roots=()) -> Poly:
+    """z^h W(z + 2 + 1/z) prod (z - root), expanded, for h = deg W: R
+    itself, up to a rational scale, when W is R's transform and `roots`
+    the zeros at +-1 it divided out."""
+    expr = z**w.degree() * to_sympy(w).as_expr().subs(z, z + 2 + 1 / z)
+    for root in roots:
+        expr *= z - root
     return from_sympy(expr)
 
 

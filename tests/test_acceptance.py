@@ -131,8 +131,8 @@ def test_criterion_04_spot_values():
     assert remainder.is_zero
     assert sympy.rem(cofactor, z + 1).is_zero and cofactor.degree() == 1
 
-    assert r21(F(-1)) == 0
-    assert reciprocal_poly(2, 2)(F(1)) == 0
+    assert to_sympy(r21).eval(-1) == 0
+    assert to_sympy(reciprocal_poly(2, 2)).eval(1) == 0
     print("criterion 4: PASS - (5+sqrt 21)/2 bracketed at 10^-30; "
           "alpha + 1/alpha = 9/2 exact; unit-root spot zeros exact")
 

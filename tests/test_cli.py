@@ -326,7 +326,10 @@ def test_paper_grid_certificates_are_pinned():
 #: analyze digest was taken when Disc(R) was still the determinant of R's
 #: own Sylvester matrix, before the half-degree identity replaced it and
 #: lifted the k <= 15 cap; the k 31..32 one when Disc(W) was still the
-#: determinant of W's Sylvester matrix, before the subresultant PRS.
+#: determinant of W's Sylvester matrix, before the subresultant PRS.  The
+#: --prec 64 one, every sign-pattern claim at the lowest precision the CLI
+#: takes, was taken while the signs were read off T, before W came
+#: straight from R.
 PINNED_DOCUMENTS = {
     "verify --k-max 14 --ell-max 2 --prec 128":
         "f822036fc96ca3fc4713c19dba4ff94bc006f04bcc1be5b7a8e71b52b01c0b66",
@@ -334,6 +337,8 @@ PINNED_DOCUMENTS = {
         "cbfb49957d99cd015032d11c682aec51c9aea9e94725c59387ecd805ae6b158d",
     "verify --k-max 14 --ell-max 2 --prec 130":
         "74fd2a5e8cf6108066505dbec4b2882841fed4164a015de77e846b6cad727137",
+    "verify --suite props --k-max 12 --ell-max 6 --prec 64":
+        "6d0cba40716211f08f9b41684ccea4919903ac63366ab7e5895e996963d2cfc9",
     "verify --suite lemmas --k-max 56 --ell-max 6":
         "169a944219cc0dabae2d5ea6058d7570ee6292d688c06b7c420d6ab4da6c29c0",
     "analyze --k 1..12 --ell 1..4":

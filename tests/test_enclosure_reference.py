@@ -2,7 +2,7 @@
 
 Each reference below is the `Fraction` code the kernel replaced, kept
 apart from names; its interval arithmetic (sympy's `AccumBounds`),
-polynomial products and the z + 1/z resubstitution are sympy's, and only
+polynomial products and the x + 1/x resubstitution are sympy's, and only
 the outward rounding to a dyadic grid is done here, on `Fraction`
 endpoints.  The kernels must return the same values -- intervals endpoint
 for endpoint, signs, coefficient lists -- not merely enclosures of the
@@ -392,21 +392,21 @@ def test_member_construction_matches_fraction_formulas():
 
 
 @settings(max_examples=200)
-@given(half=st.lists(st.fractions(-20, 20, max_denominator=10**4),
-                     min_size=2, max_size=7).filter(lambda cs: cs[0] != 0),
+@given(half=st.lists(st.integers(-50, 50), min_size=1,
+                     max_size=7).filter(lambda cs: cs[0] != 0),
+       mid=st.integers(-50, 50), odd_degree=st.booleans(),
        sigma=st.sampled_from((1, -1)))
-def test_transform_resubstitutes_to_the_input(half, sigma):
-    # m of degree 2d with z^(2d) m(1/z) = sigma m(z); m(0) = half[0] != 0
-    d = len(half) - 1
-    if sigma == -1:
-        half[d] = F(0)
-    m = Poly(half[:d] + [half[d]] + [sigma * c for c in reversed(half[:d])])
-    tr = reciprocal_transform(m)
-    assert tr.sigma == sigma
-    shift = d if sigma == 1 else d - 1
-    assert resubstitute(tr.transform, shift, sigma) == m
-    if tr.w_square is not None:
-        w = tr.w_square.coeffs
-        spread = [F(0)] * (2 * len(w))
-        spread[0 if tr.w_parity == "even" else 1::2] = w
-        assert Poly(spread) == tr.transform
+def test_transform_resubstitutes_to_the_input(half, mid, odd_degree, sigma):
+    # R of degree N with x^N R(1/x) = sigma R(x) and R(0) = half[0] != 0;
+    # for even N the middle coefficient is its own mirror, so 0 when
+    # sigma = -1.  The divided factors take all four shapes: none, x + 1
+    # (odd N, sigma = 1), x - 1 (odd N, sigma = -1) and both.
+    middle = [] if odd_degree else [mid if sigma == 1 else 0]
+    ints = Poly(half + middle + [sigma * c for c in reversed(half)]).int_coeffs()
+    w, parity = reciprocal_transform(ints, sigma)
+    assert parity == ("odd" if odd_degree == (sigma == 1) else "even")
+    roots = ([1] if sigma == -1 else []) + ([-1] if parity == "odd" else [])
+    assert w.degree() == (len(ints) - 1 - len(roots)) // 2
+    assert w.int_coeffs()[-1] > 0
+    got = resubstitute(w, roots).int_coeffs()
+    assert got in (ints, tuple(-c for c in ints))

@@ -131,35 +131,32 @@ def test_approximant_snaps_interior_weights():
 
 
 def test_boundary_profile_golden():
+    # W is primitive with a positive leading coefficient: the monic
+    # v - 13/2 of the z + 1/z route is 2v - 13 here
     p = boundary_profile(1, 1)
     assert p.sigma == 1
-    assert p.transform == Poly([-7, 0, 1])
     assert p.w_parity == "even" and p.w_square == Poly([-7, 1])
 
     p = boundary_profile(2, 1)
-    assert p.transform == Poly([0, F(-13, 2), 0, 1])
-    assert p.w_parity == "odd" and p.w_square == Poly([F(-13, 2), 1])
+    assert p.w_parity == "odd" and p.w_square == Poly([-13, 2])
 
     p = boundary_profile(2, 2)
     assert p.sigma == -1
-    assert p.transform == Poly([F(-53, 4), 0, 1])
-    assert p.w_square == Poly([F(-53, 4), 1])
+    assert p.w_parity == "even" and p.w_square == Poly([-53, 4])
 
     p = boundary_profile(3, 1)
-    assert p.transform == Poly([F(19, 3), 0, F(-22, 3), 0, 1])
-    assert p.w_square == Poly([F(19, 3), F(-22, 3), 1])
+    assert p.w_square == Poly([19, -22, 3])
 
 
 def test_boundary_profile_shapes():
     for k in range(1, 9):
         for ell in range(1, 4):
             p = boundary_profile(k, ell)
+            assert p.sigma == sigma_of(k, ell)
+            assert p.w_square.degree() == (k + 1) // 2
             if p.sigma == 1:
-                assert p.transform.degree() == k + 1
                 assert p.w_parity == ("even" if k % 2 else "odd")
-                assert p.w_square.degree() == (k + 1) // 2
             else:
-                assert p.transform.degree() == k
                 assert p.w_parity == "even"
-                assert p.w_square.degree() == k // 2
-            assert p.w_square.lc() == 1
+            ints = p.w_square.int_coeffs()
+            assert ints[-1] > 0 and p.w_square.coeffs == ints
