@@ -45,7 +45,7 @@ from .exactnum import (
     zeta_even_rational,
     zeta_series_enclosure,
 )
-from .family import boundary_profile, monic_even_form, reciprocal_poly
+from .family import boundary_profile, reciprocal_poly
 from .interval import (
     Interval,
     cos_pi_enclosure,
@@ -576,14 +576,15 @@ def check_sign_pattern(k: int, ell: int, precision: int = DEFAULT_PRECISION) -> 
 # ---------------------------------------------------------------------------
 
 def _companion_at_one(k: int, ell: int) -> tuple[Fraction, Fraction]:
-    """(m(1), m'(1)) for the monic companion m of (k, ell).
+    """(m(1), m'(1)) for the monic companion m(z) = R(z^2) / lc(R).
 
-    m is ints / ints[-1] for its integer coefficients ints, so the two
-    values are the plain and the index-weighted sums of ints over ints[-1].
+    m(1) = R(1) / lc and m'(1) = 2 R'(1) / lc, so for R's integer
+    coefficients c the two values are the plain and twice the
+    index-weighted sums of c over c[-1].
     """
-    ints = monic_even_form(k, ell).int_coeffs()
+    ints = reciprocal_poly(k, ell).int_coeffs()
     return (Fraction(sum(ints), ints[-1]),
-            Fraction(sum(i * c for i, c in enumerate(ints)), ints[-1]))
+            Fraction(2 * sum(i * c for i, c in enumerate(ints)), ints[-1]))
 
 
 def check_pm1_zero(k_max: int, ell_max: int) -> ClaimResult:

@@ -5,14 +5,15 @@ coefficients
 
     a_j = (-1)^((ell+1) j) * ( B_{2j} B_{2k+2-2j} / ((2j)! (2k+2-2j)!) )^ell
 
-with B the Bernoulli numbers.  Dividing by the leading coefficient and
-substituting x = z^2 gives a monic even companion of degree 2k + 2 whose
-interior coefficients are, up to sign, 2^ell times ell-th powers of the
-even-zeta quotients q(k, j); both routes are computed independently and
-compared exactly at construction time.  Each route builds one reduced
-coefficient per symmetric pair (j, k+1-j), straight from the integer
-numerators and denominators of its Bernoulli or zeta rationals, and the
-comparison runs on the two primitive integer coefficient lists.
+with B the Bernoulli numbers, built with one reduced base per symmetric
+pair (j, k+1-j).  Dividing by the leading coefficient and substituting
+x = z^2 gives the monic even companion of degree 2k + 2, whose interior
+coefficients are, up to sign, 2^ell times ell-th powers of the even-zeta
+quotients q(k, j).  That identity is checked as each member is built:
+per pair, the base's ratio to the outer base is -2 q(k, j), one integer
+cross-multiplication against the zeta rationals before the ell-th power,
+and each coefficient's sign relative to the leading one is the
+companion's.
 
 Both are self-reciprocal with reversal sign -1 exactly when k and ell are
 both even.  `boundary_profile` rewrites the base polynomial in x + 1/x,
@@ -30,7 +31,7 @@ from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
-from .exactnum import bernoulli, q, zeta_even_rational
+from .exactnum import bernoulli, zeta_even_rational
 from .polycore import Poly, reciprocal_transform
 
 
@@ -49,93 +50,87 @@ def sigma_of(k: int, ell: int) -> int:
 
 @lru_cache(maxsize=None)
 def reciprocal_poly(k: int, ell: int) -> Poly:
-    """The degree k+1 base polynomial in x, directly from its coefficients."""
+    """The degree k+1 base polynomial in x, directly from its coefficients.
+
+    Each coefficient is checked against the companion's: a_j / a_(k+1) is
+    sigma at j = 0 and +-(2 q(k, j))^ell for 1 <= j <= k, with the sign +
+    exactly when (ell+1)(k+j) is odd.
+    """
     _validate(k, ell)
+    sig = sigma_of(k, ell)
+    top = zeta_even_rational(k + 1)
     coeffs = [None] * (k + 2)
-    # a_j and a_(k+1-j) share their base; one reduction per pair
+    holds = True
+    # a_j and a_(k+1-j) share their base b_j; one reduction per pair
     for j in range((k + 1) // 2 + 1):
         b, c = bernoulli(2 * j), bernoulli(2 * k + 2 - 2 * j)
-        base = Fraction(b.numerator * c.numerator,
-                        b.denominator * c.denominator * factorial(2 * j)
-                        * factorial(2 * k + 2 - 2 * j)) ** ell
+        num = b.numerator * c.numerator
+        den = (b.denominator * c.denominator * factorial(2 * j)
+               * factorial(2 * k + 2 - 2 * j))
+        if j == 0:
+            num0, den0 = num, den
+        else:
+            # b_j / b_0 = -2 q(k, j) = -2 r_j r_(k+1-j) / r_(k+1), cross-
+            # multiplied on the integer numerators and denominators
+            r, s = zeta_even_rational(j), zeta_even_rational(k + 1 - j)
+            holds &= (num * den0 * top.numerator * r.denominator * s.denominator
+                      == -2 * num0 * den * top.denominator * r.numerator
+                      * s.numerator)
+        base = Fraction(num, den) ** ell
         for i in (j, k + 1 - j):
             coeffs[i] = -base if ((ell + 1) * i) % 2 else base
+    lead = coeffs[k + 1] > 0
+    for i in range(k + 1):
+        want = sig == 1 if i == 0 else ((ell + 1) * (k + i)) % 2 == 1
+        holds &= ((coeffs[i] > 0) == lead) == want
+    if not holds:
+        raise AssertionError(
+            "companion coefficient identity failed at k=%d, ell=%d" % (k, ell)
+        )
     return Poly(coeffs)
 
 
 @lru_cache(maxsize=None)
 def monic_even_form(k: int, ell: int) -> Poly:
-    """The monic even companion of degree 2k+2 in z.
+    """The monic even companion R(z^2)/lc(R) of degree 2k+2 in z.
 
-    Built from the quotient weights q(k, j) and verified coefficient by
-    coefficient against the rescaled x = z^2 substitution of
-    reciprocal_poly, which ties the two constructions together exactly.
+    Its interior coefficients are +-2^ell q(k, j)^ell, which
+    `reciprocal_poly` checks as it builds R.
+
+    >>> monic_even_form(1, 1)
+    Poly(1 + -5*x^2 + 1*x^4)
     """
-    _validate(k, ell)
-    sig = sigma_of(k, ell)
-    coeffs = [Fraction(0)] * (2 * k + 3)
-    coeffs[0] = Fraction(sig)
-    coeffs[2 * k + 2] = Fraction(1)
-    # 2 q(k, j) = 2 zeta(2j) zeta(2k+2-2j) / zeta(2k+2), reduced once on
-    # the numerators and denominators of the zeta rationals; q(k, j) =
-    # q(k, k+1-j), so one power serves each pair
-    top = zeta_even_rational(k + 1)
-    for j in range(1, (k + 1) // 2 + 1):
-        a, b = zeta_even_rational(j), zeta_even_rational(k + 1 - j)
-        weight = Fraction(2 * a.numerator * b.numerator * top.denominator,
-                          a.denominator * b.denominator * top.numerator) ** ell
-        for i in (j, k + 1 - j):
-            coeffs[2 * i] = weight if ((ell + 1) * (k + i)) % 2 else -weight
-    m = Poly(coeffs)
-    # both sides monic, so equal exactly when their primitive integer forms
-    # (positive leading coefficient) are
     r = reciprocal_poly(k, ell)
-    ints = r.int_coeffs()
-    stretched = [0] * (2 * len(ints) - 1)
-    stretched[::2] = ints
-    if ints[-1] < 0:
-        stretched = [-c for c in stretched]
-    if tuple(stretched) != m.int_coeffs():
-        raise AssertionError(
-            "companion coefficient identity failed at k=%d, ell=%d" % (k, ell)
-        )
-    return m
+    lead = r.lc()
+    coeffs = [Fraction(0)] * (2 * k + 3)
+    coeffs[::2] = [c / lead for c in r.coeffs]
+    return Poly(coeffs)
 
 
-class ApproximantPair:
+class ApproximantPair(NamedTuple):
     """The companion with interior weights snapped to 1, plus the difference.
 
     `weight` is the sum of absolute values of the difference's coefficients,
     an upper bound for |difference| on the unit circle.
     """
 
-    __slots__ = ("k", "ell", "approx", "delta", "weight")
-
-    def __init__(self, k: int, ell: int, approx: Poly, delta: Poly, weight: Fraction):
-        self.k = k
-        self.ell = ell
-        self.approx = approx
-        self.delta = delta
-        self.weight = weight
+    approx: Poly
+    delta: Poly
+    weight: Fraction
 
 
 def circle_approximant(k: int, ell: int) -> ApproximantPair:
-    """Replace the q(k,j)^ell weights by 1 for 2 <= j <= k-1 and keep the
-    exact difference; for k <= 2 there are no interior weights and the
+    """The companion m with its weights 2^ell q(k,j)^ell, 2 <= j <= k-1,
+    snapped to 2^ell (keeping their signs), and the exact difference
+    m - approx; for k <= 2 there are no interior weights and the
     difference is zero."""
-    _validate(k, ell)
-    m = monic_even_form(k, ell)
+    m = monic_even_form(k, ell).coeffs
     scale = Fraction(2) ** ell
-    delta_coeffs = [Fraction(0)] * (2 * k + 3)
-    weight = Fraction(0)
+    approx = list(m)
     for j in range(2, k):
-        s = -1 if ((ell + 1) * (k + j)) % 2 else 1
-        excess = q(k, j) ** ell - 1
-        delta_coeffs[2 * j] = -scale * s * excess
-        weight += scale * excess
-    delta = Poly(delta_coeffs)
-    approx = Poly([c - dc for c, dc in zip(m.coeffs, delta_coeffs)])
-    return ApproximantPair(k, ell, approx, delta, weight)
+        approx[2 * j] = scale if m[2 * j] > 0 else -scale
+    delta = [c - a for c, a in zip(m, approx)]
+    return ApproximantPair(Poly(approx), Poly(delta), sum(map(abs, delta)))
 
 
 class BoundaryProfile(NamedTuple):
@@ -155,10 +150,9 @@ class BoundaryProfile(NamedTuple):
 def boundary_profile(k: int, ell: int) -> BoundaryProfile:
     """W straight from the base polynomial's integer coefficients, its shape
     checked: degree ceil(k/2), and parity "odd" exactly when sigma = 1
-    and k is even.  The companion is built too, for its identity check.
+    and k is even.
     """
     _validate(k, ell)
-    monic_even_form(k, ell)
     sig = sigma_of(k, ell)
     w, parity = reciprocal_transform(reciprocal_poly(k, ell).int_coeffs(), sig)
     if w.degree() != (k + 1) // 2 or parity != (

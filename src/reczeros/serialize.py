@@ -264,16 +264,3 @@ def render(doc: dict, fmt: str) -> str:
         return to_table(doc)
     raise ValueError("unknown format %r" % fmt)
 
-
-# ---------------------------------------------------------------------------
-# schemas
-# ---------------------------------------------------------------------------
-
-def load_schema(kind: str) -> dict:
-    """The shipped JSON schema for one document kind."""
-    from importlib import resources  # only the schema checks need it
-
-    path = resources.files("reczeros").joinpath("schemas").joinpath(
-        kind + ".json")
-    with path.open(encoding="utf-8") as fh:
-        return json.load(fh)

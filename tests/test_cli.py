@@ -8,6 +8,7 @@ import shlex
 import tracemalloc
 from concurrent.futures import Future
 from fractions import Fraction as F
+from importlib import resources
 
 import jsonschema
 import pytest
@@ -235,8 +236,15 @@ def run_json(argv, capsys):
     return code, json.loads(out)
 
 
+def load_schema(kind):
+    """The JSON schema shipped in the package for one document kind."""
+    path = resources.files("reczeros").joinpath("schemas").joinpath(
+        kind + ".json")
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 def validate(kind, doc):
-    jsonschema.validate(instance=doc, schema=serialize.load_schema(kind))
+    jsonschema.validate(instance=doc, schema=load_schema(kind))
 
 
 def test_construct_document_schema(capsys):
@@ -329,8 +337,12 @@ def test_paper_grid_certificates_are_pinned():
 #: determinant of W's Sylvester matrix, before the subresultant PRS.  The
 #: --prec 64 one, every sign-pattern claim at the lowest precision the CLI
 #: takes, was taken while the signs were read off T, before W came
-#: straight from R.
+#: straight from R.  The construct one, which reaches ell >= 4 and every
+#: interior weight of the approximant, was taken while the companion was
+#: still built a second time from the zeta rationals.
 PINNED_DOCUMENTS = {
+    "construct --k 1..20 --ell 1..6":
+        "3234de09730e7c6cd3909ef76562c4068bea88e7bd609c965f9d87d96bfba1f1",
     "verify --k-max 14 --ell-max 2 --prec 128":
         "f822036fc96ca3fc4713c19dba4ff94bc006f04bcc1be5b7a8e71b52b01c0b66",
     "verify --k-max 14 --ell-max 2 --prec 126":
@@ -456,6 +468,25 @@ def test_cli_import_leaves_analysis_and_the_pool_unloaded():
     assert not pool_loaded
     assert heavy == []
     assert unresolved == []
+
+
+def test_only_construct_builds_the_companion():
+    """certify, verify and scan check the companion identity inside
+    reciprocal_poly and never build the companion itself."""
+    out = fresh_python("-c", (
+        "import contextlib, io\n"
+        "from reczeros import family\n"
+        "from reczeros.cli import main\n"
+        "for argv in (['certify', '--k', '1..6', '--ell', '1..4'],\n"
+        "             ['verify', '--k-max', '6', '--ell-max', '4'],\n"
+        "             ['scan', '--k', '1..6', '--ell', '1..4']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        main(argv)\n"
+        "print(family.reciprocal_poly.cache_info().currsize,\n"
+        "      family.monic_even_form.cache_info().currsize)"))
+    built, companions = map(int, out.split())
+    assert built >= 24
+    assert companions == 0
 
 
 def test_tracer_entry_points_resolve():

@@ -45,6 +45,7 @@ from sympy_oracle import (
     from_sympy,
     resubstitute,
     to_bounds,
+    to_fraction,
     to_rational,
     to_sympy,
 )
@@ -389,6 +390,15 @@ def test_member_construction_matches_fraction_formulas():
         for ell in range(1, 7):
             assert reciprocal_poly(k, ell) == reciprocal_poly_ref(k, ell)
             assert monic_even_form(k, ell) == monic_even_form_ref(k, ell)
+
+
+def test_companion_values_at_one_match_the_zeta_formula():
+    for k in range(1, 21):
+        for ell in range(1, 7):
+            m = to_sympy(monic_even_form_ref(k, ell))
+            want = (m.eval(1), m.diff().eval(1))
+            assert claims._companion_at_one(k, ell) == tuple(
+                map(to_fraction, want)), (k, ell)
 
 
 @settings(max_examples=200)

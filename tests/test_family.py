@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from reczeros import family
+from reczeros import exactnum, family
 from reczeros.exactnum import q
 from reczeros.family import (
     boundary_profile,
@@ -78,18 +78,29 @@ def test_companion_shape_and_weights():
 @pytest.mark.parametrize("k, ell", [(5, 2), (5, 3), (6, 2)])
 def test_construction_check_catches_one_corrupted_coefficient(monkeypatch, k, ell):
     r = reciprocal_poly(k, ell)
-    build = monic_even_form.__wrapped__  # past the cache
-    for j in range(k + 2):
-        for bad in (r.coeffs[j] * F(10**6 + 1, 10**6), -r.coeffs[j]):
-            cs = list(r.coeffs)
-            cs[j] = bad
-            monkeypatch.setattr(family, "reciprocal_poly", lambda *_: Poly(cs))
-            with pytest.raises(AssertionError):
-                build(k, ell)
+    build = reciprocal_poly.__wrapped__  # past the cache
+    # each input with its pair partner: B_2j with B_(2k+2-2j), r_j with
+    # r_(k+1-j)
+    inputs = [("bernoulli", 2 * j, 2 * k + 2 - 2 * j) for j in range(k + 2)]
+    inputs += [("zeta_even_rational", m, k + 1 - m) for m in range(1, k + 2)]
+    for name, index, partner in inputs:
+        real = getattr(exactnum, name)
+        for factor in (F(10**6 + 1, 10**6), -1):
+            with monkeypatch.context() as patch:
+                patch.setattr(family, name, lambda m: (
+                    real(m) * factor if m == index else real(m)))
+                if factor == -1 and partner == index:
+                    # the middle of the pairs enters squared: nothing changes
+                    assert build(k, ell) == r
+                    continue
+                with pytest.raises(AssertionError,
+                                   match="companion coefficient identity"):
+                    build(k, ell)
     # a negated base polynomial has the same monic companion
+    want = monic_even_form(k, ell)
     negated = from_sympy(-to_sympy(r))
     monkeypatch.setattr(family, "reciprocal_poly", lambda *_: negated)
-    assert build(k, ell) == monic_even_form(k, ell)
+    assert monic_even_form.__wrapped__(k, ell) == want
 
 
 def test_approximant_difference_golden():
