@@ -1,12 +1,14 @@
 """Discriminants, Mahler measure, and the discriminant-based root window.
 
 Everything here rides on one exact primitive: the resultant of two
-rational polynomials, computed by the subresultant pseudo-remainder
-sequence on primitive integer coefficients, with `polycore._prem` (the
-kernel of the Sturm chain) as its only elimination step.  A member's
-discriminant applies it not to the degree k + 1 polynomial R but, through
-the reciprocal structure, to the half-degree W of
-`family.boundary_profile` (see _family_discriminant).  From the
+integer polynomials, computed by the subresultant pseudo-remainder
+sequence, with `polycore._prem` (the kernel of the Sturm chain) as its
+only elimination step.  It gives one integer discriminant; the
+discriminant of a rational polynomial is that of its primitive integer
+form, rescaled.  A member's discriminant applies it not to the degree
+k + 1 polynomial R but, through the reciprocal structure, to the integer
+coefficients of the half-degree W of `family.boundary_profile` (see
+_family_discriminant).  From the
 discriminant come the classical inequality |Disc(f)| <= m^m M(f)^(2m-2)
 relating it to the Mahler measure (m the degree), and a two-sided window
 for the outlying real zero alpha whose lower endpoint is read off the
@@ -35,6 +37,7 @@ dyadic bounds verified by exact powering, not by floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 from .certify import zero_certificate
 from .claims import DEFAULT_PRECISION, window_walk
@@ -47,27 +50,22 @@ from .polycore import Poly, _prem
 # exact resultants and discriminants
 # ---------------------------------------------------------------------------
 
-def resultant(p: Poly, q: Poly) -> Fraction:
-    """Res(p, q), exact.
+def resultant(a: Sequence[int], b: Sequence[int]) -> int:
+    """Res(a, b) of two integer polynomials, exact.
 
-    Both polynomials are scaled to primitive integer form and the integer
-    resultant is taken by the subresultant PRS of Collins and Brown-Traub
-    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 3.3.7),
-    in which every division is exact.  The scale factors are restored via
-    Res(c p, e q) = c^deg(q) e^deg(p) Res(p, q); Res(p, c) = c^deg(p) for a
-    constant c, and two constants have resultant 1.
+    Each is a list of ints, low degree first, with a nonzero top
+    coefficient, and they are not both constants.  The resultant is taken
+    by the subresultant PRS of Collins and Brown-Traub (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 3.3.7), in which every
+    division is exact.
+
+    >>> resultant((-2, 1), (-3, 1))  # (x - 2) at x = 3
+    -1
     """
-    if p.is_zero() or q.is_zero():
-        return Fraction(0)
-    dp, dq = p.degree(), q.degree()
-    if dp == 0 and dq == 0:
-        return Fraction(1)
-    a, b = p.int_coeffs(), q.int_coeffs()
-    scale = (p.lc() / a[-1]) ** dq * (q.lc() / b[-1]) ** dp
     s = 1
-    if dp < dq:
+    if len(a) < len(b):
         a, b = b, a
-        s = -1 if dp & dq & 1 else 1
+        s = -1 if (len(a) - 1) & (len(b) - 1) & 1 else 1
     g = h = 1
     while len(b) > 1:
         da, db = len(a) - 1, len(b) - 1
@@ -76,27 +74,37 @@ def resultant(p: Poly, q: Poly) -> Fraction:
             s = -s
         r = _prem(a, b)
         if not r:
-            return Fraction(0)
+            return 0
         div = g * h**delta
         a, b = b, [c // div for c in r]
         g = a[-1]
         h = g**delta * h // h**delta
     da = len(a) - 1
-    return scale * (s * b[0] ** da // h ** (da - 1))
+    return s * b[0] ** da // h ** (da - 1)
+
+
+def _int_discriminant(a: Sequence[int]) -> int:
+    """Disc(a) = (-1)^(d(d-1)/2) Res(a, a') / lc(a) of an integer polynomial
+    of degree d >= 1, an integer; zero iff a repeated zero exists."""
+    d = len(a) - 1
+    sign = -1 if (d * (d - 1) // 2) % 2 else 1
+    return sign * resultant(a, [i * c for i, c in enumerate(a) if i]) // a[-1]
 
 
 def discriminant(p: Poly) -> Fraction:
-    """Disc(p) = (-1)^(d(d-1)/2) Res(p, p') / lc(p), exact; zero iff a
-    repeated zero exists.
+    """Disc(p), exact; zero iff a repeated zero exists.
+
+    For p = s a with a = p.int_coeffs() primitive, Disc(p) =
+    s^(2d-2) Disc(a), d = deg p.
 
     >>> discriminant(Poly((1, -5, 1)))
     Fraction(21, 1)
     """
-    dp = p.degree()
-    if dp < 1:
+    d = len(p.coeffs) - 1
+    if d < 1:
         raise ValueError("needs degree >= 1")
-    sign = -1 if (dp * (dp - 1) // 2) % 2 else 1
-    return sign * resultant(p, p.derivative()) / p.lc()
+    a = p.int_coeffs()
+    return (p.lc() / a[-1]) ** (2 * d - 2) * _int_discriminant(a)
 
 
 def _family_discriminant(k: int, ell: int) -> Fraction:
@@ -115,14 +123,12 @@ def _family_discriminant(k: int, ell: int) -> Fraction:
     """
     profile = boundary_profile(k, ell)
     w = profile.w_square
-    d = w.degree()
-    # W is its own primitive integer form
-    ints = w.int_coeffs()
-    c = reciprocal_poly(k, ell).lc() / ints[-1]
-    w0, w4 = ints[0], 0
-    for a in reversed(ints):
+    d = len(w) - 1
+    c = reciprocal_poly(k, ell).lc() / w[-1]
+    w0, w4 = w[0], 0
+    for a in reversed(w):
         w4 = 4 * w4 + a
-    disc = c ** (4 * d - 2) * discriminant(w) ** 2 * w0 * w4
+    disc = c ** (4 * d - 2) * _int_discriminant(w) ** 2 * w0 * w4
     if profile.sigma == -1:
         disc *= (c * w4) ** 2
     elif profile.w_parity == "odd":
@@ -178,24 +184,17 @@ def nth_root_enclosure(value, n: int) -> Interval:
 # one-stop record
 # ---------------------------------------------------------------------------
 
-class AnalysisRecord:
+class AnalysisRecord(NamedTuple):
     """The analyze workup of one member, in the fields of its document."""
 
-    __slots__ = ("k", "ell", "discriminant", "mahler", "mahler_inequality_ok",
-                 "disc_lower", "stated_upper", "alpha_in_interval")
-
-    def __init__(self, k: int, ell: int, discriminant: Fraction,
-                 mahler: Interval, mahler_inequality_ok: bool,
-                 disc_lower: Interval, stated_upper: Interval,
-                 alpha_in_interval: bool):
-        self.k = k
-        self.ell = ell
-        self.discriminant = discriminant
-        self.mahler = mahler
-        self.mahler_inequality_ok = mahler_inequality_ok
-        self.disc_lower = disc_lower
-        self.stated_upper = stated_upper
-        self.alpha_in_interval = alpha_in_interval
+    k: int
+    ell: int
+    discriminant: Fraction
+    mahler: Interval
+    mahler_inequality_ok: bool
+    disc_lower: Interval
+    stated_upper: Interval
+    alpha_in_interval: bool
 
 
 def analyze(k: int, ell: int) -> AnalysisRecord:

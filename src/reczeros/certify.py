@@ -2,8 +2,9 @@
 
 All counting happens on the half-degree polynomial W in v = x + 2 + 1/x,
 produced by `family.boundary_profile` from the base polynomial's own
-integer coefficients (x = z^2, so v = w^2 for w = z + 1/z).  A simple
-real root v0 of W corresponds to:
+integer coefficients (x = z^2, so v = w^2 for w = z + 1/z), as the tuple
+of W's primitive integer coefficients that every kernel here takes.  A
+simple real root v0 of W corresponds to:
 
     v0 in (0, 4)   one conjugate pair of unimodular zeros x, 1/x = conj(x)
     v0 in (4, oo)  one pair of real zeros (alpha, 1/alpha) with alpha > 1
@@ -61,7 +62,6 @@ from typing import Sequence
 from .family import boundary_profile, reciprocal_poly
 from .interval import Interval
 from .polycore import (
-    Poly,
     RootBox,
     SturmChain,
     _dyadic_signs,
@@ -122,37 +122,39 @@ def cosine_grid(n: int) -> list[int]:
                    for j in range(1, 2 * n)})
 
 
-def alternation_box(w: Poly, n: int) -> RootBox | None:
+def _box_beyond_four(w: Sequence[int], sign_four: int) -> RootBox:
+    """The box (4, B) of W's one root beyond 4, given W's nonzero sign at
+    4; at the Cauchy bound B, W has the sign of its leading coefficient."""
+    return RootBox(w, Fraction(4), cauchy_bound(w), sign_four,
+                   1 if w[-1] > 0 else -1)
+
+
+def alternation_box(w: Sequence[int], n: int) -> RootBox | None:
     """The box (4, B) of the one root of W beyond 4, when alternation proves it.
 
-    Signs of W are taken exactly at 0, at the interior points of
-    cosine_grid(n) and at 4; at the Cauchy bound B, W has the sign of its
-    leading coefficient (see `cauchy_bound`).  With h = deg W, h - 1 sign
+    Signs of W's integer coefficients are taken exactly at 0, at the
+    interior points of cosine_grid(n) and at 4, and at the Cauchy bound B
+    as the sign of the leading coefficient.  With h = deg W, h - 1 sign
     changes on [0, 4] plus opposite signs at 4 and B bracket h distinct
     real roots in disjoint open intervals, which are all of them.  Returns
     None when a sign is zero or the changes fall short.
     """
-    ints = w.int_coeffs()
     four = 4 << GRID_BITS
     points = [0] + [v for v in cosine_grid(n) if 0 < v < four] + [four]
-    signs = _dyadic_signs(ints, points, GRID_BITS)
+    signs = _dyadic_signs(w, points, GRID_BITS)
     changes = sum(a != b for a, b in zip(signs, signs[1:]))
-    if 0 in signs or changes != w.degree() - 1:
+    if 0 in signs or changes != len(w) - 2 or (signs[-1] > 0) == (w[-1] > 0):
         return None
-    sign_bound = 1 if ints[-1] > 0 else -1
-    if sign_bound == signs[-1]:
-        return None
-    return RootBox(w, Fraction(4), cauchy_bound(w), signs[-1], sign_bound)
+    return _box_beyond_four(w, signs[-1])
 
 
-def _sturm_counts(w: Poly):
+def _sturm_counts(w: Sequence[int]):
     """(n_in, n_out, n_neg, n_cx, v_box) for W from its Sturm chain.
 
     None when W is not simple: a root at 0 or 4, or a repeated root.
     """
-    ints = w.int_coeffs()
-    sign_four = _sign_at(ints, 4)
-    if ints[0] == 0 or sign_four == 0:
+    sign_four = _sign_at(w, 4)
+    if w[0] == 0 or sign_four == 0:
         return None
     try:
         chain = SturmChain(w)
@@ -161,13 +163,9 @@ def _sturm_counts(w: Poly):
     n_in = chain.count_open(Fraction(0), Fraction(4))
     n_out = chain.count_open(Fraction(4), inf)
     n_neg = chain.count_open(-inf, Fraction(0))
-    v_box = None
-    if n_out == 1:
-        # one simple root in (4, B), with W(4) != 0 and B strict: the box
-        # alternation_box would return
-        v_box = RootBox(w, Fraction(4), cauchy_bound(w),
-                        sign_four, 1 if ints[-1] > 0 else -1)
-    return n_in, n_out, n_neg, w.degree() - (n_in + n_out + n_neg), v_box
+    # one simple root in (4, B): the box alternation_box would return
+    v_box = _box_beyond_four(w, sign_four) if n_out == 1 else None
+    return n_in, n_out, n_neg, len(w) - 1 - (n_in + n_out + n_neg), v_box
 
 
 def certify_zeros(k: int, ell: int) -> ZeroCertificate:
@@ -179,7 +177,7 @@ def certify_zeros(k: int, ell: int) -> ZeroCertificate:
 
     v_box = alternation_box(w, max(k - 1, 1))
     if v_box is not None:
-        route, counts = "alternation", (w.degree() - 1, 1, 0, 0, v_box)
+        route, counts = "alternation", (len(w) - 2, 1, 0, 0, v_box)
     else:
         route, counts = "sturm", _sturm_counts(w)
 
@@ -252,7 +250,9 @@ def _alpha_from_box(box: RootBox, width: Fraction) -> Interval:
     The first pass refines the v-box to width / 8, each later one to a
     sixteenth of the previous target with 16 more square-root bits; each
     encloses alpha by _alpha_step and compares the enclosure's width with
-    the target by cross-multiplication.
+    the target by cross-multiplication.  A box whose lower end is still 4,
+    where alpha's lower end would be 1, is not narrow enough whatever its
+    width: W(4) != 0, so refining moves that end off 4.
     """
     delta = width / 8
     bits = max(32, (width.denominator
@@ -261,7 +261,8 @@ def _alpha_from_box(box: RootBox, width: Fraction) -> Interval:
     while True:
         box = refine_root(box, delta)
         (lo, lo_den), (hi, hi_den) = _alpha_step(box.lo, box.hi, bits)
-        if (hi * lo_den - lo * hi_den) * wden <= wnum * lo_den * hi_den:
+        if box.lo > 4 and ((hi * lo_den - lo * hi_den) * wden
+                           <= wnum * lo_den * hi_den):
             if lo <= lo_den:
                 raise AssertionError("alpha enclosure fell inside the unit disc")
             return Interval(Fraction(lo, lo_den), Fraction(hi, hi_den))

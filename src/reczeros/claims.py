@@ -503,8 +503,8 @@ def check_sign_pattern(k: int, ell: int, precision: int = DEFAULT_PRECISION) -> 
     if k < 3:
         raise ValueError("needs k >= 3")
     prof = boundary_profile(k, ell)
-    # a positive multiple of W: same signs and zeros, integer Horner steps
-    ints = prof.w_square.int_coeffs()
+    # W's primitive integer coefficients: integer Horner steps
+    ints = prof.w_square
     odd = prof.w_parity == "odd"
     even_even = ell % 2 == 0 and k % 2 == 0
     if even_even:

@@ -137,13 +137,13 @@ class BoundaryProfile(NamedTuple):
     """A member's W, with its reversal sign and W's parity.
 
     R = c x^h W(x + 2 + 1/x) times x - 1 when sigma = -1 and times x + 1
-    when w_parity is "odd"; W is primitive with a positive leading
-    coefficient.
+    when w_parity is "odd"; `w_square` is W's primitive integer
+    coefficients, low degree first, with a positive leading one.
     """
 
     sigma: int
     w_parity: str
-    w_square: Poly
+    w_square: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -155,10 +155,10 @@ def boundary_profile(k: int, ell: int) -> BoundaryProfile:
     _validate(k, ell)
     sig = sigma_of(k, ell)
     w, parity = reciprocal_transform(reciprocal_poly(k, ell).int_coeffs(), sig)
-    if w.degree() != (k + 1) // 2 or parity != (
+    if len(w) - 1 != (k + 1) // 2 or parity != (
             "odd" if sig == 1 and k % 2 == 0 else "even"):
         raise AssertionError(
             "transform shape mismatch at k=%d, ell=%d: degree %d parity %s"
-            % (k, ell, w.degree(), parity)
+            % (k, ell, len(w) - 1, parity)
         )
     return BoundaryProfile(sig, parity, w)

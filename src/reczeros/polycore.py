@@ -1,12 +1,13 @@
 """Exact rational polynomials and the integer kernels that run on them.
 
 `Poly` holds a polynomial's exact rational coefficients, as documents
-print them; the real-root machinery works over integers for speed.  A
-polynomial is cleared to a primitive integer coefficient list, a
-positive multiple with the same signs, and `_sign_at` takes its exact
-sign at a rational point by integer Horner; `_dyadic_values` takes the
-values (times a power of two) at many points num / 2^bits with one set
-of shifted coefficients, and `_dyadic_signs` their signs.
+print them, and clears them once to a primitive integer coefficient list
+(`int_coeffs`), a positive multiple with the same signs.  Every kernel
+takes such an integer polynomial: a sequence of ints, low degree first,
+with a nonzero top coefficient.  `_sign_at` takes its exact sign at a
+rational point by integer Horner; `_dyadic_values` takes the values
+(times a power of two) at many points num / 2^bits with one set of
+shifted coefficients, and `_dyadic_signs` their signs.
 With `interval.horner_sign` they take every sign the library decides,
 and they are all the primary certificate route (sign alternation on a
 grid, in `certify`) needs.  The signed remainder (Sturm) chain is the
@@ -26,13 +27,13 @@ root, so it is the cell bisection reaches at that level.
 Also here: the x + 1/x transform, which writes a self-reciprocal integer
 polynomial R, after dividing out its zeros at x = 1 and x = -1 that the
 reversal sign and the degree force, as x^h W(x + 2 + 1/x).  It runs one
-Chebyshev-style recurrence on R's integer coefficients and is verified by
-exact resubstitution on integers (a binomial expansion by shifted adds,
-compared coefficient by coefficient).
+Chebyshev-style recurrence on R's integer coefficients, returns W as a
+tuple of ints, and is verified by exact resubstitution on integers (a
+binomial expansion by shifted adds, compared coefficient by coefficient).
 
-A `Fraction` handed to Poly, RootBox or Interval is kept as it is, and
-`int_coeffs` clears denominators on numerators, so building and clearing
-a polynomial does no Rational-ABC coercion.
+A `Fraction` handed to Poly, or as a RootBox or Interval endpoint, is
+kept as it is, and `int_coeffs` clears denominators on numerators, so
+building and clearing a polynomial does no Rational-ABC coercion.
 """
 
 from __future__ import annotations
@@ -45,10 +46,10 @@ from typing import Iterable, Sequence
 class Poly:
     """Immutable dense polynomial with Fraction coefficients, low to high.
 
-    It holds the exact coefficients that documents print, differentiates
-    them, and caches the primitive integer form
-    (`int_coeffs`) that every kernel runs on.  There is no ring algebra:
-    no command adds, multiplies or divides polynomials.
+    It holds the exact coefficients that documents print and caches their
+    primitive integer form (`int_coeffs`), the input every kernel takes.
+    There is no ring algebra: no command adds, multiplies or divides
+    polynomials.
     """
 
     __slots__ = ("_coeffs", "_ints")
@@ -67,12 +68,6 @@ class Poly:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return self._coeffs
-
-    def degree(self) -> int:
-        return len(self._coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def lc(self) -> Fraction:
         if not self._coeffs:
@@ -99,9 +94,6 @@ class Poly:
             else:
                 parts.append("%s*x^%d" % (c, i))
         return "Poly(" + " + ".join(parts) + ")"
-
-    def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self._coeffs) if i > 0))
 
     # -- integer clearing -------------------------------------------------
 
@@ -216,7 +208,7 @@ def _variations(signs: Iterable[int]) -> int:
 
 
 class SturmChain:
-    """Signed remainder chain of a squarefree polynomial, over integers.
+    """Signed remainder chain of a squarefree integer polynomial.
 
     Raises ValueError on non-squarefree input: the chain then degenerates
     (its last nonzero member, a positive multiple of gcd(p, p'), has
@@ -226,8 +218,8 @@ class SturmChain:
 
     __slots__ = ("chain", "_vcache")
 
-    def __init__(self, p: Poly):
-        f = list(p.int_coeffs())
+    def __init__(self, ints: Sequence[int]):
+        f = list(ints)
         if len(f) <= 1:
             self.chain = [f] if f else []
             self._vcache = {}
@@ -274,33 +266,37 @@ class SturmChain:
         return n
 
 
-def cauchy_bound(p: Poly) -> Fraction:
-    """B = 1 + M, M = max |c_i / c_n|: every real root of p lies strictly
-    inside (-B, B), and p has the sign of c_n at B.
+def cauchy_bound(ints: Sequence[int]) -> Fraction:
+    """B = 1 + M, M = max |c_i / c_n|: every real root of the integer
+    polynomial lies strictly inside (-B, B), and it has the sign of c_n
+    at B.
 
     For x >= B, |sum_{i<n} c_i x^i| <= M |c_n| (x^n - 1) / (x - 1)
     < |c_n| x^n, since x - 1 >= M; so c_n x^n decides the sign there.
+
+    >>> cauchy_bound((-7, 1))  # v - 7
+    Fraction(8, 1)
     """
-    if p.degree() < 1:
+    if len(ints) < 2:
         return Fraction(1)
-    # 1 + max |c_i| / |c_n| is the same on any positive multiple of p
-    ints = p.int_coeffs()
     l = abs(ints[-1])
     return Fraction(l + max(abs(c) for c in ints[:-1]), l)
 
 
 class RootBox:
     """An open interval (lo, hi) certified to contain exactly one simple
-    real root of `poly`, with recorded (nonzero, opposite) endpoint signs."""
+    real root of the integer polynomial `ints`, with recorded (nonzero,
+    opposite) endpoint signs."""
 
-    __slots__ = ("poly", "lo", "hi", "sign_lo", "sign_hi")
+    __slots__ = ("ints", "lo", "hi", "sign_lo", "sign_hi")
 
-    def __init__(self, poly: Poly, lo: Fraction, hi: Fraction, sign_lo: int, sign_hi: int):
+    def __init__(self, ints: Sequence[int], lo: Fraction, hi: Fraction,
+                 sign_lo: int, sign_hi: int):
         if not lo < hi:
             raise ValueError("root box endpoints out of order")
         if sign_lo == 0 or sign_hi == 0 or sign_lo == sign_hi:
             raise ValueError("root box endpoint signs must be nonzero and opposite")
-        self.poly = poly
+        self.ints = ints
         self.lo = lo if type(lo) is Fraction else Fraction(lo)
         self.hi = hi if type(hi) is Fraction else Fraction(hi)
         self.sign_lo = sign_lo
@@ -376,14 +372,14 @@ def refine_root(box: RootBox, width: Fraction) -> RootBox:
     root itself, and the box closes symmetrically around it, as
     bisection does when a midpoint is the root.
 
-    >>> box = RootBox(Poly([-2, 0, 1]), Fraction(1), Fraction(2), -1, 1)
+    >>> box = RootBox((-2, 0, 1), Fraction(1), Fraction(2), -1, 1)
     >>> refine_root(box, Fraction(1, 1000))
     RootBox(181/128, 1449/1024)
     """
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    ints = box.poly.int_coeffs()
+    ints = box.ints
     slo, shi = box.sign_lo, box.sign_hi
     den0 = lcm(box.lo.denominator, box.hi.denominator)
     a0 = box.lo.numerator * (den0 // box.lo.denominator)
@@ -440,7 +436,7 @@ def refine_root(box: RootBox, width: Fraction) -> RootBox:
             a, fa, fb = lo + span, fhi, fb << n
         t += 1
     if root is None:
-        return RootBox(box.poly, Fraction(a, den0 << s),
+        return RootBox(ints, Fraction(a, den0 << s),
                        Fraction(a + span, den0 << s), slo, shi)
     # the root is x over den0 2^t; bisection meets it on the first level
     # whose grid holds it, as the midpoint of a cell one level up
@@ -451,12 +447,13 @@ def refine_root(box: RootBox, width: Fraction) -> RootBox:
     delta = min(width, Fraction(span, den0 << (t - 1))) / 4
     while _sign_at(ints, m - delta) != slo or _sign_at(ints, m + delta) != shi:
         delta /= 2
-    return RootBox(box.poly, m - delta, m + delta, slo, shi)
+    return RootBox(ints, m - delta, m + delta, slo, shi)
 
 
 # -- the x + 1/x transform ----------------------------------------------
 
-def reciprocal_transform(ints: Sequence[int], sigma: int) -> tuple[Poly, str]:
+def reciprocal_transform(ints: Sequence[int],
+                         sigma: int) -> tuple[tuple[int, ...], str]:
     """W and its parity for a self-reciprocal integer polynomial R.
 
     ints is R's primitive integer coefficient list and sigma its reversal
@@ -465,11 +462,11 @@ def reciprocal_transform(ints: Sequence[int], sigma: int) -> tuple[Poly, str]:
     with Q = x^h P(x + 1/x), and W(v) = P(v - 2): with v = x + 2 + 1/x,
     Q / x^h = q_h + sum_i q_(h+i) V_i(v) for V_i = x^i + x^-i, which
     satisfy V_0 = 2, V_1 = v - 2 and V_(i+1) = (v - 2) V_i - V_(i-1).
-    The result is primitive with a positive leading coefficient, and is
-    verified by exact resubstitution.
+    W's integer coefficients are primitive with a positive leading one,
+    and are verified by exact resubstitution.
 
     >>> reciprocal_transform((1, -5, 1), 1)  # x^2 - 5x + 1 = x (v - 7)
-    (Poly(-7 + 1*x), 'even')
+    ((-7, 1), 'even')
     """
     roots = [1] if sigma == -1 else []
     if (len(ints) - len(roots)) % 2 == 0:
@@ -498,9 +495,7 @@ def reciprocal_transform(ints: Sequence[int], sigma: int) -> tuple[Poly, str]:
     if w[-1] < 0:
         w = [-c for c in w]
     _verify_resubstitution(ints, w, roots)
-    poly = Poly(w)
-    poly._ints = tuple(w)
-    return poly, "odd" if -1 in roots else "even"
+    return tuple(w), "odd" if -1 in roots else "even"
 
 
 def _verify_resubstitution(r: Sequence[int], w: Sequence[int],

@@ -130,8 +130,7 @@ def certificate_instance(k: int, ell: int,
 def analysis_instance(k: int, ell: int) -> dict:
     from .analysis import analyze  # only `analyze` needs the resultant layer
 
-    rec = analyze(k, ell)
-    return wire({name: getattr(rec, name) for name in rec.__slots__})
+    return wire(analyze(k, ell)._asdict())
 
 
 def scan_instance(k: int, ell: int) -> dict:

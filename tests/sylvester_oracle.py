@@ -37,23 +37,26 @@ def bareiss_det(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def sylvester_resultant(p: Poly, q: Poly) -> Fraction:
-    """Res(p, q): the Sylvester determinant of the primitive integer forms,
-    scaled back by Res(c p, e q) = c^deg(q) e^deg(p) Res(p, q)."""
-    if p.is_zero() or q.is_zero():
-        return Fraction(0)
-    dp, dq = p.degree(), q.degree()
-    pi, qi = p.int_coeffs(), q.int_coeffs()
-    pd, qd = list(reversed(pi)), list(reversed(qi))
-    n = dp + dq
-    rows = ([[0] * i + pd + [0] * (n - i - len(pd)) for i in range(dq)]
-            + [[0] * i + qd + [0] * (n - i - len(qd)) for i in range(dp)])
-    return ((p.lc() / pi[-1]) ** dq * (q.lc() / qi[-1]) ** dp
-            * bareiss_det(rows))
+def sylvester_resultant(a, b) -> int:
+    """Res(a, b) of two integer coefficient lists, low degree first and not
+    both constants: the determinant of their Sylvester matrix."""
+    da, db = len(a) - 1, len(b) - 1
+    ad, bd = list(reversed(a)), list(reversed(b))
+    n = da + db
+    rows = ([[0] * i + ad + [0] * (n - i - len(ad)) for i in range(db)]
+            + [[0] * i + bd + [0] * (n - i - len(bd)) for i in range(da)])
+    return bareiss_det(rows)
 
 
 def sylvester_discriminant(p: Poly) -> Fraction:
-    """Disc(p) = (-1)^(d(d-1)/2) Res(p, p') / lc(p) on the Sylvester route."""
-    d = p.degree()
+    """Disc(p) = (-1)^(d(d-1)/2) Res(p, p') / lc(p) on the Sylvester route,
+    with p' taken on the rational coefficients and each side scaled back
+    from its primitive integer form by Res(c a, e b) = c^deg(b) e^deg(a)
+    Res(a, b)."""
+    d = len(p.coeffs) - 1
+    q = Poly(i * c for i, c in enumerate(p.coeffs) if i)
+    pi, qi = p.int_coeffs(), q.int_coeffs()
+    res = ((p.lc() / pi[-1]) ** (d - 1) * (q.lc() / qi[-1]) ** d
+           * sylvester_resultant(pi, qi))
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * sylvester_resultant(p, p.derivative()) / p.lc()
+    return sign * res / p.lc()

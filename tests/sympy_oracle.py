@@ -47,11 +47,12 @@ def from_roots(*roots, lc=1) -> Poly:
         [z - to_rational(r) for r in roots]))
 
 
-def resubstitute(w: Poly, roots=()) -> Poly:
-    """z^h W(z + 2 + 1/z) prod (z - root), expanded, for h = deg W: R
-    itself, up to a rational scale, when W is R's transform and `roots`
-    the zeros at +-1 it divided out."""
-    expr = z**w.degree() * to_sympy(w).as_expr().subs(z, z + 2 + 1 / z)
+def resubstitute(w, roots=()) -> Poly:
+    """z^h W(z + 2 + 1/z) prod (z - root), expanded, for h = deg W and W a
+    Poly or a coefficient list: R itself, up to a rational scale, when W
+    is R's transform and `roots` the zeros at +-1 it divided out."""
+    w = to_sympy(w)
+    expr = z**w.degree() * w.as_expr().subs(z, z + 2 + 1 / z)
     for root in roots:
         expr *= z - root
     return from_sympy(expr)

@@ -103,7 +103,7 @@ def _fields(cert):
     return ({name: getattr(cert, name) for name in cert.__slots__
              if name not in ("v_box", "route")},
             None if box is None else
-            (box.poly, box.lo, box.hi, box.sign_lo, box.sign_hi))
+            (box.ints, box.lo, box.hi, box.sign_lo, box.sign_hi))
 
 
 def test_alternation_and_sturm_certificates_agree(monkeypatch):
@@ -146,11 +146,11 @@ def _sturm_root_counts(w):
 def test_alternation_counts_match_sturm(inside, beyond, extra, n, scale):
     # distinct rational roots, mostly laid out the way alternation can close
     roots = set(inside) | {beyond} | set(extra)
-    w = from_roots(*roots, lc=scale)
+    w = from_roots(*roots, lc=scale).int_coeffs()
     box = alternation_box(w, n)
     if box is None:
         return
-    h = w.degree()
+    h = len(w) - 1
     assert _sturm_root_counts(w) == (h - 1, 1, 0, h)
     assert (box.lo, box.hi) == (F(4), certify.cauchy_bound(w))
     assert box.lo < max(roots) < box.hi
@@ -169,9 +169,9 @@ def test_alternation_counts_match_sturm(inside, beyond, extra, n, scale):
 ])
 def test_alternation_declines_what_it_cannot_prove(w, control):
     assert 1 << certify.GRID_BITS in cosine_grid(6)  # the grid point 1
-    assert alternation_box(w, 6) is None
+    assert alternation_box(w.int_coeffs(), 6) is None
     # the same shape without the defect closes
-    assert alternation_box(control, 6) is not None
+    assert alternation_box(control.int_coeffs(), 6) is not None
 
 
 def test_alpha_enclosure_quartic_base():

@@ -176,7 +176,7 @@ def test_sign_pattern_fail_on_a_grid_zero(monkeypatch):
     # theta = 0 and pi/4 and vanishes at theta = pi/2, where
     # 2 cos theta = 0 is evaluated exactly
     monkeypatch.setattr(claims, "boundary_profile", lambda k, ell:
-                        BoundaryProfile(1, "even", Poly([0, 3, -1])))
+                        BoundaryProfile(1, "even", (0, 3, -1)))
     r = check_sign_pattern(5, 1)
     assert r.status == "fail"
     assert r.witness == {"j": 2, "theta_over_pi": F(1, 2)}

@@ -470,6 +470,16 @@ def test_cli_import_leaves_analysis_and_the_pool_unloaded():
     assert unresolved == []
 
 
+def test_library_imports_load_no_test_extra():
+    """sympy and the other test extras stay out of the library: importing
+    the command line and then the analysis layer loads none of them."""
+    out = fresh_python("-c", (
+        "import sys, json, reczeros.cli, reczeros.analysis\n"
+        "extras = ('sympy', 'numpy', 'mpmath', 'hypothesis', 'jsonschema')\n"
+        "print(json.dumps([m for m in extras if m in sys.modules]))"))
+    assert json.loads(out) == []
+
+
 def test_only_construct_builds_the_companion():
     """certify, verify and scan check the companion identity inside
     reciprocal_poly and never build the companion itself."""
@@ -514,6 +524,19 @@ def test_tracer_entry_points_resolve():
 # ---------------------------------------------------------------------------
 # behavior and exit codes
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("width", ["100", "1000000"])
+def test_coarse_width_encloses_alpha_outside_the_unit_disc(width, capsys):
+    """A width wider than the whole (4, B) box still refines the box off
+    its end at 4, where alpha's enclosure would reach down to 1."""
+    code, doc = run_json(["certify", "--k", "3,14", "--ell", "1,6",
+                          "--width", width], capsys)
+    assert code == 0
+    assert len(doc["instances"]) == 4
+    for inst in doc["instances"]:
+        lo, hi = F(inst["alpha"]["lo"]), F(inst["alpha"]["hi"])
+        assert 1 < lo < hi and hi - lo <= F(width)
+
 
 def test_verify_suite_filters_claims(capsys):
     _, doc = run_json(["verify", "--k-max", "6", "--ell-max", "2",
