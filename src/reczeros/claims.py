@@ -3,7 +3,10 @@
 Each checker establishes one arithmetic fact -- an inequality chain, a sign
 pattern on the unit circle, or an interval membership -- over a requested
 parameter range.  Facts that live in Q are decided by exact rational
-arithmetic and can only pass or fail; facts involving zeta values or pi go
+arithmetic and can only pass or fail; the lemma sums (the majorant and
+the G/H sums) run it on integers, numerators over one denominator per
+(k, l) compared by cross-multiplication, and build a Fraction only for
+a witness or a printed margin.  Facts involving zeta values or pi go
 through certified enclosures that are tightened until a sign is decided,
 and may additionally come back "inconclusive" when the ladder runs out
 first.  There is one ladder, `ladder`: precisions double up to the
@@ -34,6 +37,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from itertools import repeat
+from math import gcd, lcm
 
 from .certify import ALPHA_WIDTH, alpha_enclosure, zero_certificate
 from .exactnum import (
@@ -48,7 +52,8 @@ from .exactnum import (
 from .family import boundary_profile, reciprocal_poly
 from .interval import (
     Interval,
-    cos_pi_enclosure,
+    cos_pi_square,
+    dyadic_mantissa,
     horner_sign,
     pi_enclosure,
     pow_rounded,
@@ -339,8 +344,9 @@ def check_ratio_max(k_max: int) -> ClaimResult:
 def check_zeta_sum_identity(terms: int) -> ClaimResult:
     """Certified bracket around sum_{j>=1} zeta(2j)/4^j = 1/2.
 
-    The partial sum uses exact Bernoulli enclosures.  For the tail over
-    j > N, the first series term and the integral comparison give
+    The partial sum uses exact Bernoulli enclosures, summed as integers
+    over one power of two.  For the tail over j > N, the first series
+    term and the integral comparison give
     4^-j < zeta(2j) - 1 < 3*4^-j, so the tail lies strictly between
     4^-N/3 + 16^-N/15 and 4^-N/3 + 16^-N/5, an exact rational bracket.
     """
@@ -348,12 +354,18 @@ def check_zeta_sum_identity(terms: int) -> ClaimResult:
         raise ValueError("needs at least 4 terms")
     pr = max(DEFAULT_PRECISION, terms + 64)
     half = Fraction(1, 2)
-    acc = Interval(Fraction(0))
-    for j in range(1, terms + 1):
-        acc = acc + zeta_even_enclosure(j, pr) * Fraction(1, 4**j)
+    # sum_j zeta(2j)/4^j over 2^scale (the enclosure ends are multiples of
+    # 2^-(pr + 16)), last index first so the Bernoulli table is built once
+    scale = pr + 16 + 2 * terms
+    lo = hi = 0
+    for j in range(terms, 0, -1):
+        enc = zeta_even_enclosure(j, pr)
+        lo += dyadic_mantissa(enc.lo, scale - 2 * j)
+        hi += dyadic_mantissa(enc.hi, scale - 2 * j)
     tail_lo = Fraction(1, 3 * 4**terms) + Fraction(1, 15 * 16**terms)
     tail_hi = Fraction(1, 3 * 4**terms) + Fraction(1, 5 * 16**terms)
-    bracket = Interval(acc.lo + tail_lo, acc.hi + tail_hi)
+    bracket = Interval(Fraction(lo, 1 << scale) + tail_lo,
+                       Fraction(hi, 1 << scale) + tail_hi)
     params = {"terms": terms}
     if not bracket.lo < half < bracket.hi:
         return ClaimResult("zeta-sum-half", params, FAIL,
@@ -405,60 +417,82 @@ def check_qj_monotone(k_max: int) -> ClaimResult:
 # the off-profile majorant
 # ---------------------------------------------------------------------------
 
+def _q_numerators(k: int, js) -> tuple[list[int], int]:
+    """q(k, j) for j in js as integer numerators u_j over one denominator m.
+
+    Each q(k, j) is read once as a reduced pair; m is the lcm of their
+    denominators, so q(k, j)^l = u_j^l / m^l for every exponent l.
+    """
+    qs = [q(k, j) for j in js]
+    m = lcm(*(x.denominator for x in qs))
+    return [x.numerator * (m // x.denominator) for x in qs], m
+
+
 def check_delta_bound(k_range, ell_range) -> ClaimResult:
     """2^l sum_{j=2}^{k-1} (q_j^l - 1) < 2^l c_l (2762/10000), exactly.
 
     Verifies the full chain behind the majorant: each q_j - 1 is below the
     explicit tail weight eps(k, j), every weight is at most 306/1000 so the
     secant slope c_l = c_of(306/1000, l) applies, q_j^l - 1 < c_l eps(k, j),
-    and the weights sum below 2762/10000.  All comparisons are rational.
+    and the weights sum below 2762/10000.  Every comparison is between
+    integer products: q_j = u_j / m over one denominator per k, each
+    eps(k, j) is an integer pair, and the weight sum is taken over m^l.
     """
     k_lo, k_hi = k_range
     l_lo, l_hi = ell_range
     if k_lo < 3:
         raise ValueError("needs k >= 3")
     params = {"k": [k_lo, k_hi], "ell": [l_lo, l_hi]}
-    tight = None
+    slopes = [(ell, c_of(EPS_SINGLE_CAP, ell)) for ell in range(l_lo, l_hi + 1)]
+    one_n, one_d = EPS_SINGLE_CAP.numerator, EPS_SINGLE_CAP.denominator
+    cap_n, cap_d = EPS_TOTAL_CAP.numerator, EPS_TOTAL_CAP.denominator
+    tight = None  # (k, ell, rel numerator, rel denominator)
     checked = 0
     for k in range(k_lo, k_hi + 1):
-        eps = {j: epsilon(k, j) for j in range(2, k)}
-        total = sum(eps.values())
-        if not total < EPS_TOTAL_CAP:
+        js = range(2, k)
+        eps = [epsilon(k, j) for j in js]  # integer pairs e / f
+        den = lcm(*(f for _, f in eps))
+        total = sum(e * (den // f) for e, f in eps)
+        if not total * cap_d < cap_n * den:
             return ClaimResult("delta-majorant", params, FAIL,
-                               {"k": k, "eps_sum": total}, {},
+                               {"k": k, "eps_sum": Fraction(total, den)}, {},
                                "tail weights exceed the cap")
-        if eps and not max(eps.values()) <= EPS_SINGLE_CAP:
+        if any(e * one_d > one_n * f for e, f in eps):
             return ClaimResult("delta-majorant", params, FAIL,
                                {"k": k}, {}, "single tail weight too large")
-        qs = {j: q(k, j) for j in range(2, k)}
-        for j in range(2, k):
-            if not qs[j] - 1 < eps[j]:
+        us, m = _q_numerators(k, js)
+        for j, u, (e, f) in zip(js, us, eps):
+            if not (u - m) * f < e * m:
                 return ClaimResult("delta-majorant", params, FAIL,
-                                   {"k": k, "j": j, "q": qs[j],
-                                    "eps": eps[j]}, {},
+                                   {"k": k, "j": j, "q": Fraction(u, m),
+                                    "eps": Fraction(e, f)}, {},
                                    "per-index weight bound fails")
-        for ell in range(l_lo, l_hi + 1):
-            c = c_of(EPS_SINGLE_CAP, ell)
-            for j in range(2, k):
-                if not qs[j] ** ell - 1 < c * eps[j]:
+        for ell, c in slopes:
+            cn, cd = c.numerator, c.denominator
+            mp = m**ell
+            powers = [u**ell for u in us]
+            for j, p, (e, f) in zip(js, powers, eps):
+                if not (p - mp) * cd * f < cn * e * mp:
                     return ClaimResult("delta-majorant", params, FAIL,
                                        {"k": k, "j": j, "ell": ell}, {},
                                        "secant-slope step fails")
-            weight = 2**ell * sum(qs[j] ** ell - 1 for j in range(2, k))
-            bound = 2**ell * c * EPS_TOTAL_CAP
-            if not weight < bound:
+            # the weight is 2^l wn / m^l; weight / bound = x / y
+            wn = sum(powers) - len(powers) * mp
+            x, y = wn * cd * cap_d, cn * cap_n * mp
+            if not x < y:
                 return ClaimResult("delta-majorant", params, FAIL,
-                                   {"k": k, "ell": ell, "weight": weight,
-                                    "bound": bound}, {},
+                                   {"k": k, "ell": ell,
+                                    "weight": Fraction(2**ell * wn, mp),
+                                    "bound": 2**ell * c * EPS_TOTAL_CAP}, {},
                                    "majorant bound fails")
             checked += 1
-            rel = (bound - weight) / bound
-            if tight is None or rel < tight[2]:
-                tight = (k, ell, rel)
+            # the relative margin (bound - weight) / bound is (y - x) / y
+            if tight is None or (y - x) * tight[3] < tight[2] * y:
+                tight = (k, ell, y - x, y)
     data = {"instances": checked}
     if tight is not None:
         data["tightest"] = {"k": tight[0], "ell": tight[1],
-                            "rel_margin_milli": int(tight[2] * 1000)}
+                            "rel_margin_milli": tight[2] * 1000 // tight[3]}
     return ClaimResult("delta-majorant", params, PASS, None, data,
                        "exact on %d instances" % checked)
 
@@ -466,18 +500,6 @@ def check_delta_bound(k_range, ell_range) -> ClaimResult:
 # ---------------------------------------------------------------------------
 # boundary sign patterns
 # ---------------------------------------------------------------------------
-
-def _exact_two_cos(r: Fraction):
-    """2 cos(r pi) when rational (denominator 1, 2 or 3), else None."""
-    p, den = r.numerator, r.denominator
-    if den == 1:
-        return Fraction(2) if p % 2 == 0 else Fraction(-2)
-    if den == 2:
-        return Fraction(0)
-    if den == 3:
-        return Fraction(1) if p % 6 in (1, 5) else Fraction(-1)
-    return None
-
 
 def check_sign_pattern(k: int, ell: int, precision: int = DEFAULT_PRECISION) -> ClaimResult:
     """Alternating boundary signs of the companion at an explicit theta grid.
@@ -495,10 +517,11 @@ def check_sign_pattern(k: int, ell: int, precision: int = DEFAULT_PRECISION) -> 
     which is exactly the number of unimodular zero pairs times two.  T is
     read through W: T(w) = W(w^2), times w when W's parity is odd, so
     every sign is taken on the integer coefficients of W, and w's sign
-    comes from theta.  At grid angles with 2 cos theta in {0, +-1, +-2},
-    W(4 cos^2 theta) is taken exactly, by `_sign_at`; at the rest by
-    `horner_sign` on squared cos(pi r) enclosures, with an escalating
-    precision ladder.
+    comes from theta / pi = p / den.  W(4 cos^2 theta) depends only on
+    p / den mod 1 up to r <-> 1 - r, so it is decided once per such class,
+    at its first grid point: exactly by `_sign_at` where 4 cos^2 theta is
+    4, 0 or 1, elsewhere by `horner_sign` on the mantissas of
+    `cos_pi_square`, with an escalating precision ladder.
     """
     if k < 3:
         raise ValueError("needs k >= 3")
@@ -507,54 +530,65 @@ def check_sign_pattern(k: int, ell: int, precision: int = DEFAULT_PRECISION) -> 
     ints = prof.w_square
     odd = prof.w_parity == "odd"
     even_even = ell % 2 == 0 and k % 2 == 0
+    # (j, p, expected) with theta_j / pi = p / den
     if even_even:
-        points = [(j, Fraction(2 * j - 1, 2 * (k - 1)), 1 if j % 2 == 0 else -1)
+        den = 2 * (k - 1)
+        points = [(j, 2 * j - 1, 1 if j % 2 == 0 else -1)
                   for j in range(1, 2 * k - 1)]
         case = "ell even, k even"
     else:
-        points = [(j, Fraction(j, k - 1), -1 if j % 2 == 0 else 1)
-                  for j in range(0, 2 * k - 2)]
+        den = k - 1
+        points = [(j, j, -1 if j % 2 == 0 else 1) for j in range(0, 2 * k - 2)]
         case = "ell odd" if ell % 2 else "ell even, k odd"
     if prof.sigma != (-1 if even_even else 1):
         raise AssertionError("reversal sign disagrees with the parity split")
+    cid = "sign-pattern-k%d-l%d" % (k, ell)
     params = {"k": k, "ell": ell, "precision": precision}
     signs = []
     exact_points = 0
     max_pr = 0
-    for j, r, expected in points:
-        two_cos = _exact_two_cos(r)
-        if two_cos is not None:
-            s = _sign_at(ints, two_cos * two_cos)
-            if odd:
-                s *= (two_cos > 0) - (two_cos < 0)
-            if s == 0:
-                return ClaimResult("sign-pattern-k%d-l%d" % (k, ell), params,
-                                   FAIL, {"j": j, "theta_over_pi": r}, {},
-                                   "profile vanishes at a grid point")
-            exact_points += 1
-        else:
-            for pr in ladder(max(precision, 64), 2, PRECISION_CAP):
-                # W(4 cos^2): the factor 4 is folded into rounding the argument
-                cos = cos_pi_enclosure(r, pr)
-                s = horner_sign(ints, cos * cos, pr + len(ints) + 8, x_shift=2)
-                if s:
-                    break
+    decided = {}  # cos^2 class -> (sign of W(4 cos^2), precision; 0 if exact)
+    for j, p, expected in points:
+        cls = min(p % den, -p % den)
+        got = decided.get(cls)
+        if got is None:
+            reduced = den // gcd(cls, den)
+            if reduced <= 3:
+                got = (_sign_at(ints, (4, 0, 1)[reduced - 1]), 0)
             else:
-                return ClaimResult(
-                    "sign-pattern-k%d-l%d" % (k, ell), params,
-                    INCONCLUSIVE, {"j": j, "precision_cap": PRECISION_CAP}, {},
-                    "grid sign undecided at the precision cap")
-            max_pr = max(max_pr, pr)
-            # w = 2 cos(pi r) < 0 exactly when r mod 2 lies in (1/2, 3/2)
-            if odd and abs(r % 2 - 1) < Fraction(1, 2):
-                s = -s
-        if prof.sigma < 0 and r > 1:
+                for pr in ladder(max(precision, 64), 2, PRECISION_CAP):
+                    # W(4 cos^2): the factor 4 is folded into the exponent
+                    lo, hi = cos_pi_square(cls, den, pr)
+                    s = horner_sign(ints, lo, hi, 2 * pr + 14,
+                                    pr + len(ints) + 8)
+                    if s:
+                        break
+                else:
+                    return ClaimResult(
+                        cid, params, INCONCLUSIVE,
+                        {"j": j, "precision_cap": PRECISION_CAP}, {},
+                        "grid sign undecided at the precision cap")
+                got = (s, pr)
+            decided[cls] = got
+        s, pr = got
+        if odd:
+            # w = 2 cos(pi p / den) < 0 exactly when p mod 2den lies in
+            # (den/2, 3den/2), and w = 0 at either end
+            t = 2 * (p % (2 * den))
+            s *= 0 if t in (den, 3 * den) else -1 if den < t < 3 * den else 1
+        if not pr:
+            if s == 0:
+                return ClaimResult(cid, params, FAIL,
+                                   {"j": j, "theta_over_pi": Fraction(p, den)},
+                                   {}, "profile vanishes at a grid point")
+            exact_points += 1
+        max_pr = max(max_pr, pr)
+        if prof.sigma < 0 and p > den:
             s = -s
         if s != expected:
-            return ClaimResult("sign-pattern-k%d-l%d" % (k, ell), params,
-                               FAIL,
-                               {"j": j, "theta_over_pi": r, "got": s,
-                                "expected": expected}, {},
+            return ClaimResult(cid, params, FAIL,
+                               {"j": j, "theta_over_pi": Fraction(p, den),
+                                "got": s, "expected": expected}, {},
                                "grid sign disagrees")
         signs.append(s)
     m = len(signs)
@@ -566,25 +600,24 @@ def check_sign_pattern(k: int, ell: int, precision: int = DEFAULT_PRECISION) -> 
         "sign_changes": changes,
         "max_precision": max_pr,
     }
-    return ClaimResult("sign-pattern-k%d-l%d" % (k, ell), params, PASS, None,
-                       data, "%d alternating points, %d sign changes"
-                       % (m, changes))
+    return ClaimResult(cid, params, PASS, None, data,
+                       "%d alternating points, %d sign changes" % (m, changes))
 
 
 # ---------------------------------------------------------------------------
 # values at +-1 and the derivative sums
 # ---------------------------------------------------------------------------
 
-def _companion_at_one(k: int, ell: int) -> tuple[Fraction, Fraction]:
-    """(m(1), m'(1)) for the monic companion m(z) = R(z^2) / lc(R).
+def _companion_at_one(k: int, ell: int) -> tuple[int, int, int]:
+    """(a, b, c) with m(1) = a / c and m'(1) = b / c for the monic
+    companion m(z) = R(z^2) / lc(R).
 
     m(1) = R(1) / lc and m'(1) = 2 R'(1) / lc, so for R's integer
-    coefficients c the two values are the plain and twice the
-    index-weighted sums of c over c[-1].
+    coefficients the two numerators are the plain and twice the
+    index-weighted sums of them, and c is the top one.
     """
     ints = reciprocal_poly(k, ell).int_coeffs()
-    return (Fraction(sum(ints), ints[-1]),
-            Fraction(2 * sum(i * c for i, c in enumerate(ints)), ints[-1]))
+    return (sum(ints), 2 * sum(i * c for i, c in enumerate(ints)), ints[-1])
 
 
 def check_pm1_zero(k_max: int, ell_max: int) -> ClaimResult:
@@ -629,54 +662,64 @@ def check_GH_signs(k_max: int, ell_max: int) -> ClaimResult:
     companion value at 1 equal to 2 + 2^l G < 0.  H = (2^l/(k+1))
     sum_j (-1)^j j q_j^l (k even) stays above 1, hence above 3/2 from k=4
     on, which makes the companion derivative at 1 equal to
-    (2k+2)(1 - H) < 0.  The k=2 value collapses to (2 q_1)^l / 3.
+    (2k+2)(1 - H) < 0.  The k=2 value collapses to (2 q_1)^l / 3.  With
+    q_j = u_j / m, each sum is an integer over m^l, and every test
+    cross-multiplies integers.
     """
     params = {"k_max": k_max, "ell_max": ell_max}
     if k_max < 1 or ell_max < 2:
         return _vacuous("derivative-sign-sums", params)
     checked = 0
-    g_tight = None
+    g_tight = None  # (k, ell, numerator, denominator), as for h_tight
     h_tight = None
+    numerators = [_q_numerators(k, range(1, k + 1))
+                  for k in range(1, k_max + 1)]
     for ell in range(2, ell_max + 1, 2):
         for k in range(1, k_max + 1):
-            qpow = [q(k, j) ** ell for j in range(1, k + 1)]
-            m_at_one, m_slope = _companion_at_one(k, ell)
+            us, m = numerators[k - 1]
+            mp = m**ell
+            at_one, slope, lc = _companion_at_one(k, ell)
             if k % 2 == 1:
-                g = sum(-qpow[j - 1] if j % 2 else qpow[j - 1]
-                        for j in range(1, k + 1))
-                value_at_one = 2 + 2**ell * g
-                if not (g < -1 and m_at_one == value_at_one
-                        and value_at_one < 0):
+                gn = sum(-u**ell if j % 2 else u**ell
+                         for j, u in enumerate(us, 1))
+                # G = gn / mp, and the companion value at 1 is value / mp
+                value = 2 * mp + 2**ell * gn
+                if not (gn < -mp and at_one * mp == value * lc
+                        and value < 0):
                     return ClaimResult("derivative-sign-sums", params, FAIL,
-                                       {"k": k, "ell": ell, "G": g}, {},
+                                       {"k": k, "ell": ell,
+                                        "G": Fraction(gn, mp)}, {},
                                        "alternating sum fails its sign")
-                if g_tight is None or g > g_tight[2]:
-                    g_tight = (k, ell, g)
+                if g_tight is None or gn * g_tight[3] > g_tight[2] * mp:
+                    g_tight = (k, ell, gn, mp)
             else:
-                alt = sum(-j * qpow[j - 1] if j % 2 else j * qpow[j - 1]
-                          for j in range(1, k + 1))
-                h = Fraction(2**ell, k + 1) * alt
-                slope_at_one = (2 * k + 2) * (1 - h)
-                good = (h > 1 and m_at_one == 0 and m_slope == slope_at_one
-                        and slope_at_one < 0)
+                alt = sum(-j * u**ell if j % 2 else j * u**ell
+                          for j, u in enumerate(us, 1))
+                # H = hn / hd, and the slope at 1 is (2k+2)(hd - hn) / hd
+                hn, hd = 2**ell * alt, (k + 1) * mp
+                good = (hn > hd and at_one == 0
+                        and slope * hd == (2 * k + 2) * (hd - hn) * lc)
                 if good and k >= 4:
-                    good = h > Fraction(3, 2)
+                    good = 2 * hn > 3 * hd
                 if good and k == 2:
-                    good = h == (2 * q(2, 1)) ** ell / 3
+                    good = 3 * hn * mp == (2 * us[0]) ** ell * hd
                 if not good:
                     return ClaimResult("derivative-sign-sums", params, FAIL,
-                                       {"k": k, "ell": ell, "H": h}, {},
+                                       {"k": k, "ell": ell,
+                                        "H": Fraction(hn, hd)}, {},
                                        "weighted sum fails its sign")
-                if h_tight is None or h < h_tight[2]:
-                    h_tight = (k, ell, h)
+                if h_tight is None or hn * h_tight[3] < h_tight[2] * hd:
+                    h_tight = (k, ell, hn, hd)
             checked += 1
     data = {"checked": checked}
     if g_tight is not None:
-        data["G_max"] = {"k": g_tight[0], "ell": g_tight[1],
-                         "margin_exp2": _exp2(-1 - g_tight[2])}
+        k, ell, gn, gd = g_tight
+        data["G_max"] = {"k": k, "ell": ell,
+                         "margin_exp2": _exp2(Fraction(-gd - gn, gd))}
     if h_tight is not None:
-        data["H_min"] = {"k": h_tight[0], "ell": h_tight[1],
-                         "margin_exp2": _exp2(h_tight[2] - 1)}
+        k, ell, hn, hd = h_tight
+        data["H_min"] = {"k": k, "ell": ell,
+                         "margin_exp2": _exp2(Fraction(hn - hd, hd))}
     return ClaimResult("derivative-sign-sums", params, PASS, None, data,
                        "exact signs on %d instances" % checked)
 
@@ -774,11 +817,11 @@ def check_alpha_interval(k_range, ell_odd_range) -> ClaimResult:
     for ell in ells:
         for k in range(k_lo, k_hi + 1):
             lower = (2 * q(k, 1)) ** ell
-            value_at_one = _companion_at_one(k, ell)[0]
-            if not value_at_one < 0:
+            at_one, _, lc = _companion_at_one(k, ell)
+            if not at_one * lc < 0:  # m(1) = at_one / lc
                 return ClaimResult("alpha-interval", params, FAIL,
                                    {"k": k, "ell": ell,
-                                    "at_one": value_at_one}, {},
+                                    "at_one": Fraction(at_one, lc)}, {},
                                    "companion fails to dip below 0 at 1")
             if not zero_certificate(k, ell).conforms:
                 return ClaimResult("alpha-interval", params, FAIL,

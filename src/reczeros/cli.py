@@ -217,16 +217,22 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
     """One subparser per command with exactly the flags it reads; prefix
-    matching is off, so `verify --k 5` is refused, not read as --k-max."""
+    matching is off, so `verify --k 5` is refused, not read as --k-max.
+    Only the command argv names first is added (the metavar keeps every
+    name in the usage line); without one, all of them are."""
     parser = argparse.ArgumentParser(
         prog="reczeros",
         description="Exact construction, certification, and verification "
                     "for the family of self-reciprocal polynomials with "
                     "zeta-ratio coefficients.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, text, flags) in COMMANDS.items():
+    names = [argv[0]] if argv and argv[0] in COMMANDS else list(COMMANDS)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{%s}" % ",".join(COMMANDS) if len(names) == 1 else None)
+    for name in names:
+        _, text, flags = COMMANDS[name]
         p = sub.add_parser(name, help=text, allow_abbrev=False)
         for flag in flags + ("--jobs", "--out", "--format"):
             p.add_argument(flag, **FLAGS[flag])
@@ -234,7 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
         if args.jobs < 1:

@@ -128,27 +128,26 @@ def d(ell: int) -> Fraction:
     return c_of(Fraction(3, 4), ell)
 
 
-def epsilon(k: int, j: int) -> Fraction:
+def epsilon(k: int, j: int) -> tuple[int, int]:
     """Tail-weight bound for the quotient coefficients, 2 <= j <= k-1, k >= 3.
 
     eps(k, j) = (2j+1)/(2j-1) * 4^-j
               + (2k+3-2j)/(2k+1-2j) * 4^(j-k-1)
               + (2j+1)(2k+3-2j)/((2j-1)(2k+1-2j)) * 4^(-k-1)
 
+    as an integer pair (num, den) over den = (2j-1)(2k+1-2j) 4^(k+1), not
+    reduced, which the checks compare by cross-multiplication.
+
     >>> epsilon(3, 2)
-    Fraction(505, 2304)
+    (505, 2304)
     """
     if not isinstance(k, int) or k < 3:
         raise ValueError("epsilon needs k >= 3")
     if not isinstance(j, int) or not 2 <= j <= k - 1:
         raise ValueError("epsilon needs 2 <= j <= k-1")
-    a = Fraction(2 * j + 1, 2 * j - 1)
-    b = Fraction(2 * k + 3 - 2 * j, 2 * k + 1 - 2 * j)
-    return (
-        a * Fraction(1, 4**j)
-        + b * Fraction(1, 4 ** (k + 1 - j))
-        + a * b * Fraction(1, 4 ** (k + 1))
-    )
+    a, b = 2 * j - 1, 2 * k + 1 - 2 * j
+    return ((a + 2) * b * 4 ** (k + 1 - j) + a * (b + 2) * 4**j
+            + (a + 2) * (b + 2), a * b * 4 ** (k + 1))
 
 
 # -- certified enclosures ------------------------------------------------

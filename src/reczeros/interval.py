@@ -3,11 +3,11 @@
 Closed intervals [lo, hi] with `fractions.Fraction` endpoints.  Every
 operation is inclusion-correct: the result interval contains every value
 f(x) for x in the operand intervals.  `Interval` itself has only the
-exact operations the enclosures combine with (negation, sums and
-products), which need no rounding; the rounded kernels keep endpoint
-denominators from growing without bound in long computations (they only
-ever widen).  It takes no sign: signs come from integer kernels, here
-`horner_sign` and in `polycore`.
+exact operation the enclosures combine with, the product, which needs no
+rounding; the rounded kernels keep endpoint denominators from growing
+without bound in long computations (they only ever widen).  It takes no
+sign: signs come from integer kernels, here `horner_sign` and in
+`polycore`.
 
 The rounded kernels (`pow_rounded`, `horner_sign`, `cos_enclosure`) run
 on integer mantissas over 2^bits: a value rounds to floor(num * 2^bits /
@@ -16,8 +16,9 @@ numerator and denominator (`floor_scaled`, `ceil_scaled`), which needs no
 grid assumption about the operand, and a product of two mantissas rounds
 by a shift.  Each returns exactly the interval that the same steps on
 `Fraction` endpoints, each rounded outward, would give, and runs no gcd
-until the result is built.  (The one square root, in `certify`'s alpha
-step, is rounded by `isqrt` there.)
+until the result is built; `horner_sign`, which returns a sign, builds
+no `Fraction` at all.  (The one square root, in `certify`'s alpha step,
+is rounded by `isqrt` there.)
 
 Also provides certified enclosures of pi (Machin's formula with
 alternating-series tail bounds, summed as exact integer ratios) and of cos
@@ -25,11 +26,11 @@ on rational-endpoint intervals: a Taylor partial sum with a Lagrange
 remainder bound, evaluated by step-rounded Horner with guard bits that
 grow with the term count, so that the rounding error, amplified by at most
 |x|^(2n) over n terms, stays below the requested precision.
-`cos_pi_enclosure` serves cos(pi r) for rational r: it reduces r exactly to
-[0, 1/2] (r mod 2, r -> 2 - r, and cos(pi - t) = -cos t) before multiplying
-by the pi enclosure, so the series argument stays below pi/2, and it
-memoizes the reduced enclosure per (r, precision) in a module dict filled
-on first use.
+`cos_pi_square` gives the boundary sign grids cos^2(pi r) for rational r
+as integer mantissas, ready for `horner_sign`: it reduces r exactly to
+[0, 1/2] (period 1 and evenness) and memoizes per (reduced r, precision)
+in a module dict filled on first use, so every grid point of one class,
+in every grid, shares one series evaluation.
 
 Every enclosure here is a pure function of its arguments: `pi_enclosure(p)`
 is the cell of the 2^-(p + 8) grid that holds pi, whatever ran earlier in
@@ -39,6 +40,7 @@ the process, so the memos change no result.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence, Union
 
 _NumLike = Union[int, Fraction]
@@ -48,9 +50,9 @@ class Interval:
     """A closed interval with rational endpoints.
 
     It holds an enclosure, reports its width, and combines with others by
-    exact negation, sum and product; a number operand is read as a point
-    interval.  Nothing in the library subtracts, divides or raises one,
-    or takes its sign, so it has no such operators.
+    exact product; a number operand is read as a point interval.  Nothing
+    in the library negates, adds, subtracts, divides or raises one, or
+    takes its sign, so it has no such operators.
     """
 
     __slots__ = ("lo", "hi")
@@ -83,13 +85,6 @@ class Interval:
         return "Interval(%s, %s)" % (self.lo, self.hi)
 
     # -- arithmetic -------------------------------------------------------
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def __add__(self, other) -> "Interval":
-        other = _as_interval(other)
-        return Interval(self.lo + other.lo, self.hi + other.hi)
 
     def __mul__(self, other) -> "Interval":
         other = _as_interval(other)
@@ -166,23 +161,27 @@ def _horner_mantissas(coeffs: Sequence[tuple[int, int]], xlo: int, xhi: int,
     return lo, hi
 
 
-def horner_sign(coeffs: Sequence[int], x: Interval, bits: int,
-                x_shift: int = 0) -> int:
-    """Sign of sum(coeffs[i] * y**i) on y = x * 2^x_shift for integer
-    coefficients: +1 / -1 when its enclosure is positive / negative, else
-    0 (undecided at this precision, not a zero).
+def horner_sign(coeffs: Sequence[int], xlo: int, xhi: int, xbits: int,
+                bits: int) -> int:
+    """Sign of sum(coeffs[i] * y**i) for integer coefficients on the dyadic
+    enclosure y in [xlo, xhi] / 2^xbits: +1 / -1 when its enclosure is
+    positive / negative, else 0 (undecided at this precision, not a zero).
 
-    The enclosure is Horner on integer mantissas over 2^bits: y is rounded
-    outward straight from x, as floor(x * 2^(bits + x_shift)) and the
-    ceiling, each step's result is rounded outward, and a coefficient c
-    enters exactly as c * 2^bits.  Each step widens by less than 2^(1-bits)
-    before the later steps multiply it by y.
+    The enclosure is Horner on integer mantissas over 2^bits: y's ends are
+    rounded outward to 2^bits, each step's result is rounded outward, and
+    a coefficient c enters exactly as c * 2^bits.  Each step widens by
+    less than 2^(1-bits) before the later steps multiply it by y.
     """
-    lo, hi = _horner_mantissas(
-        [(c << bits, c << bits) for c in coeffs],
-        floor_scaled(x.lo.numerator, x.lo.denominator, bits + x_shift),
-        ceil_scaled(x.hi.numerator, x.hi.denominator, bits + x_shift), bits)
+    one = 1 << xbits
+    lo, hi = _horner_mantissas([(c << bits, c << bits) for c in coeffs],
+                               floor_scaled(xlo, one, bits),
+                               ceil_scaled(xhi, one, bits), bits)
     return 1 if lo > 0 else -1 if hi < 0 else 0
+
+
+def dyadic_mantissa(x: Fraction, bits: int) -> int:
+    """x * 2^bits for a dyadic x whose denominator divides 2^bits."""
+    return x.numerator << (bits + 1 - x.denominator.bit_length())
 
 
 # -- pi ------------------------------------------------------------------
@@ -299,25 +298,31 @@ def cos_enclosure(x: Interval, precision: int) -> Interval:
     return Interval(Fraction(lo, one), Fraction(hi, one))
 
 
-_cos_pi_cache: dict[tuple[Fraction, int], Interval] = {}
+_cos_pi_square_cache: dict[tuple[int, int, int], tuple[int, int]] = {}
 
 
-def cos_pi_enclosure(r: _NumLike, precision: int) -> Interval:
-    """Certified enclosure of cos(pi r) for rational r.
+def cos_pi_square(p: int, den: int, precision: int) -> tuple[int, int]:
+    """Mantissas (lo, hi) over 2^(2 precision + 16) of an enclosure of
+    cos(pi p / den)^2, for den > 0.
 
-    r is reduced exactly to [0, 1/2] (period 2, evenness, and
-    cos(pi - t) = -cos t), so the cos series sees |theta| <= pi/2.  The
-    reduced enclosure is memoized per (reduced r, precision).
+    p / den is reduced exactly to t / den in [0, 1/2], so the cos series
+    sees |theta| <= pi/2; the square of its enclosure [a, b] (multiples of
+    2^-(precision + 8)) is the interval product, [min, max] of a^2, ab and
+    b^2.  Memoized per (reduced t / den, precision).
+
+    >>> cos_pi_square(1, 3, 64) == cos_pi_square(-4, 6, 64)
+    True
     """
-    r = Fraction(r) % 2
-    if r > 1:
-        r = 2 - r
-    negate = r > Fraction(1, 2)
-    if negate:
-        r = 1 - r
-    key = (r, precision)
-    enc = _cos_pi_cache.get(key)
-    if enc is None:
-        enc = cos_enclosure(r * pi_enclosure(precision), precision)
-        _cos_pi_cache[key] = enc
-    return -enc if negate else enc
+    t = p % den
+    t = min(t, den - t)
+    g = gcd(t, den)
+    key = (t // g, den // g, precision)
+    sq = _cos_pi_square_cache.get(key)
+    if sq is None:
+        enc = cos_enclosure(pi_enclosure(precision) * Fraction(t, den),
+                            precision)
+        a = dyadic_mantissa(enc.lo, precision + 8)
+        b = dyadic_mantissa(enc.hi, precision + 8)
+        products = (a * a, a * b, b * b)
+        sq = _cos_pi_square_cache[key] = (min(products), max(products))
+    return sq

@@ -153,9 +153,10 @@ def test_sign_pattern_change_count_matches_circle_pairs():
 
 
 def test_sign_pattern_undecided_at_the_cap(monkeypatch):
-    # cos taken as [-1, 1] leaves T(2 cos theta) straddling 0 at any
+    # cos^2 taken as [0, 1] leaves T(2 cos theta) straddling 0 at any
     # precision; j = 1 (theta = pi/4) is the first angle off the exact set
-    monkeypatch.setattr(claims, "cos_pi_enclosure", lambda r, p: Interval(-1, 1))
+    monkeypatch.setattr(claims, "cos_pi_square",
+                        lambda p, den, pr: (0, 1 << (2 * pr + 16)))
     r = check_sign_pattern(5, 1)
     assert r.status == "inconclusive"
     assert r.witness == {"j": 1, "precision_cap": PRECISION_CAP}

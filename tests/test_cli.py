@@ -160,6 +160,35 @@ def test_a_flag_the_command_does_not_read_is_refused(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_a_named_command_builds_only_its_own_subparser():
+    def commands(argv):
+        (subparsers,) = [a for a in build_parser(argv)._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        return list(subparsers.choices)
+
+    assert commands(["verify", "--k-max", "3"]) == ["verify"]
+    every = ["construct", "certify", "verify", "analyze", "scan"]
+    assert commands(None) == commands(["--help"]) == commands(["bogus"]) == every
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--k", "2", "--ell", "1", "--prec", "256"],
+    ["bogus"],
+    ["--help"],
+    [],
+])
+def test_usage_text_is_the_full_parsers(argv, capsys):
+    # main builds one subparser when argv names a command; what it prints
+    # must stay what the parser with every command prints
+    with pytest.raises(SystemExit) as got:
+        main(argv)
+    printed = capsys.readouterr()
+    with pytest.raises(SystemExit) as want:
+        build_parser().parse_args(argv)
+    assert (got.value.code, printed) == (want.value.code, capsys.readouterr())
+    assert "{construct,certify,verify,analyze,scan}" in printed.out + printed.err
+
+
 def _readme_invocations() -> list[str]:
     """Every `reczeros ...` command line in README.md: code-block lines and
     inline code spans, with shell comments dropped."""

@@ -16,6 +16,7 @@ from reczeros.exactnum import (
 )
 from reczeros.interval import Interval
 
+from claims_reference import epsilon as epsilon_ref
 from sympy_oracle import encloses
 
 ZETA2_40 = F("1.644934066848226436472415166646025189218")
@@ -110,13 +111,21 @@ def test_c_of_and_d():
 
 
 def test_epsilon_values_and_symmetry():
-    assert epsilon(3, 2) == F(505, 2304)
+    assert epsilon(3, 2) == (505, 2304)
     for k in (5, 7, 10):
         for j in range(2, k):
-            assert epsilon(k, j) == epsilon(k, k + 1 - j)
-            assert epsilon(k, j) > 0
+            assert F(*epsilon(k, j)) == F(*epsilon(k, k + 1 - j))
+            assert F(*epsilon(k, j)) > 0
     with pytest.raises(ValueError):
         epsilon(3, 1)
+
+
+def test_epsilon_pair_is_the_fraction_formula():
+    for k in range(3, 41):
+        for j in range(2, k):
+            num, den = epsilon(k, j)
+            assert den == (2 * j - 1) * (2 * k + 1 - 2 * j) * 4 ** (k + 1)
+            assert F(num, den) == epsilon_ref(k, j), (k, j)
 
 
 def test_zeta_even_enclosure_tight():

@@ -8,13 +8,15 @@ from reczeros.interval import (
     _horner_mantissas,
     ceil_scaled,
     cos_enclosure,
-    cos_pi_enclosure,
+    cos_pi_square,
+    dyadic_mantissa,
     floor_scaled,
     horner_sign,
     pi_enclosure,
     pow_rounded,
 )
 
+import claims_reference as ref
 from sympy_oracle import encloses, from_bounds, to_bounds
 
 PI_40 = F("3.141592653589793238462643383279502884197")  # truncated, < pi
@@ -38,17 +40,24 @@ def test_point_interval_and_order_check():
 def test_signs():
     # y itself over the interval: decided only where it keeps one sign
     y = [0, 1]
-    assert horner_sign(y, Interval(1, 2), 8) == 1
-    assert horner_sign(y, Interval(-3, -1), 8) == -1
-    assert horner_sign(y, Interval(-1, 1), 8) == 0
-    assert horner_sign(y, Interval(0, 1), 8) == 0
+    assert horner_sign(y, 1, 2, 0, 8) == 1
+    assert horner_sign(y, -3, -1, 0, 8) == -1
+    assert horner_sign(y, -1, 1, 0, 8) == 0
+    assert horner_sign(y, 0, 1, 0, 8) == 0
+    # [3/1024, 5/1024] rounds outward to [0, 1/256] over 2^8
+    assert horner_sign(y, 3, 5, 10, 8) == 0
+    assert horner_sign(y, 3, 5, 10, 10) == 1
+
+
+def test_dyadic_mantissa():
+    assert dyadic_mantissa(F(3, 4), 2) == 3
+    assert dyadic_mantissa(F(-3, 4), 5) == -24
+    assert dyadic_mantissa(F(5), 3) == 40
 
 
 def test_arithmetic_basics():
     a = Interval(1, 2)
     b = Interval(-3, 4)
-    assert a + b == Interval(-2, 6)
-    assert -b == Interval(-4, 3)
     assert a * b == Interval(-6, 8)
     assert 2 * a == Interval(2, 4)
 
@@ -68,7 +77,6 @@ def _interval_and_member(draw):
 @given(xs=_interval_and_member(), ys=_interval_and_member())
 def test_arithmetic_contains_the_pointwise_results(xs, ys):
     (big_x, x), (big_y, y) = xs, ys
-    assert encloses(big_x + big_y, x + y)
     assert encloses(big_x * big_y, x * y)
 
 
@@ -150,17 +158,30 @@ def test_cos_near_pi():
     assert e.lo >= -1
 
 
-def test_cos_pi_enclosure_contains_mpmath():
+def test_cos_pi_square_contains_mpmath():
     mpmath = pytest.importorskip("mpmath")
     for precision in (64, 128, 256):
+        one = 1 << (2 * precision + 16)
         with mpmath.workprec(precision + 64):
             for q in range(1, 25):
                 for p in range(0, 4 * q + 1):
-                    e = cos_pi_enclosure(F(p, q), precision)
+                    lo, hi = cos_pi_square(p, q, precision)
+                    e = Interval(F(lo, one), F(hi, one))
                     v = mpmath.cospi(mpmath.mpf(p) / q)
-                    exact = F(*mpmath.libmp.to_rational(v._mpf_))
+                    exact = F(*mpmath.libmp.to_rational(v._mpf_)) ** 2
                     assert encloses(e, exact), (p, q, precision)
-                    assert e.width() <= F(2) ** (4 - precision), (p, q)
+                    assert e.width() <= F(2) ** (5 - precision), (p, q)
+
+
+def test_cos_pi_square_is_the_square_of_the_cos_enclosure():
+    # the Interval product of the Fraction route's cos(pi r) enclosure
+    for precision in (64, 100, 128):
+        one = 1 << (2 * precision + 16)
+        for q in range(1, 30):
+            for p in range(-q, 3 * q):
+                cos = ref.cos_pi_enclosure(F(p, q), precision)
+                lo, hi = cos_pi_square(p, q, precision)
+                assert Interval(F(lo, one), F(hi, one)) == cos * cos, (p, q)
 
 
 _rationals = st.fractions(min_value=-4, max_value=4, max_denominator=1 << 20)
@@ -169,9 +190,8 @@ _rationals = st.fractions(min_value=-4, max_value=4, max_denominator=1 << 20)
 @given(data=st.data(),
        coeffs=st.lists(st.integers(-(1 << 80), 1 << 80),
                        min_size=1, max_size=12),
-       bits=st.integers(1, 96),
-       shift=st.integers(0, 2))
-def test_horner_sign_matches_exact_sign(data, coeffs, bits, shift):
+       bits=st.integers(1, 96))
+def test_horner_mantissas_enclose_the_exact_value(data, coeffs, bits):
     # endpoints on the 2^-bits grid leave the rounding no slack to hide in
     grid = st.integers(-4 << bits, 4 << bits).map(lambda n: F(n, 1 << bits))
     a, b = data.draw(grid | _rationals), data.draw(grid | _rationals)
@@ -179,17 +199,34 @@ def test_horner_sign_matches_exact_sign(data, coeffs, bits, shift):
     t = data.draw(st.sampled_from((0, 1))
                   | st.fractions(0, 1, max_denominator=1 << 10))
     x = lo + t * (hi - lo)
-    exact = sum(c * (x * 2**shift)**i for i, c in enumerate(coeffs))
-    # the mantissa enclosure holds the exact value
+    exact = sum(c * x**i for i, c in enumerate(coeffs))
     mlo, mhi = _horner_mantissas(
         [(c << bits, c << bits) for c in coeffs],
-        floor_scaled(lo.numerator, lo.denominator, bits + shift),
-        ceil_scaled(hi.numerator, hi.denominator, bits + shift), bits)
+        floor_scaled(lo.numerator, lo.denominator, bits),
+        ceil_scaled(hi.numerator, hi.denominator, bits), bits)
     assert encloses(Interval(F(mlo, 1 << bits), F(mhi, 1 << bits)), exact)
+
+
+@given(data=st.data(),
+       coeffs=st.lists(st.integers(-(1 << 80), 1 << 80),
+                       min_size=1, max_size=12),
+       bits=st.integers(1, 96), xbits=st.integers(0, 200))
+def test_horner_sign_matches_exact_sign(data, coeffs, bits, xbits):
+    ends = st.integers(-4 << xbits, 4 << xbits)
+    a, b = data.draw(ends), data.draw(ends)
+    lo, hi = min(a, b), max(a, b)
+    t = data.draw(st.sampled_from((0, 1))
+                  | st.fractions(0, 1, max_denominator=1 << 10))
+    x = (lo + t * (hi - lo)) / 2**xbits
+    exact = sum(c * x**i for i, c in enumerate(coeffs))
     # a decided sign is the exact value's sign, wherever x lies
-    got = horner_sign(coeffs, Interval(lo, hi), bits, x_shift=shift)
+    got = horner_sign(coeffs, lo, hi, xbits, bits)
     if got:
         assert got == (exact > 0) - (exact < 0)
-    # the shift rounds x * 2^shift exactly as the scaled interval would
-    scaled = horner_sign(coeffs, Interval(lo * 2**shift, hi * 2**shift), bits)
-    assert got == scaled
+    # rounding the mantissas to 2^bits gives what the rational ends give
+    y = Interval(F(lo, 1 << xbits), F(hi, 1 << xbits))
+    assert got == ref.horner_sign(coeffs, y, bits)
+    # and a factor 4 folded into xbits is the reference's x_shift = 2
+    if xbits >= 2:
+        assert (horner_sign(coeffs, lo, hi, xbits - 2, bits)
+                == ref.horner_sign(coeffs, y, bits, x_shift=2))
