@@ -34,7 +34,6 @@ _EXPORTS = {
     "reciprocal_poly": "family",
     "sigma_of": "family",
     "Interval": "interval",
-    "Poly": "polycore",
     "SturmChain": "polycore",
 }
 

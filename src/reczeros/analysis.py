@@ -3,9 +3,8 @@
 Everything here rides on one exact primitive: the resultant of two
 integer polynomials, computed by the subresultant pseudo-remainder
 sequence, with `polycore._prem` (the kernel of the Sturm chain) as its
-only elimination step.  It gives one integer discriminant; the
-discriminant of a rational polynomial is that of its primitive integer
-form, rescaled.  A member's discriminant applies it not to the degree
+only elimination step.  It gives the one integer discriminant, of an
+integer polynomial.  A member's discriminant applies it not to the degree
 k + 1 polynomial R but, through the reciprocal structure, to the integer
 coefficients of the half-degree W of `family.boundary_profile` (see
 _family_discriminant).  From the
@@ -43,7 +42,7 @@ from .certify import zero_certificate
 from .claims import DEFAULT_PRECISION, window_walk
 from .family import boundary_profile, reciprocal_poly
 from .interval import Interval
-from .polycore import Poly, _prem
+from .polycore import _prem
 
 
 # ---------------------------------------------------------------------------
@@ -83,28 +82,18 @@ def resultant(a: Sequence[int], b: Sequence[int]) -> int:
     return s * b[0] ** da // h ** (da - 1)
 
 
-def _int_discriminant(a: Sequence[int]) -> int:
+def discriminant(a: Sequence[int]) -> int:
     """Disc(a) = (-1)^(d(d-1)/2) Res(a, a') / lc(a) of an integer polynomial
-    of degree d >= 1, an integer; zero iff a repeated zero exists."""
-    d = len(a) - 1
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * resultant(a, [i * c for i, c in enumerate(a) if i]) // a[-1]
+    of degree d >= 1, an integer; zero iff a repeated zero exists.
 
-
-def discriminant(p: Poly) -> Fraction:
-    """Disc(p), exact; zero iff a repeated zero exists.
-
-    For p = s a with a = p.int_coeffs() primitive, Disc(p) =
-    s^(2d-2) Disc(a), d = deg p.
-
-    >>> discriminant(Poly((1, -5, 1)))
-    Fraction(21, 1)
+    >>> discriminant((1, -5, 1))
+    21
     """
-    d = len(p.coeffs) - 1
+    d = len(a) - 1
     if d < 1:
         raise ValueError("needs degree >= 1")
-    a = p.int_coeffs()
-    return (p.lc() / a[-1]) ** (2 * d - 2) * _int_discriminant(a)
+    sign = -1 if (d * (d - 1) // 2) % 2 else 1
+    return sign * resultant(a, [i * c for i, c in enumerate(a) if i]) // a[-1]
 
 
 def _family_discriminant(k: int, ell: int) -> Fraction:
@@ -124,11 +113,12 @@ def _family_discriminant(k: int, ell: int) -> Fraction:
     profile = boundary_profile(k, ell)
     w = profile.w_square
     d = len(w) - 1
-    c = reciprocal_poly(k, ell).lc() / w[-1]
+    r = reciprocal_poly(k, ell)
+    c = r.scale * r.ints[-1] / w[-1]
     w0, w4 = w[0], 0
     for a in reversed(w):
         w4 = 4 * w4 + a
-    disc = c ** (4 * d - 2) * _int_discriminant(w) ** 2 * w0 * w4
+    disc = c ** (4 * d - 2) * discriminant(w) ** 2 * w0 * w4
     if profile.sigma == -1:
         disc *= (c * w4) ** 2
     elif profile.w_parity == "odd":
@@ -224,7 +214,8 @@ def analyze(k: int, ell: int) -> AnalysisRecord:
         raise ValueError("certificate does not conform; measure formula "
                          "would be unjustified")
     # |Disc| <= (k+1)^(k+1) M^2k with M = |lc| alpha is size <= scale alpha^2k
-    lead = abs(reciprocal_poly(k, ell).lc())
+    r = reciprocal_poly(k, ell)
+    lead = r.scale * abs(r.ints[-1])
     size = abs(disc)
     scale = lead ** (2 * k) * (k + 1) ** (k + 1)
     lower = nth_root_enclosure(size / scale, 2 * k)

@@ -12,10 +12,11 @@ simple real root v0 of W corresponds to:
     v0 non-real    two non-real zeros off the unit circle (per root)
 
 plus a zero at x = -1 when W has odd parity and a zero at x = +1 when
-the reversal sign is -1: the linear factors the transform divides out.  Simplicity of the full zero set is
-equivalent to W being squarefree with W(0) != 0 and W(4) != 0: a root of
-W at 0 or 4 forces x = -1 or x = +1 to a multiplicity of at least two,
-and any repeated root of W pulls back to a repeated zero.
+the reversal sign is -1: the linear factors the transform divides out.
+Simplicity of the full zero set is equivalent to W being squarefree
+with W(0) != 0 and W(4) != 0: a root of W at 0 or 4 forces x = -1 or
+x = +1 to a multiplicity of at least two, and any repeated root of W
+pulls back to a repeated zero.
 
 A certificate "conforms" when the zeros are simple, exactly one pair sits
 off the circle, and that pair is real positive: then the unimodular count
@@ -188,7 +189,7 @@ def certify_zeros(k: int, ell: int) -> ZeroCertificate:
         n_in, n_out, n_neg, n_cx, v_box = counts
         # the values at 1 and -1 are the plain and the alternating
         # coefficient sums
-        ints = reciprocal_poly(k, ell).int_coeffs()
+        ints = reciprocal_poly(k, ell).ints
         at_one = sum(ints) == 0
         at_minus_one = sum(ints[0::2]) == sum(ints[1::2])
         if at_minus_one != bool(m0) or at_one != bool(circ):
@@ -363,7 +364,7 @@ def _totients(limit: int) -> list[int]:
 def roots_of_unity_zeros(k: int, ell: int) -> list[int]:
     """Orders n for which every primitive n-th root of unity is a zero of
     the (k, ell) member: `_unity_orders` of its integer coefficients."""
-    return _unity_orders(reciprocal_poly(k, ell).int_coeffs())
+    return _unity_orders(reciprocal_poly(k, ell).ints)
 
 
 def _unity_orders(ints: Sequence[int]) -> list[int]:

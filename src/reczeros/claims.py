@@ -616,7 +616,7 @@ def _companion_at_one(k: int, ell: int) -> tuple[int, int, int]:
     coefficients the two numerators are the plain and twice the
     index-weighted sums of them, and c is the top one.
     """
-    ints = reciprocal_poly(k, ell).int_coeffs()
+    ints = reciprocal_poly(k, ell).ints
     return (sum(ints), 2 * sum(i * c for i, c in enumerate(ints)), ints[-1])
 
 
@@ -633,7 +633,7 @@ def check_pm1_zero(k_max: int, ell_max: int) -> ClaimResult:
             # the plain and the alternating sums of r's integer
             # coefficients are positive multiples of r(1) and r(-1)
             r = reciprocal_poly(k, ell)
-            ints = r.int_coeffs()
+            ints = r.ints
             at_one = sum(ints)
             at_minus = sum(ints[0::2]) - sum(ints[1::2])
             if k % 2 == 0:
@@ -645,9 +645,8 @@ def check_pm1_zero(k_max: int, ell_max: int) -> ClaimResult:
             if not good:
                 return ClaimResult("unit-values", params, FAIL,
                                    {"k": k, "ell": ell,
-                                    "at_one": sum(r.coeffs),
-                                    "at_minus_one": sum(r.coeffs[0::2])
-                                    - sum(r.coeffs[1::2])}, {},
+                                    "at_one": r.scale * at_one,
+                                    "at_minus_one": r.scale * at_minus}, {},
                                    "vanishing pattern violated")
             checked += 1
     return ClaimResult("unit-values", params, PASS, None,

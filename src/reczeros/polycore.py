@@ -1,13 +1,13 @@
-"""Exact rational polynomials and the integer kernels that run on them.
+"""Integer polynomial kernels: signs, root counts, root refinement and
+the x + 1/x transform.
 
-`Poly` holds a polynomial's exact rational coefficients, as documents
-print them, and clears them once to a primitive integer coefficient list
-(`int_coeffs`), a positive multiple with the same signs.  Every kernel
-takes such an integer polynomial: a sequence of ints, low degree first,
-with a nonzero top coefficient.  `_sign_at` takes its exact sign at a
-rational point by integer Horner; `_dyadic_values` takes the values
-(times a power of two) at many points num / 2^bits with one set of
-shifted coefficients, and `_dyadic_signs` their signs.
+Every kernel takes an integer polynomial: a sequence of ints, low degree
+first, with a nonzero top coefficient, such as a member's primitive
+integer coefficients `family.reciprocal_poly(k, ell).ints`.  `_sign_at`
+takes its exact sign at a rational point by integer Horner;
+`_dyadic_values` takes the values (times a power of two) at many points
+num / 2^bits with one set of shifted coefficients, and `_dyadic_signs`
+their signs.
 With `interval.horner_sign` they take every sign the library decides,
 and they are all the primary certificate route (sign alternation on a
 grid, in `certify`) needs.  The signed remainder (Sturm) chain is the
@@ -31,9 +31,8 @@ Chebyshev-style recurrence on R's integer coefficients, returns W as a
 tuple of ints, and is verified by exact resubstitution on integers (a
 binomial expansion by shifted adds, compared coefficient by coefficient).
 
-A `Fraction` handed to Poly, or as a RootBox or Interval endpoint, is
-kept as it is, and `int_coeffs` clears denominators on numerators, so
-building and clearing a polynomial does no Rational-ABC coercion.
+A `Fraction` handed to RootBox as an endpoint is kept as it is, so
+building a box does no Rational-ABC coercion.
 """
 
 from __future__ import annotations
@@ -41,74 +40,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import frexp, gcd, inf, lcm, ldexp, sqrt
 from typing import Iterable, Sequence
-
-
-class Poly:
-    """Immutable dense polynomial with Fraction coefficients, low to high.
-
-    It holds the exact coefficients that documents print and caches their
-    primitive integer form (`int_coeffs`), the input every kernel takes.
-    There is no ring algebra: no command adds, multiplies or divides
-    polynomials.
-    """
-
-    __slots__ = ("_coeffs", "_ints")
-
-    def __init__(self, coeffs: Iterable = ()):
-        # a Fraction is kept as it is: Fraction(c) would re-check it
-        # against the numbers.Rational ABC
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self._coeffs = tuple(cs)
-        self._ints = None
-
-    # -- queries ----------------------------------------------------------
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
-
-    def lc(self) -> Fraction:
-        if not self._coeffs:
-            return Fraction(0)
-        return self._coeffs[-1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(self._coeffs)
-
-    def __repr__(self) -> str:
-        if not self._coeffs:
-            return "Poly(0)"
-        parts = []
-        for i, c in enumerate(self._coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append("%s*x" % c)
-            else:
-                parts.append("%s*x^%d" % (c, i))
-        return "Poly(" + " + ".join(parts) + ")"
-
-    # -- integer clearing -------------------------------------------------
-
-    def int_coeffs(self) -> tuple[int, ...]:
-        """Primitive integer coefficient list with the same signs and roots."""
-        if self._ints is None:
-            if not self._coeffs:
-                self._ints = ()
-            else:
-                den = lcm(*(c.denominator for c in self._coeffs))
-                ints = [c.numerator * (den // c.denominator)
-                        for c in self._coeffs]
-                g = gcd(*ints)
-                self._ints = tuple(c // g for c in ints)
-        return self._ints
 
 
 # -- integer-level helpers ----------------------------------------------

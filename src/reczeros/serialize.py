@@ -102,18 +102,17 @@ def envelope(kind: str, instances: list) -> dict:
 def construct_instance(k: int, ell: int) -> dict:
     """Exact coefficients, constant term first; the snapped approximant
     and its difference appear once there are interior weights (k >= 3)."""
+    r = reciprocal_poly(k, ell)
     doc = {
         "k": k,
         "ell": ell,
         "sigma": sigma_of(k, ell),
-        "recip": reciprocal_poly(k, ell).coeffs,
-        "monic_even": monic_even_form(k, ell).coeffs,
+        "recip": [r.scale * c for c in r.ints],
+        "monic_even": monic_even_form(k, ell),
     }
     if k >= 3:
-        pair = circle_approximant(k, ell)
-        doc["approx"] = pair.approx.coeffs
-        doc["delta"] = pair.delta.coeffs
-        doc["delta_weight"] = pair.weight
+        doc["approx"], doc["delta"], doc["delta_weight"] = (
+            circle_approximant(k, ell))
     return wire(doc)
 
 

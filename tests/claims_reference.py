@@ -213,7 +213,7 @@ def check_delta_bound(k_range, ell_range) -> ClaimResult:
 
 def companion_at_one(k: int, ell: int) -> tuple[Fraction, Fraction]:
     """(m(1), m'(1)) for the monic companion m(z) = R(z^2) / lc(R)."""
-    ints = reciprocal_poly(k, ell).int_coeffs()
+    ints = reciprocal_poly(k, ell).ints
     return (Fraction(sum(ints), ints[-1]),
             Fraction(2 * sum(i * c for i, c in enumerate(ints)), ints[-1]))
 

@@ -8,14 +8,15 @@ imports the Sturm or transform code paths.
 import numpy as np
 
 
-def complex_roots(poly):
-    cs = [float(c) for c in poly.coeffs]
+def complex_roots(coeffs):
+    """The roots of a low-to-high coefficient sequence."""
+    cs = [float(c) for c in coeffs]
     return np.roots(list(reversed(cs)))
 
 
-def root_classes(poly, tol=1e-8):
+def root_classes(coeffs, tol=1e-8):
     """Counts of roots on the unit circle, real beyond +-1, and the rest."""
-    roots = complex_roots(poly)
+    roots = complex_roots(coeffs)
     on = pos_out = neg_out = complex_off = 0
     for r in roots:
         if abs(abs(r) - 1) <= tol:
@@ -40,8 +41,8 @@ def root_classes(poly, tol=1e-8):
     }
 
 
-def largest_real_root(poly):
-    roots = complex_roots(poly)
+def largest_real_root(coeffs):
+    roots = complex_roots(coeffs)
     best = None
     for r in roots:
         if abs(r.imag) <= 1e-9:

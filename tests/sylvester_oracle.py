@@ -6,10 +6,6 @@ shares no elimination step with it and no code beyond integer clearing,
 so the tests use it as the reference for `resultant` and `discriminant`.
 """
 
-from fractions import Fraction
-
-from reczeros.polycore import Poly
-
 
 def bareiss_det(rows: list[list[int]]) -> int:
     """Determinant of an integer matrix by fraction-free elimination."""
@@ -48,15 +44,10 @@ def sylvester_resultant(a, b) -> int:
     return bareiss_det(rows)
 
 
-def sylvester_discriminant(p: Poly) -> Fraction:
-    """Disc(p) = (-1)^(d(d-1)/2) Res(p, p') / lc(p) on the Sylvester route,
-    with p' taken on the rational coefficients and each side scaled back
-    from its primitive integer form by Res(c a, e b) = c^deg(b) e^deg(a)
-    Res(a, b)."""
-    d = len(p.coeffs) - 1
-    q = Poly(i * c for i, c in enumerate(p.coeffs) if i)
-    pi, qi = p.int_coeffs(), q.int_coeffs()
-    res = ((p.lc() / pi[-1]) ** (d - 1) * (q.lc() / qi[-1]) ** d
-           * sylvester_resultant(pi, qi))
+def sylvester_discriminant(a) -> int:
+    """Disc(a) = (-1)^(d(d-1)/2) Res(a, a') / lc(a) of an integer
+    coefficient list of degree d >= 1, on the Sylvester route."""
+    d = len(a) - 1
+    res = sylvester_resultant(a, [i * c for i, c in enumerate(a) if i])
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * res / p.lc()
+    return sign * res // a[-1]

@@ -17,7 +17,7 @@ import sympy
 from numeric_oracle import complex_roots
 from sympy_oracle import to_sympy, z
 
-from reczeros.analysis import analyze, discriminant
+from reczeros.analysis import _family_discriminant, analyze, discriminant
 from reczeros.certify import alpha_enclosure, certify_zeros
 from reczeros.claims import (
     check_GH_signs,
@@ -126,13 +126,13 @@ def test_criterion_04_spot_values():
     # alpha + 1/alpha = 9/2 exactly at (2, 1): x^2 - (9/2)x + 1 divides,
     # and the cofactor is the root at -1
     r21 = reciprocal_poly(2, 1)
-    cofactor, remainder = sympy.div(to_sympy(r21),
+    cofactor, remainder = sympy.div(to_sympy(r21.ints),
                                     z**2 - sympy.Rational(9, 2) * z + 1)
     assert remainder.is_zero
     assert sympy.rem(cofactor, z + 1).is_zero and cofactor.degree() == 1
 
-    assert to_sympy(r21).eval(-1) == 0
-    assert to_sympy(reciprocal_poly(2, 2)).eval(1) == 0
+    assert to_sympy(r21.ints).eval(-1) == 0
+    assert to_sympy(reciprocal_poly(2, 2).ints).eval(1) == 0
     print("criterion 4: PASS - (5+sqrt 21)/2 bracketed at 10^-30; "
           "alpha + 1/alpha = 9/2 exact; unit-root spot zeros exact")
 
@@ -201,7 +201,9 @@ def test_criterion_08_alternating_sum_signs():
 
 
 def test_criterion_09_discriminant_measure_window():
-    assert discriminant(reciprocal_poly(1, 1)) == F(21, 518400)
+    ints, scale = reciprocal_poly(1, 1)
+    assert scale**2 * discriminant(ints) == F(21, 518400)
+    assert _family_discriminant(1, 1) == F(21, 518400)
     outside = []
     for k in range(1, 16):
         for ell in range(1, 5):
@@ -226,7 +228,7 @@ def test_criterion_10_float_oracle_agreement():
     for k in range(1, 7):
         for ell in range(1, 4):
             cert = certify_zeros(k, ell)
-            roots = list(complex_roots(reciprocal_poly(k, ell)))
+            roots = list(complex_roots(reciprocal_poly(k, ell).ints))
             assert len(roots) == k + 1
             on = [z for z in roots if abs(abs(z) - 1) < tol]
             off_real = [z for z in roots

@@ -19,11 +19,10 @@ from reczeros.claims import (DEFAULT_PRECISION, check_alpha_interval,
                              stated_alpha_upper)
 from reczeros.family import reciprocal_poly
 from reczeros.interval import Interval
-from reczeros.polycore import Poly
 from reczeros.serialize import analysis_instance
 
 from numeric_oracle import largest_real_root
-from sympy_oracle import from_sympy, to_sympy
+from sympy_oracle import to_sympy
 from sylvester_oracle import sylvester_discriminant, sylvester_resultant
 
 
@@ -78,6 +77,8 @@ def _product(a, b):
 def test_resultant_matches_the_sylvester_oracle(p, q):
     assume(len(p) + len(q) > 2)
     assert resultant(p, q) == sylvester_resultant(p, q)
+    if len(p) > 1:
+        assert discriminant(p) == sylvester_discriminant(p)
 
 
 @given(p=_polys(4), q=_polys(4), common=_polys(4))
@@ -91,28 +92,30 @@ def test_resultant_vanishes_on_a_shared_factor(p, q, common):
 
 
 def test_discriminant_quadratic_is_b2_minus_4ac():
-    assert discriminant(Poly((1, -5, 1))) == 21
-    assert discriminant(Poly((3, 2, 1))) == 2 * 2 - 4 * 3
-    assert discriminant(Poly((1, -2, 1))) == 0  # (x-1)^2
+    assert discriminant((1, -5, 1)) == 21
+    assert discriminant((3, 2, 1)) == 2 * 2 - 4 * 3
+    assert discriminant((1, -2, 1)) == 0  # (x-1)^2
 
 
 def test_discriminant_depressed_cubic():
     # disc(x^3 + px + q) = -4p^3 - 27q^2
-    assert discriminant(Poly((0, -1, 0, 1))) == 4
-    assert discriminant(Poly((1, -2, 0, 1))) == -4 * (-2) ** 3 - 27
+    assert discriminant((0, -1, 0, 1)) == 4
+    assert discriminant((1, -2, 0, 1)) == -4 * (-2) ** 3 - 27
 
 
 def test_discriminant_scaling_and_validation():
-    p = Poly((1, -5, 1))
-    assert discriminant(from_sympy(3 * to_sympy(p))) == 9 * discriminant(p)
-    assert discriminant(Poly((1, 2))) == 1
+    # Disc(c a) = c^(2d-2) Disc(a) for a of degree d
+    assert discriminant((3, -15, 3)) == 9 * discriminant((1, -5, 1)) == 189
+    assert discriminant((1, 2)) == 1
     with pytest.raises(ValueError):
-        discriminant(Poly((5,)))
+        discriminant((5,))
 
 
 def test_family_discriminant_base_case():
-    """Disc of the quadratic member: leading scale squared times 21."""
-    assert discriminant(reciprocal_poly(1, 1)) == F(21, 518400)
+    """Disc of the quadratic member: its scale squared times 21."""
+    ints, scale = reciprocal_poly(1, 1)
+    assert scale**2 * discriminant(ints) == F(21, 518400)
+    assert _family_discriminant(1, 1) == F(21, 518400)
 
 
 def test_family_discriminant_matches_the_full_degree_sylvester_route():
@@ -121,8 +124,9 @@ def test_family_discriminant_matches_the_full_degree_sylvester_route():
     parities of deg W and both cases with a zero at x = +-1."""
     for k in range(1, 16):
         for ell in range(1, 7):
-            assert _family_discriminant(k, ell) == sylvester_discriminant(
-                reciprocal_poly(k, ell)), (k, ell)
+            ints, scale = reciprocal_poly(k, ell)
+            assert _family_discriminant(k, ell) == (
+                scale ** (2 * k) * sylvester_discriminant(ints)), (k, ell)
 
 
 def test_nth_root_enclosure_certified():
@@ -203,7 +207,8 @@ def test_analyze_refines_alpha_once_per_member(monkeypatch):
     records = [analyze(k, ell) for k, ell in members]
     assert widths == [ALPHA_WIDTH] * len(members)
     for (k, ell), rec in zip(members, records):
-        lead = abs(reciprocal_poly(k, ell).lc())
+        ints, scale = reciprocal_poly(k, ell)
+        lead = scale * abs(ints[-1])
         assert rec.mahler == lead * alpha_enclosure(k, ell), (k, ell)
 
 
@@ -285,6 +290,6 @@ def test_analyze_membership_pattern_through_the_cap():
 
 def test_analyze_agrees_with_float_oracle():
     rec = analyze(5, 2)
-    R = reciprocal_poly(5, 2)
-    alpha = float(rec.mahler.lo) / abs(float(R.lc()))
-    assert abs(alpha - largest_real_root(R)) < 1e-8
+    ints, scale = reciprocal_poly(5, 2)
+    alpha = float(rec.mahler.lo / abs(scale * ints[-1]))
+    assert abs(alpha - largest_real_root(ints)) < 1e-8

@@ -28,9 +28,8 @@ from reczeros.claims import (
     run_all,
 )
 from reczeros.exactnum import q
-from reczeros.family import BoundaryProfile, reciprocal_poly
+from reczeros.family import BoundaryProfile, Member, reciprocal_poly
 from reczeros.interval import Interval
-from reczeros.polycore import Poly
 
 from sympy_oracle import to_sympy
 
@@ -192,9 +191,9 @@ def test_sign_pattern_needs_k3():
 def test_unit_values():
     r = check_pm1_zero(8, 3)
     assert r.status == "pass" and r.data["checked"] == 24
-    assert to_sympy(reciprocal_poly(2, 1)).eval(-1) == 0
-    assert to_sympy(reciprocal_poly(2, 2)).eval(1) == 0
-    assert to_sympy(reciprocal_poly(3, 1)).eval(1) != 0
+    assert to_sympy(reciprocal_poly(2, 1).ints).eval(-1) == 0
+    assert to_sympy(reciprocal_poly(2, 2).ints).eval(1) == 0
+    assert to_sympy(reciprocal_poly(3, 1).ints).eval(1) != 0
 
 
 def test_alternating_sums_with_frozen_values():
@@ -215,9 +214,10 @@ def test_alternating_sums_vacuous_without_even_exponent():
 
 
 def test_unit_values_fail_witness_is_the_exact_value(monkeypatch):
-    # r(1) = 7/6 and r(-1) = 1/6: neither vanishes, so (2, 1) fails
+    # r = (2 + 3x + 2x^2) / 6 has r(1) = 7/6 and r(-1) = 1/6: neither
+    # vanishes, so (2, 1) fails
     monkeypatch.setattr(claims, "reciprocal_poly",
-                        lambda k, ell: Poly([F(1, 3), F(1, 2), F(1, 3)]))
+                        lambda k, ell: Member((2, 3, 2), F(1, 6)))
     r = check_pm1_zero(2, 1)
     assert r.status == "fail"
     assert r.witness == {"k": 2, "ell": 1, "at_one": F(7, 6),

@@ -10,9 +10,9 @@ same value.
 """
 
 from fractions import Fraction as F
-from math import comb, factorial, floor, ceil, gcd, isqrt, lcm
+from math import comb, factorial, floor, ceil, gcd, isqrt
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reczeros import claims, exactnum
 from reczeros.certify import _alpha_from_box, _alpha_step
@@ -31,7 +31,6 @@ from reczeros.interval import (
     pow_rounded,
 )
 from reczeros.polycore import (
-    Poly,
     RootBox,
     _dyadic_signs,
     _sign_at,
@@ -43,6 +42,7 @@ from reczeros.polycore import (
 from sympy_oracle import (
     from_bounds,
     from_sympy,
+    int_coeffs_ref,
     resubstitute,
     to_bounds,
     to_fraction,
@@ -233,17 +233,8 @@ def test_quotient_bound_integer_test_matches_fraction_reference():
 # construction and the transform
 # ---------------------------------------------------------------------------
 
-def int_coeffs_ref(coeffs):
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    return tuple(c // g for c in ints)
-
-
-def cauchy_bound_ref(p):
-    return 1 + max(abs(c) for c in p.coeffs[:-1]) / abs(p.lc())
+def cauchy_bound_ref(coeffs):
+    return 1 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
 
 
 def sqrt_enclosure_ref(b, bits):
@@ -297,7 +288,7 @@ def reciprocal_poly_ref(k, ell):
         )
         sign = -1 if ((ell + 1) * j) % 2 else 1
         coeffs.append(sign * base**ell)
-    return Poly(coeffs)
+    return tuple(coeffs)
 
 
 def monic_even_form_ref(k, ell):
@@ -308,7 +299,7 @@ def monic_even_form_ref(k, ell):
     for j in range(1, k + 1):
         s = -1 if ((ell + 1) * (k + j)) % 2 else 1
         coeffs[2 * j] = -scale * s * q(k, j) ** ell
-    return Poly(coeffs)
+    return tuple(coeffs)
 
 
 @settings(max_examples=300)
@@ -320,7 +311,7 @@ def test_dyadic_signs_match_sign_at(data, bits, ints):
         # a factor 2^bits x - r puts an exact zero on the grid, at r
         r = data.draw(st.integers(-8 << bits, 8 << bits))
         product = to_sympy(ints) * to_sympy([-r, 1 << bits])
-        ints = [int(c) for c in from_sympy(product).coeffs]
+        ints = [int(c) for c in from_sympy(product)]
         nums.append(r)
         if ints:
             assert _dyadic_signs(ints, [r], bits) == [0]
@@ -338,14 +329,12 @@ def test_dyadic_signs_match_sign_at(data, bits, ints):
 @settings(max_examples=200)
 @given(coeffs=st.lists(st.fractions(-10**9, 10**9, max_denominator=10**12),
                        min_size=1, max_size=12))
-def test_int_coeffs_match_fraction_clearing(coeffs):
-    p = Poly(coeffs)
-    if not p.coeffs:
-        return
-    assert p.int_coeffs() == int_coeffs_ref(p.coeffs)
-    if len(p.coeffs) >= 2:
-        # the bound is the same on the integer form and the rational one
-        assert cauchy_bound(p.int_coeffs()) == cauchy_bound_ref(p)
+def test_cauchy_bound_is_the_rational_bound(coeffs):
+    # the bound is the same on the integer form and the rational one
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    if len(coeffs) >= 2:
+        assert cauchy_bound(int_coeffs_ref(coeffs)) == cauchy_bound_ref(coeffs)
 
 
 def v_box(data):
@@ -374,7 +363,7 @@ def test_alpha_loop_matches_interval_chain(eps, exp):
     # W(v) = v - (4 + eps): the closer v0 is to 4, the steeper alpha(v0)
     # and the more passes the loop needs
     width = F(1, 10**exp)
-    box = RootBox(Poly([-(4 + eps), 1]).int_coeffs(), F(4), F(4) + eps + 1,
+    box = RootBox(int_coeffs_ref([-(4 + eps), 1]), F(4), F(4) + eps + 1,
                   -1, 1)
     want, _ = alpha_from_box_ref(box, width)
     assert _alpha_from_box(box, width) == want
@@ -388,11 +377,17 @@ def test_alpha_loop_second_pass_matches_interval_chain():
     assert _alpha_from_box(box, width) == want
 
 
-def test_member_construction_matches_fraction_formulas():
-    for k in range(1, 16):
-        for ell in range(1, 7):
-            assert reciprocal_poly(k, ell) == reciprocal_poly_ref(k, ell)
-            assert monic_even_form(k, ell) == monic_even_form_ref(k, ell)
+@settings(max_examples=150)
+@given(k=st.integers(1, 60), ell=st.integers(1, 8))
+@example(k=1, ell=1)
+@example(k=60, ell=8)
+def test_member_construction_matches_fraction_formulas(k, ell):
+    ints, scale = reciprocal_poly(k, ell)
+    ref = reciprocal_poly_ref(k, ell)
+    assert tuple(scale * c for c in ints) == ref
+    assert ints == int_coeffs_ref(ref)
+    assert gcd(*ints) == 1 and scale > 0
+    assert monic_even_form(k, ell) == monic_even_form_ref(k, ell)
 
 
 def test_companion_values_at_one_match_the_zeta_formula():
@@ -416,11 +411,11 @@ def test_transform_resubstitutes_to_the_input(half, mid, odd_degree, sigma):
     # sigma = -1.  The divided factors take all four shapes: none, x + 1
     # (odd N, sigma = 1), x - 1 (odd N, sigma = -1) and both.
     middle = [] if odd_degree else [mid if sigma == 1 else 0]
-    ints = Poly(half + middle + [sigma * c for c in reversed(half)]).int_coeffs()
+    ints = int_coeffs_ref(half + middle + [sigma * c for c in reversed(half)])
     w, parity = reciprocal_transform(ints, sigma)
     assert parity == ("odd" if odd_degree == (sigma == 1) else "even")
     roots = ([1] if sigma == -1 else []) + ([-1] if parity == "odd" else [])
     assert len(w) - 1 == (len(ints) - 1 - len(roots)) // 2
     assert w[-1] > 0
-    got = resubstitute(w, roots).int_coeffs()
+    got = int_coeffs_ref(resubstitute(w, roots))
     assert got in (ints, tuple(-c for c in ints))

@@ -11,9 +11,7 @@ from reczeros.family import (
     reciprocal_poly,
     sigma_of,
 )
-from reczeros.polycore import Poly
-
-from sympy_oracle import from_sympy, to_sympy
+from sympy_oracle import int_coeffs_ref, to_sympy
 
 
 def test_sigma_table():
@@ -27,46 +25,63 @@ def test_sigma_table():
 
 
 def test_validation():
-    for bad in ((0, 1), (1, 0), (-2, 3)):
-        with pytest.raises(ValueError):
-            sigma_of(*bad)
-        with pytest.raises(ValueError):
-            reciprocal_poly(*bad)
+    boundary_profile(2, 1)  # a cached int key must not admit a float one
+    for bad in ((0, 1), (1, 0), (-2, 3), (2.0, 1), (2, 1.0)):
+        for entry in (sigma_of, reciprocal_poly, monic_even_form,
+                      circle_approximant, boundary_profile):
+            with pytest.raises(ValueError):
+                entry(*bad)
+
+
+def test_each_entry_validates_once(monkeypatch):
+    calls = []
+    real = family._validate
+    monkeypatch.setattr(family, "_validate",
+                        lambda k, ell: calls.append((k, ell)) or real(k, ell))
+    # past the caches, so each entry builds what it reads
+    monkeypatch.setattr(family, "reciprocal_poly", reciprocal_poly.__wrapped__)
+    monkeypatch.setattr(family, "monic_even_form", monic_even_form.__wrapped__)
+    for entry in (sigma_of, family.reciprocal_poly, family.monic_even_form,
+                  circle_approximant, boundary_profile.__wrapped__):
+        calls.clear()
+        entry(5, 2)
+        assert calls == [(5, 2)], entry
 
 
 def test_base_poly_small_cases():
-    assert reciprocal_poly(1, 1) == Poly([F(-1, 720), F(1, 144), F(-1, 720)])
-    assert reciprocal_poly(1, 2) == Poly([F(1, 518400), F(-1, 20736), F(1, 518400)])
+    assert reciprocal_poly(1, 1) == ((-1, 5, -1), F(1, 720))
+    assert reciprocal_poly(1, 2) == ((1, -25, 1), F(1, 518400))
 
 
 def test_base_poly_shape():
     for k in range(1, 9):
         for ell in range(1, 4):
-            r = reciprocal_poly(k, ell)
-            assert len(r.coeffs) - 1 == k + 1
-            assert r.coeffs[0] != 0
+            ints, scale = reciprocal_poly(k, ell)
+            assert len(ints) - 1 == k + 1
+            assert ints[0] != 0 and scale > 0
             # self-reciprocal up to the reversal sign, already at this scale
             sig = sigma_of(k, ell)
-            assert r.coeffs[::-1] == tuple(sig * c for c in r.coeffs)
+            assert ints[::-1] == tuple(sig * c for c in ints)
 
 
 def test_companion_small_cases():
-    assert monic_even_form(1, 1) == Poly([1, 0, -5, 0, 1])
-    assert monic_even_form(2, 1) == Poly([1, 0, F(-7, 2), 0, F(-7, 2), 0, 1])
-    assert monic_even_form(2, 2) == Poly([-1, 0, F(49, 4), 0, F(-49, 4), 0, 1])
-    assert monic_even_form(3, 1) == Poly(
-        [1, 0, F(-10, 3), 0, F(-7, 3), 0, F(-10, 3), 0, 1]
+    assert monic_even_form(1, 1) == (1, 0, -5, 0, 1)
+    assert monic_even_form(2, 1) == (1, 0, F(-7, 2), 0, F(-7, 2), 0, 1)
+    assert monic_even_form(2, 2) == (-1, 0, F(49, 4), 0, F(-49, 4), 0, 1)
+    assert monic_even_form(3, 1) == (
+        1, 0, F(-10, 3), 0, F(-7, 3), 0, F(-10, 3), 0, 1
     )
+    # every entry is a Fraction, as the construct documents print it
+    assert all(type(c) is F for c in monic_even_form(3, 1))
 
 
 def test_companion_shape_and_weights():
     for k in range(1, 9):
         for ell in range(1, 4):
-            m = monic_even_form(k, ell)
+            cs = monic_even_form(k, ell)
             sig = sigma_of(k, ell)
-            assert len(m.coeffs) - 1 == 2 * k + 2
-            assert m.lc() == 1
-            cs = m.coeffs
+            assert len(cs) - 1 == 2 * k + 2
+            assert cs[-1] == 1
             assert cs[0] == sig
             assert all(cs[i] == 0 for i in range(1, 2 * k + 2, 2))
             assert cs[::-1] == tuple(sig * c for c in cs)
@@ -98,29 +113,39 @@ def test_construction_check_catches_one_corrupted_coefficient(monkeypatch, k, el
                     build(k, ell)
     # a negated base polynomial has the same monic companion
     want = monic_even_form(k, ell)
-    negated = from_sympy(-to_sympy(r))
+    negated = family.Member(tuple(-c for c in r.ints), r.scale)
     monkeypatch.setattr(family, "reciprocal_poly", lambda *_: negated)
     assert monic_even_form.__wrapped__(k, ell) == want
 
 
 def test_approximant_difference_golden():
     pair = circle_approximant(3, 1)
-    assert pair.delta == Poly([0, 0, 0, 0, F(-1, 3)])
+    assert pair.delta == (0, 0, 0, 0, F(-1, 3))
+    assert all(type(c) is F for c in pair.approx + pair.delta)
     assert pair.weight == F(1, 3)
     total = to_sympy(pair.approx) + to_sympy(pair.delta)
     assert total == to_sympy(monic_even_form(3, 1))
 
     pair = circle_approximant(3, 2)
-    assert pair.delta == Poly([0, 0, 0, 0, F(13, 9)])
+    assert pair.delta == (0, 0, 0, 0, F(13, 9))
     assert pair.weight == F(13, 9)
 
 
 def test_approximant_trivial_below_k3():
     for k, ell in ((1, 1), (2, 3), (1, 4), (2, 1)):
         pair = circle_approximant(k, ell)
-        assert pair.delta.coeffs == ()
-        assert pair.weight == 0
+        assert pair.delta == ()
+        assert pair.weight == 0 and type(pair.weight) is F
         assert pair.approx == monic_even_form(k, ell)
+
+
+def test_approximant_difference_ends_at_its_last_interior_weight():
+    """The difference is trimmed of its zero top coefficients: it stops at
+    the weight of z^(2k-2), as the construct documents print it."""
+    for k in range(3, 12):
+        for ell in range(1, 5):
+            delta = circle_approximant(k, ell).delta
+            assert len(delta) == 2 * k - 1 and delta[-1] != 0, (k, ell)
 
 
 def test_approximant_snaps_interior_weights():
@@ -131,7 +156,7 @@ def test_approximant_snaps_interior_weights():
                 q(k, j) ** ell - 1 for j in range(2, k)
             )
             assert pair.weight > 0
-            got, want = pair.approx.coeffs, monic_even_form(k, ell).coeffs
+            got, want = pair.approx, monic_even_form(k, ell)
             for j in range(2, k):
                 assert abs(got[2 * j]) == 2**ell
             # endpoint weights are kept exact
@@ -171,4 +196,4 @@ def test_boundary_profile_shapes():
                 assert p.w_parity == "even"
             # W is handed over as its own primitive integer form
             w = p.w_square
-            assert type(w) is tuple and w[-1] > 0 and Poly(w).int_coeffs() == w
+            assert type(w) is tuple and w[-1] > 0 and int_coeffs_ref(w) == w

@@ -9,7 +9,6 @@ from hypothesis import assume, given, strategies as st
 from reczeros import polycore
 from reczeros.certify import certify_zeros
 from reczeros.polycore import (
-    Poly,
     _sign_at,
     _verify_resubstitution,
     RootBox,
@@ -20,30 +19,25 @@ from reczeros.polycore import (
     refine_root,
 )
 
-from sympy_oracle import from_roots, from_sympy, resubstitute, to_sympy, z
+from sympy_oracle import (
+    from_roots,
+    from_sympy,
+    int_coeffs_ref,
+    resubstitute,
+    to_sympy,
+    z,
+)
 
 
-def test_construction_trims_and_compares():
-    assert Poly([1, 2, 0, 0]) == Poly([1, 2])
-    assert Poly([]).coeffs == ()
-    assert Poly([0]).coeffs == ()
-    assert Poly([3]).coeffs == (3,)
+def test_poly_is_deleted():
+    """Every kernel takes integer coefficient tuples and a member is its
+    primitive integers, so there is no polynomial class to export."""
+    import reczeros
 
-
-def test_poly_keeps_only_what_the_library_calls():
-    """The kernels take integer coefficient tuples, so nothing calls a
-    degree, a zero test or a derivative on a Poly."""
-    for name in ("degree", "is_zero", "derivative"):
-        assert not hasattr(Poly, name)
-
-
-def test_call_and_int_coeffs():
-    p = Poly([F(1, 2), F(-1, 3), 1])
-    assert to_sympy(p).eval(0) == F(1, 2)
-    assert to_sympy(p).eval(F(1, 3)) == F(1, 2) - F(1, 9) + F(1, 9)
-    assert p.int_coeffs() == (3, -2, 6)
-    assert Poly([F(2, 3), F(4, 3)]).int_coeffs() == (1, 2)
-    assert Poly().int_coeffs() == ()
+    assert not hasattr(polycore, "Poly")
+    assert "Poly" not in reczeros.__all__
+    with pytest.raises(AttributeError):
+        reczeros.Poly
 
 
 def test_sturm_counts_golden():
@@ -57,7 +51,7 @@ def test_sturm_counts_golden():
 
 
 def test_sturm_open_interval_endpoint_roots():
-    chain = SturmChain(from_roots(0, 1, -1).int_coeffs())
+    chain = SturmChain(int_coeffs_ref(from_roots(0, 1, -1)))
     assert chain.count_open(-1, 1) == 1  # only the root at 0
     assert chain.count_open(-1, 0) == 0
     assert chain.count_open(0, inf) == 1
@@ -69,14 +63,14 @@ def test_sturm_open_interval_endpoint_roots():
 
 def test_sturm_rejects_repeated_roots():
     with pytest.raises(ValueError):
-        SturmChain(from_roots(1, 1).int_coeffs())
+        SturmChain(int_coeffs_ref(from_roots(1, 1)))
 
 
 def test_sturm_count_random_products_of_linears():
     rng = random.Random(6021023)
     for _ in range(40):
         roots = sorted(rng.sample(range(-12, 13), rng.randrange(1, 5)))
-        chain = SturmChain(from_roots(*roots).int_coeffs())
+        chain = SturmChain(int_coeffs_ref(from_roots(*roots)))
         a = F(rng.randrange(-15, -13))
         b = F(rng.randrange(14, 16))
         assert chain.count_open(a, b) == len(roots)
@@ -144,7 +138,7 @@ def test_rootbox_validation():
 
 
 def test_refine_closes_on_exact_rational_root():
-    p = from_roots(F(1, 2), 3).int_coeffs()
+    p = int_coeffs_ref(from_roots(F(1, 2), 3))
     box = RootBox(p, F(1, 4), F(3, 4), 1, -1)
     tight = refine_root(box, F(1, 128))
     assert tight.hi - tight.lo <= F(1, 128)
@@ -155,7 +149,7 @@ def test_refine_random_linear_roots():
     rng = random.Random(777002)
     for _ in range(25):
         r = F(rng.randrange(-50, 50), rng.randrange(1, 20))
-        ints = from_roots(r, r + 7).int_coeffs()
+        ints = int_coeffs_ref(from_roots(r, r + 7))
         lo, hi = r - F(1, 3), r + F(1, 3)
         box = RootBox(ints, lo, hi, _sign_at(ints, lo), _sign_at(ints, hi))
         tight = refine_root(box, F(1, 10**9))
@@ -199,7 +193,7 @@ def test_refine_matches_fraction_bisection_on_certify_grid():
     ((-5, 1), 4, 6, -1, 5),                            # the first midpoint
     ((-5, 1), 4, 8, -1, 5),                            # the second
     ((5, -1), F(14, 3), 6, 1, 5),                      # the second, D0 = 3
-    (from_roots(F(1, 3), -2).int_coeffs(), 0, F(2, 3), -1, F(1, 3)),
+    (int_coeffs_ref(from_roots(F(1, 3), -2)), 0, F(2, 3), -1, F(1, 3)),
 ])
 def test_refine_midpoint_root_matches_fraction_bisection(p, lo, hi, sign_lo, root):
     box = RootBox(p, lo, hi, sign_lo, -sign_lo)
@@ -236,8 +230,8 @@ def _planted_boxes(draw):
     for m in draw(st.lists(st.integers(1, 10**6) | st.integers(2**1100, 2**3000),
                            max_size=3)):
         factor *= z**2 + m
-    p = from_sympy(draw(st.sampled_from((1, -1, 3, -10**20))) * factor)
-    ints = p.int_coeffs()
+    ints = int_coeffs_ref(
+        from_sympy(draw(st.sampled_from((1, -1, 3, -10**20))) * factor))
     return RootBox(ints, lo, hi, _sign_at(ints, lo), _sign_at(ints, hi))
 
 
@@ -268,7 +262,7 @@ def test_refine_rejects_a_float_estimate_off_the_root():
     its trusted bits give around the larger one, so that cell's end signs
     reject it."""
     root = F(5, 3) + F(1, 2**40)
-    ints = from_roots(F(5, 3), root, 7).int_coeffs()
+    ints = int_coeffs_ref(from_roots(F(5, 3), root, 7))
     lo = F(5, 3) + F(1, 2**41)
     box = RootBox(ints, lo, F(3), _sign_at(ints, lo), _sign_at(ints, F(3)))
     x, bits = polycore._float_root(ints, box.hi)
@@ -321,7 +315,7 @@ def test_transform_agrees_with_direct_substitution():
             cs[i], cs[n - i] = c, sigma * c
         if n % 2 == 0 and sigma == -1:
             cs[n // 2] = 0
-        ints = Poly(cs).int_coeffs()
+        ints = int_coeffs_ref(cs)
         w, parity = reciprocal_transform(ints, sigma)
         h = len(w) - 1
         # spot-check R(x) = c x^h W(x + 2 + 1/x) (x - 1)^[sigma < 0]
@@ -356,25 +350,24 @@ def test_transform_matches_fraction_reference(half, mid, sigma):
     assume(half[-1] != 0)
     if sigma == -1:
         mid = 0
-    m = Poly([sigma * c for c in reversed(half)] + [mid] + half)
-    ints = m.int_coeffs()
+    ints = int_coeffs_ref([sigma * c for c in reversed(half)] + [mid] + half)
     w, parity = reciprocal_transform(ints, sigma)
     # sigma = -1 divides out x - 1, and then x + 1 from the odd degree left
     assert parity == ("odd" if sigma == -1 else "even")
-    got = resubstitute(w, (1, -1) if sigma == -1 else ()).int_coeffs()
+    got = int_coeffs_ref(resubstitute(w, (1, -1) if sigma == -1 else ()))
     assert got in (ints, tuple(-c for c in ints))
     # W is handed over as its own primitive integer form
-    assert type(w) is tuple and w == Poly(w).int_coeffs()
+    assert type(w) is tuple and w == int_coeffs_ref(w)
     assert w[-1] > 0
 
 
 @pytest.mark.parametrize("m", [
-    Poly([2, -7, -7, 2]),
-    Poly([-4, 49, -49, 4]),
-    Poly([F(3, 7), F(-5, 11), F(2, 9), F(-5, 11), F(3, 7)]),
+    (2, -7, -7, 2),
+    (-4, 49, -49, 4),
+    (F(3, 7), F(-5, 11), F(2, 9), F(-5, 11), F(3, 7)),
 ])
 def test_resubstitution_check_rejects_a_corrupted_transform(m):
-    ints = m.int_coeffs()
+    ints = int_coeffs_ref(m)
     sigma = 1 if ints == ints[::-1] else -1
     w, parity = reciprocal_transform(ints, sigma)
     roots = ([1] if sigma == -1 else []) + ([-1] if parity == "odd" else [])
