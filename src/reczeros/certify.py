@@ -55,13 +55,16 @@ n to try come from a totient sieve built on first use.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import cos, inf, isqrt, pi
 from typing import Sequence
 
+from .exactnum import d, zeta_even_enclosure
 from .family import boundary_profile, reciprocal_poly
-from .interval import Interval
+from .interval import Interval, pow_rounded
 from .polycore import (
     RootBox,
     SturmChain,
@@ -215,7 +218,7 @@ def certify_zeros(k: int, ell: int) -> ZeroCertificate:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def zero_certificate(k: int, ell: int) -> ZeroCertificate:
     """The (k, ell) certificate, computed once per process by certify_zeros."""
     return certify_zeros(k, ell)
@@ -395,3 +398,120 @@ def _orders(deg: int) -> tuple[int, ...]:
     limit = 2 * deg * deg
     phi = _totients(limit)
     return tuple(n for n in range(1, limit + 1) if phi[n] <= deg)
+
+
+# -- what claims shares, so that only verify runs it: the one ladder, the
+# stated window (analyze walks it too), the grid bounds and the pool map --
+
+DEFAULT_PRECISION = 128
+
+#: Ceiling of every precision ladder in bits; the ladders double their
+#: precision up to it, and each step costs more than the last.
+PRECISION_CAP = 4096
+
+#: Finest width a width ladder refines an enclosure to before it gives up.
+WIDTH_FLOOR = Fraction(1, 2**2048)
+
+
+def ladder(first, factor, limit):
+    """The escalation rungs first, first*factor, first*factor^2, ...
+
+    The first rung is yielded unconditionally; each later one only while it
+    stays within `limit` (at most it for factor > 1, at least it for
+    factor < 1).  Precisions climb with factor 2 up to PRECISION_CAP,
+    widths shrink toward WIDTH_FLOOR; a caller that exhausts the ladder
+    without a decision reports that through the loop's `else`.
+
+    >>> list(ladder(192, 2, 1024)), list(ladder(5000, 2, 4096))
+    ([192, 384, 768], [5000])
+    """
+    rung = first
+    while True:
+        yield rung
+        rung = rung * factor
+        if (rung > limit) if factor > 1 else (rung < limit):
+            return
+
+
+def corrected_alpha_upper(k: int, ell: int) -> Fraction:
+    """The index-optimized upper endpoint that the inequality chain supports.
+
+    The derivation of the window reduces, index by index, to
+    (4+t)/4 > (2 zeta(2))^((l-1)/j) (1 + 3 d_l 4^(j-k-1) / j) for j = 1..k,
+    and the stated endpoint keeps only the j = 1 term.  For l = 1 the first
+    factor is identically 1 and the requirement is largest at j = k, giving
+    the exact rational endpoint 4 (1 + 3 d_1 / (4k)) = 4 + 3/k.
+    """
+    if ell != 1:
+        raise ValueError("only the l = 1 endpoint needs correcting")
+    return 4 + Fraction(3 * d(1), k)
+
+
+#: Precision of the stated endpoint's zeta(2) power where the window checks
+#: start; check_alpha_interval doubles it when alpha straddles the endpoint.
+WINDOW_PRECISION = 192
+
+
+def stated_alpha_upper(k: int, ell: int, precision: int) -> Interval:
+    """The stated upper window endpoint 2^(l+1) zeta(2)^(l-1) (1 + 3 d_l 4^-k).
+
+    Exact for l = 1 (the point interval 4 (1 + 3 d_1 4^-k)); otherwise the
+    zeta(2) enclosure at `precision` bits, raised to l - 1 with outward
+    rounding at precision + 16 bits, times the exact rational factor.
+    """
+    factor = 1 + 3 * d(ell) * Fraction(1, 4**k)
+    if ell == 1:
+        return Interval(4 * factor)
+    return (pow_rounded(zeta_even_enclosure(1, precision), ell - 1,
+                        precision + 16) * (2 ** (ell + 1) * factor))
+
+
+def window_walk(k: int, ell: int):
+    """(alpha enclosure, stated upper endpoint, precision) per ladder rung.
+
+    The one walk that reads alpha against the window: alpha_enclosure
+    narrows from ALPHA_WIDTH by 2^-64 per rung toward WIDTH_FLOOR, and the
+    stated endpoint is taken at WINDOW_PRECISION, doubling in step for
+    l > 1 up to PRECISION_CAP; that ladder runs out first.  For l = 1 the
+    endpoint is exact and the widths alone set the length.  The consumer
+    stops at the first rung that decides what it reads.
+
+    >>> [pr for _, _, pr in window_walk(3, 3)]
+    [192, 384, 768, 1536, 3072]
+    >>> len(list(window_walk(3, 1)))
+    31
+    """
+    precisions = (repeat(WINDOW_PRECISION) if ell == 1
+                  else ladder(WINDOW_PRECISION, 2, PRECISION_CAP))
+    for width, pr in zip(ladder(ALPHA_WIDTH, Fraction(1, 2**64), WIDTH_FLOOR),
+                         precisions):
+        yield (alpha_enclosure(k, ell, width=width),
+               stated_alpha_upper(k, ell, pr), pr)
+
+
+#: Most values one --k or --ell flag may name, counted before
+#: deduplication, and most (k, ell) instances one grid may hold;
+#: claims.run_all refuses a larger claim grid.
+MAX_RANGE_VALUES = 10_000
+
+#: Suite names for partial claims.run_all runs: exact/enclosure inequality
+#: chains ("lemmas"), structural facts about the polynomials themselves
+#: ("props"), the real-pair window checks ("intervals"), or everything.
+SUITES = ("lemmas", "props", "intervals", "all")
+
+
+def map_calls(calls, jobs: int | None) -> list:
+    """[fn(*args) for fn, args in calls], in order, on a pool when jobs > 1.
+
+    The pool gets min(jobs, len(calls), os.cpu_count()) workers; with one
+    worker or fewer the calls run in this process.  Results do not depend
+    on the worker count.
+    """
+    workers = min(jobs or 1, len(calls), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(*args) for fn, args in calls]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, *args) for fn, args in calls]
+        return [fut.result() for fut in futures]

@@ -9,12 +9,12 @@ the G/H sums) run it on integers, numerators over one denominator per
 a witness or a printed margin.  Facts involving zeta values or pi go
 through certified enclosures that are tightened until a sign is decided,
 and may additionally come back "inconclusive" when the ladder runs out
-first.  There is one ladder, `ladder`: precisions double up to the
-constant PRECISION_CAP, which no setting changes, and widths shrink
+first.  There is one ladder, `certify.ladder`: precisions double up to
+the constant PRECISION_CAP, which no setting changes, and widths shrink
 toward WIDTH_FLOOR.  The stated upper window endpoint is built only by
-stated_alpha_upper, and alpha is read against it only along window_walk,
-whose first rung takes it at WINDOW_PRECISION; the window checks and
-analysis.analyze share that walk.  Values of a polynomial at
+certify.stated_alpha_upper, and alpha is read against it only along
+certify.window_walk, whose first rung takes it at WINDOW_PRECISION; the
+window checks and analysis.analyze share that walk.  Values of a polynomial at
 +-1 are coefficient sums on its integer coefficients, so the exact checks
 follow the integer rule of the kernels; a fail witness still carries the
 exact Fraction value.
@@ -34,15 +34,14 @@ Findings always carry enough witness data to reproduce the verdict.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
-from itertools import repeat
 from math import gcd, lcm
 
-from .certify import ALPHA_WIDTH, alpha_enclosure, zero_certificate
+from .certify import (DEFAULT_PRECISION, MAX_RANGE_VALUES, PRECISION_CAP,
+                      SUITES, WINDOW_PRECISION, corrected_alpha_upper, ladder,
+                      map_calls, window_walk, zero_certificate)
 from .exactnum import (
     c_of,
-    d,
     epsilon,
     q,
     zeta_even_enclosure,
@@ -65,61 +64,10 @@ FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 FINDING = "finding"
 
-DEFAULT_PRECISION = 128
-
 #: Exact constants of the majorant chain: the per-index tail weights never
 #: exceed 306/1000, and their sum over 2 <= j <= k-1 stays below 2762/10000.
 EPS_SINGLE_CAP = Fraction(306, 1000)
 EPS_TOTAL_CAP = Fraction(2762, 10000)
-
-#: Ceiling of every precision ladder in bits; the ladders double their
-#: precision up to it, and each step costs more than the last.
-PRECISION_CAP = 4096
-
-#: Most values one --k or --ell flag may name, counted before
-#: deduplication, and most (k, ell) instances one grid may hold; run_all
-#: refuses a larger claim grid.
-MAX_RANGE_VALUES = 10_000
-
-#: Finest width a width ladder refines an enclosure to before it gives up.
-WIDTH_FLOOR = Fraction(1, 2**2048)
-
-
-def ladder(first, factor, limit):
-    """The escalation rungs first, first*factor, first*factor^2, ...
-
-    The first rung is yielded unconditionally; each later one only while it
-    stays within `limit` (at most it for factor > 1, at least it for
-    factor < 1).  Precisions climb with factor 2 up to PRECISION_CAP,
-    widths shrink toward WIDTH_FLOOR; a caller that exhausts the ladder
-    without a decision reports that through the loop's `else`.
-
-    >>> list(ladder(192, 2, 1024)), list(ladder(5000, 2, 4096))
-    ([192, 384, 768], [5000])
-    """
-    rung = first
-    while True:
-        yield rung
-        rung = rung * factor
-        if (rung > limit) if factor > 1 else (rung < limit):
-            return
-
-
-def map_calls(calls, jobs: int | None) -> list:
-    """[fn(*args) for fn, args in calls], in order, on a pool when jobs > 1.
-
-    The pool gets min(jobs, len(calls), os.cpu_count()) workers; with one
-    worker or fewer the calls run in this process.  Results do not depend
-    on the worker count.
-    """
-    workers = min(jobs or 1, len(calls), os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(*args) for fn, args in calls]
-    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *args) for fn, args in calls]
-        return [fut.result() for fut in futures]
 
 
 def _exp2(x) -> int:
@@ -727,62 +675,6 @@ def check_GH_signs(k_max: int, ell_max: int) -> ClaimResult:
 # the real-pair window for odd exponents
 # ---------------------------------------------------------------------------
 
-def corrected_alpha_upper(k: int, ell: int) -> Fraction:
-    """The index-optimized upper endpoint that the inequality chain supports.
-
-    The derivation of the window reduces, index by index, to
-    (4+t)/4 > (2 zeta(2))^((l-1)/j) (1 + 3 d_l 4^(j-k-1) / j) for j = 1..k,
-    and the stated endpoint keeps only the j = 1 term.  For l = 1 the first
-    factor is identically 1 and the requirement is largest at j = k, giving
-    the exact rational endpoint 4 (1 + 3 d_1 / (4k)) = 4 + 3/k.
-    """
-    if ell != 1:
-        raise ValueError("only the l = 1 endpoint needs correcting")
-    return 4 + Fraction(3 * d(1), k)
-
-
-#: Precision of the stated endpoint's zeta(2) power where the window checks
-#: start; check_alpha_interval doubles it when alpha straddles the endpoint.
-WINDOW_PRECISION = 192
-
-
-def stated_alpha_upper(k: int, ell: int, precision: int) -> Interval:
-    """The stated upper window endpoint 2^(l+1) zeta(2)^(l-1) (1 + 3 d_l 4^-k).
-
-    Exact for l = 1 (the point interval 4 (1 + 3 d_1 4^-k)); otherwise the
-    zeta(2) enclosure at `precision` bits, raised to l - 1 with outward
-    rounding at precision + 16 bits, times the exact rational factor.
-    """
-    factor = 1 + 3 * d(ell) * Fraction(1, 4**k)
-    if ell == 1:
-        return Interval(4 * factor)
-    return (pow_rounded(zeta_even_enclosure(1, precision), ell - 1,
-                        precision + 16) * (2 ** (ell + 1) * factor))
-
-
-def window_walk(k: int, ell: int):
-    """(alpha enclosure, stated upper endpoint, precision) per ladder rung.
-
-    The one walk that reads alpha against the window: alpha_enclosure
-    narrows from ALPHA_WIDTH by 2^-64 per rung toward WIDTH_FLOOR, and the
-    stated endpoint is taken at WINDOW_PRECISION, doubling in step for
-    l > 1 up to PRECISION_CAP; that ladder runs out first.  For l = 1 the
-    endpoint is exact and the widths alone set the length.  The consumer
-    stops at the first rung that decides what it reads.
-
-    >>> [pr for _, _, pr in window_walk(3, 3)]
-    [192, 384, 768, 1536, 3072]
-    >>> len(list(window_walk(3, 1)))
-    31
-    """
-    precisions = (repeat(WINDOW_PRECISION) if ell == 1
-                  else ladder(WINDOW_PRECISION, 2, PRECISION_CAP))
-    for width, pr in zip(ladder(ALPHA_WIDTH, Fraction(1, 2**64), WIDTH_FLOOR),
-                         precisions):
-        yield (alpha_enclosure(k, ell, width=width),
-               stated_alpha_upper(k, ell, pr), pr)
-
-
 def check_alpha_interval(k_range, ell_odd_range) -> ClaimResult:
     """alpha against the window ((2 q_1)^l, 2^(l+1) zeta(2)^(l-1)(1+3 d_l 4^-k)).
 
@@ -930,12 +822,6 @@ def check_zero_location_grid(k_max: int, ell_max: int) -> ClaimResult:
                         "unimodular_zeros": unimodular},
                        "%d instances, %d unimodular zeros" %
                        (instances, unimodular))
-
-
-#: Suite names for partial runs: exact/enclosure inequality chains
-#: ("lemmas"), structural facts about the polynomials themselves
-#: ("props"), the real-pair window checks ("intervals"), or everything.
-SUITES = ("lemmas", "props", "intervals", "all")
 
 
 def run_all(k_max: int, ell_max: int, precision: int = DEFAULT_PRECISION,

@@ -12,6 +12,7 @@ reads, so any other flag is a usage error rather than silently ignored.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import re
 import sys
 import time
@@ -19,9 +20,20 @@ from fractions import Fraction
 from math import ceil, log10
 
 from . import serialize
-from .certify import ALPHA_WIDTH
-from .claims import (DEFAULT_PRECISION, EMPTY_RANGE, MAX_RANGE_VALUES,
-                     PRECISION_CAP, SUITES, map_calls, run_all)
+from .certify import (ALPHA_WIDTH, DEFAULT_PRECISION, MAX_RANGE_VALUES,
+                      PRECISION_CAP, SUITES, map_calls)
+
+
+#: The claim suite, bound by LazyLoader: its body runs on the first
+#: attribute access, which only verify makes.  An entry already in
+#: sys.modules is kept, as pickle sends workers that module's functions.
+claims = sys.modules.get(__package__ + ".claims")
+if claims is None:
+    _spec = importlib.util.find_spec(__package__ + ".claims")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    claims = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(claims)
+    sys.modules[__package__].claims = claims
 
 
 def parse_values(text: str) -> list[int]:
@@ -102,30 +114,27 @@ def _note(message: str) -> None:
     print("note: " + message, file=sys.stderr)
 
 
-def _grid(args: argparse.Namespace) -> list[tuple[int, int]]:
+def _grid_map(args: argparse.Namespace, build, *extra) -> list:
+    """build(k, ell, *extra) over the --k x --ell grid, in grid order."""
     if not args.k or not args.ell:
         raise ValueError("empty parameter grid")
     if args.k[0] < 1 or args.ell[0] < 1:
         raise ValueError("k and ell must be at least 1")
     if len(args.k) * len(args.ell) > MAX_RANGE_VALUES:
         raise ValueError("more than %d (k, ell) instances" % MAX_RANGE_VALUES)
-    return [(k, ell) for k in args.k for ell in args.ell]
+    return map_calls([(build, (k, ell) + extra)
+                      for k in args.k for ell in args.ell], args.jobs)
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    grid = _grid(args)
-    instances = map_calls([(serialize.construct_instance, pair)
-                           for pair in grid], args.jobs)
+    instances = _grid_map(args, serialize.construct_instance)
     _emit(args, serialize.envelope("construct", instances))
     return 0
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    grid = _grid(args)
     start = time.monotonic()
-    instances = map_calls(
-        [(serialize.certificate_instance, (k, ell, args.width))
-         for k, ell in grid], args.jobs)
+    instances = _grid_map(args, serialize.certificate_instance, args.width)
     elapsed = time.monotonic() - start
     _emit(args, serialize.envelope("certify", instances))
     print("certified %d instance(s) in %.2fs" % (len(instances), elapsed),
@@ -142,13 +151,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not 64 <= args.prec <= MAX_PRECISION:
         raise ValueError("precision must be between 64 and %d bits"
                          % MAX_PRECISION)
-    report = run_all(args.k_max, args.ell_max, precision=args.prec,
-                     jobs=args.jobs, suite=args.suite)
+    report = claims.run_all(args.k_max, args.ell_max, precision=args.prec,
+                            jobs=args.jobs, suite=args.suite)
     _emit(args, serialize.verify_document(report, args.suite))
     counts = report.counts()
-    vacuous = [r.claim_id for r in report.results if r.detail == EMPTY_RANGE]
+    empty = claims.EMPTY_RANGE
+    vacuous = [r.claim_id for r in report.results if r.detail == empty]
     if vacuous:
-        _note("%s; vacuous: %s" % (EMPTY_RANGE, ", ".join(vacuous)))
+        _note("%s; vacuous: %s" % (empty, ", ".join(vacuous)))
     if counts["finding"]:
         _note("%d finding(s); see the report detail lines"
               % counts["finding"])
@@ -159,9 +169,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    instances = map_calls(
-        [(serialize.analysis_instance, pair) for pair in _grid(args)],
-        args.jobs)
+    instances = _grid_map(args, serialize.analysis_instance)
     _emit(args, serialize.envelope("analyze", instances))
     failed = [i for i in instances if not i["mahler_inequality_ok"]]
     outside = [i for i in instances if not i["alpha_in_interval"]]
@@ -173,9 +181,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    grid = _grid(args)
-    instances = map_calls([(serialize.scan_instance, pair) for pair in grid],
-                          args.jobs)
+    instances = _grid_map(args, serialize.scan_instance)
     _emit(args, serialize.envelope("scan", instances))
     return 0
 

@@ -208,6 +208,14 @@ def test_alpha_enclosure_rejects_bad_width():
         alpha_enclosure(1, 1, F(0))
 
 
+def test_validation():
+    zero_certificate(2, 1)  # a cached int key must not admit a float one
+    for bad in ((0, 1), (1, 0), (2.0, 1), (2, 1.0)):
+        for entry in (certify_zeros, zero_certificate, alpha_enclosure):
+            with pytest.raises(ValueError):
+                entry(*bad)
+
+
 def test_alpha_against_float_oracle():
     from numeric_oracle import largest_real_root
 

@@ -5,12 +5,16 @@ from fractions import Fraction as F
 import pytest
 
 from fresh_process import fresh_python
-from reczeros import claims, serialize
-from reczeros.certify import alpha_enclosure
-from reczeros.claims import (
-    EMPTY_RANGE,
+from reczeros import certify, claims, serialize
+from reczeros.certify import (
     PRECISION_CAP,
     WIDTH_FLOOR,
+    alpha_enclosure,
+    corrected_alpha_upper,
+    ladder,
+)
+from reczeros.claims import (
+    EMPTY_RANGE,
     check_GH_signs,
     check_alpha_interval,
     check_alpha_k2_report,
@@ -23,8 +27,6 @@ from reczeros.claims import (
     check_zero_location_grid,
     check_zeta_bounds,
     check_zeta_sum_identity,
-    corrected_alpha_upper,
-    ladder,
     run_all,
 )
 from reczeros.exactnum import q
@@ -288,7 +290,7 @@ def test_alpha_interval_ladder_stops_at_the_precision_cap(monkeypatch):
     # alpha pinned across the stated l = 3 endpoint (about 55.09) keeps the
     # window undecided; the zeta(2) power may then climb only to the cap,
     # and no environment variable lifts it
-    real_zeta = claims.zeta_even_enclosure
+    real_zeta = certify.zeta_even_enclosure
     asked = []
 
     def capped_zeta(m, precision):
@@ -297,8 +299,8 @@ def test_alpha_interval_ladder_stops_at_the_precision_cap(monkeypatch):
             raise AssertionError("asked for %d bits" % precision)
         return real_zeta(m, 192)  # no real work at an escalated precision
 
-    monkeypatch.setattr(claims, "zeta_even_enclosure", capped_zeta)
-    monkeypatch.setattr(claims, "alpha_enclosure",
+    monkeypatch.setattr(certify, "zeta_even_enclosure", capped_zeta)
+    monkeypatch.setattr(certify, "alpha_enclosure",
                         lambda k, ell, width:
                         Interval(50, 60))
     monkeypatch.setenv("REC_ZEROS_PREC_CAP", "8192")
@@ -319,7 +321,7 @@ def test_alpha_interval_l1_walks_the_whole_width_ladder(monkeypatch):
             return Interval(4, 5)  # straddles the stated endpoint 4.1875
         return alpha_enclosure(k, ell, width=width)
 
-    monkeypatch.setattr(claims, "alpha_enclosure", slow_alpha)
+    monkeypatch.setattr(certify, "alpha_enclosure", slow_alpha)
     r = check_alpha_interval((3, 3), (1, 1))
     assert r.status == "pass" and r.data["checked"] == 1
     assert widths == [F(1, 10**20) / 2 ** (64 * i) for i in range(7)]

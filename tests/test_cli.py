@@ -481,8 +481,9 @@ def test_forced_sturm_fallback_gives_the_same_certify_document(
 
 
 def test_cli_import_leaves_analysis_and_the_pool_unloaded():
-    """The eight layer modules load (the benchmark tracer looks each one up
-    in sys.modules), and dataclasses with its inspect import does not."""
+    """The eight layer modules are in sys.modules (the benchmark tracer
+    looks each one up there; claims is bound there unexecuted), and
+    dataclasses with its inspect import does not load."""
     out = fresh_python("-c", (
         "import sys, json, reczeros.cli, reczeros\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('reczeros.'))\n"
@@ -497,6 +498,57 @@ def test_cli_import_leaves_analysis_and_the_pool_unloaded():
     assert not pool_loaded
     assert heavy == []
     assert unresolved == []
+
+
+def test_only_verify_executes_claims():
+    """An audit hook sees each module body run, from cached bytecode or
+    not: construct, certify, scan and analyze run no code of claims.py,
+    verify does, and reczeros.claims is in sys.modules from the start and
+    an attribute of the package.  The lazy module object is not inspected
+    before verify, as that would run it."""
+    out = fresh_python("-c", (
+        "import json, os, sys\n"
+        "ran = []\n"
+        "sys.addaudithook(lambda event, args: event == 'exec' and "
+        "ran.append(getattr(args[0], 'co_filename', None)))\n"
+        "import reczeros.cli\n"
+        "bound = 'reczeros.claims' in sys.modules\n"
+        "claims_py = os.path.join(os.path.dirname(reczeros.cli.__file__), "
+        "'claims.py')\n"
+        "seen = {}\n"
+        "for argv in (['construct', '--k', '1..3', '--ell', '1..2'],\n"
+        "             ['certify', '--k', '1..4', '--ell', '1..2'],\n"
+        "             ['scan', '--k', '1..4', '--ell', '1..2'],\n"
+        "             ['analyze', '--k', '1..3', '--ell', '1..2'],\n"
+        "             ['verify', '--k-max', '3', '--ell-max', '1']):\n"
+        "    code = reczeros.cli.main(argv + ['--out', os.devnull])\n"
+        "    seen[argv[0]] = [code, claims_py in ran]\n"
+        "import reczeros.claims\n"
+        "bound = bound and reczeros.claims is sys.modules['reczeros.claims']\n"
+        "print(json.dumps([bound, seen]))"))
+    bound, seen = json.loads(out)
+    assert bound
+    assert seen == {"construct": [0, False], "certify": [0, False],
+                    "scan": [0, False], "analyze": [0, False],
+                    "verify": [0, True]}
+
+
+def test_cli_reuses_a_claims_module_already_loaded():
+    """Importing claims before the command line keeps the one module
+    object, so its functions still pickle to worker processes."""
+    out = fresh_python("-c", (
+        "import json, sys\n"
+        "import reczeros.claims\n"
+        "first = sys.modules['reczeros.claims']\n"
+        "import reczeros.cli\n"
+        "from reczeros import serialize\n"
+        "kept = sys.modules['reczeros.claims'] is first\n"
+        "kept = kept and reczeros.cli.claims is first\n"
+        "docs = [serialize.render(serialize.verify_document(\n"
+        "    first.run_all(4, 2, jobs=jobs), 'all'), 'json')\n"
+        "    for jobs in (1, 2)]\n"
+        "print(json.dumps([kept, docs[0] == docs[1]]))"))
+    assert json.loads(out) == [True, True]
 
 
 def test_library_imports_load_no_test_extra():
