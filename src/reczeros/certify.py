@@ -45,12 +45,11 @@ one certificate per member in a process.
 
 Zeros at roots of unity are detected separately, by cyclotomic factors.
 Each Phi_n is monic with integer coefficients, so when it divides the
-member R over the rationals the quotient has integer coefficients, and
-the integer Phi_n(t) divides R(t) for every integer t.  R(2^64) is
-computed once by shifts and each Phi_n(2^64) once per process; a nonzero
-residue rules the order n out, and an order that passes is decided by
-exact division on the member's integer-cleared coefficients.  The orders
-n to try come from a totient sieve built on first use.
+member R the integer Phi_n(t) divides R(t) at every integer t, and, as a
+conjugate of each root of unity z is one of -z, z^2 and -z^2, also one of
+R(-t), R(t^2) and R(-t^2).  At one t = 2^b beyond R's Cauchy bound, three
+integer gcds of these values bound phi(n) for every order that can occur;
+exact division on the member's integer coefficients decides those few.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import cos, inf, isqrt, pi
+from math import cos, gcd, inf, isqrt, pi
 from typing import Sequence
 
 from .exactnum import d, zeta_even_enclosure
@@ -69,6 +68,7 @@ from .polycore import (
     RootBox,
     SturmChain,
     _dyadic_signs,
+    _dyadic_values,
     _sign_at,
     cauchy_bound,
     refine_root,
@@ -298,12 +298,7 @@ def _alpha_step(lo: Fraction, hi: Fraction,
 
 # -- zeros at roots of unity ---------------------------------------------
 
-#: The unity scan tests each order on integers at t = 2^RESIDUE_BITS first.
-RESIDUE_BITS = 64
-
 _cyclo_cache: dict[int, tuple[int, ...]] = {1: (-1, 1)}
-_cyclo_value_cache: dict[int, int] = {}
-_phi_table: list[int] = []
 
 
 def _divmod_monic(f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -338,30 +333,23 @@ def _cyclotomic_ints(n: int) -> tuple[int, ...]:
     return got
 
 
-def _cyclotomic_value(n: int) -> int:
-    """Phi_n(2^RESIDUE_BITS), by exact division of 2^(RESIDUE_BITS n) - 1."""
-    got = _cyclo_value_cache.get(n)
-    if got is None:
-        got = (1 << RESIDUE_BITS * n) - 1
-        for d in range(1, n // 2 + 1):
-            if n % d == 0:
-                got //= _cyclotomic_value(d)
-        _cyclo_value_cache[n] = got
-    return got
+def _phi(n: int) -> int:
+    """Euler's totient of n >= 1, by trial division.
 
-
-def _totients(limit: int) -> list[int]:
-    """Euler's phi for 0..limit (at least), from a sieve grown on demand."""
-    global _phi_table
-    if len(_phi_table) <= limit:
-        size = max(limit + 1, 2 * len(_phi_table))
-        phi = list(range(size))
-        for p in range(2, size):
-            if phi[p] == p:
-                for m in range(p, size, p):
-                    phi[m] -= phi[m] // p
-        _phi_table = phi
-    return _phi_table
+    >>> [_phi(n) for n in (1, 2, 12, 97, 360)]
+    [1, 1, 4, 96, 96]
+    """
+    out = m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            out -= out // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out -= out // m
+    return out
 
 
 def roots_of_unity_zeros(k: int, ell: int) -> list[int]:
@@ -371,33 +359,31 @@ def roots_of_unity_zeros(k: int, ell: int) -> list[int]:
 
 
 def _unity_orders(ints: Sequence[int]) -> list[int]:
-    """Orders n for which Phi_n divides the integer polynomial.
+    """Orders n for which Phi_n divides the integer polynomial f.
 
-    Scans all n with phi(n) <= deg (`_orders`).  Phi_n is monic
-    with integer coefficients, so when it divides the polynomial f over
-    the rationals, the quotient has integer coefficients, and Phi_n(t)
-    divides f(t) for every integer t.  Each order is tested at
-    t = 2^RESIDUE_BITS first: a nonzero f(t) mod Phi_n(t) rules it out,
-    and an order that passes is decided by the exact integer division.
+    For a root of unity z, one of -z, z^2 and -z^2 is a conjugate of z
+    (Beukers & Smyth, "Cyclotomic points on curves", 2002, Lemma 1), so a
+    Phi_n that divides f also divides one of g = f(-x), f(x^2), f(-x^2).
+    Phi_n is monic, so the integer Phi_n(t) divides gcd(f(t), g(t)) at
+    every integer t.  At t = 2^b beyond the Cauchy bound f(t) is not 0,
+    and Phi_n(t) >= (t - 1)^phi(n) >= 2^((b - 1) phi(n)), so the largest of
+    the three gcds bounds phi(n) by D.  As phi(n) >= sqrt(n / 2), only the
+    n <= 2 D^2 with phi(n) <= D can occur; exact division decides each.
 
     >>> _unity_orders([1, 0, 0, 1])  # x^3 + 1 = Phi_2 Phi_6
     [2, 6]
     """
-    value = 0
-    for c in reversed(ints):
-        value = (value << RESIDUE_BITS) + c
-    return [n for n in _orders(len(ints) - 1)
-            if not value % _cyclotomic_value(n)
-            and not _divmod_monic(ints, _cyclotomic_ints(n))[1]]
-
-
-@lru_cache(maxsize=None)
-def _orders(deg: int) -> tuple[int, ...]:
-    """The n with phi(n) <= deg, in order; phi(n) >= sqrt(n/2) bounds them
-    by 2 deg^2."""
-    limit = 2 * deg * deg
-    phi = _totients(limit)
-    return tuple(n for n in range(1, limit + 1) if phi[n] <= deg)
+    # b - 2 bits hold max|c_i| / |c_n|, so t > 1 + max|c_i / c_n|.  The
+    # 24-bit floor keeps common factors of the values that are no values
+    # of Phi_n from raising D: at 8 bits D reached 3 on members with no
+    # order past 2, and 64 bits only makes the gcds slower.
+    b = max(24, (max(map(abs, ints)) // abs(ints[-1])).bit_length() + 2)
+    t = 1 << b
+    at_t, *others = _dyadic_values(ints, (t, -t, t * t, -t * t), 0)
+    common = max(gcd(at_t, v) for v in others)
+    top = min(len(ints) - 1, (common.bit_length() - 1) // (b - 1))
+    return [n for n in range(1, 2 * top * top + 1)
+            if _phi(n) <= top and not _divmod_monic(ints, _cyclotomic_ints(n))[1]]
 
 
 # -- what claims shares, so that only verify runs it: the one ladder, the

@@ -34,7 +34,8 @@ in every grid, shares one series evaluation.
 
 Every enclosure here is a pure function of its arguments: `pi_enclosure(p)`
 is the cell of the 2^-(p + 8) grid that holds pi, whatever ran earlier in
-the process, so the memos change no result.
+the process (it shifts the finest floor of pi found so far), so the memos
+change no result.
 """
 
 from __future__ import annotations
@@ -186,7 +187,9 @@ def dyadic_mantissa(x: Fraction, bits: int) -> int:
 
 # -- pi ------------------------------------------------------------------
 
-_pi_cache: dict[int, Interval] = {}
+#: (B, floor(pi 2^B)) for the finest grid computed so far; every coarser
+#: floor is a shift of it.
+_pi_floor = (0, 3)
 
 
 def _arctan_recip_enclosure(x: int, precision: int) -> Interval:
@@ -218,33 +221,34 @@ def pi_enclosure(precision: int) -> Interval:
     """The cell [f, f + 1] / 2^b of the 2^-b grid that holds pi, where
     b = precision + 8 and f = floor(pi * 2^b); its width is 2^-b.
 
-    A pure function of `precision` (raised to 4 if smaller), memoized per
-    precision.  Enclosures at different precisions are nested, because a
-    finer dyadic grid refines a coarser one.  f is read off Machin's
-    pi = 16 arctan(1/5) - 4 arctan(1/239), enclosed at b + 3 bits and then
-    with more guard bits until both ends of that enclosure give the same
-    floor; pi is irrational, so this ends.
+    A pure function of `precision` (raised to 4 if smaller).  Enclosures
+    at different precisions are nested, because a finer dyadic grid
+    refines a coarser one: f is floor(pi 2^B) >> (B - b) for any B >= b.
+    The module keeps the finest floor found; a finer request reads
+    Machin's pi = 16 arctan(1/5) - 4 arctan(1/239) at B = 2b, enclosed at
+    B + 3 bits and then with more guard bits until both ends of that
+    enclosure give the same floor; pi is irrational, so this ends.
 
     >>> pi_enclosure(8)
     Interval(205887/65536, 3217/1024)
     """
-    precision = max(precision, 4)
-    cached = _pi_cache.get(precision)
-    if cached is not None:
-        return cached
-    b = precision + 8
-    guard = b + 3
-    while True:
-        a = _arctan_recip_enclosure(5, guard)
-        c = _arctan_recip_enclosure(239, guard)
-        lo, hi = 16 * a.lo - 4 * c.hi, 16 * a.hi - 4 * c.lo
-        f = floor_scaled(lo.numerator, lo.denominator, b)
-        if f == floor_scaled(hi.numerator, hi.denominator, b):
-            break
-        guard += 8
-    enc = Interval(Fraction(f, 1 << b), Fraction(f + 1, 1 << b))
-    _pi_cache[precision] = enc
-    return enc
+    global _pi_floor
+    b = max(precision, 4) + 8
+    top, f = _pi_floor
+    if top < b:
+        top = 2 * b
+        guard = top + 3
+        while True:
+            a = _arctan_recip_enclosure(5, guard)
+            c = _arctan_recip_enclosure(239, guard)
+            lo, hi = 16 * a.lo - 4 * c.hi, 16 * a.hi - 4 * c.lo
+            f = floor_scaled(lo.numerator, lo.denominator, top)
+            if f == floor_scaled(hi.numerator, hi.denominator, top):
+                break
+            guard += 8
+        _pi_floor = top, f
+    f >>= top - b
+    return Interval(Fraction(f, 1 << b), Fraction(f + 1, 1 << b))
 
 
 # -- cos -----------------------------------------------------------------

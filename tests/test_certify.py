@@ -1,16 +1,16 @@
+import cmath
+import tracemalloc
 from fractions import Fraction as F
 from math import inf
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from reczeros import certify
 from reczeros.certify import (
-    RESIDUE_BITS,
     _cyclotomic_ints,
-    _cyclotomic_value,
-    _totients,
+    _phi,
     _unity_orders,
     alpha_enclosure,
     alternation_box,
@@ -19,7 +19,7 @@ from reczeros.certify import (
     roots_of_unity_zeros,
     zero_certificate,
 )
-from reczeros.family import reciprocal_poly, sigma_of
+from reczeros.family import boundary_profile, reciprocal_poly, sigma_of
 from reczeros.polycore import SturmChain
 
 from numeric_oracle import root_classes
@@ -30,6 +30,7 @@ from sympy_oracle import (
     from_sympy,
     int_coeffs_ref,
     to_bounds,
+    to_fraction,
     to_sympy,
     z,
 )
@@ -115,6 +116,29 @@ def test_alternation_and_sturm_certificates_agree(monkeypatch):
         slow = certify_zeros(k, ell)
         assert cert.route == "alternation" and slow.route == "sturm"
         assert _fields(cert) == _fields(slow), (k, ell)
+
+
+@pytest.mark.parametrize("k", [44, 64, 100])
+def test_sympy_root_isolation_agrees_past_the_sturm_range(k):
+    """A second exact route at the pinned k beyond the Sturm cross-check:
+    sympy's continued-fraction isolation of W shares no code with polycore."""
+    for ell in range(1, 7):
+        w = boundary_profile(k, ell).w_square
+        poly = sympy.Poly(w[::-1], z, domain="ZZ")
+        roots = poly.intervals()
+        assert [m for _, m in roots] == [1] * (len(w) - 1)  # real and simple
+        inside = [iv for iv, _ in roots if 0 <= iv[0] and iv[1] <= 4]
+        beyond = [iv for iv, _ in roots if iv[0] >= 4]
+        assert (len(inside), len(beyond)) == (len(w) - 2, 1), (k, ell)
+        cert = zero_certificate(k, ell)
+        assert cert.conforms and cert.positive_pair_count == 1
+        assert cert.unimodular_count == (2 * len(inside) + cert.root_at_one
+                                         + cert.root_at_minus_one)
+        # v_box holds sympy's root: narrow its interval until it fits
+        (a, b), = beyond
+        while not (cert.v_box.lo <= to_fraction(a)
+                   and to_fraction(b) <= cert.v_box.hi):
+            a, b = poly.refine_root(a, b, eps=(b - a) / 4)
 
 
 def test_one_certificate_per_member(monkeypatch):
@@ -250,34 +274,22 @@ def test_cyclotomic_product_recovers_power():
         assert sympy.prod(factors) == to_sympy([-1] + [0] * (n - 1) + [1]), n
 
 
-def _phi_by_trial_division(n: int) -> int:
-    out = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
-    return out
+def _totient(n: int) -> int:
+    return int(sympy.totient(n))
 
 
 def test_euler_phi():
-    assert [_totients(n)[n] for n in range(1, 13)] == [
+    assert [_phi(n) for n in range(1, 13)] == [
         1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
-    assert _totients(97)[97] == 96
-    assert _totients(360)[360] == 96
-    assert [_totients(n)[n] for n in range(1, 3001)] == [
-        _phi_by_trial_division(n) for n in range(1, 3001)]
+    assert _phi(97) == 96
+    assert _phi(360) == 96
+    assert [_phi(n) for n in range(1, 3001)] == [
+        _totient(n) for n in range(1, 3001)]
 
 
 def test_cyclotomic_ints_match_sympy_for_the_k40_scan():
-    deg = 41  # the orders roots_of_unity_zeros(40, ell) divides by
-    orders = [n for n in range(1, 2 * deg * deg + 1)
-              if _phi_by_trial_division(n) <= deg]
+    deg = 41  # every order with phi(n) <= deg of the (40, ell) members
+    orders = [n for n in range(1, 2 * deg * deg + 1) if _totient(n) <= deg]
     assert len(orders) == 81
     for n in orders:
         assert _cyclotomic_ints(n) == _sympy_cyclotomic(n), n
@@ -287,33 +299,91 @@ def _times(f, g):
     return [int(c) for c in from_sympy(to_sympy(f) * to_sympy(g))]
 
 
-_ORDERS_UP_TO_12 = [n for n in range(1, 2 * 12 * 12 + 1)
-                    if _phi_by_trial_division(n) <= 12]
-_int_polys = st.lists(st.integers(-50, 50), min_size=1, max_size=6).filter(
-    lambda f: f[-1] != 0)
+#: (n, phi(n)) for every n with phi(n) <= 48, the most any polynomial the
+#: oracle below is given can reach.
+_ORDERS_UP_TO_48 = [(n, phi) for n, phi in
+                    ((n, _totient(n)) for n in range(1, 2 * 48 * 48 + 1))
+                    if phi <= 48]
+
+
+def _unity_orders_ref(f):
+    """The n with Phi_n | f, from sympy's exact remainder on each order with
+    phi(n) <= deg f whose e^(2 pi i / n) is a float zero of f.
+
+    The float screen only drops orders: |f(e^(2 pi i / n))| is computed
+    with an error below (deg + 2) 2^-52 sum |c_i|, far under its margin.
+    """
+    deg = len(f) - 1
+    assert deg <= 48
+    margin = 1e-6 * sum(map(abs, f))
+    orders = []
+    for n, phi in _ORDERS_UP_TO_48:
+        if phi > deg:
+            continue
+        root = cmath.exp(2j * cmath.pi / n)
+        if (abs(sum(c * root**i for i, c in enumerate(f))) <= margin
+                and to_sympy(f).rem(to_sympy(_sympy_cyclotomic(n))).is_zero):
+            orders.append(n)
+    return orders
+
+
+_ORDERS_UP_TO_6 = [n for n, phi in _ORDERS_UP_TO_48 if phi <= 6]
+_ORDERS_UP_TO_12 = [n for n, phi in _ORDERS_UP_TO_48 if phi <= 12]
+#: Coefficients of either size, so that max|c_i| / |c_n| passes 2^24 and
+#: the evaluation point 2^b passes the scan's 24-bit floor.
+_int_polys = st.lists(st.one_of(st.integers(-50, 50),
+                                st.integers(-2**40, 2**40)),
+                      min_size=1, max_size=6).filter(lambda f: f[-1] != 0)
 
 
 @given(f=_int_polys, n=st.sampled_from(_ORDERS_UP_TO_12))
-def test_residue_filter_keeps_every_cyclotomic_divisor(f, n):
+@example(f=[2**40, 1], n=13)
+def test_degree_bound_keeps_every_cyclotomic_divisor(f, n):
     assert n in _unity_orders(_times(f, _cyclotomic_ints(n)))
 
 
-@given(f=_int_polys, factors=st.lists(st.sampled_from(_ORDERS_UP_TO_12[:20]),
-                                      max_size=2))
-def test_unity_orders_match_exact_division(f, factors):
+@given(f=_int_polys,
+       factors=st.lists(st.sampled_from(_ORDERS_UP_TO_6), max_size=3),
+       shift=st.booleans(), even=st.booleans())
+@example(f=[2**40, -3], factors=[3, 4], shift=False, even=False)
+@example(f=[1], factors=[1, 2, 6], shift=True, even=True)
+@example(f=[-7, 2**33, 5], factors=[5, 5, 9], shift=True, even=False)
+def test_unity_orders_match_exact_division(f, factors, shift, even):
     for n in factors:
         f = _times(f, _cyclotomic_ints(n))
-    deg = len(f) - 1
-    want = [n for n in range(1, 2 * deg * deg + 1)
-            if _phi_by_trial_division(n) <= deg
-            and to_sympy(f).rem(to_sympy(_sympy_cyclotomic(n))).is_zero]
-    assert _unity_orders(f) == want
+    if shift:  # a zero constant term
+        f = [0] + f
+    if even:  # f(x^2)
+        f, odd = [0] * (2 * len(f) - 1), f
+        f[::2] = odd
+    assert _unity_orders(f) == _unity_orders_ref(f)
 
 
-def test_cyclotomic_values_are_the_polynomials_at_the_residue_point():
+def test_a_root_of_unity_has_a_conjugate_among_minus_it_and_its_square():
+    """Beukers & Smyth's Lemma 1, which bounds the orders _unity_orders
+    tries: Phi_n divides Phi_n(-x), Phi_n(x^2) or Phi_n(-x^2).  Phi_n is
+    sympy's; the exact division is the integer one the scan decides by."""
     for n in range(1, 301):
-        assert _cyclotomic_value(n) == sum(
-            c << (RESIDUE_BITS * i) for i, c in enumerate(_cyclotomic_ints(n))), n
+        phi_n = [int(c) for c in reversed(
+            sympy.cyclotomic_poly(n, z, polys=True).all_coeffs())]
+        minus = [(-1) ** i * c for i, c in enumerate(phi_n)]
+        square = [0] * (2 * len(phi_n) - 1)
+        minus_square = square[:]
+        square[::2], minus_square[::2] = phi_n, minus
+        assert any(not certify._divmod_monic(g, phi_n)[1]
+                   for g in (minus, square, minus_square)), n
+
+
+def test_unity_scan_memory_at_k600():
+    ints = reciprocal_poly(600, 1).ints
+    tracemalloc.start()
+    try:
+        orders = _unity_orders(ints)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert orders == [2, 3]
+    assert peak < 4 << 20
 
 
 def test_unity_orders_golden():
@@ -327,8 +397,7 @@ def test_unity_orders_match_fraction_division_oracle():
     for k in range(1, 21):
         deg = k + 1
         cyclotomic = {n: sympy.cyclotomic_poly(n, z, polys=True)
-                      for n in range(1, 2 * deg * deg + 1)
-                      if _phi_by_trial_division(n) <= deg}
+                      for n, phi in _ORDERS_UP_TO_48 if phi <= deg}
         for ell in range(1, 7):
             r = to_sympy(reciprocal_poly(k, ell).ints)
             want = [n for n, phi_n in cyclotomic.items()

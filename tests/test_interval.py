@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from reczeros import interval
 from reczeros.interval import (
     Interval,
     _horner_mantissas,
@@ -125,6 +126,16 @@ def test_pi_enclosure_is_the_dyadic_cell_of_pi(p1, p2):
     assert pi_enclosure(p1) == Interval(F(f, 1 << b), F(f + 1, 1 << b))
     lo, hi = sorted((p1, p2))
     assert encloses(pi_enclosure(lo), pi_enclosure(hi))
+
+
+def test_pi_enclosure_shifts_the_finest_floor(monkeypatch):
+    fine = pi_enclosure(1000)
+    monkeypatch.setattr(interval, "_arctan_recip_enclosure",
+                        lambda x, precision: pytest.fail("series rerun"))
+    for p in (4, 48, 129, 1000):
+        b = p + 8
+        f = floor_scaled(fine.lo.numerator, fine.lo.denominator, b)
+        assert pi_enclosure(p) == Interval(F(f, 1 << b), F(f + 1, 1 << b))
 
 
 def test_cos_point_values():
