@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 from .certify import DEFAULT_PRECISION, window_walk, zero_certificate
 from .family import boundary_profile, reciprocal_poly
 from .interval import Interval
-from .polycore import _prem
+from .polycore import _dyadic_values, _prem
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +114,7 @@ def _family_discriminant(k: int, ell: int) -> Fraction:
     d = len(w) - 1
     r = reciprocal_poly(k, ell)
     c = r.scale * r.ints[-1] / w[-1]
-    w0, w4 = w[0], 0
-    for a in reversed(w):
-        w4 = 4 * w4 + a
+    w0, w4 = w[0], _dyadic_values(w, (4,), 0)[0]
     disc = c ** (4 * d - 2) * discriminant(w) ** 2 * w0 * w4
     if profile.sigma == -1:
         disc *= (c * w4) ** 2

@@ -59,14 +59,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import cos, gcd, inf, isqrt, pi
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactnum import d, zeta_even_enclosure
 from .family import boundary_profile, reciprocal_poly
-from .interval import Interval, pow_rounded
+from .interval import Interval, ceil_scaled, floor_scaled, pow_rounded
 from .polycore import (
     RootBox,
     SturmChain,
+    _divmod_monic,
     _dyadic_signs,
     _dyadic_values,
     _sign_at,
@@ -75,38 +76,36 @@ from .polycore import (
 )
 
 
-#: The fields of a certificate that its document records, in document order.
-DOCUMENT_FIELDS = ("k", "ell", "sigma", "degree", "simple", "unimodular_count",
-                   "positive_pair_count", "negative_pair_count",
-                   "complex_offcircle_count", "root_at_one",
-                   "root_at_minus_one", "conforms")
-
-
-class ZeroCertificate:
+class ZeroCertificate(NamedTuple):
     """Exact accounting of the zeros of one family member.
 
     Counts are in the base variable x (degree k + 1).  `v_box` isolates
     the W-root in (4, oo) when there is exactly one; it seeds
     `alpha_enclosure`.  When `simple` is False the counts are None.
     `route` names the argument that closed: "alternation" or "sturm".
+    The fields before those two are the certificate's document.
     """
 
-    __slots__ = DOCUMENT_FIELDS + ("v_box", "route")
-
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            setattr(self, name, kw[name])
+    k: int
+    ell: int
+    sigma: int
+    degree: int
+    simple: bool
+    unimodular_count: int | None
+    positive_pair_count: int | None
+    negative_pair_count: int | None
+    complex_offcircle_count: int | None
+    root_at_one: bool | None
+    root_at_minus_one: bool | None
+    conforms: bool
+    v_box: RootBox | None
+    route: str
 
     def as_dict(self) -> dict:
-        """The DOCUMENT_FIELDS, in order, as library values."""
-        return {name: getattr(self, name) for name in DOCUMENT_FIELDS}
-
-    def __repr__(self) -> str:
-        return "ZeroCertificate(k=%d, ell=%d, conforms=%s)" % (
-            self.k,
-            self.ell,
-            self.conforms,
-        )
+        """The document fields, in order, as library values."""
+        doc = self._asdict()
+        del doc["v_box"], doc["route"]
+        return doc
 
 
 #: Fractional bits of the dyadic rationals the cosine grid is rounded to.
@@ -279,16 +278,17 @@ def _alpha_step(lo: Fraction, hi: Fraction,
     """(numerator, denominator) of each end of (u + sqrt(u^2 - 4)) / 2 over
     u = [lo - 2, hi - 2], for 4 <= lo < hi.
 
-    At an end p / D of the v-box, u^2 - 4 is p (p - 4D) / D^2; its square
-    root s is rounded outward to a multiple of 2^-bits by isqrt, and the
+    At an end p / D of the v-box, u^2 - 4 is p (p - 4D) / D^2; it is
+    rounded outward to a multiple of 2^(-2 bits) by floor_scaled and
+    ceil_scaled, its square root s to a multiple of 2^-bits by isqrt, and the
     end of alpha is ((p - 2D) 2^bits + D s) / (D 2^(bits + 1)).  These are
     the values the Interval reference in tests/test_enclosure_reference.py
     gives, without its Fraction reductions.
     """
     a, da = lo.numerator, lo.denominator
     b, db = hi.numerator, hi.denominator
-    s_lo = isqrt((a * (a - 4 * da) << 2 * bits) // (da * da))
-    arg = -((-b * (b - 4 * db) << 2 * bits) // (db * db))
+    s_lo = isqrt(floor_scaled(a * (a - 4 * da), da * da, 2 * bits))
+    arg = ceil_scaled(b * (b - 4 * db), db * db, 2 * bits)
     s_hi = isqrt(arg)
     if s_hi * s_hi < arg:
         s_hi += 1
@@ -299,23 +299,6 @@ def _alpha_step(lo: Fraction, hi: Fraction,
 # -- zeros at roots of unity ---------------------------------------------
 
 _cyclo_cache: dict[int, tuple[int, ...]] = {1: (-1, 1)}
-
-
-def _divmod_monic(f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of integer f by monic integer g, over the integers."""
-    rem = list(f)
-    dg = len(g) - 1
-    quo = [0] * (len(rem) - dg)
-    for i in range(len(quo) - 1, -1, -1):
-        c = rem[i + dg]
-        if c:
-            quo[i] = c
-            for j in range(dg):
-                rem[i + j] -= c * g[j]
-    del rem[dg:]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quo, rem
 
 
 def _cyclotomic_ints(n: int) -> tuple[int, ...]:

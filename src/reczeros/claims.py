@@ -18,10 +18,11 @@ window checks and analysis.analyze share that walk.  Values of a polynomial at
 +-1 are coefficient sums on its integer coefficients, so the exact checks
 follow the integer rule of the kernels; a fail witness still carries the
 exact Fraction value.
-Results (ClaimResult, VerificationReport) are plain __slots__ records,
-which keeps `dataclasses` and its imports out of every command;
-serialize owns their wire form.  run_all refuses a grid of more than
-MAX_RANGE_VALUES instances, the bound the command line reads too.
+Results (ClaimResult, VerificationReport) are NamedTuples, the one record
+idiom of the package, which keeps `dataclasses` and its imports out of
+every command; serialize owns their wire form.  run_all refuses a grid
+of more than MAX_RANGE_VALUES instances, the bound the command line
+reads too.
 
 A "finding" is a result that contradicts or sharpens the expected
 statement without invalidating the surrounding certificates: the single
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .certify import (DEFAULT_PRECISION, MAX_RANGE_VALUES, PRECISION_CAP,
                       SUITES, WINDOW_PRECISION, corrected_alpha_upper, ladder,
@@ -78,7 +80,7 @@ def _exp2(x) -> int:
     return x.numerator.bit_length() - x.denominator.bit_length()
 
 
-class ClaimResult:
+class ClaimResult(NamedTuple):
     """One claim's verdict over the parameters it covered.
 
     `witness` holds the data that decided a fail, finding or inconclusive
@@ -86,37 +88,25 @@ class ClaimResult:
     of prose.
     """
 
-    __slots__ = ("claim_id", "params", "status", "witness", "data", "detail")
-
-    def __init__(self, claim_id: str, params: dict, status: str,
-                 witness: dict | None = None, data: dict | None = None,
-                 detail: str = ""):
-        self.claim_id = claim_id
-        self.params = params
-        self.status = status
-        self.witness = witness
-        self.data = {} if data is None else data
-        self.detail = detail
+    claim_id: str
+    params: dict
+    status: str
+    witness: dict | None
+    data: dict
+    detail: str
 
     @property
     def ok(self) -> bool:
         return self.status in (PASS, FINDING)
 
-    def __repr__(self) -> str:
-        return "ClaimResult(%r, status=%r)" % (self.claim_id, self.status)
 
-
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """The results of one run_all, in plan order, with the grid they cover."""
 
-    __slots__ = ("k_max", "ell_max", "precision", "results")
-
-    def __init__(self, k_max: int, ell_max: int, precision: int,
-                 results: tuple):
-        self.k_max = k_max
-        self.ell_max = ell_max
-        self.precision = precision
-        self.results = results
+    k_max: int
+    ell_max: int
+    precision: int
+    results: tuple
 
     @property
     def ok(self) -> bool:

@@ -21,7 +21,7 @@ from math import ceil, log10
 
 from . import serialize
 from .certify import (ALPHA_WIDTH, DEFAULT_PRECISION, MAX_RANGE_VALUES,
-                      PRECISION_CAP, SUITES, map_calls)
+                      SUITES, map_calls)
 
 
 #: The claim suite, bound by LazyLoader: its body runs on the first
@@ -162,9 +162,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if counts["finding"]:
         _note("%d finding(s); see the report detail lines"
               % counts["finding"])
-    if counts["inconclusive"]:
-        _note("%d inconclusive claim(s): undecided at the %d-bit precision "
-              "cap" % (counts["inconclusive"], PRECISION_CAP))
+    undecided = ["%s (%s)" % (r.claim_id, r.detail) for r in report.results
+                 if r.status == claims.INCONCLUSIVE]
+    if undecided:
+        _note("%d inconclusive claim(s): %s"
+              % (len(undecided), "; ".join(undecided)))
     return 1 if counts["fail"] else 0
 
 

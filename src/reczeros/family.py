@@ -40,9 +40,10 @@ from .polycore import _trim, reciprocal_transform
 
 
 def _validate(k: int, ell: int) -> None:
-    if not isinstance(k, int) or k < 1:
+    # bool is an int subclass, and True would be cached as a second key
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError("k must be an integer >= 1")
-    if not isinstance(ell, int) or ell < 1:
+    if not isinstance(ell, int) or isinstance(ell, bool) or ell < 1:
         raise ValueError("ell must be an integer >= 1")
 
 

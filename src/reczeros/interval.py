@@ -18,7 +18,8 @@ by a shift.  Each returns exactly the interval that the same steps on
 `Fraction` endpoints, each rounded outward, would give, and runs no gcd
 until the result is built; `horner_sign`, which returns a sign, builds
 no `Fraction` at all.  (The one square root, in `certify`'s alpha step,
-is rounded by `isqrt` there.)
+takes its radicand through the same two kernels and is rounded by
+`isqrt` there.)
 
 Also provides certified enclosures of pi (Machin's formula with
 alternating-series tail bounds, summed as exact integer ratios) and of cos

@@ -26,9 +26,11 @@ root, so it is the cell bisection reaches at that level.
 
 Also here: the x + 1/x transform, which writes a self-reciprocal integer
 polynomial R, after dividing out its zeros at x = 1 and x = -1 that the
-reversal sign and the degree force, as x^h W(x + 2 + 1/x).  It runs one
-Chebyshev-style recurrence on R's integer coefficients, returns W as a
-tuple of ints, and is verified by exact resubstitution on integers (a
+reversal sign and the degree force, as x^h W(x + 2 + 1/x).  It divides
+them out by `_divmod_monic`, the one exact division by a monic integer
+polynomial (`certify` divides by cyclotomic polynomials with it), runs
+one Chebyshev-style recurrence on R's integer coefficients, returns W as
+a tuple of ints, and is verified by exact resubstitution on integers (a
 binomial expansion by shifted adds, compared coefficient by coefficient).
 
 A `Fraction` handed to RootBox as an endpoint is kept as it is, so
@@ -78,6 +80,22 @@ def _prem(f: Sequence[int], g: Sequence[int]) -> list[int]:
                 r[shift + i] -= lead * g[i]
     _trim(r)
     return r
+
+
+def _divmod_monic(f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer f by monic integer g, over the integers."""
+    rem = list(f)
+    dg = len(g) - 1
+    quo = [0] * (len(rem) - dg)
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + dg]
+        if c:
+            quo[i] = c
+            for j in range(dg):
+                rem[i + j] -= c * g[j]
+    del rem[dg:]
+    _trim(rem)
+    return quo, rem
 
 
 def _sign_at(ints: Sequence[int], x) -> int:
@@ -402,16 +420,11 @@ def reciprocal_transform(ints: Sequence[int],
     roots = [1] if sigma == -1 else []
     if (len(ints) - len(roots)) % 2 == 0:
         roots.append(-1)  # the degree left is odd
-    q = list(ints)
+    q = ints
     for root in roots:
-        # synthetic division by x - root, from the top
-        acc, quotient = 0, []
-        for c in reversed(q):
-            acc = c + root * acc
-            quotient.append(acc)
-        if quotient.pop():
+        q, rem = _divmod_monic(q, (-root, 1))
+        if rem:
             raise AssertionError("transform division leaves a remainder")
-        q = quotient[::-1]
     h = len(q) // 2
     acc = [q[h]] + [0] * h
     prev, cur = [2], [-2, 1]

@@ -5,7 +5,7 @@ from math import inf
 
 import pytest
 import sympy
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reczeros import certify
 from reczeros.certify import (
@@ -20,7 +20,7 @@ from reczeros.certify import (
     zero_certificate,
 )
 from reczeros.family import boundary_profile, reciprocal_poly, sigma_of
-from reczeros.polycore import SturmChain
+from reczeros.polycore import SturmChain, _divmod_monic
 
 from numeric_oracle import root_classes
 from sympy_oracle import (
@@ -102,7 +102,7 @@ def test_certificates_match_float_oracle():
 
 def _fields(cert):
     box = cert.v_box
-    return ({name: getattr(cert, name) for name in cert.__slots__
+    return ({name: getattr(cert, name) for name in cert._fields
              if name not in ("v_box", "route")},
             None if box is None else
             (box.ints, box.lo, box.hi, box.sign_lo, box.sign_hi))
@@ -118,27 +118,40 @@ def test_alternation_and_sturm_certificates_agree(monkeypatch):
         assert _fields(cert) == _fields(slow), (k, ell)
 
 
+def _agrees_with_sympy_root_isolation(k, ell):
+    """sympy's continued-fraction isolation of W, which shares no code with
+    polycore, gives the certificate's counts, and v_box holds its root
+    beyond 4 by exact comparison."""
+    w = boundary_profile(k, ell).w_square
+    poly = sympy.Poly(w[::-1], z, domain="ZZ")
+    roots = poly.intervals()
+    assert [m for _, m in roots] == [1] * (len(w) - 1)  # real and simple
+    inside = [iv for iv, _ in roots if 0 <= iv[0] and iv[1] <= 4]
+    beyond = [iv for iv, _ in roots if iv[0] >= 4]
+    assert (len(inside), len(beyond)) == (len(w) - 2, 1), (k, ell)
+    cert = zero_certificate(k, ell)
+    assert cert.conforms and cert.positive_pair_count == 1
+    assert cert.unimodular_count == (2 * len(inside) + cert.root_at_one
+                                     + cert.root_at_minus_one)
+    # v_box holds sympy's root: narrow its interval until it fits
+    (a, b), = beyond
+    while not (cert.v_box.lo <= to_fraction(a)
+               and to_fraction(b) <= cert.v_box.hi):
+        a, b = poly.refine_root(a, b, eps=(b - a) / 4)
+
+
 @pytest.mark.parametrize("k", [44, 64, 100])
 def test_sympy_root_isolation_agrees_past_the_sturm_range(k):
-    """A second exact route at the pinned k beyond the Sturm cross-check:
-    sympy's continued-fraction isolation of W shares no code with polycore."""
+    """A second exact route at the pinned k beyond the Sturm cross-check."""
     for ell in range(1, 7):
-        w = boundary_profile(k, ell).w_square
-        poly = sympy.Poly(w[::-1], z, domain="ZZ")
-        roots = poly.intervals()
-        assert [m for _, m in roots] == [1] * (len(w) - 1)  # real and simple
-        inside = [iv for iv, _ in roots if 0 <= iv[0] and iv[1] <= 4]
-        beyond = [iv for iv, _ in roots if iv[0] >= 4]
-        assert (len(inside), len(beyond)) == (len(w) - 2, 1), (k, ell)
-        cert = zero_certificate(k, ell)
-        assert cert.conforms and cert.positive_pair_count == 1
-        assert cert.unimodular_count == (2 * len(inside) + cert.root_at_one
-                                         + cert.root_at_minus_one)
-        # v_box holds sympy's root: narrow its interval until it fits
-        (a, b), = beyond
-        while not (cert.v_box.lo <= to_fraction(a)
-                   and to_fraction(b) <= cert.v_box.hi):
-            a, b = poly.refine_root(a, b, eps=(b - a) / 4)
+        _agrees_with_sympy_root_isolation(k, ell)
+
+
+@settings(max_examples=5, deadline=None)
+@given(k=st.integers(29, 150), ell=st.integers(1, 6))
+def test_sympy_root_isolation_agrees_on_drawn_members(k, ell):
+    """The same second route on members drawn past the Sturm range."""
+    _agrees_with_sympy_root_isolation(k, ell)
 
 
 def test_one_certificate_per_member(monkeypatch):
@@ -234,7 +247,7 @@ def test_alpha_enclosure_rejects_bad_width():
 
 def test_validation():
     zero_certificate(2, 1)  # a cached int key must not admit a float one
-    for bad in ((0, 1), (1, 0), (2.0, 1), (2, 1.0)):
+    for bad in ((0, 1), (1, 0), (2.0, 1), (2, 1.0), (True, 1)):
         for entry in (certify_zeros, zero_certificate, alpha_enclosure):
             with pytest.raises(ValueError):
                 entry(*bad)
@@ -370,7 +383,7 @@ def test_a_root_of_unity_has_a_conjugate_among_minus_it_and_its_square():
         square = [0] * (2 * len(phi_n) - 1)
         minus_square = square[:]
         square[::2], minus_square[::2] = phi_n, minus
-        assert any(not certify._divmod_monic(g, phi_n)[1]
+        assert any(not _divmod_monic(g, phi_n)[1]
                    for g in (minus, square, minus_square)), n
 
 

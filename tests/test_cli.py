@@ -655,6 +655,22 @@ def test_vacuous_note_names_only_the_vacuous_claims(capsys):
                      "alpha-interval-k2, zero-location-grid"]
 
 
+
+def test_inconclusive_note_names_each_claim_and_its_detail(monkeypatch,
+                                                           capsys):
+    # the l = 1 window walk runs out of widths, not of precision
+    detail = "window membership undecided at the width floor"
+    monkeypatch.setattr(claims, "check_alpha_interval",
+                        lambda k_range, ell_range: claims.ClaimResult(
+                            "alpha-interval", {}, claims.INCONCLUSIVE,
+                            {}, {}, detail))
+    assert main(["verify", "--suite", "intervals", "--k-max", "4",
+                 "--ell-max", "1"]) == 0
+    notes = [line for line in capsys.readouterr().err.splitlines()
+             if "inconclusive" in line]
+    assert notes == ["note: 1 inconclusive claim(s): alpha-interval (%s)"
+                     % detail]
+
 def test_analyze_runs_past_the_old_resultant_cap(capsys):
     code, doc = run_json(["analyze", "--k", "16", "--ell", "1"], capsys)
     assert code == 0

@@ -26,7 +26,8 @@ def test_sigma_table():
 
 def test_validation():
     boundary_profile(2, 1)  # a cached int key must not admit a float one
-    for bad in ((0, 1), (1, 0), (-2, 3), (2.0, 1), (2, 1.0)):
+    for bad in ((0, 1), (1, 0), (-2, 3), (2.0, 1), (2, 1.0), (True, 1),
+                (1, True)):
         for entry in (sigma_of, reciprocal_poly, monic_even_form,
                       circle_approximant, boundary_profile):
             with pytest.raises(ValueError):
