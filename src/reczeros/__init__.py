@@ -3,8 +3,9 @@ polynomials with zeta-ratio coefficients: construction, zero-location
 certificates, claim verification, and discriminant analysis.
 
 The composition-friendly entry points are re-exported here; the
-submodules keep the full kit (interval arithmetic, Sturm machinery,
-serialization, and the ``reczeros`` command-line front end).
+submodules keep the full kit (interval arithmetic, the integer
+polynomial kernels with the certificate's Sturm fallback, serialization,
+and the ``reczeros`` command-line front end).
 """
 
 from importlib import import_module
@@ -34,7 +35,6 @@ _EXPORTS = {
     "reciprocal_poly": "family",
     "sigma_of": "family",
     "Interval": "interval",
-    "SturmChain": "polycore",
 }
 
 __all__ = sorted(_EXPORTS)

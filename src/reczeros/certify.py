@@ -71,6 +71,7 @@ from .polycore import (
     _dyadic_signs,
     _dyadic_values,
     _sign_at,
+    _variations,
     cauchy_bound,
     refine_root,
 )
@@ -155,17 +156,19 @@ def _sturm_counts(w: Sequence[int]):
     """(n_in, n_out, n_neg, n_cx, v_box) for W from its Sturm chain.
 
     None when W is not simple: a root at 0 or 4, or a repeated root.
+    Otherwise W(0) and W(4) are nonzero, so the variation counts at -inf,
+    0, 4 and +inf give the roots on each open interval between them.
     """
     sign_four = _sign_at(w, 4)
     if w[0] == 0 or sign_four == 0:
         return None
     try:
-        chain = SturmChain(w)
+        chain = SturmChain(w).chain
     except ValueError:
         return None
-    n_in = chain.count_open(Fraction(0), Fraction(4))
-    n_out = chain.count_open(Fraction(4), inf)
-    n_neg = chain.count_open(-inf, Fraction(0))
+    v_neg, v_zero, v_four, v_pos = (_variations(_sign_at(m, x) for m in chain)
+                                    for x in (-inf, 0, 4, inf))
+    n_in, n_out, n_neg = v_zero - v_four, v_four - v_pos, v_neg - v_zero
     # one simple root in (4, B): the box alternation_box would return
     v_box = _box_beyond_four(w, sign_four) if n_out == 1 else None
     return n_in, n_out, n_neg, len(w) - 1 - (n_in + n_out + n_neg), v_box
@@ -255,11 +258,23 @@ def _alpha_from_box(box: RootBox, width: Fraction) -> Interval:
     encloses alpha by _alpha_step and compares the enclosure's width with
     the target by cross-multiplication.  A box whose lower end is still 4,
     where alpha's lower end would be 1, is not narrow enough whatever its
-    width: W(4) != 0, so refining moves that end off 4.
+    width: W(4) != 0, so refining moves that end off 4.  Passes whose
+    target is at least such a box's width leave it as it is, so they are
+    skipped at once, with delta and bits advanced as those passes would.
     """
     delta = width / 8
     bits = max(32, (width.denominator
                     // max(width.numerator, 1)).bit_length() + 16)
+    if box.lo == 4:
+        # the least m with delta / 16^m below the box's width: a lower
+        # bound from bit lengths, then exact steps up
+        ratio = delta / (box.hi - box.lo)
+        m = max(0, ratio.numerator.bit_length()
+                - ratio.denominator.bit_length() - 1) // 4
+        while ratio >= 16 ** m:
+            m += 1
+        delta /= 16 ** m
+        bits += 16 * m
     wnum, wden = width.numerator, width.denominator
     while True:
         box = refine_root(box, delta)

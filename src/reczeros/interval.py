@@ -3,11 +3,11 @@
 Closed intervals [lo, hi] with `fractions.Fraction` endpoints.  Every
 operation is inclusion-correct: the result interval contains every value
 f(x) for x in the operand intervals.  `Interval` itself has only the
-exact operation the enclosures combine with, the product, which needs no
-rounding; the rounded kernels keep endpoint denominators from growing
-without bound in long computations (they only ever widen).  It takes no
-sign: signs come from integer kernels, here `horner_sign` and in
-`polycore`.
+exact operation the enclosures combine with, scaling by a nonnegative
+rational, which needs no rounding; the rounded kernels keep endpoint
+denominators from growing without bound in long computations (they only
+ever widen).  It takes no sign: signs come from integer kernels, here
+`horner_sign` and in `polycore`.
 
 The rounded kernels (`pow_rounded`, `horner_sign`, `cos_enclosure`) run
 on integer mantissas over 2^bits: a value rounds to floor(num * 2^bits /
@@ -23,10 +23,10 @@ takes its radicand through the same two kernels and is rounded by
 
 Also provides certified enclosures of pi (Machin's formula with
 alternating-series tail bounds, summed as exact integer ratios) and of cos
-on rational-endpoint intervals: a Taylor partial sum with a Lagrange
-remainder bound, evaluated by step-rounded Horner with guard bits that
-grow with the term count, so that the rounding error, amplified by at most
-|x|^(2n) over n terms, stays below the requested precision.
+on nonnegative rational-endpoint intervals: a Taylor partial sum with a
+Lagrange remainder bound, evaluated by step-rounded Horner with guard bits
+that grow with the term count, so that the rounding error, amplified by at
+most |x|^(2n) over n terms, stays below the requested precision.
 `cos_pi_square` gives the boundary sign grids cos^2(pi r) for rational r
 as integer mantissas, ready for `horner_sign`: it reduces r exactly to
 [0, 1/2] (period 1 and evenness) and memoizes per (reduced r, precision)
@@ -51,10 +51,10 @@ _NumLike = Union[int, Fraction]
 class Interval:
     """A closed interval with rational endpoints.
 
-    It holds an enclosure, reports its width, and combines with others by
-    exact product; a number operand is read as a point interval.  Nothing
-    in the library negates, adds, subtracts, divides or raises one, or
-    takes its sign, so it has no such operators.
+    It holds an enclosure, reports its width, and scales exactly by a
+    nonnegative rational; a negative scale trips the order check.  Nothing
+    in the library negates, adds, subtracts, divides, multiplies two or
+    raises one, or takes its sign, so it has no such operators.
     """
 
     __slots__ = ("lo", "hi")
@@ -88,23 +88,10 @@ class Interval:
 
     # -- arithmetic -------------------------------------------------------
 
-    def __mul__(self, other) -> "Interval":
-        other = _as_interval(other)
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Interval(min(products), max(products))
+    def __mul__(self, c: _NumLike) -> "Interval":
+        return Interval(self.lo * c, self.hi * c)
 
     __rmul__ = __mul__
-
-
-def _as_interval(x) -> Interval:
-    if isinstance(x, Interval):
-        return x
-    return Interval(Fraction(x))
 
 
 def floor_scaled(num: int, den: int, bits: int) -> int:
@@ -255,29 +242,24 @@ def pi_enclosure(precision: int) -> Interval:
 # -- cos -----------------------------------------------------------------
 
 def cos_enclosure(x: Interval, precision: int) -> Interval:
-    """Certified enclosure of cos over the interval x (radians).
+    """Certified enclosure of cos over the nonnegative interval x (radians).
 
-    Taylor partial sum with the Lagrange bound |R_N| <= |x|^(2N) / (2N)! for
-    the tail after the x^(2N-2) term; valid for any real x, efficient for
-    |x| up to a few units.  The n-term Horner runs in y = x^2 and rounds
-    outward after each step; its rounding error is amplified by up to
-    max(1, |y|)^n, so the guard bits grow by the bit length of ceil(|y|)
+    Taylor partial sum with the Lagrange bound |R_N| <= x^(2N) / (2N)! for
+    the tail after the x^(2N-2) term; efficient for x up to a few units.
+    The n-term Horner runs in y = x^2 = [lo^2, hi^2] and rounds outward
+    after each step; its rounding error is amplified by up to
+    max(1, y)^n, so the guard bits grow by the bit length of ceil(hi^2)
     per term.  Everything runs on integers: y and the coefficients
     (-1)^i / (2i)! enter the Horner kernel as mantissas over 2^bits, the
     tail bound is kept as an integer numerator and denominator, and the
     final clamp to [-1, 1] and rounding divide once.
     """
+    if x.lo < 0:
+        raise ValueError("cos_enclosure requires a nonnegative interval")
     a, b = x.lo.numerator, x.lo.denominator
     c, d = x.hi.numerator, x.hi.denominator
-    lo_sq, hi_sq = (a * a, b * b), (c * c, d * d)
-    lo_smaller = lo_sq[0] * hi_sq[1] <= hi_sq[0] * lo_sq[1]
-    # y = x^2 = [ylo, mn / md] as exact integer ratios
-    mn, md = hi_sq if lo_smaller else lo_sq
-    if a < 0 < c:
-        ylo = (0, 1)
-    else:
-        ylo = lo_sq if lo_smaller else hi_sq
-    # term = tn / td = |x|^(2n) / (2n)!, kept while >= 2^-(precision + 2)
+    mn, md = c * c, d * d
+    # term = tn / td = hi^(2n) / (2n)!, kept while >= 2^-(precision + 2)
     n, tn, td = 1, mn, 2 * md
     while tn << (precision + 2) >= td:
         n += 1
@@ -292,7 +274,7 @@ def cos_enclosure(x: Interval, precision: int) -> Interval:
             fact *= (2 * i - 1) * (2 * i)
         unit = -1 << bits if i % 2 else 1 << bits
         coeffs.append((unit // fact, -(-unit // fact)))
-    lo, hi = _horner_mantissas(coeffs, floor_scaled(*ylo, bits),
+    lo, hi = _horner_mantissas(coeffs, floor_scaled(a * a, b * b, bits),
                                ceil_scaled(mn, md, bits), bits)
     # [lo, hi] / 2^bits widened by the tail, clamped to [-1, 1] and
     # rounded outward to 2^-(precision + 8)
@@ -311,7 +293,7 @@ def cos_pi_square(p: int, den: int, precision: int) -> tuple[int, int]:
     cos(pi p / den)^2, for den > 0.
 
     p / den is reduced exactly to t / den in [0, 1/2], so the cos series
-    sees |theta| <= pi/2; the square of its enclosure [a, b] (multiples of
+    sees theta in [0, pi/2]; the square of its enclosure [a, b] (multiples of
     2^-(precision + 8)) is the interval product, [min, max] of a^2, ab and
     b^2.  Memoized per (reduced t / den, precision).
 

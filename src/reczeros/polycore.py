@@ -14,15 +14,16 @@ grid, in `certify`) needs.  The signed remainder (Sturm) chain is the
 fallback that decides every case: it strips the content of each exact
 pseudo-remainder (`_prem`, the kernel `analysis.resultant` runs on too)
 and fixes its sign from the known sign of the lc power, so sign
-variation counts are preserved exactly.  Root counts are over open
-intervals; callers detect endpoint roots by exact signs.  A root box,
-which `certify` builds as (4, B) around W's one zero beyond 4, has
-nonzero opposite endpoint signs.  Its refinement returns the dyadic cell
-that sign bisection reaches, but jumps there: a float estimate or a
-secant only chooses a candidate cell, and the candidate is accepted when
-the exact signs at its two ends, by homogeneous integer Horner, are the
-box's end signs, both nonzero.  Such a cell holds the box's one simple
-root, so it is the cell bisection reaches at that level.
+variation counts (`_variations`) are preserved exactly.  `certify`
+reads them at -inf, 0, 4 and +inf only, where W is nonzero, so no count
+needs an endpoint correction.  A root box, which `certify` builds as
+(4, B) around W's one zero beyond 4, has nonzero opposite endpoint
+signs.  Its refinement returns the dyadic cell that sign bisection
+reaches, but jumps there: a float estimate or a secant only chooses a
+candidate cell, and the candidate is accepted when the exact signs at
+its two ends, by homogeneous integer Horner, are the box's end signs,
+both nonzero.  Such a cell holds the box's one simple root, so it is
+the cell bisection reaches at that level.
 
 Also here: the x + 1/x transform, which writes a self-reciprocal integer
 polynomial R, after dividing out its zeros at x = 1 and x = -1 that the
@@ -157,22 +158,20 @@ def _variations(signs: Iterable[int]) -> int:
 
 
 class SturmChain:
-    """Signed remainder chain of a squarefree integer polynomial.
+    """Signed remainder chain of a squarefree integer polynomial of degree
+    at least 1.
 
     Raises ValueError on non-squarefree input: the chain then degenerates
     (its last nonzero member, a positive multiple of gcd(p, p'), has
     positive degree), and variation counts would be meaningless for
-    root counting.
+    root counting.  It stays a class, holding only `chain`, because
+    perfbench/tracer.py times its `__init__` as `polycore.sturm_build`.
     """
 
-    __slots__ = ("chain", "_vcache")
+    __slots__ = ("chain",)
 
     def __init__(self, ints: Sequence[int]):
         f = list(ints)
-        if len(f) <= 1:
-            self.chain = [f] if f else []
-            self._vcache = {}
-            return
         fp = _prim([i * c for i, c in enumerate(f) if i > 0])
         chain = [f, fp]
         while len(chain[-1]) > 1:
@@ -191,28 +190,6 @@ class SturmChain:
                 "gcd degree %d)" % (len(chain[-1]) - 1)
             )
         self.chain = chain
-        self._vcache = {}
-
-    def variations(self, x) -> int:
-        v = self._vcache.get(x)
-        if v is None:
-            v = _variations(_sign_at(m, x) for m in self.chain)
-            self._vcache[x] = v
-        return v
-
-    def count_open(self, a, b) -> int:
-        """Number of real roots in the open interval (a, b).
-
-        a and b may be Fractions or +-math.inf, with a < b.
-        """
-        if not self.chain:
-            return 0
-        if not a < b:
-            raise ValueError("count_open needs a < b")
-        n = self.variations(a) - self.variations(b)
-        if b != inf and _sign_at(self.chain[0], b) == 0:
-            n -= 1
-        return n
 
 
 def cauchy_bound(ints: Sequence[int]) -> Fraction:

@@ -4,8 +4,9 @@
 `check_zeta_sum_identity` decide their signs and sums on integers in the
 library.  The functions here are the same checks as they were written on
 `fractions.Fraction` and `Interval`: one cos(pi r) enclosure per grid
-point, squared as an `Interval` and rounded into the Horner kernel, and
-every lemma sum accumulated as a `Fraction`.  The tests compare the
+point, squared as an interval product (sympy's, as `Interval` only
+scales) and rounded into the Horner kernel, and every lemma sum
+accumulated as a `Fraction`.  The tests compare the
 `(status, witness, data, detail)` of both routes.
 """
 
@@ -37,6 +38,8 @@ from reczeros.interval import (
     pi_enclosure,
 )
 from reczeros.polycore import _sign_at
+
+from sympy_oracle import from_bounds, to_bounds
 
 
 def cos_pi_enclosure(r, precision: int) -> Interval:
@@ -114,7 +117,8 @@ def check_sign_pattern(k: int, ell: int,
         else:
             for pr in ladder(max(precision, 64), 2, PRECISION_CAP):
                 cos = cos_pi_enclosure(r, pr)
-                s = horner_sign(ints, cos * cos, pr + len(ints) + 8, x_shift=2)
+                cos_sq = from_bounds(to_bounds(cos) * to_bounds(cos))
+                s = horner_sign(ints, cos_sq, pr + len(ints) + 8, x_shift=2)
                 if s:
                     break
             else:

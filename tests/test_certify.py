@@ -1,7 +1,6 @@
 import cmath
 import tracemalloc
 from fractions import Fraction as F
-from math import inf
 
 import pytest
 import sympy
@@ -20,7 +19,7 @@ from reczeros.certify import (
     zero_certificate,
 )
 from reczeros.family import boundary_profile, reciprocal_poly, sigma_of
-from reczeros.polycore import SturmChain, _divmod_monic
+from reczeros.polycore import _divmod_monic
 
 from numeric_oracle import root_classes
 from sympy_oracle import (
@@ -168,12 +167,6 @@ def test_one_certificate_per_member(monkeypatch):
     assert _fields(cert) == _fields(compute(5, 2))
 
 
-def _sturm_root_counts(w):
-    chain = SturmChain(w)
-    return (chain.count_open(F(0), F(4)), chain.count_open(F(4), inf),
-            chain.count_open(-inf, F(0)), chain.count_open(-inf, inf))
-
-
 @given(inside=st.lists(st.fractions(min_value=0, max_value=4,
                                     max_denominator=1 << 12),
                        max_size=6),
@@ -189,8 +182,11 @@ def test_alternation_counts_match_sturm(inside, beyond, extra, n, scale):
     if box is None:
         return
     h = len(w) - 1
-    assert _sturm_root_counts(w) == (h - 1, 1, 0, h)
+    *counts, sturm_box = certify._sturm_counts(w)
+    assert counts == [h - 1, 1, 0, 0]
     assert (box.lo, box.hi) == (F(4), certify.cauchy_bound(w))
+    assert ((sturm_box.lo, sturm_box.hi, sturm_box.sign_lo, sturm_box.sign_hi)
+            == (box.lo, box.hi, box.sign_lo, box.sign_hi))
     assert box.lo < max(roots) < box.hi
 
 

