@@ -3,9 +3,10 @@ polynomials with zeta-ratio coefficients: construction, zero-location
 certificates, claim verification, and discriminant analysis.
 
 The composition-friendly entry points are re-exported here; the
-submodules keep the full kit (interval arithmetic, the integer
-polynomial kernels with the certificate's Sturm fallback, serialization,
-and the ``reczeros`` command-line front end).
+submodules keep the full kit (interval arithmetic, the inequality stack's
+constants and certified enclosures in ``bounds``, the integer polynomial
+kernels with the certificate's Sturm fallback, serialization, and the
+``reczeros`` command-line front end).
 """
 
 from importlib import import_module
@@ -19,6 +20,7 @@ _EXPORTS = {
     "AnalysisRecord": "analysis",
     "analyze": "analysis",
     "discriminant": "analysis",
+    "q": "bounds",
     "ZeroCertificate": "certify",
     "alpha_enclosure": "certify",
     "certify_zeros": "certify",
@@ -28,7 +30,6 @@ _EXPORTS = {
     "VerificationReport": "claims",
     "run_all": "claims",
     "bernoulli": "exactnum",
-    "q": "exactnum",
     "zeta_even_rational": "exactnum",
     "circle_approximant": "family",
     "monic_even_form": "family",

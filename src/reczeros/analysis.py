@@ -18,9 +18,9 @@ discriminant:
 the product over zero differences being |Disc|/lc^(2m-2) exactly.  With
 every zero but the pair (alpha, 1/alpha) on the unit circle, M = |lc|
 alpha, so the inequality says exactly alpha >= L, and `analyze` decides
-both it and window membership on one pass of certify.window_walk, the walk
+both it and window membership on one pass of bounds.window_walk, the walk
 the window checks take; the measure itself is |lc| times the walk's first
-alpha enclosure.  The upper endpoint is certify.stated_alpha_upper
+alpha enclosure.  The upper endpoint is bounds.stated_alpha_upper
 -- and it inherits the checks' defect: for exponent 1 it is exceeded once
 k >= 7, so membership is reported honestly as False there (see claims.py
 for the certified finding and the corrected endpoint 4 + 3/k).
@@ -38,7 +38,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .certify import DEFAULT_PRECISION, window_walk, zero_certificate
+from .bounds import window_walk
+from .certify import DEFAULT_PRECISION, zero_certificate
 from .family import boundary_profile, reciprocal_poly
 from .interval import Interval
 from .polycore import _dyadic_values, _prem
@@ -197,7 +198,7 @@ def analyze(k: int, ell: int) -> AnalysisRecord:
 
     The Mahler inequality is alpha >= L, decided exactly against the
     rational L^2k = size / scale, so it and window membership are read off
-    the first rung of certify.window_walk that settles both: alpha below L
+    the first rung of bounds.window_walk that settles both: alpha below L
     fails both, and alpha above L and clear of the stated endpoint passes
     the inequality, inside the window when below the endpoint.  A walk
     that ends undecided raises ArithmeticError.

@@ -50,6 +50,9 @@ conjugate of each root of unity z is one of -z, z^2 and -z^2, also one of
 R(-t), R(t^2) and R(-t^2).  At one t = 2^b beyond R's Cauchy bound, three
 integer gcds of these values bound phi(n) for every order that can occur;
 exact division on the member's integer coefficients decides those few.
+
+The ladder and the stated window that verify and analyze read alpha
+against are in `bounds`, which this module does not import.
 """
 
 from __future__ import annotations
@@ -57,13 +60,11 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from math import cos, gcd, inf, isqrt, pi
 from typing import NamedTuple, Sequence
 
-from .exactnum import d, zeta_even_enclosure
 from .family import boundary_profile, reciprocal_poly
-from .interval import Interval, ceil_scaled, floor_scaled, pow_rounded
+from .interval import Interval, ceil_scaled, floor_scaled
 from .polycore import (
     RootBox,
     SturmChain,
@@ -366,7 +367,10 @@ def _unity_orders(ints: Sequence[int]) -> list[int]:
     every integer t.  At t = 2^b beyond the Cauchy bound f(t) is not 0,
     and Phi_n(t) >= (t - 1)^phi(n) >= 2^((b - 1) phi(n)), so the largest of
     the three gcds bounds phi(n) by D.  As phi(n) >= sqrt(n / 2), only the
-    n <= 2 D^2 with phi(n) <= D can occur; exact division decides each.
+    n <= 2 D^2 with phi(n) <= D can occur.  Exact division decides each,
+    and divides a found Phi_n out of a running quotient; the scan stops
+    once n passes 2 deg^2 of that quotient, which no order beyond can
+    divide, so x^N - 1 takes N orders, not 2 N^2.
 
     >>> _unity_orders([1, 0, 0, 1])  # x^3 + 1 = Phi_2 Phi_6
     [2, 6]
@@ -380,98 +384,22 @@ def _unity_orders(ints: Sequence[int]) -> list[int]:
     at_t, *others = _dyadic_values(ints, (t, -t, t * t, -t * t), 0)
     common = max(gcd(at_t, v) for v in others)
     top = min(len(ints) - 1, (common.bit_length() - 1) // (b - 1))
-    return [n for n in range(1, 2 * top * top + 1)
-            if _phi(n) <= top and not _divmod_monic(ints, _cyclotomic_ints(n))[1]]
+    orders, rest = [], ints
+    for n in range(1, 2 * top * top + 1):
+        if n > 2 * (len(rest) - 1) ** 2:  # so phi(n) > deg rest
+            break
+        if _phi(n) <= top:
+            quo, rem = _divmod_monic(rest, _cyclotomic_ints(n))
+            if not rem:
+                orders.append(n)
+                rest = quo
+    return orders
 
 
-# -- what claims shares, so that only verify runs it: the one ladder, the
-# stated window (analyze walks it too), the grid bounds and the pool map --
+# -- what claims shares, so that only verify runs it: the default
+# precision, the grid bounds, the suite names and the pool map --
 
 DEFAULT_PRECISION = 128
-
-#: Ceiling of every precision ladder in bits; the ladders double their
-#: precision up to it, and each step costs more than the last.
-PRECISION_CAP = 4096
-
-#: Finest width a width ladder refines an enclosure to before it gives up.
-WIDTH_FLOOR = Fraction(1, 2**2048)
-
-
-def ladder(first, factor, limit):
-    """The escalation rungs first, first*factor, first*factor^2, ...
-
-    The first rung is yielded unconditionally; each later one only while it
-    stays within `limit` (at most it for factor > 1, at least it for
-    factor < 1).  Precisions climb with factor 2 up to PRECISION_CAP,
-    widths shrink toward WIDTH_FLOOR; a caller that exhausts the ladder
-    without a decision reports that through the loop's `else`.
-
-    >>> list(ladder(192, 2, 1024)), list(ladder(5000, 2, 4096))
-    ([192, 384, 768], [5000])
-    """
-    rung = first
-    while True:
-        yield rung
-        rung = rung * factor
-        if (rung > limit) if factor > 1 else (rung < limit):
-            return
-
-
-def corrected_alpha_upper(k: int, ell: int) -> Fraction:
-    """The index-optimized upper endpoint that the inequality chain supports.
-
-    The derivation of the window reduces, index by index, to
-    (4+t)/4 > (2 zeta(2))^((l-1)/j) (1 + 3 d_l 4^(j-k-1) / j) for j = 1..k,
-    and the stated endpoint keeps only the j = 1 term.  For l = 1 the first
-    factor is identically 1 and the requirement is largest at j = k, giving
-    the exact rational endpoint 4 (1 + 3 d_1 / (4k)) = 4 + 3/k.
-    """
-    if ell != 1:
-        raise ValueError("only the l = 1 endpoint needs correcting")
-    return 4 + Fraction(3 * d(1), k)
-
-
-#: Precision of the stated endpoint's zeta(2) power where the window checks
-#: start; check_alpha_interval doubles it when alpha straddles the endpoint.
-WINDOW_PRECISION = 192
-
-
-def stated_alpha_upper(k: int, ell: int, precision: int) -> Interval:
-    """The stated upper window endpoint 2^(l+1) zeta(2)^(l-1) (1 + 3 d_l 4^-k).
-
-    Exact for l = 1 (the point interval 4 (1 + 3 d_1 4^-k)); otherwise the
-    zeta(2) enclosure at `precision` bits, raised to l - 1 with outward
-    rounding at precision + 16 bits, times the exact rational factor.
-    """
-    factor = 1 + 3 * d(ell) * Fraction(1, 4**k)
-    if ell == 1:
-        return Interval(4 * factor)
-    return (pow_rounded(zeta_even_enclosure(1, precision), ell - 1,
-                        precision + 16) * (2 ** (ell + 1) * factor))
-
-
-def window_walk(k: int, ell: int):
-    """(alpha enclosure, stated upper endpoint, precision) per ladder rung.
-
-    The one walk that reads alpha against the window: alpha_enclosure
-    narrows from ALPHA_WIDTH by 2^-64 per rung toward WIDTH_FLOOR, and the
-    stated endpoint is taken at WINDOW_PRECISION, doubling in step for
-    l > 1 up to PRECISION_CAP; that ladder runs out first.  For l = 1 the
-    endpoint is exact and the widths alone set the length.  The consumer
-    stops at the first rung that decides what it reads.
-
-    >>> [pr for _, _, pr in window_walk(3, 3)]
-    [192, 384, 768, 1536, 3072]
-    >>> len(list(window_walk(3, 1)))
-    31
-    """
-    precisions = (repeat(WINDOW_PRECISION) if ell == 1
-                  else ladder(WINDOW_PRECISION, 2, PRECISION_CAP))
-    for width, pr in zip(ladder(ALPHA_WIDTH, Fraction(1, 2**64), WIDTH_FLOOR),
-                         precisions):
-        yield (alpha_enclosure(k, ell, width=width),
-               stated_alpha_upper(k, ell, pr), pr)
-
 
 #: Most values one --k or --ell flag may name, counted before
 #: deduplication, and most (k, ell) instances one grid may hold;

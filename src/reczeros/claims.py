@@ -9,11 +9,11 @@ the G/H sums) run it on integers, numerators over one denominator per
 a witness or a printed margin.  Facts involving zeta values or pi go
 through certified enclosures that are tightened until a sign is decided,
 and may additionally come back "inconclusive" when the ladder runs out
-first.  There is one ladder, `certify.ladder`: precisions double up to
+first.  There is one ladder, `bounds.ladder`: precisions double up to
 the constant PRECISION_CAP, which no setting changes, and widths shrink
 toward WIDTH_FLOOR.  The stated upper window endpoint is built only by
-certify.stated_alpha_upper, and alpha is read against it only along
-certify.window_walk, whose first rung takes it at WINDOW_PRECISION; the
+bounds.stated_alpha_upper, and alpha is read against it only along
+bounds.window_walk, whose first rung takes it at WINDOW_PRECISION; the
 window checks and analysis.analyze share that walk.  Values of a polynomial at
 +-1 are coefficient sums on its integer coefficients, so the exact checks
 follow the integer rule of the kernels; a fail witness still carries the
@@ -39,26 +39,15 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .certify import (DEFAULT_PRECISION, MAX_RANGE_VALUES, PRECISION_CAP,
-                      SUITES, WINDOW_PRECISION, corrected_alpha_upper, ladder,
-                      map_calls, window_walk, zero_certificate)
-from .exactnum import (
-    c_of,
-    epsilon,
-    q,
-    zeta_even_enclosure,
-    zeta_even_rational,
-    zeta_series_enclosure,
-)
+from .bounds import (PRECISION_CAP, WINDOW_PRECISION, c_of,
+                     corrected_alpha_upper, cos_pi_square, epsilon,
+                     horner_sign, ladder, pi_enclosure, pow_rounded, q,
+                     window_walk, zeta_even_enclosure, zeta_series_enclosure)
+from .certify import (DEFAULT_PRECISION, MAX_RANGE_VALUES, SUITES, map_calls,
+                      zero_certificate)
+from .exactnum import zeta_even_rational
 from .family import boundary_profile, reciprocal_poly
-from .interval import (
-    Interval,
-    cos_pi_square,
-    dyadic_mantissa,
-    horner_sign,
-    pi_enclosure,
-    pow_rounded,
-)
+from .interval import Interval, dyadic_mantissa
 from .polycore import _sign_at
 
 PASS = "pass"

@@ -8,7 +8,7 @@ takes its exact sign at a rational point by integer Horner;
 `_dyadic_values` takes the values (times a power of two) at many points
 num / 2^bits with one set of shifted coefficients, and `_dyadic_signs`
 their signs.
-With `interval.horner_sign` they take every sign the library decides,
+With `bounds.horner_sign` they take every sign the library decides,
 and they are all the primary certificate route (sign alternation on a
 grid, in `certify`) needs.  The signed remainder (Sturm) chain is the
 fallback that decides every case: it strips the content of each exact

@@ -27,15 +27,19 @@ from reczeros.claims import (
     _vacuous,
     ladder,
 )
-from reczeros.exactnum import c_of, q, zeta_even_enclosure
+from reczeros.bounds import (
+    c_of,
+    cos_enclosure,
+    pi_enclosure,
+    q,
+    zeta_even_enclosure,
+)
 from reczeros.family import boundary_profile, reciprocal_poly
 from reczeros.interval import (
     Interval,
     _horner_mantissas,
     ceil_scaled,
-    cos_enclosure,
     floor_scaled,
-    pi_enclosure,
 )
 from reczeros.polycore import _sign_at
 

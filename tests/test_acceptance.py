@@ -18,8 +18,8 @@ from numeric_oracle import complex_roots
 from sympy_oracle import to_sympy, z
 
 from reczeros.analysis import _family_discriminant, analyze, discriminant
-from reczeros.certify import (alpha_enclosure, certify_zeros,
-                              corrected_alpha_upper)
+from reczeros.bounds import corrected_alpha_upper, d, q, zeta_even_enclosure
+from reczeros.certify import alpha_enclosure, certify_zeros
 from reczeros.claims import (
     check_GH_signs,
     check_alpha_interval,
@@ -31,7 +31,7 @@ from reczeros.claims import (
     check_zeta_bounds,
     check_zeta_sum_identity,
 )
-from reczeros.exactnum import d, q, zeta_even_enclosure, zeta_even_rational
+from reczeros.exactnum import zeta_even_rational
 from reczeros.family import reciprocal_poly
 
 

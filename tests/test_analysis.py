@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from reczeros import analysis, certify
+from reczeros import analysis, bounds, certify
 from reczeros.analysis import (
     AnalysisRecord,
     _family_discriminant,
@@ -14,8 +14,8 @@ from reczeros.analysis import (
     nth_root_enclosure,
     resultant,
 )
-from reczeros.certify import (ALPHA_WIDTH, DEFAULT_PRECISION, alpha_enclosure,
-                              stated_alpha_upper)
+from reczeros.bounds import stated_alpha_upper
+from reczeros.certify import ALPHA_WIDTH, DEFAULT_PRECISION, alpha_enclosure
 from reczeros.claims import check_alpha_interval
 from reczeros.family import reciprocal_poly
 from reczeros.interval import Interval
@@ -246,7 +246,7 @@ def test_window_validation():
 def test_analyze_and_the_window_check_share_one_walk(monkeypatch):
     """An alpha enclosure straddling the l = 3 endpoint (about 55.09) at
     ALPHA_WIDTH sends analyze and check_alpha_interval alike to the second
-    rung of certify.window_walk, where the endpoint is taken at 384 bits."""
+    rung of bounds.window_walk, where the endpoint is taken at 384 bits."""
     real_alpha = certify.alpha_enclosure
 
     def straddling_alpha(k, ell, width):
@@ -254,7 +254,7 @@ def test_analyze_and_the_window_check_share_one_walk(monkeypatch):
             return Interval(50, 60)
         return real_alpha(k, ell, width=width)
 
-    monkeypatch.setattr(certify, "alpha_enclosure", straddling_alpha)
+    monkeypatch.setattr(bounds, "alpha_enclosure", straddling_alpha)
     rec = analyze(3, 3)
     assert rec.stated_upper == stated_alpha_upper(3, 3, 384)
     assert rec.mahler_inequality_ok and rec.alpha_in_interval

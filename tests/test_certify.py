@@ -395,6 +395,25 @@ def test_unity_scan_memory_at_k600():
     assert peak < 4 << 20
 
 
+def test_unity_scan_stops_once_the_cyclotomic_part_is_divided_out(
+        monkeypatch):
+    # D = 360 for x^360 - 1, so the scan may try every n <= 2 * 360^2;
+    # all 24 divisors are divided out by n = 360, and the scan stops there
+    calls = []
+    real_phi = certify._phi
+    monkeypatch.setattr(certify, "_phi",
+                        lambda n: calls.append(n) or real_phi(n))
+    orders = _unity_orders([-1] + [0] * 359 + [1])
+    assert orders == [n for n in range(1, 361) if 360 % n == 0]
+    assert len(orders) == 24
+    assert len(calls) <= 360
+    # a factor x + 3 is left over: past n = 2 no order divides it
+    calls.clear()
+    assert _unity_orders(_times([-1] + [0] * 199 + [1], [3, 1])) == [
+        n for n in range(1, 201) if 200 % n == 0]
+    assert len(calls) <= 200
+
+
 def test_unity_orders_golden():
     assert roots_of_unity_zeros(1, 1) == []
     assert roots_of_unity_zeros(2, 1) == [2]

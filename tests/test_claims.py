@@ -5,14 +5,15 @@ from fractions import Fraction as F
 import pytest
 
 from fresh_process import fresh_python
-from reczeros import certify, claims, serialize
-from reczeros.certify import (
+from reczeros import bounds, claims, serialize
+from reczeros.bounds import (
     PRECISION_CAP,
     WIDTH_FLOOR,
-    alpha_enclosure,
     corrected_alpha_upper,
     ladder,
+    q,
 )
+from reczeros.certify import alpha_enclosure
 from reczeros.claims import (
     EMPTY_RANGE,
     check_GH_signs,
@@ -29,7 +30,6 @@ from reczeros.claims import (
     check_zeta_sum_identity,
     run_all,
 )
-from reczeros.exactnum import q
 from reczeros.family import BoundaryProfile, Member, reciprocal_poly
 from reczeros.interval import Interval
 
@@ -290,7 +290,7 @@ def test_alpha_interval_ladder_stops_at_the_precision_cap(monkeypatch):
     # alpha pinned across the stated l = 3 endpoint (about 55.09) keeps the
     # window undecided; the zeta(2) power may then climb only to the cap,
     # and no environment variable lifts it
-    real_zeta = certify.zeta_even_enclosure
+    real_zeta = bounds.zeta_even_enclosure
     asked = []
 
     def capped_zeta(m, precision):
@@ -299,8 +299,8 @@ def test_alpha_interval_ladder_stops_at_the_precision_cap(monkeypatch):
             raise AssertionError("asked for %d bits" % precision)
         return real_zeta(m, 192)  # no real work at an escalated precision
 
-    monkeypatch.setattr(certify, "zeta_even_enclosure", capped_zeta)
-    monkeypatch.setattr(certify, "alpha_enclosure",
+    monkeypatch.setattr(bounds, "zeta_even_enclosure", capped_zeta)
+    monkeypatch.setattr(bounds, "alpha_enclosure",
                         lambda k, ell, width:
                         Interval(50, 60))
     monkeypatch.setenv("REC_ZEROS_PREC_CAP", "8192")
@@ -321,7 +321,7 @@ def test_alpha_interval_l1_walks_the_whole_width_ladder(monkeypatch):
             return Interval(4, 5)  # straddles the stated endpoint 4.1875
         return alpha_enclosure(k, ell, width=width)
 
-    monkeypatch.setattr(certify, "alpha_enclosure", slow_alpha)
+    monkeypatch.setattr(bounds, "alpha_enclosure", slow_alpha)
     r = check_alpha_interval((3, 3), (1, 1))
     assert r.status == "pass" and r.data["checked"] == 1
     assert widths == [F(1, 10**20) / 2 ** (64 * i) for i in range(7)]

@@ -17,7 +17,7 @@ from hypothesis import (currently_in_test_context, event, given, settings,
 import claims_reference as ref
 from fresh_process import fresh_python
 from reczeros import claims
-from reczeros.exactnum import q
+from reczeros.bounds import q
 from reczeros.family import BoundaryProfile
 
 

@@ -536,6 +536,33 @@ def test_only_verify_executes_claims():
                     "verify": [0, True]}
 
 
+def test_only_verify_and_analyze_execute_bounds():
+    """The inequality stack in bounds.py runs only for the two commands
+    that read it: construct, certify and scan execute no code of it, and
+    verify and analyze, each run last in its own process, do."""
+    script = (
+        "import json, os, sys\n"
+        "ran = []\n"
+        "sys.addaudithook(lambda event, args: event == 'exec' and "
+        "ran.append(getattr(args[0], 'co_filename', None)))\n"
+        "import reczeros.cli\n"
+        "bounds_py = os.path.join(os.path.dirname(reczeros.cli.__file__), "
+        "'bounds.py')\n"
+        "seen = {}\n"
+        "for argv in (['construct', '--k', '1..3', '--ell', '1..2'],\n"
+        "             ['certify', '--k', '1..4', '--ell', '1..2'],\n"
+        "             ['scan', '--k', '1..4', '--ell', '1..2'],\n"
+        "             sys.argv[1:]):\n"
+        "    code = reczeros.cli.main(argv + ['--out', os.devnull])\n"
+        "    seen[argv[0]] = [code, bounds_py in ran]\n"
+        "print(json.dumps(seen))")
+    for last in (["analyze", "--k", "1..3", "--ell", "1..2"],
+                 ["verify", "--k-max", "3", "--ell-max", "1"]):
+        seen = json.loads(fresh_python("-c", script, *last))
+        assert seen == {"construct": [0, False], "certify": [0, False],
+                        "scan": [0, False], last[0]: [0, True]}
+
+
 def test_cli_reuses_a_claims_module_already_loaded():
     """Importing claims before the command line keeps the one module
     object, so its functions still pickle to worker processes."""
@@ -600,9 +627,15 @@ def test_tracer_entry_points_resolve():
             owner = getattr(owner, attr, None)
         if owner is None:
             missing.append(name)
-    # no command ran these; the tracer skips them and lists them as missing
-    assert missing == ["interval.sqrt_enclosure", "polycore.count_open",
-                       "polycore.eval_interval", "polycore.isolate"]
+    # no command ran the polycore and sqrt ones; the enclosures moved to
+    # bounds, which no entry point names yet; the tracer skips them all and
+    # lists them as missing
+    assert missing == ["exactnum.zeta_even_enclosure",
+                       "exactnum.zeta_series_enclosure",
+                       "interval.cos_enclosure", "interval.pi_enclosure",
+                       "interval.pow_rounded", "interval.sqrt_enclosure",
+                       "polycore.count_open", "polycore.eval_interval",
+                       "polycore.isolate"]
 
 
 #: The library functions no command enters, each with why it stays.
@@ -612,7 +645,7 @@ NEVER_ENTERED = {
     "polycore.SturmChain.__init__": "the fallback's chain",
     "interval.Interval.__eq__": "value equality, which the tests compare by",
     "interval.Interval.__hash__": "kept consistent with __eq__",
-    "interval.Interval.__repr__": "the pi_enclosure docstring example",
+    "interval.Interval.__repr__": "the bounds.pi_enclosure docstring example",
     "polycore.RootBox.__repr__": "the refine_root docstring example",
 }
 

@@ -15,21 +15,18 @@ from math import comb, factorial, floor, ceil, gcd, isqrt
 from hypothesis import example, given, settings, strategies as st
 
 from reczeros import claims, exactnum
-from reczeros.certify import _alpha_from_box, _alpha_step
-from reczeros.exactnum import (
-    bernoulli,
-    q,
-    zeta_even_enclosure,
-    zeta_even_rational,
-)
-from reczeros.family import monic_even_form, reciprocal_poly, sigma_of
-from reczeros.interval import (
-    Interval,
+from reczeros.bounds import (
     _arctan_recip_enclosure,
     cos_enclosure,
     pi_enclosure,
     pow_rounded,
+    q,
+    zeta_even_enclosure,
 )
+from reczeros.certify import _alpha_from_box, _alpha_step
+from reczeros.exactnum import bernoulli, zeta_even_rational
+from reczeros.family import monic_even_form, reciprocal_poly, sigma_of
+from reczeros.interval import Interval
 from reczeros.polycore import (
     RootBox,
     _dyadic_signs,

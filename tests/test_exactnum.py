@@ -3,17 +3,17 @@ from fractions import Fraction as F
 
 import pytest
 
+import reczeros.bounds
 import reczeros.exactnum
-from reczeros.exactnum import (
-    bernoulli,
+from reczeros.bounds import (
     c_of,
     d,
     epsilon,
     q,
     zeta_even_enclosure,
-    zeta_even_rational,
     zeta_series_enclosure,
 )
+from reczeros.exactnum import bernoulli, zeta_even_rational
 from reczeros.interval import Interval
 
 from claims_reference import epsilon as epsilon_ref
@@ -169,3 +169,8 @@ def test_zeta_series_refuses_hopeless_precision():
 
 def test_docstring_examples():
     assert doctest.testmod(reczeros.exactnum).failed == 0
+
+
+def test_bounds_docstring_examples():
+    # q, d and epsilon keep the examples they had in exactnum
+    assert doctest.testmod(reczeros.bounds).failed == 0

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from reczeros import exactnum, family
-from reczeros.exactnum import q
+from reczeros.bounds import q
 from reczeros.family import (
     boundary_profile,
     circle_approximant,

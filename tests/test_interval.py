@@ -3,18 +3,20 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from reczeros import interval
+from reczeros import bounds
+from reczeros.bounds import (
+    cos_enclosure,
+    cos_pi_square,
+    horner_sign,
+    pi_enclosure,
+    pow_rounded,
+)
 from reczeros.interval import (
     Interval,
     _horner_mantissas,
     ceil_scaled,
-    cos_enclosure,
-    cos_pi_square,
     dyadic_mantissa,
     floor_scaled,
-    horner_sign,
-    pi_enclosure,
-    pow_rounded,
 )
 
 import claims_reference as ref
@@ -137,7 +139,7 @@ def test_pi_enclosure_is_the_dyadic_cell_of_pi(p1, p2):
 
 def test_pi_enclosure_shifts_the_finest_floor(monkeypatch):
     fine = pi_enclosure(1000)
-    monkeypatch.setattr(interval, "_arctan_recip_enclosure",
+    monkeypatch.setattr(bounds, "_arctan_recip_enclosure",
                         lambda x, precision: pytest.fail("series rerun"))
     for p in (4, 48, 129, 1000):
         b = p + 8
