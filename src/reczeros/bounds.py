@@ -6,7 +6,7 @@ The rounded kernels (`pow_rounded`, `horner_sign`, `cos_enclosure`) run on
 integer mantissas over 2^bits, rounded by `interval.floor_scaled` and
 `ceil_scaled`; each returns exactly the interval that the same steps on
 `Fraction` endpoints, each rounded outward, would give.  pi comes from
-Machin's formula with alternating-series tail bounds; cos from a Taylor
+one fixed-point Machin sum on integers; cos from a Taylor
 partial sum with a Lagrange remainder, by step-rounded Horner with guard
 bits that grow with the term count; and `cos_pi_square` gives the sign
 grids cos^2(pi r) as mantissas, memoized per reduced (r, precision).  Every
@@ -145,29 +145,22 @@ def horner_sign(coeffs: Sequence[int], xlo: int, xhi: int, xbits: int,
 _pi_floor = (0, 3)
 
 
-def _arctan_recip_enclosure(x: int, precision: int) -> Interval:
-    """Enclosure of arctan(1/x) for integer x >= 2.
+def _arctan_recip_fixed(x: int, bits: int) -> tuple[int, int]:
+    """(s, n) with |arctan(1/x) 2^bits - s| < n + 1, for integer x >= 2.
 
-    The series arctan(1/x) = sum (-1)^i / ((2i+1) x^(2i+1)) is alternating
-    with strictly decreasing terms, so consecutive partial sums bracket the
-    limit.  Terms are taken until the first omitted one is below 2^-precision.
-    The partial sums stay exact integer ratios num / den over
-    den = prod(2i+1) * x^(2i+1), reduced once at the end.
+    s sums the terms (-1)^i floor(2^bits / ((2i+1) x^(2i+1))) for i < n,
+    the first i whose power floor(2^bits / x^(2i+1)) is 0.  Flooring a
+    floor over x^2 is the exact floor, so each term is floored once and is
+    off by less than 1, and the alternating tail is below 1.
     """
-    num, den = 0, 1        # the partial sum before term i
-    odd_prod, xpow = 1, x  # prod_{l<i} (2l+1) and x^(2i+1)
-    i = 0
-    while True:
-        k = 2 * i + 1
-        # with step = den' / den, term i is odd_prod / den'
-        step = k * (x * x if i else x)
-        nxt_num = num * step + (-odd_prod if i % 2 else odd_prod)
-        nxt_den = den * step
-        if k * xpow > 1 << precision:  # term i is below 2^-precision
-            s, nxt = Fraction(num, den), Fraction(nxt_num, nxt_den)
-            return Interval(min(s, nxt), max(s, nxt))
-        num, den, odd_prod, xpow = nxt_num, nxt_den, odd_prod * k, xpow * x * x
-        i += 1
+    s = n = 0
+    power = (1 << bits) // x
+    while power:
+        term = power // (2 * n + 1)
+        s += -term if n % 2 else term
+        power //= x * x
+        n += 1
+    return s, n
 
 
 def pi_enclosure(precision: int) -> Interval:
@@ -178,9 +171,9 @@ def pi_enclosure(precision: int) -> Interval:
     at different precisions are nested, because a finer dyadic grid
     refines a coarser one: f is floor(pi 2^B) >> (B - b) for any B >= b.
     The module keeps the finest floor found; a finer request reads
-    Machin's pi = 16 arctan(1/5) - 4 arctan(1/239) at B = 2b, enclosed at
-    B + 3 bits and then with more guard bits until both ends of that
-    enclosure give the same floor; pi is irrational, so this ends.
+    Machin's pi = 16 arctan(1/5) - 4 arctan(1/239) at B = 2b off the
+    bracket that the fixed-point sums at B + g bits give, g growing until
+    both of its ends give the same floor; pi is irrational, so this ends.
 
     >>> pi_enclosure(8)
     Interval(205887/65536, 3217/1024)
@@ -190,13 +183,13 @@ def pi_enclosure(precision: int) -> Interval:
     top, f = _pi_floor
     if top < b:
         top = 2 * b
-        guard = top + 3
+        guard = top.bit_length() + 8
         while True:
-            a = _arctan_recip_enclosure(5, guard)
-            c = _arctan_recip_enclosure(239, guard)
-            lo, hi = 16 * a.lo - 4 * c.hi, 16 * a.hi - 4 * c.lo
-            f = floor_scaled(lo.numerator, lo.denominator, top)
-            if f == floor_scaled(hi.numerator, hi.denominator, top):
+            s5, n5 = _arctan_recip_fixed(5, top + guard)
+            s239, n239 = _arctan_recip_fixed(239, top + guard)
+            mid, err = 16 * s5 - 4 * s239, 16 * (n5 + 1) + 4 * (n239 + 1)
+            f = (mid - err) >> guard
+            if f == (mid + err) >> guard:
                 break
             guard += 8
         _pi_floor = top, f
@@ -318,9 +311,8 @@ def zeta_series_enclosure(n: int, precision: int) -> Interval:
     """
     if n < 2:
         raise ValueError("zeta_series_enclosure needs n >= 2")
-    tol = Fraction(1, 1 << precision)
     big = 2
-    while Fraction(1, (n - 1) * big ** (n - 1)) >= tol:  # tail at N = big
+    while (n - 1) * big ** (n - 1) <= 1 << precision:  # tail >= 2^-precision
         big *= 2
         if big > SERIES_TERM_LIMIT:
             raise ValueError(

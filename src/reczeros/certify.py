@@ -29,7 +29,7 @@ Floats only choose the grid points, which are rounded to dyadic rationals;
 integer Horner decides every sign.  The kernels follow one rule, integers
 inside and Fraction only at the boundaries: the grid signs are one
 homogeneous Horner on integer numerators over 2^GRID_BITS, the values at
-x = +-1 are coefficient sums, and each alpha step (u = v - 2, u^2 - 4,
+x = +-1 are `Member.unit_values`, and each alpha step (u = v - 2, u^2 - 4,
 its isqrt bounds, (u + s) / 2) runs on the integer numerators and
 denominators of the v-box endpoints.  When W (of degree h) shows h - 1 sign
 changes on [0, 4] and opposite signs at 4 and B, each change brackets its
@@ -193,11 +193,8 @@ def certify_zeros(k: int, ell: int) -> ZeroCertificate:
     conforms = False
     if simple:
         n_in, n_out, n_neg, n_cx, v_box = counts
-        # the values at 1 and -1 are the plain and the alternating
-        # coefficient sums
-        ints = reciprocal_poly(k, ell).ints
-        at_one = sum(ints) == 0
-        at_minus_one = sum(ints[0::2]) == sum(ints[1::2])
+        one, minus_one, _ = reciprocal_poly(k, ell).unit_values()
+        at_one, at_minus_one = one == 0, minus_one == 0
         if at_minus_one != bool(m0) or at_one != bool(circ):
             raise AssertionError("special zeros disagree with parity "
                                  "bookkeeping at k=%d, ell=%d" % (k, ell))

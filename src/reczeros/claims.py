@@ -14,15 +14,16 @@ the constant PRECISION_CAP, which no setting changes, and widths shrink
 toward WIDTH_FLOOR.  The stated upper window endpoint is built only by
 bounds.stated_alpha_upper, and alpha is read against it only along
 bounds.window_walk, whose first rung takes it at WINDOW_PRECISION; the
-window checks and analysis.analyze share that walk.  Values of a polynomial at
-+-1 are coefficient sums on its integer coefficients, so the exact checks
-follow the integer rule of the kernels; a fail witness still carries the
-exact Fraction value.
+window checks and analysis.analyze share that walk.  R(1), R(-1) and
+R'(1) are read off each member's integers by `family.Member.unit_values`,
+so the exact checks follow the integer rule of the kernels; a fail
+witness still carries the exact Fraction value.
 Results (ClaimResult, VerificationReport) are NamedTuples, the one record
 idiom of the package, which keeps `dataclasses` and its imports out of
-every command; serialize owns their wire form.  run_all refuses a grid
-of more than MAX_RANGE_VALUES instances, the bound the command line
-reads too.
+every command; serialize owns their wire form.  A report records the
+grid, the precision and the suite that run_all ran, so its document
+reads them all off the report.  run_all refuses a grid of more than
+MAX_RANGE_VALUES instances, the bound the command line reads too.
 
 A "finding" is a result that contradicts or sharpens the expected
 statement without invalidating the surrounding certificates: the single
@@ -90,11 +91,13 @@ class ClaimResult(NamedTuple):
 
 
 class VerificationReport(NamedTuple):
-    """The results of one run_all, in plan order, with the grid they cover."""
+    """The results of one run_all, in plan order, with the grid they cover
+    and the suite that planned them."""
 
     k_max: int
     ell_max: int
     precision: int
+    suite: str
     results: tuple
 
     @property
@@ -535,18 +538,6 @@ def check_sign_pattern(k: int, ell: int, precision: int = DEFAULT_PRECISION) -> 
 # values at +-1 and the derivative sums
 # ---------------------------------------------------------------------------
 
-def _companion_at_one(k: int, ell: int) -> tuple[int, int, int]:
-    """(a, b, c) with m(1) = a / c and m'(1) = b / c for the monic
-    companion m(z) = R(z^2) / lc(R).
-
-    m(1) = R(1) / lc and m'(1) = 2 R'(1) / lc, so for R's integer
-    coefficients the two numerators are the plain and twice the
-    index-weighted sums of them, and c is the top one.
-    """
-    ints = reciprocal_poly(k, ell).ints
-    return (sum(ints), 2 * sum(i * c for i, c in enumerate(ints)), ints[-1])
-
-
 def check_pm1_zero(k_max: int, ell_max: int) -> ClaimResult:
     """Exact vanishing pattern at the unit points.
 
@@ -557,12 +548,8 @@ def check_pm1_zero(k_max: int, ell_max: int) -> ClaimResult:
     checked = 0
     for k in range(1, k_max + 1):
         for ell in range(1, ell_max + 1):
-            # the plain and the alternating sums of r's integer
-            # coefficients are positive multiples of r(1) and r(-1)
             r = reciprocal_poly(k, ell)
-            ints = r.ints
-            at_one = sum(ints)
-            at_minus = sum(ints[0::2]) - sum(ints[1::2])
+            at_one, at_minus, _ = r.unit_values()
             if k % 2 == 0:
                 want_zero, want_nonzero = (
                     (at_one, at_minus) if ell % 2 == 0 else (at_minus, at_one))
@@ -589,8 +576,10 @@ def check_GH_signs(k_max: int, ell_max: int) -> ClaimResult:
     sum_j (-1)^j j q_j^l (k even) stays above 1, hence above 3/2 from k=4
     on, which makes the companion derivative at 1 equal to
     (2k+2)(1 - H) < 0.  The k=2 value collapses to (2 q_1)^l / 3.  With
-    q_j = u_j / m, each sum is an integer over m^l, and every test
-    cross-multiplies integers.
+    q_j = u_j / m, each sum is an integer over m^l; the companion
+    m(z) = R(z^2) / lc(R) has m(1) = R(1) / lc and m'(1) = 2 R'(1) / lc,
+    read off the member's `unit_values`, and every test cross-multiplies
+    integers.
     """
     params = {"k_max": k_max, "ell_max": ell_max}
     if k_max < 1 or ell_max < 2:
@@ -604,7 +593,9 @@ def check_GH_signs(k_max: int, ell_max: int) -> ClaimResult:
         for k in range(1, k_max + 1):
             us, m = numerators[k - 1]
             mp = m**ell
-            at_one, slope, lc = _companion_at_one(k, ell)
+            r = reciprocal_poly(k, ell)
+            at_one, _, slope = r.unit_values()
+            lc = r.ints[-1]
             if k % 2 == 1:
                 gn = sum(-u**ell if j % 2 else u**ell
                          for j, u in enumerate(us, 1))
@@ -621,10 +612,10 @@ def check_GH_signs(k_max: int, ell_max: int) -> ClaimResult:
             else:
                 alt = sum(-j * u**ell if j % 2 else j * u**ell
                           for j, u in enumerate(us, 1))
-                # H = hn / hd, and the slope at 1 is (2k+2)(hd - hn) / hd
+                # H = hn / hd, and m'(1) = 2 R'(1) / lc is (2k+2)(hd - hn) / hd
                 hn, hd = 2**ell * alt, (k + 1) * mp
                 good = (hn > hd and at_one == 0
-                        and slope * hd == (2 * k + 2) * (hd - hn) * lc)
+                        and slope * hd == (k + 1) * (hd - hn) * lc)
                 if good and k >= 4:
                     good = 2 * hn > 3 * hd
                 if good and k == 2:
@@ -687,8 +678,9 @@ def check_alpha_interval(k_range, ell_odd_range) -> ClaimResult:
     for ell in ells:
         for k in range(k_lo, k_hi + 1):
             lower = (2 * q(k, 1)) ** ell
-            at_one, _, lc = _companion_at_one(k, ell)
-            if not at_one * lc < 0:  # m(1) = at_one / lc
+            r = reciprocal_poly(k, ell)
+            at_one, lc = r.unit_values()[0], r.ints[-1]
+            if not at_one * lc < 0:  # m(1) = R(1) / lc(R)
                 return ClaimResult("alpha-interval", params, FAIL,
                                    {"k": k, "ell": ell,
                                     "at_one": Fraction(at_one, lc)}, {},
@@ -866,4 +858,4 @@ def run_all(k_max: int, ell_max: int, precision: int = DEFAULT_PRECISION,
         call("props", _vacuous, "zero-location-grid", grid)
 
     results = tuple(map_calls(plan, jobs))
-    return VerificationReport(k_max, ell_max, precision, results)
+    return VerificationReport(k_max, ell_max, precision, suite, results)

@@ -153,7 +153,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                          % MAX_PRECISION)
     report = claims.run_all(args.k_max, args.ell_max, precision=args.prec,
                             jobs=args.jobs, suite=args.suite)
-    _emit(args, serialize.verify_document(report, args.suite))
+    _emit(args, serialize.verify_document(report))
     counts = report.counts()
     empty = claims.EMPTY_RANGE
     vacuous = [r.claim_id for r in report.results if r.detail == empty]

@@ -59,10 +59,21 @@ def sigma_of(k: int, ell: int) -> int:
 
 class Member(NamedTuple):
     """R = scale * ints: R's primitive integer coefficients, low degree
-    first, and one positive rational scale."""
+    first, and one positive rational scale; R at +-1 is read off `ints`."""
 
     ints: tuple[int, ...]
     scale: Fraction
+
+    def unit_values(self) -> tuple[int, int, int]:
+        """(R(1), R(-1), R'(1)) / scale: the plain, the alternating and
+        the index-weighted sums of `ints`.
+
+        >>> reciprocal_poly(1, 1).unit_values()
+        (3, -7, 3)
+        """
+        ints = self.ints
+        return (sum(ints), sum(ints[0::2]) - sum(ints[1::2]),
+                sum(i * c for i, c in enumerate(ints)))
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -1,12 +1,14 @@
 import cmath
+import json
 import tracemalloc
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from reczeros import certify
+from reczeros import certify, serialize
 from reczeros.certify import (
     _cyclotomic_ints,
     _phi,
@@ -18,6 +20,7 @@ from reczeros.certify import (
     roots_of_unity_zeros,
     zero_certificate,
 )
+from reczeros.cli import main
 from reczeros.family import boundary_profile, reciprocal_poly, sigma_of
 from reczeros.polycore import _divmod_monic
 
@@ -30,9 +33,11 @@ from sympy_oracle import (
     int_coeffs_ref,
     to_bounds,
     to_fraction,
+    to_rational,
     to_sympy,
     z,
 )
+from test_enclosure_reference import reciprocal_poly_ref
 
 
 def test_certificate_quartic_base():
@@ -151,6 +156,75 @@ def test_sympy_root_isolation_agrees_past_the_sturm_range(k):
 def test_sympy_root_isolation_agrees_on_drawn_members(k, ell):
     """The same second route on members drawn past the Sturm range."""
     _agrees_with_sympy_root_isolation(k, ell)
+
+
+# -- the printed alpha, confirmed on R itself ----------------------------
+
+@lru_cache(maxsize=None)
+def _roots_above_one(k, ell):
+    """R from the test-side Fraction construction, as a sympy.Poly over
+    ZZ, and sympy's isolating intervals of its real roots above 1; an
+    interval around 1 is refined until it falls on one side."""
+    poly = sympy.Poly(int_coeffs_ref(reciprocal_poly_ref(k, ell))[::-1], z,
+                      domain="ZZ")
+    above = []
+    for (a, b), _ in poly.intervals():
+        if (a, b) == (1, 1):  # sympy isolates a rational root exactly
+            continue
+        while a < 1 < b:
+            a, b = poly.refine_root(a, b, eps=(b - a) / 4)
+        if a >= 1:
+            above.append((a, b))
+    return poly, above
+
+
+def _confirm_printed_alpha(inst):
+    """The printed alpha digits of one certify instance bracket R's one real
+    root above 1, with none of the certify chain: the signs of R at the
+    printed ends and the root isolation are sympy's."""
+    k, ell = int(inst["k"]), int(inst["ell"])
+    lo, hi = F(inst["alpha"]["lo"]), F(inst["alpha"]["hi"])
+    assert 1 < lo < hi, (k, ell)
+    poly, above = _roots_above_one(k, ell)
+
+    def sign(x):
+        value = to_fraction(poly.eval(to_rational(x)))
+        return (value > 0) - (value < 0)
+
+    assert sign(lo) * sign(hi) == -1, (k, ell)
+    assert len(above) == 1, (k, ell, above)
+    (a, b), = above
+    a, b = to_fraction(a), to_fraction(b)
+    # refine sympy's interval by cutting it at the printed ends: its one
+    # root lies in the piece whose end signs differ, which must be nested
+    # in the printed interval
+    assert sign(a) * sign(b) == -1, (k, ell)
+    a, b = max(a, lo), min(b, hi)
+    assert a < b and sign(a) * sign(b) == -1, (k, ell)
+
+
+def _certify_document(argv, capsys):
+    assert main(["certify", *argv.split(), "--format", "json"]) == 0
+    instances = json.loads(capsys.readouterr().out)["instances"]
+    assert all(inst["conforms"] for inst in instances)
+    return instances
+
+
+@pytest.mark.parametrize("argv", [
+    "--k 1..40 --ell 1..6",
+    "--k 44,64,100 --ell 1..6",
+    "--k 1..14 --ell 1..6 --width 1e-6",
+    "--k 1..14 --ell 1..6 --width 1e-60",
+])
+def test_printed_alpha_brackets_the_root_of_r(argv, capsys):
+    for inst in _certify_document(argv, capsys):
+        _confirm_printed_alpha(inst)
+
+
+@settings(max_examples=3, deadline=None)
+@given(k=st.integers(1, 150), ell=st.integers(1, 6))
+def test_printed_alpha_brackets_the_root_of_r_on_drawn_members(k, ell):
+    _confirm_printed_alpha(serialize.certificate_instance(k, ell))
 
 
 def test_one_certificate_per_member(monkeypatch):

@@ -379,7 +379,7 @@ def test_run_all_order_and_statuses():
     by_id = {r.claim_id: r for r in rep.results}
     assert by_id["index-ratio-bound"].status == "finding"
     assert by_id["alpha-interval"].status == "pass"
-    table = serialize.to_table(serialize.verify_document(rep, "all"))
+    table = serialize.to_table(serialize.verify_document(rep))
     assert table.splitlines()[0].startswith("claim")
     assert len(table.splitlines()) == len(rep.results) + 1
 
@@ -402,15 +402,15 @@ def test_run_all_suites_partition_the_plan():
 
 
 def test_run_all_is_deterministic():
-    assert (serialize.verify_document(run_all(4, 2), "all")
-            == serialize.verify_document(run_all(4, 2), "all"))
+    assert (serialize.verify_document(run_all(4, 2))
+            == serialize.verify_document(run_all(4, 2)))
 
 
 def test_run_all_parallel_matches_serial():
     serial = run_all(4, 2)
     parallel = run_all(4, 2, jobs=3)
-    assert (serialize.verify_document(parallel, "all")
-            == serialize.verify_document(serial, "all"))
+    assert (serialize.verify_document(parallel)
+            == serialize.verify_document(serial))
 
 
 @pytest.mark.parametrize("k_max, ell_max", [(0, 0), (1, 0), (2, 1), (3, 0)])
@@ -419,8 +419,8 @@ def test_degenerate_grids_match_serial_through_the_pool(k_max, ell_max):
     for suite in claims.SUITES:
         serial = run_all(k_max, ell_max, suite=suite)
         parallel = run_all(k_max, ell_max, jobs=2, suite=suite)
-        assert (serialize.verify_document(parallel, suite)
-                == serialize.verify_document(serial, suite)), suite
+        assert (serialize.verify_document(parallel)
+                == serialize.verify_document(serial)), suite
 
 
 def test_run_all_caps_the_sign_grid():
@@ -453,7 +453,7 @@ def test_claims_that_check_nothing_are_marked_vacuous():
 
 def test_report_round_trips_to_plain_types():
     rep = run_all(3, 1)
-    d = serialize.verify_document(rep, "all")
+    d = serialize.verify_document(rep)
     assert d["ok"] is True
 
     def walk(obj):
@@ -470,9 +470,13 @@ def test_report_round_trips_to_plain_types():
 
 
 def test_verify_document_requires_the_suite():
-    # a default would label this lemmas-only report as the full suite
-    rep = run_all(4, 2, suite="lemmas")
-    with pytest.raises(TypeError):
-        serialize.verify_document(rep)
-    doc = serialize.verify_document(rep, "lemmas")
-    assert doc["grid"]["suite"] == "lemmas"
+    # the document's suite is the one the report ran, and a report is never
+    # labelled with another
+    for suite in claims.SUITES:
+        rep = run_all(4, 2, suite=suite)
+        assert rep.suite == suite
+        assert serialize.verify_document(rep)["grid"]["suite"] == suite
+        assert serialize.verify_document(rep, suite) == (
+            serialize.verify_document(rep))
+    with pytest.raises(ValueError, match="ran suite 'all'"):
+        serialize.verify_document(rep, "lemmas")

@@ -575,7 +575,7 @@ def test_cli_reuses_a_claims_module_already_loaded():
         "kept = sys.modules['reczeros.claims'] is first\n"
         "kept = kept and reczeros.cli.claims is first\n"
         "docs = [serialize.render(serialize.verify_document(\n"
-        "    first.run_all(4, 2, jobs=jobs), 'all'), 'json')\n"
+        "    first.run_all(4, 2, jobs=jobs)), 'json')\n"
         "    for jobs in (1, 2)]\n"
         "print(json.dumps([kept, docs[0] == docs[1]]))"))
     assert json.loads(out) == [True, True]

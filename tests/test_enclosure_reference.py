@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from reczeros import claims, exactnum
 from reczeros.bounds import (
-    _arctan_recip_enclosure,
+    _arctan_recip_fixed,
     cos_enclosure,
     pi_enclosure,
     pow_rounded,
@@ -182,10 +182,18 @@ def test_cos_enclosure_at_the_clamps_matches_fraction_reference():
 
 
 def test_arctan_series_matches_fraction_reference():
+    # the fixed-point sum s of n terms is within n + 1 of arctan(1/x) 2^bits,
+    # which one Fraction reference brackets to 2^-4 at every bits drawn, up
+    # to past the bits that pi_enclosure(PRECISION_CAP + 8) sums at
+    top = 9000
     for x in (2, 3, 5, 239):
-        for precision in range(0, 300, 7):
-            assert (_arctan_recip_enclosure(x, precision)
-                    == arctan_recip_ref(x, precision)), (x, precision)
+        ref = arctan_recip_ref(x, top + 4)
+        (a, b), (c, d) = (ref.lo.as_integer_ratio(),
+                          ref.hi.as_integer_ratio())
+        for bits in [*range(0, 300, 7), 1000, 4104, 8250, top]:
+            s, n = _arctan_recip_fixed(x, bits)
+            assert (s - n - 1) * b < a << bits, (x, bits)
+            assert c << bits < (s + n + 1) * d, (x, bits)
 
 
 def test_bernoulli_matches_binomial_recurrence():
@@ -386,13 +394,28 @@ def test_member_construction_matches_fraction_formulas(k, ell):
 
 
 def test_companion_values_at_one_match_the_zeta_formula():
+    # m(z) = R(z^2) / lc(R), so m(1) = R(1) / lc and m'(1) = 2 R'(1) / lc
     for k in range(1, 21):
         for ell in range(1, 7):
             m = to_sympy(monic_even_form_ref(k, ell))
             want = (m.eval(1), m.diff().eval(1))
-            at_one, slope, lc = claims._companion_at_one(k, ell)
-            assert (F(at_one, lc), F(slope, lc)) == tuple(
+            r = reciprocal_poly(k, ell)
+            at_one, _, slope = r.unit_values()
+            lc = r.ints[-1]
+            assert (F(at_one, lc), F(2 * slope, lc)) == tuple(
                 map(to_fraction, want)), (k, ell)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 30), ell=st.integers(1, 6))
+@example(k=2, ell=2)
+@example(k=2, ell=1)
+def test_member_unit_values_are_r_and_its_slope_at_the_unit_points(k, ell):
+    r = reciprocal_poly(k, ell)
+    poly = to_sympy(reciprocal_poly_ref(k, ell))
+    want = (poly.eval(1), poly.eval(-1), poly.diff().eval(1))
+    assert tuple(r.scale * v for v in r.unit_values()) == tuple(
+        map(to_fraction, want))
 
 
 @settings(max_examples=200)

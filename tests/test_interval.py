@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from reczeros import bounds
 from reczeros.bounds import (
+    PRECISION_CAP,
     cos_enclosure,
     cos_pi_square,
     horner_sign,
@@ -126,7 +127,8 @@ def test_pi_enclosure_nesting():
     assert encloses(fresh, tight) and encloses(wide, fresh)
 
 
-@given(p1=st.integers(4, 2000), p2=st.integers(4, 2000))
+@given(p1=st.integers(4, PRECISION_CAP + 8),
+       p2=st.integers(4, PRECISION_CAP + 8))
 def test_pi_enclosure_is_the_dyadic_cell_of_pi(p1, p2):
     mpmath = pytest.importorskip("mpmath")
     b = p1 + 8
@@ -139,8 +141,8 @@ def test_pi_enclosure_is_the_dyadic_cell_of_pi(p1, p2):
 
 def test_pi_enclosure_shifts_the_finest_floor(monkeypatch):
     fine = pi_enclosure(1000)
-    monkeypatch.setattr(bounds, "_arctan_recip_enclosure",
-                        lambda x, precision: pytest.fail("series rerun"))
+    monkeypatch.setattr(bounds, "_arctan_recip_fixed",
+                        lambda x, bits: pytest.fail("series rerun"))
     for p in (4, 48, 129, 1000):
         b = p + 8
         f = floor_scaled(fine.lo.numerator, fine.lo.denominator, b)
