@@ -9,17 +9,19 @@ integer mantissas over 2^bits, rounded by `interval.floor_scaled` and
 one fixed-point Machin sum on integers; cos from a Taylor
 partial sum with a Lagrange remainder, by step-rounded Horner with guard
 bits that grow with the term count; and `cos_pi_square` gives the sign
-grids cos^2(pi r) as mantissas, memoized per reduced (r, precision).  Every
-enclosure is a pure function of its arguments: `pi_enclosure(p)` is the
-cell of the 2^-(p + 8) grid that holds pi, whatever ran earlier in the
-process, so the memos change no result.  `ladder` is the one escalation
-ladder, and `window_walk` the one walk that reads alpha against
-`stated_alpha_upper`.
+grids cos^2(pi r) as mantissas, by an `lru_cache` per reduced
+(r, precision).  Every enclosure is a pure function of its arguments:
+`pi_enclosure(p)` is the cell of the 2^-(p + 8) grid that holds pi,
+whatever ran earlier in the process (the module keeps only the finest
+floor of pi found), so the memos change no result.  `ladder` is the one
+escalation ladder, and `window_walk` the one walk that reads alpha
+against `stated_alpha_upper`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 from math import gcd
 from typing import Sequence
@@ -243,17 +245,13 @@ def cos_enclosure(x: Interval, precision: int) -> Interval:
     return Interval(Fraction(lo, one), Fraction(hi, one))
 
 
-_cos_pi_square_cache: dict[tuple[int, int, int], tuple[int, int]] = {}
-
-
 def cos_pi_square(p: int, den: int, precision: int) -> tuple[int, int]:
     """Mantissas (lo, hi) over 2^(2 precision + 16) of an enclosure of
     cos(pi p / den)^2, for den > 0.
 
     p / den is reduced exactly to t / den in [0, 1/2], so the cos series
-    sees theta in [0, pi/2]; the square of its enclosure [a, b] (multiples of
-    2^-(precision + 8)) is the interval product, [min, max] of a^2, ab and
-    b^2.  Memoized per (reduced t / den, precision).
+    sees theta in [0, pi/2]; `_cos_pi_square_reduced` computes the
+    enclosure once per reduced class and precision.
 
     >>> cos_pi_square(1, 3, 64) == cos_pi_square(-4, 6, 64)
     True
@@ -261,16 +259,20 @@ def cos_pi_square(p: int, den: int, precision: int) -> tuple[int, int]:
     t = p % den
     t = min(t, den - t)
     g = gcd(t, den)
-    key = (t // g, den // g, precision)
-    sq = _cos_pi_square_cache.get(key)
-    if sq is None:
-        enc = cos_enclosure(pi_enclosure(precision) * Fraction(t, den),
-                            precision)
-        a = dyadic_mantissa(enc.lo, precision + 8)
-        b = dyadic_mantissa(enc.hi, precision + 8)
-        products = (a * a, a * b, b * b)
-        sq = _cos_pi_square_cache[key] = (min(products), max(products))
-    return sq
+    return _cos_pi_square_reduced(t // g, den // g, precision)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _cos_pi_square_reduced(t: int, den: int,
+                           precision: int) -> tuple[int, int]:
+    """cos_pi_square for t / den in lowest terms in [0, 1/2]: the square of
+    the cos enclosure [a, b] (multiples of 2^-(precision + 8)) at
+    pi t / den is the interval product, [min, max] of a^2, ab and b^2."""
+    enc = cos_enclosure(pi_enclosure(precision) * Fraction(t, den), precision)
+    a = dyadic_mantissa(enc.lo, precision + 8)
+    b = dyadic_mantissa(enc.hi, precision + 8)
+    products = (a * a, a * b, b * b)
+    return min(products), max(products)
 
 
 # -- zeta ----------------------------------------------------------------

@@ -60,7 +60,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
-from math import cos, gcd, inf, isqrt, pi
+from math import cos, gcd, isqrt, pi
 from typing import NamedTuple, Sequence
 
 from .family import boundary_profile, reciprocal_poly
@@ -158,7 +158,8 @@ def _sturm_counts(w: Sequence[int]):
 
     None when W is not simple: a root at 0 or 4, or a repeated root.
     Otherwise W(0) and W(4) are nonzero, so the variation counts at -inf,
-    0, 4 and +inf give the roots on each open interval between them.
+    0, 4 and +inf give the roots on each open interval between them.  At
+    +-inf a chain member has the sign of its leading term.
     """
     sign_four = _sign_at(w, 4)
     if w[0] == 0 or sign_four == 0:
@@ -167,8 +168,10 @@ def _sturm_counts(w: Sequence[int]):
         chain = SturmChain(w).chain
     except ValueError:
         return None
-    v_neg, v_zero, v_four, v_pos = (_variations(_sign_at(m, x) for m in chain)
-                                    for x in (-inf, 0, 4, inf))
+    at_pos = [1 if m[-1] > 0 else -1 for m in chain]
+    v_neg = _variations(s if len(m) % 2 else -s for s, m in zip(at_pos, chain))
+    v_zero, v_four = (_variations(_sign_at(m, x) for m in chain) for x in (0, 4))
+    v_pos = _variations(at_pos)
     n_in, n_out, n_neg = v_zero - v_four, v_four - v_pos, v_neg - v_zero
     # one simple root in (4, B): the box alternation_box would return
     v_box = _box_beyond_four(w, sign_four) if n_out == 1 else None
@@ -311,22 +314,18 @@ def _alpha_step(lo: Fraction, hi: Fraction,
 
 # -- zeros at roots of unity ---------------------------------------------
 
-_cyclo_cache: dict[int, tuple[int, ...]] = {1: (-1, 1)}
-
-
+@lru_cache(maxsize=None, typed=True)
 def _cyclotomic_ints(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, by exact division of
-    x^n - 1."""
-    got = _cyclo_cache.get(n)
-    if got is None:
-        num = [-1] + [0] * (n - 1) + [1]
-        for d in range(1, n // 2 + 1):
-            if n % d == 0:
-                num, rem = _divmod_monic(num, _cyclotomic_ints(d))
-                if rem:
-                    raise AssertionError("cyclotomic division is not exact")
-        got = _cyclo_cache[n] = tuple(num)
-    return got
+    x^n - 1 by each Phi_d for the proper divisors d of n; memoized per n.
+    For n = 1 there is no divisor to take out, so Phi_1 is x^n - 1 itself."""
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n // 2 + 1):
+        if n % d == 0:
+            num, rem = _divmod_monic(num, _cyclotomic_ints(d))
+            if rem:
+                raise AssertionError("cyclotomic division is not exact")
+    return tuple(num)
 
 
 def _phi(n: int) -> int:

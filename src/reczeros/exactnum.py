@@ -9,6 +9,7 @@ zeta enclosures built on them live in `bounds`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 __all__ = ["bernoulli", "zeta_even_rational"]
@@ -52,22 +53,17 @@ def bernoulli(n: int) -> Fraction:
     return _bern_even[m]
 
 
-_zeta_rational_cache: dict[int, Fraction] = {}
-
-
+@lru_cache(maxsize=None, typed=True)
 def zeta_even_rational(m: int) -> Fraction:
     """The rational r_m with zeta(2m) = r_m * pi^(2m)  (Euler).
 
-    r_m = (-1)^(m+1) * 2^(2m-1) * B_2m / (2m)!, memoized per m.
+    r_m = (-1)^(m+1) * 2^(2m-1) * B_2m / (2m)!, memoized per m; a refused
+    m raises on every call and is not cached.
 
     >>> [zeta_even_rational(m) for m in (1, 2, 3)]
     [Fraction(1, 6), Fraction(1, 90), Fraction(1, 945)]
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError("zeta_even_rational needs m >= 1")
-    got = _zeta_rational_cache.get(m)
-    if got is None:
-        sign = 1 if m % 2 == 1 else -1
-        num = sign * (1 << (2 * m - 1)) * bernoulli(2 * m)
-        got = _zeta_rational_cache[m] = num / factorial(2 * m)
-    return got
+    sign = 1 if m % 2 == 1 else -1
+    return sign * (1 << (2 * m - 1)) * bernoulli(2 * m) / factorial(2 * m)

@@ -15,8 +15,9 @@ fallback that decides every case: it strips the content of each exact
 pseudo-remainder (`_prem`, the kernel `analysis.resultant` runs on too)
 and fixes its sign from the known sign of the lc power, so sign
 variation counts (`_variations`) are preserved exactly.  `certify`
-reads them at -inf, 0, 4 and +inf only, where W is nonzero, so no count
-needs an endpoint correction.  A root box, which `certify` builds as
+reads them at 0 and 4 by `_sign_at`, and at -inf and +inf off each
+member's leading sign and degree, where W is nonzero, so no count needs
+an endpoint correction.  A root box, which `certify` builds as
 (4, B) around W's one zero beyond 4, has nonzero opposite endpoint
 signs.  Its refinement returns the dyadic cell that sign bisection
 reaches, but jumps there: a float estimate or a secant only chooses a
@@ -100,14 +101,8 @@ def _divmod_monic(f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[i
 
 
 def _sign_at(ints: Sequence[int], x) -> int:
-    """Sign of the integer-coefficient polynomial at x (Fraction or +-inf)."""
-    if not ints:
-        return 0
-    if x == inf or x == -inf:
-        s = 1 if ints[-1] > 0 else -1
-        if x == -inf and (len(ints) - 1) % 2 == 1:
-            s = -s
-        return s
+    """Sign of the integer-coefficient polynomial at a rational x (an int
+    or a Fraction), by integer Horner on its numerator and denominator."""
     x = Fraction(x)
     num, den = x.numerator, x.denominator
     acc = ints[-1]

@@ -24,7 +24,6 @@ header is the ordered union of the instances' columns.
 from __future__ import annotations
 
 import io
-import json
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
@@ -167,6 +166,8 @@ def verify_document(report, suite: str | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 def to_json(doc: dict) -> str:
+    import json  # only the json format needs it
+
     return json.dumps(doc, indent=2) + "\n"
 
 

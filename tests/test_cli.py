@@ -486,13 +486,17 @@ def test_forced_sturm_fallback_gives_the_same_certify_document(
 def test_cli_import_leaves_analysis_and_the_pool_unloaded():
     """The eight layer modules are in sys.modules (the benchmark tracer
     looks each one up there; claims is bound there unexecuted), and
-    dataclasses with its inspect import does not load."""
+    dataclasses with its inspect import does not load, nor json, which
+    only the json format imports.  sys.modules is read before the probe
+    imports json to print its answer."""
     out = fresh_python("-c", (
-        "import sys, json, reczeros.cli, reczeros\n"
+        "import sys, reczeros.cli, reczeros\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('reczeros.'))\n"
         "pool = 'concurrent.futures.process' in sys.modules\n"
-        "heavy = sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)\n"
+        "heavy = sorted(m for m in ('dataclasses', 'inspect', 'json')\n"
+        "               if m in sys.modules)\n"
         "missing = [n for n in reczeros.__all__ if getattr(reczeros, n, None) is None]\n"
+        "import json\n"
         "print(json.dumps([loaded, pool, heavy, missing]))"))
     loaded, pool_loaded, heavy, unresolved = json.loads(out)
     assert loaded == ["reczeros." + m for m in (

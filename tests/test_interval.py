@@ -214,6 +214,18 @@ def test_cos_pi_square_is_the_square_of_the_cos_enclosure():
                 assert Interval(F(lo, one), F(hi, one)) == square, (p, q)
 
 
+def test_cos_pi_square_computes_one_enclosure_per_reduced_class():
+    """1/3, -4/6, 5/3 and 2/6 all reduce to the class 1/3 in [0, 1/2], so
+    at one precision they share the one enclosure computed for it."""
+    bounds._cos_pi_square_reduced.cache_clear()
+    got = {cos_pi_square(p, den, 64)
+           for p, den in ((1, 3), (-4, 6), (5, 3), (2, 6))}
+    assert bounds._cos_pi_square_reduced.cache_info().misses == 1
+    # the mantissas over 2^144 of the enclosure of cos(pi / 3)^2 = 1/4
+    assert got == {(5575186299632655785379207201679220731281409,
+                    5575186299632655785497266363750961861624384)}
+
+
 _rationals = st.fractions(min_value=-4, max_value=4, max_denominator=1 << 20)
 
 

@@ -16,6 +16,7 @@ from reczeros.polycore import (
     _verify_resubstitution,
     RootBox,
     SturmChain,
+    _divmod_monic,
     _prem,
     cauchy_bound,
     reciprocal_transform,
@@ -80,6 +81,30 @@ def test_sturm_count_random_products_of_linears():
                           sum(1 for r in roots if r < 0), 2 * pairs), roots
 
 
+@pytest.mark.parametrize("w", [
+    # degree 6, leading coefficient -3: roots -3, -1/2, 1, 5 and v^2 + 1
+    -3 * (z + 3) * (2 * z + 1) * (z - 1) * (z - 5) * (z**2 + 1),
+    # degree 5, leading coefficient -2: roots -2, 2, 7 and v^2 + v + 1
+    -2 * (z + 2) * (z - 2) * (z - 7) * (z**2 + z + 1),
+    # degree 3, leading coefficient -1: one root, -1/3, and v^2 + 2
+    -(3 * z + 1) * (z**2 + 2),
+    # degree 4, leading coefficient 5: roots -7, -1 and v^2 - 2v + 5
+    5 * (z + 7) * (z + 1) * (z**2 - 2 * z + 5),
+])
+def test_sturm_counts_read_the_signs_at_infinity(w):
+    """Negative roots, a complex pair and a negative leading coefficient,
+    at both degree parities: the counts on (-inf, 0) and (4, inf) rest on
+    the chain's signs at -inf and +inf, and match sympy's root counts."""
+    poly = sympy.Poly(w, z)
+    n_in, n_out, n_neg, n_cx, box = _sturm_counts(
+        int_coeffs_ref(from_sympy(poly)))
+    assert n_neg == poly.count_roots(sup=0) > 0
+    assert n_in == poly.count_roots(0, 4)
+    assert n_out == poly.count_roots(inf=4)
+    assert n_cx == poly.degree() - poly.count_roots() > 0
+    assert (box is None) == (n_out != 1)
+
+
 @given(st.lists(st.integers(-60, 60), min_size=2, max_size=12)
        .filter(lambda cs: cs[0] != 0 and cs[-1] != 0))
 def test_sturm_positive_count_obeys_descartes(coeffs):
@@ -113,6 +138,26 @@ def test_prem_is_the_scaled_remainder(pair):
     f, g = pair
     scale = g[-1] ** (len(f) - len(g) + 1)
     assert to_sympy(_prem(f, g)) == to_sympy(f).rem(to_sympy(g)) * scale
+
+
+@given(low=st.lists(_prem_coeffs, max_size=6),
+       quo=st.lists(_prem_coeffs, max_size=7),
+       rem=st.lists(st.integers(-3, 3), max_size=6))
+def test_divmod_monic_is_sympy_division(low, quo, rem):
+    """_divmod_monic(f, g) for a monic integer g is the integer quotient
+    and remainder: q g + r = f with deg r < deg g and r trimmed, as
+    sympy's div gives them.  f is drawn as a multiple of g plus a short
+    remainder with small entries, so exact divisions and remainders with
+    zero top terms are frequent."""
+    g = low + [1]
+    f = [int(c) for c in from_sympy(to_sympy(quo) * to_sympy(g)
+                                    + to_sympy(rem[:len(low)]))]
+    assume(f)
+    q, r = _divmod_monic(f, g)
+    assert (to_sympy(q), to_sympy(r)) == sympy.div(to_sympy(f), to_sympy(g))
+    assert to_sympy(q) * to_sympy(g) + to_sympy(r) == to_sympy(f)
+    assert len(r) < len(g) and (not r or r[-1] != 0)
+    assert all(type(c) is int for c in q + r)
 
 
 def test_cauchy_bound():
