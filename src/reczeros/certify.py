@@ -31,11 +31,14 @@ inside and Fraction only at the boundaries: the grid signs are one
 homogeneous Horner on integer numerators over 2^GRID_BITS, the values at
 x = +-1 are `Member.unit_values`, and each alpha step (u = v - 2, u^2 - 4,
 its isqrt bounds, (u + s) / 2) runs on the integer numerators and
-denominators of the v-box endpoints.  When W (of degree h) shows h - 1 sign
-changes on [0, 4] and opposite signs at 4 and B, each change brackets its
-own root, so all h roots are real and simple: h - 1 in (0, 4) and one in
-(4, B).  Otherwise the counts come from a Sturm chain, which decides every
-case.  The certificate records which route closed.
+denominators of the v-box endpoints.  W's leading coefficient is positive,
+so W(B) > 0.  When W (of degree h) shows h - 1 sign changes on [0, 4] and
+W(4) < 0, each change brackets its own root, so all h roots are real and
+simple: h - 1 in (0, 4) and one in (4, B).  Otherwise the counts come from
+a Sturm chain, which decides every case.  The certificate records which
+route closed.  It stores no box: a member with one pair beyond the circle
+has W(4) < 0 < W(B), so `alpha_enclosure` refines (4, B), worked out
+from W.
 
 The zero layout depends on (k, ell) alone.  `certify_zeros` computes a
 certificate; `zero_certificate` memoizes it per member, as
@@ -66,7 +69,6 @@ from typing import NamedTuple, Sequence
 from .family import boundary_profile, reciprocal_poly
 from .interval import Interval, ceil_scaled, floor_scaled
 from .polycore import (
-    RootBox,
     SturmChain,
     _divmod_monic,
     _dyadic_signs,
@@ -81,11 +83,10 @@ from .polycore import (
 class ZeroCertificate(NamedTuple):
     """Exact accounting of the zeros of one family member.
 
-    Counts are in the base variable x (degree k + 1).  `v_box` isolates
-    the W-root in (4, oo) when there is exactly one; it seeds
-    `alpha_enclosure`.  When `simple` is False the counts are None.
-    `route` names the argument that closed: "alternation" or "sturm".
-    The fields before those two are the certificate's document.
+    Counts are in the base variable x (degree k + 1).  When `simple` is
+    False the counts are None.  `route` names the argument that closed:
+    "alternation" or "sturm".  The fields before it are the certificate's
+    document.
     """
 
     k: int
@@ -100,13 +101,12 @@ class ZeroCertificate(NamedTuple):
     root_at_one: bool | None
     root_at_minus_one: bool | None
     conforms: bool
-    v_box: RootBox | None
     route: str
 
     def as_dict(self) -> dict:
         """The document fields, in order, as library values."""
         doc = self._asdict()
-        del doc["v_box"], doc["route"]
+        del doc["route"]
         return doc
 
 
@@ -127,42 +127,34 @@ def cosine_grid(n: int) -> list[int]:
                    for j in range(1, 2 * n)})
 
 
-def _box_beyond_four(w: Sequence[int], sign_four: int) -> RootBox:
-    """The box (4, B) of W's one root beyond 4, given W's nonzero sign at
-    4; at the Cauchy bound B, W has the sign of its leading coefficient."""
-    return RootBox(w, Fraction(4), cauchy_bound(w), sign_four,
-                   1 if w[-1] > 0 else -1)
-
-
-def alternation_box(w: Sequence[int], n: int) -> RootBox | None:
-    """The box (4, B) of the one root of W beyond 4, when alternation proves it.
+def alternation_box(w: Sequence[int], n: int) -> bool:
+    """Whether alternation proves W's roots: h - 1 in (0, 4) and one in
+    the box (4, B).
 
     Signs of W's integer coefficients are taken exactly at 0, at the
-    interior points of cosine_grid(n) and at 4, and at the Cauchy bound B
-    as the sign of the leading coefficient.  With h = deg W, h - 1 sign
-    changes on [0, 4] plus opposite signs at 4 and B bracket h distinct
-    real roots in disjoint open intervals, which are all of them.  Returns
-    None when a sign is zero or the changes fall short.
+    interior points of cosine_grid(n) and at 4.  W's leading coefficient
+    is positive, as `reciprocal_transform` returns it, so W is positive at
+    the Cauchy bound B.  With h = deg W, h - 1 sign changes on [0, 4] plus
+    W(4) < 0 bracket h distinct real roots in disjoint open intervals,
+    which are all of them.  False when a sign is zero, the changes fall
+    short or W(4) > 0.
     """
     four = 4 << GRID_BITS
     points = [0] + [v for v in cosine_grid(n) if 0 < v < four] + [four]
     signs = _dyadic_signs(w, points, GRID_BITS)
     changes = sum(a != b for a, b in zip(signs, signs[1:]))
-    if 0 in signs or changes != len(w) - 2 or (signs[-1] > 0) == (w[-1] > 0):
-        return None
-    return _box_beyond_four(w, signs[-1])
+    return 0 not in signs and changes == len(w) - 2 and signs[-1] < 0
 
 
 def _sturm_counts(w: Sequence[int]):
-    """(n_in, n_out, n_neg, n_cx, v_box) for W from its Sturm chain.
+    """(n_in, n_out, n_neg, n_cx) for W from its Sturm chain.
 
     None when W is not simple: a root at 0 or 4, or a repeated root.
     Otherwise W(0) and W(4) are nonzero, so the variation counts at -inf,
     0, 4 and +inf give the roots on each open interval between them.  At
     +-inf a chain member has the sign of its leading term.
     """
-    sign_four = _sign_at(w, 4)
-    if w[0] == 0 or sign_four == 0:
+    if w[0] == 0 or _sign_at(w, 4) == 0:
         return None
     try:
         chain = SturmChain(w).chain
@@ -173,9 +165,7 @@ def _sturm_counts(w: Sequence[int]):
     v_zero, v_four = (_variations(_sign_at(m, x) for m in chain) for x in (0, 4))
     v_pos = _variations(at_pos)
     n_in, n_out, n_neg = v_zero - v_four, v_four - v_pos, v_neg - v_zero
-    # one simple root in (4, B): the box alternation_box would return
-    v_box = _box_beyond_four(w, sign_four) if n_out == 1 else None
-    return n_in, n_out, n_neg, len(w) - 1 - (n_in + n_out + n_neg), v_box
+    return n_in, n_out, n_neg, len(w) - 1 - (n_in + n_out + n_neg)
 
 
 def certify_zeros(k: int, ell: int) -> ZeroCertificate:
@@ -185,17 +175,16 @@ def certify_zeros(k: int, ell: int) -> ZeroCertificate:
     m0 = 1 if profile.w_parity == "odd" else 0
     circ = 1 if profile.sigma == -1 else 0
 
-    v_box = alternation_box(w, max(k - 1, 1))
-    if v_box is not None:
-        route, counts = "alternation", (len(w) - 2, 1, 0, 0, v_box)
+    if alternation_box(w, max(k - 1, 1)):
+        route, counts = "alternation", (len(w) - 2, 1, 0, 0)
     else:
         route, counts = "sturm", _sturm_counts(w)
 
     simple = counts is not None
-    unimodular = pos = neg = cx = at_one = at_minus_one = v_box = None
+    unimodular = pos = neg = cx = at_one = at_minus_one = None
     conforms = False
     if simple:
-        n_in, n_out, n_neg, n_cx, v_box = counts
+        n_in, n_out, n_neg, n_cx = counts
         one, minus_one, _ = reciprocal_poly(k, ell).unit_values()
         at_one, at_minus_one = one == 0, minus_one == 0
         if at_minus_one != bool(m0) or at_one != bool(circ):
@@ -216,7 +205,6 @@ def certify_zeros(k: int, ell: int) -> ZeroCertificate:
         root_at_one=at_one,
         root_at_minus_one=at_minus_one,
         conforms=conforms,
-        v_box=v_box,
         route=route,
     )
 
@@ -236,23 +224,26 @@ def alpha_enclosure(k: int, ell: int, width: Fraction = ALPHA_WIDTH) -> Interval
     """Enclosure, to the requested width, of the real zero alpha > 1.
 
     alpha and 1/alpha are the preimages of the single W-root v0 > 4 under
-    x + 1/x = v - 2, so alpha = ((v0 - 2) + sqrt((v0 - 2)^2 - 4)) / 2; the
-    v-box of the member's certificate is refined and the square root
+    x + 1/x = v - 2, so alpha = ((v0 - 2) + sqrt((v0 - 2)^2 - 4)) / 2.  A
+    member whose certificate counts one such pair has W(4) < 0 < W(B) at
+    the Cauchy bound B of W; the box (4, B) is refined and the square root
     widened outward until the interval is narrow enough.
     """
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    box = zero_certificate(k, ell).v_box
-    if box is None:
+    if zero_certificate(k, ell).positive_pair_count != 1:
         raise ValueError(
             "no isolated real pair beyond the circle at k=%d, ell=%d" % (k, ell)
         )
-    return _alpha_from_box(box, width)
+    w = boundary_profile(k, ell).w_square
+    return _alpha_from_box(Interval(4, cauchy_bound(w)), w, width)
 
 
-def _alpha_from_box(box: RootBox, width: Fraction) -> Interval:
-    """The refinement loop of alpha_enclosure, on integer endpoints.
+def _alpha_from_box(box: Interval, w: Sequence[int],
+                    width: Fraction) -> Interval:
+    """The refinement loop of alpha_enclosure, on integer endpoints, for a
+    box (4, hi) on which W rises through its one simple root.
 
     The first pass refines the v-box to width / 8, each later one to a
     sixteenth of the previous target with 16 more square-root bits; each
@@ -260,25 +251,24 @@ def _alpha_from_box(box: RootBox, width: Fraction) -> Interval:
     the target by cross-multiplication.  A box whose lower end is still 4,
     where alpha's lower end would be 1, is not narrow enough whatever its
     width: W(4) != 0, so refining moves that end off 4.  Passes whose
-    target is at least such a box's width leave it as it is, so they are
+    target is at least the box's width leave it as it is, so they are
     skipped at once, with delta and bits advanced as those passes would.
     """
     delta = width / 8
     bits = max(32, (width.denominator
                     // max(width.numerator, 1)).bit_length() + 16)
-    if box.lo == 4:
-        # the least m with delta / 16^m below the box's width: a lower
-        # bound from bit lengths, then exact steps up
-        ratio = delta / (box.hi - box.lo)
-        m = max(0, ratio.numerator.bit_length()
-                - ratio.denominator.bit_length() - 1) // 4
-        while ratio >= 16 ** m:
-            m += 1
-        delta /= 16 ** m
-        bits += 16 * m
+    # the least m with delta / 16^m below the box's width: a lower bound
+    # from bit lengths, then exact steps up
+    ratio = delta / (box.hi - box.lo)
+    m = max(0, ratio.numerator.bit_length()
+            - ratio.denominator.bit_length() - 1) // 4
+    while ratio >= 16 ** m:
+        m += 1
+    delta /= 16 ** m
+    bits += 16 * m
     wnum, wden = width.numerator, width.denominator
     while True:
-        box = refine_root(box, delta)
+        box = refine_root(box, w, delta)
         (lo, lo_den), (hi, hi_den) = _alpha_step(box.lo, box.hi, bits)
         if box.lo > 4 and ((hi * lo_den - lo * hi_den) * wden
                            <= wnum * lo_den * hi_den):

@@ -199,7 +199,9 @@ FLAGS = {
                       help="claim grid ell = 1..ELL_MAX"),
     "--suite": dict(default="all", choices=SUITES),
     "--width": dict(type=parse_width, default=ALPHA_WIDTH, metavar="Q",
-                    help="alpha enclosure width, rational or decimal"),
+                    help="alpha enclosure width, rational or decimal; the "
+                    "printed ends have 40 significant digits, so a width "
+                    "below about alpha * 1e-39 is computed but not shown"),
     "--prec": dict(type=int, default=DEFAULT_PRECISION,
                    help="working precision in bits (64..%d)" % MAX_PRECISION),
     "--jobs": dict(type=int, default=1, help="worker processes (>= 1)"),

@@ -17,14 +17,15 @@ and fixes its sign from the known sign of the lc power, so sign
 variation counts (`_variations`) are preserved exactly.  `certify`
 reads them at 0 and 4 by `_sign_at`, and at -inf and +inf off each
 member's leading sign and degree, where W is nonzero, so no count needs
-an endpoint correction.  A root box, which `certify` builds as
-(4, B) around W's one zero beyond 4, has nonzero opposite endpoint
-signs.  Its refinement returns the dyadic cell that sign bisection
+an endpoint correction.  A root box is an `Interval` on which the
+polynomial rises through its one simple root, negative at the lower end
+and positive at the upper; `certify` boxes W's one zero beyond 4 as
+(4, B).  Its refinement returns the dyadic cell that sign bisection
 reaches, but jumps there: a float estimate or a secant only chooses a
 candidate cell, and the candidate is accepted when the exact signs at
-its two ends, by homogeneous integer Horner, are the box's end signs,
-both nonzero.  Such a cell holds the box's one simple root, so it is
-the cell bisection reaches at that level.
+its two ends, by homogeneous integer Horner, are negative and positive.
+Such a cell holds the box's one simple root, so it is the cell
+bisection reaches at that level.
 
 Also here: the x + 1/x transform, which writes a self-reciprocal integer
 polynomial R, after dividing out its zeros at x = 1 and x = -1 that the
@@ -34,9 +35,6 @@ polynomial (`certify` divides by cyclotomic polynomials with it), runs
 one Chebyshev-style recurrence on R's integer coefficients, returns W as
 a tuple of ints, and is verified by exact resubstitution on integers (a
 binomial expansion by shifted adds, compared coefficient by coefficient).
-
-A `Fraction` handed to RootBox as an endpoint is kept as it is, so
-building a box does no Rational-ABC coercion.
 """
 
 from __future__ import annotations
@@ -44,6 +42,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import frexp, gcd, inf, lcm, ldexp, sqrt
 from typing import Iterable, Sequence
+
+from .interval import Interval
 
 
 # -- integer-level helpers ----------------------------------------------
@@ -204,29 +204,6 @@ def cauchy_bound(ints: Sequence[int]) -> Fraction:
     return Fraction(l + max(abs(c) for c in ints[:-1]), l)
 
 
-class RootBox:
-    """An open interval (lo, hi) certified to contain exactly one simple
-    real root of the integer polynomial `ints`, with recorded (nonzero,
-    opposite) endpoint signs."""
-
-    __slots__ = ("ints", "lo", "hi", "sign_lo", "sign_hi")
-
-    def __init__(self, ints: Sequence[int], lo: Fraction, hi: Fraction,
-                 sign_lo: int, sign_hi: int):
-        if not lo < hi:
-            raise ValueError("root box endpoints out of order")
-        if sign_lo == 0 or sign_hi == 0 or sign_lo == sign_hi:
-            raise ValueError("root box endpoint signs must be nonzero and opposite")
-        self.ints = ints
-        self.lo = lo if type(lo) is Fraction else Fraction(lo)
-        self.hi = hi if type(hi) is Fraction else Fraction(hi)
-        self.sign_lo = sign_lo
-        self.sign_hi = sign_hi
-
-    def __repr__(self) -> str:
-        return "RootBox(%s, %s)" % (self.lo, self.hi)
-
-
 def _float_root(ints: Sequence[int], hi: Fraction) -> tuple[float, int] | None:
     """A float estimate of a real root of the integer polynomial below hi,
     with how many of its leading bits to trust, or None.
@@ -273,17 +250,22 @@ def _float_root(ints: Sequence[int], hi: Fraction) -> tuple[float, int] | None:
     return x, frexp(y / max(last, abs(y) * 2.0 ** -52))[1] - 10
 
 
-def refine_root(box: RootBox, width: Fraction) -> RootBox:
+def refine_root(box: Interval, ints: Sequence[int],
+                width: Fraction) -> Interval:
     """Shrink a root box below the requested width: the dyadic cell that
     sign bisection reaches, found by verified jumps.
+
+    The integer polynomial `ints` rises through its one simple root in
+    the box: it is negative at `box.lo` and positive at `box.hi`.  An
+    empty box is refused.
 
     The endpoints are integer numerators a < a + L over D0; a cell of
     level t is [a 2^t + j L, a 2^t + (j + 1) L] over D0 2^t, and the
     result is the cell of the least level s with L / (D0 2^s) <= width.
     A candidate cell some levels deeper is accepted only when the exact
-    signs at its two ends (`_dyadic_values` on the coefficients
-    c_i D0^(n-i)) are (sign_lo, sign_hi), both nonzero: it then holds the
-    box's one simple root, so it is the cell bisection reaches at that
+    values at its two ends (`_dyadic_values` on the coefficients
+    c_i D0^(n-i)) are negative and positive: it then holds the box's
+    one simple root, so it is the cell bisection reaches at that
     level.  The first candidate is the cell of a float estimate of the
     root (`_float_root`), as narrow as the estimate's trusted bits allow;
     the next ones come from a secant through the exact values at the
@@ -293,15 +275,14 @@ def refine_root(box: RootBox, width: Fraction) -> RootBox:
     root itself, and the box closes symmetrically around it, as
     bisection does when a midpoint is the root.
 
-    >>> box = RootBox((-2, 0, 1), Fraction(1), Fraction(2), -1, 1)
-    >>> refine_root(box, Fraction(1, 1000))
-    RootBox(181/128, 1449/1024)
+    >>> refine_root(Interval(1, 2), (-2, 0, 1), Fraction(1, 1000))
+    Interval(181/128, 1449/1024)
     """
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    ints = box.ints
-    slo, shi = box.sign_lo, box.sign_hi
+    if not box.lo < box.hi:
+        raise ValueError("root box is empty")
     den0 = lcm(box.lo.denominator, box.hi.denominator)
     a0 = box.lo.numerator * (den0 // box.lo.denominator)
     span = box.hi.numerator * (den0 // box.hi.denominator) - a0
@@ -339,7 +320,7 @@ def refine_root(box: RootBox, width: Fraction) -> RootBox:
             j = (fa << d) // (fa - fb)
         lo = (a << d) + j * span
         flo, fhi = _dyadic_values(scaled, (lo, lo + span), t + d)
-        if flo * slo > 0 and fhi * shi > 0:
+        if flo < 0 < fhi:
             # a secant step's reach doubles; the estimate's holds
             jump = d if fa is None else 2 * d
             a, fa, fb, t = lo, flo, fhi, t + d
@@ -357,8 +338,7 @@ def refine_root(box: RootBox, width: Fraction) -> RootBox:
             a, fa, fb = lo + span, fhi, fb << n
         t += 1
     if root is None:
-        return RootBox(ints, Fraction(a, den0 << s),
-                       Fraction(a + span, den0 << s), slo, shi)
+        return Interval(Fraction(a, den0 << s), Fraction(a + span, den0 << s))
     # the root is x over den0 2^t; bisection meets it on the first level
     # whose grid holds it, as the midpoint of a cell one level up
     x, t = root
@@ -366,9 +346,9 @@ def refine_root(box: RootBox, width: Fraction) -> RootBox:
     j = (x - (a0 << t)) // span
     t -= (j & -j).bit_length() - 1
     delta = min(width, Fraction(span, den0 << (t - 1))) / 4
-    while _sign_at(ints, m - delta) != slo or _sign_at(ints, m + delta) != shi:
+    while _sign_at(ints, m - delta) != -1 or _sign_at(ints, m + delta) != 1:
         delta /= 2
-    return RootBox(ints, m - delta, m + delta, slo, shi)
+    return Interval(m - delta, m + delta)
 
 
 # -- the x + 1/x transform ----------------------------------------------

@@ -5,7 +5,10 @@ place a value becomes wire text: integers travel as decimal strings,
 rationals as reduced "num/den" strings (the slash always present), and
 enclosures as {"lo", "hi"} with decimal strings rounded *outward* to 40
 significant digits, so a parsed document never claims more than the
-computation proved.  Floats never appear.  Each builder collects library
+computation proved.  The printed ends of alpha are then at least one unit
+in the 40th digit apart, about alpha * 10^-39: a `certify --width` below
+that is computed but not shown (`--k 1 --ell 1 --width 1e-60` prints ends
+1e-39 apart).  Floats never appear.  Each builder collects library
 values in document order and hands them to `wire` once.
 
 Every JSON document carries format "reczeros.<kind>" and version "1" and

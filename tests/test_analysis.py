@@ -198,9 +198,9 @@ def test_analyze_refines_alpha_once_per_member(monkeypatch):
     widths = []
     real_refine = certify._alpha_from_box
 
-    def counted(box, width):
+    def counted(box, ints, width):
         widths.append(width)
-        return real_refine(box, width)
+        return real_refine(box, ints, width)
 
     monkeypatch.setattr(certify, "_alpha_from_box", counted)
     members = [(k, ell) for k in range(1, 7) for ell in range(1, 4)]

@@ -22,7 +22,8 @@ from reczeros.certify import (
 )
 from reczeros.cli import main
 from reczeros.family import boundary_profile, reciprocal_poly, sigma_of
-from reczeros.polycore import _divmod_monic
+from reczeros.interval import Interval
+from reczeros.polycore import _divmod_monic, _sign_at, cauchy_bound
 
 from numeric_oracle import root_classes
 from sympy_oracle import (
@@ -40,6 +41,12 @@ from sympy_oracle import (
 from test_enclosure_reference import reciprocal_poly_ref
 
 
+def _v_box(k, ell):
+    """The box (4, B) of W's root beyond 4, at W's Cauchy bound B, that
+    alpha_enclosure refines."""
+    return Interval(4, cauchy_bound(boundary_profile(k, ell).w_square))
+
+
 def test_certificate_quartic_base():
     cert = certify_zeros(1, 1)
     assert cert.conforms and cert.simple
@@ -49,8 +56,8 @@ def test_certificate_quartic_base():
     assert cert.negative_pair_count == 0
     assert cert.complex_offcircle_count == 0
     assert not cert.root_at_one and not cert.root_at_minus_one
-    assert cert.v_box is not None
-    assert cert.v_box.lo < 7 < cert.v_box.hi
+    box = _v_box(1, 1)
+    assert box.lo < 7 < box.hi
 
 
 def test_certificate_k2_picks_up_minus_one():
@@ -59,7 +66,8 @@ def test_certificate_k2_picks_up_minus_one():
     assert cert.unimodular_count == 1
     assert cert.root_at_minus_one and not cert.root_at_one
     assert to_sympy(reciprocal_poly(2, 1).ints).eval(-1) == 0
-    assert cert.v_box.lo < F(13, 2) < cert.v_box.hi
+    box = _v_box(2, 1)
+    assert box.lo < F(13, 2) < box.hi
 
 
 def test_certificate_k2_ell2_picks_up_plus_one():
@@ -75,7 +83,8 @@ def test_certificate_k3_has_interior_pair():
     cert = certify_zeros(3, 1)
     assert cert.conforms
     assert cert.unimodular_count == 2
-    assert cert.v_box.lo < F(19, 3) < cert.v_box.hi
+    box = _v_box(3, 1)
+    assert box.lo < F(19, 3) < box.hi
 
 
 def test_certificates_on_a_small_grid():
@@ -104,28 +113,20 @@ def test_certificates_match_float_oracle():
 
 # -- the two certificate routes -----------------------------------------
 
-def _fields(cert):
-    box = cert.v_box
-    return ({name: getattr(cert, name) for name in cert._fields
-             if name not in ("v_box", "route")},
-            None if box is None else
-            (box.ints, box.lo, box.hi, box.sign_lo, box.sign_hi))
-
-
 def test_alternation_and_sturm_certificates_agree(monkeypatch):
     fast = {(k, ell): certify_zeros(k, ell)
             for k in range(1, 29) for ell in range(1, 7)}
-    monkeypatch.setattr(certify, "alternation_box", lambda w, n: None)
+    monkeypatch.setattr(certify, "alternation_box", lambda w, n: False)
     for (k, ell), cert in fast.items():
         slow = certify_zeros(k, ell)
         assert cert.route == "alternation" and slow.route == "sturm"
-        assert _fields(cert) == _fields(slow), (k, ell)
+        assert cert.as_dict() == slow.as_dict(), (k, ell)
 
 
 def _agrees_with_sympy_root_isolation(k, ell):
     """sympy's continued-fraction isolation of W, which shares no code with
-    polycore, gives the certificate's counts, and v_box holds its root
-    beyond 4 by exact comparison."""
+    polycore, gives the certificate's counts, and the box (4, B) that
+    alpha refines holds its root beyond 4 by exact comparison."""
     w = boundary_profile(k, ell).w_square
     poly = sympy.Poly(w[::-1], z, domain="ZZ")
     roots = poly.intervals()
@@ -137,10 +138,10 @@ def _agrees_with_sympy_root_isolation(k, ell):
     assert cert.conforms and cert.positive_pair_count == 1
     assert cert.unimodular_count == (2 * len(inside) + cert.root_at_one
                                      + cert.root_at_minus_one)
-    # v_box holds sympy's root: narrow its interval until it fits
+    # the box holds sympy's root: narrow its interval until it fits
+    box = _v_box(k, ell)
     (a, b), = beyond
-    while not (cert.v_box.lo <= to_fraction(a)
-               and to_fraction(b) <= cert.v_box.hi):
+    while not (box.lo <= to_fraction(a) and to_fraction(b) <= box.hi):
         a, b = poly.refine_root(a, b, eps=(b - a) / 4)
 
 
@@ -238,7 +239,7 @@ def test_one_certificate_per_member(monkeypatch):
     alpha_enclosure(5, 2, F(1, 10**30))
     assert zero_certificate(5, 2) is cert
     assert calls == [(5, 2)]
-    assert _fields(cert) == _fields(compute(5, 2))
+    assert cert == compute(5, 2)
 
 
 @given(inside=st.lists(st.fractions(min_value=0, max_value=4,
@@ -252,16 +253,14 @@ def test_alternation_counts_match_sturm(inside, beyond, extra, n, scale):
     # distinct rational roots, mostly laid out the way alternation can close
     roots = set(inside) | {beyond} | set(extra)
     w = int_coeffs_ref(from_roots(*roots, lc=scale))
-    box = alternation_box(w, n)
-    if box is None:
+    if not alternation_box(w, n):
         return
     h = len(w) - 1
-    *counts, sturm_box = certify._sturm_counts(w)
-    assert counts == [h - 1, 1, 0, 0]
-    assert (box.lo, box.hi) == (F(4), certify.cauchy_bound(w))
-    assert ((sturm_box.lo, sturm_box.hi, sturm_box.sign_lo, sturm_box.sign_hi)
-            == (box.lo, box.hi, box.sign_lo, box.sign_hi))
-    assert box.lo < max(roots) < box.hi
+    assert certify._sturm_counts(w) == (h - 1, 1, 0, 0)
+    # W rises through its root beyond 4 in the box (4, B) alpha refines
+    bound = cauchy_bound(w)
+    assert _sign_at(w, 4) == -1 and _sign_at(w, bound) == 1
+    assert 4 < max(roots) < bound
 
 
 @pytest.mark.parametrize("w, control", [
@@ -277,9 +276,9 @@ def test_alternation_counts_match_sturm(inside, beyond, extra, n, scale):
 ])
 def test_alternation_declines_what_it_cannot_prove(w, control):
     assert 1 << certify.GRID_BITS in cosine_grid(6)  # the grid point 1
-    assert alternation_box(int_coeffs_ref(w), 6) is None
+    assert alternation_box(int_coeffs_ref(w), 6) is False
     # the same shape without the defect closes
-    assert alternation_box(int_coeffs_ref(control), 6) is not None
+    assert alternation_box(int_coeffs_ref(control), 6) is True
 
 
 def test_alpha_enclosure_quartic_base():
@@ -313,6 +312,20 @@ def test_alpha_enclosure_width_and_reuse():
 def test_alpha_enclosure_rejects_bad_width():
     with pytest.raises(ValueError):
         alpha_enclosure(1, 1, F(0))
+
+
+@pytest.mark.parametrize("count", [None, 2])
+def test_alpha_enclosure_refuses_a_member_without_one_pair_beyond(
+        monkeypatch, count):
+    """Only a certificate counting one real pair beyond the circle puts
+    W's root in (4, B) with W(4) < 0 < W(B), so any other count, or none
+    for a member whose zeros are not simple, is refused."""
+    real = certify.zero_certificate
+    monkeypatch.setattr(certify, "zero_certificate", lambda k, ell: real(
+        k, ell)._replace(positive_pair_count=count))
+    with pytest.raises(ValueError,
+                       match="no isolated real pair beyond the circle"):
+        alpha_enclosure(3, 2)
 
 
 def test_validation():

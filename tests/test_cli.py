@@ -469,9 +469,9 @@ def test_rendered_documents_are_pinned(command, fmt):
 
 def test_forced_sturm_fallback_gives_the_same_certify_document(
         monkeypatch, capsys):
-    # the fallback boxes the root beyond 4 as (4, B) with the same endpoint
-    # signs, and the route is not a document field
-    monkeypatch.setattr(certify, "alternation_box", lambda w, n: None)
+    # the fallback counts the same zeros, alpha refines the same box (4, B)
+    # either way, and the route is not a document field
+    monkeypatch.setattr(certify, "alternation_box", lambda w, n: False)
     certify.zero_certificate.cache_clear()
     try:
         main(["certify", "--k", "1..14", "--ell", "1..6", "--format", "json"])
@@ -587,12 +587,26 @@ def test_cli_reuses_a_claims_module_already_loaded():
 
 def test_library_imports_load_no_test_extra():
     """sympy and the other test extras stay out of the library: importing
-    the command line and then the analysis layer loads none of them."""
+    the command line and then the analysis layer loads none of them, and
+    neither does running every command after that, so no command imports
+    one on first use either."""
     out = fresh_python("-c", (
-        "import sys, json, reczeros.cli, reczeros.analysis\n"
+        "import contextlib, io, sys, json, reczeros.cli, reczeros.analysis\n"
         "extras = ('sympy', 'numpy', 'mpmath', 'hypothesis', 'jsonschema')\n"
-        "print(json.dumps([m for m in extras if m in sys.modules]))"))
-    assert json.loads(out) == []
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.partition('.')[0] in extras)\n"
+        "imported = loaded()\n"
+        "for argv in ('construct --k 1..3 --ell 1..2',\n"
+        "             'certify --k 1..6 --ell 1..3 --format json',\n"
+        "             'verify --k-max 4 --ell-max 2',\n"
+        "             'analyze --k 1..4 --ell 1..2 --format csv',\n"
+        "             'scan --k 1..6 --ell 1..2'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "            contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert reczeros.cli.main(argv.split()) == 0, argv\n"
+        "print(json.dumps([imported, loaded()]))"))
+    assert json.loads(out) == [[], []]
 
 
 def test_only_construct_builds_the_companion():
@@ -649,8 +663,8 @@ NEVER_ENTERED = {
     "polycore.SturmChain.__init__": "the fallback's chain",
     "interval.Interval.__eq__": "value equality, which the tests compare by",
     "interval.Interval.__hash__": "kept consistent with __eq__",
-    "interval.Interval.__repr__": "the bounds.pi_enclosure docstring example",
-    "polycore.RootBox.__repr__": "the refine_root docstring example",
+    "interval.Interval.__repr__": ("the bounds.pi_enclosure and "
+                                   "refine_root docstring examples"),
 }
 
 #: Small runs of every command, in every format, at --jobs 1.
@@ -760,8 +774,8 @@ def test_coarse_width_skips_the_passes_that_leave_the_box_at_four(
     calls = []
     refine = certify.refine_root
     monkeypatch.setattr(certify, "refine_root",
-                        lambda box, width: calls.append(width)
-                        or refine(box, width))
+                        lambda box, ints, width: calls.append(width)
+                        or refine(box, ints, width))
     code = main(["certify", "--k", "3,14", "--ell", "1,6", "--width", "1e1000",
                  "--format", "json"])
     out = capsys.readouterr().out

@@ -28,7 +28,6 @@ from reczeros.exactnum import bernoulli, zeta_even_rational
 from reczeros.family import monic_even_form, reciprocal_poly, sigma_of
 from reczeros.interval import Interval
 from reczeros.polycore import (
-    RootBox,
     _dyadic_signs,
     _sign_at,
     cauchy_bound,
@@ -266,15 +265,15 @@ def alpha_step_ref(v, bits):
     return from_bounds((u + s) / 2)
 
 
-def alpha_from_box_ref(box, width):
+def alpha_from_box_ref(box, ints, width):
     """The Fraction loop, and the number of passes it took."""
     delta = width / 8
     bits = max(32, (width.denominator // max(width.numerator, 1)).bit_length() + 16)
     passes = 0
     while True:
-        box = refine_root(box, delta)
+        box = refine_root(box, ints, delta)
         passes += 1
-        alpha = alpha_step_ref(Interval(box.lo, box.hi), bits)
+        alpha = alpha_step_ref(box, bits)
         if alpha.width() <= width:
             return alpha, passes
         delta /= 16
@@ -366,18 +365,19 @@ def test_alpha_loop_matches_interval_chain(eps, exp):
     # W(v) = v - (4 + eps): the closer v0 is to 4, the steeper alpha(v0)
     # and the more passes the loop needs
     width = F(1, 10**exp)
-    box = RootBox(int_coeffs_ref([-(4 + eps), 1]), F(4), F(4) + eps + 1,
-                  -1, 1)
-    want, _ = alpha_from_box_ref(box, width)
-    assert _alpha_from_box(box, width) == want
+    ints = int_coeffs_ref([-(4 + eps), 1])
+    box = Interval(4, cauchy_bound(ints))
+    assert box.hi == 5 + eps
+    want, _ = alpha_from_box_ref(box, ints, width)
+    assert _alpha_from_box(box, ints, width) == want
 
 
 def test_alpha_loop_second_pass_matches_interval_chain():
     width = F(1, 10**20)
-    box = RootBox((-4000001, 1000000), F(4), F(5), -1, 1)
-    want, passes = alpha_from_box_ref(box, width)
+    ints, box = (-4000001, 1000000), Interval(4, 5)
+    want, passes = alpha_from_box_ref(box, ints, width)
     assert passes >= 2
-    assert _alpha_from_box(box, width) == want
+    assert _alpha_from_box(box, ints, width) == want
 
 
 @settings(max_examples=150)

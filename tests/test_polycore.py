@@ -10,11 +10,12 @@ import sympy
 from hypothesis import assume, given, strategies as st
 
 from reczeros import polycore
-from reczeros.certify import _sturm_counts, certify_zeros
+from reczeros.certify import _sturm_counts, zero_certificate
+from reczeros.family import boundary_profile
+from reczeros.interval import Interval
 from reczeros.polycore import (
     _sign_at,
     _verify_resubstitution,
-    RootBox,
     SturmChain,
     _divmod_monic,
     _prem,
@@ -47,11 +48,11 @@ def test_poly_is_deleted():
 
 def test_sturm_counts_golden():
     p = (1, -5, 1)  # roots (5 +- sqrt(21))/2, approx 0.2087 and 4.7913
-    n_in, n_out, n_neg, n_cx, box = _sturm_counts(p)
-    assert (n_in, n_out, n_neg, n_cx) == (1, 1, 0, 0)
-    assert (box.lo, box.hi, box.sign_lo, box.sign_hi) == (4, 6, -1, 1)
+    assert _sturm_counts(p) == (1, 1, 0, 0)
+    # the box (4, B) alpha refines around the root beyond 4
+    assert (cauchy_bound(p), _sign_at(p, 4), _sign_at(p, 6)) == (6, -1, 1)
     # v^2 + 1 times v - 5: one root beyond 4 and two non-real ones
-    assert _sturm_counts((-5, 1, -5, 1))[:4] == (0, 1, 0, 2)
+    assert _sturm_counts((-5, 1, -5, 1)) == (0, 1, 0, 2)
 
 
 def test_sturm_open_interval_endpoint_roots():
@@ -75,7 +76,7 @@ def test_sturm_count_random_products_of_linears():
         pairs = rng.randrange(0, 3)  # factors v^2 + m, no real root
         w = from_sympy(sympy.prod([z - r for r in roots]
                                   + [z**2 + m for m in range(1, pairs + 1)]))
-        counts = _sturm_counts(int_coeffs_ref(w))[:4]
+        counts = _sturm_counts(int_coeffs_ref(w))
         assert counts == (sum(1 for r in roots if 0 < r < 4),
                           sum(1 for r in roots if r > 4),
                           sum(1 for r in roots if r < 0), 2 * pairs), roots
@@ -96,13 +97,11 @@ def test_sturm_counts_read_the_signs_at_infinity(w):
     at both degree parities: the counts on (-inf, 0) and (4, inf) rest on
     the chain's signs at -inf and +inf, and match sympy's root counts."""
     poly = sympy.Poly(w, z)
-    n_in, n_out, n_neg, n_cx, box = _sturm_counts(
-        int_coeffs_ref(from_sympy(poly)))
+    n_in, n_out, n_neg, n_cx = _sturm_counts(int_coeffs_ref(from_sympy(poly)))
     assert n_neg == poly.count_roots(sup=0) > 0
     assert n_in == poly.count_roots(0, 4)
     assert n_out == poly.count_roots(inf=4)
     assert n_cx == poly.degree() - poly.count_roots() > 0
-    assert (box is None) == (n_out != 1)
 
 
 @given(st.lists(st.integers(-60, 60), min_size=2, max_size=12)
@@ -173,18 +172,22 @@ def test_cauchy_bound_has_the_leading_sign(coeffs):
     assert _sign_at(coeffs, cauchy_bound(coeffs)) == (1 if coeffs[-1] > 0 else -1)
 
 
-def test_rootbox_validation():
-    p = (-2, 0, 1)
-    with pytest.raises(ValueError):
-        RootBox(p, 1, 2, 1, 1)
-    with pytest.raises(ValueError):
-        RootBox(p, 2, 1, -1, 1)
+def _rising(ints, lo):
+    """ints, negated if it is positive at lo: refine_root takes a box on
+    which the polynomial rises through its root."""
+    return tuple(-c for c in ints) if _sign_at(ints, lo) > 0 else ints
+
+
+def test_refine_root_refuses_an_empty_box():
+    with pytest.raises(ValueError, match="empty"):
+        refine_root(Interval(1, 1), (-1, 1), F(1, 8))
+    with pytest.raises(ValueError, match="out of order"):
+        Interval(2, 1)
 
 
 def test_refine_closes_on_exact_rational_root():
-    p = int_coeffs_ref(from_roots(F(1, 2), 3))
-    box = RootBox(p, F(1, 4), F(3, 4), 1, -1)
-    tight = refine_root(box, F(1, 128))
+    p = _rising(int_coeffs_ref(from_roots(F(1, 2), 3)), F(1, 4))
+    tight = refine_root(Interval(F(1, 4), F(3, 4)), p, F(1, 128))
     assert tight.hi - tight.lo <= F(1, 128)
     assert tight.lo < F(1, 2) < tight.hi
 
@@ -193,28 +196,25 @@ def test_refine_random_linear_roots():
     rng = random.Random(777002)
     for _ in range(25):
         r = F(rng.randrange(-50, 50), rng.randrange(1, 20))
-        ints = int_coeffs_ref(from_roots(r, r + 7))
         lo, hi = r - F(1, 3), r + F(1, 3)
-        box = RootBox(ints, lo, hi, _sign_at(ints, lo), _sign_at(ints, hi))
-        tight = refine_root(box, F(1, 10**9))
+        ints = _rising(int_coeffs_ref(from_roots(r, r + 7)), lo)
+        tight = refine_root(Interval(lo, hi), ints, F(1, 10**9))
         assert tight.lo < r < tight.hi
         assert tight.hi - tight.lo <= F(1, 10**9)
 
 
-def _fraction_refine(box, width):
+def _fraction_refine(box, ints, width):
     """Reference: the same bisection, on Fraction endpoints."""
-    ints = box.ints
     lo, hi = box.lo, box.hi
-    slo, shi = box.sign_lo, box.sign_hi
     while hi - lo > width:
         m = (lo + hi) / 2
         sm = _sign_at(ints, m)
         if sm == 0:
             delta = min(width, hi - lo) / 4
-            while _sign_at(ints, m - delta) != slo or _sign_at(ints, m + delta) != shi:
+            while _sign_at(ints, m - delta) != -1 or _sign_at(ints, m + delta) != 1:
                 delta /= 2
             return m - delta, m + delta
-        if sm == slo:
+        if sm < 0:
             lo = m
         else:
             hi = m
@@ -224,26 +224,27 @@ def _fraction_refine(box, width):
 def test_refine_matches_fraction_bisection_on_certify_grid():
     for k in range(1, 15):
         for ell in range(1, 7):
-            box = certify_zeros(k, ell).v_box
-            if box is None:
+            if zero_certificate(k, ell).positive_pair_count != 1:
                 continue
+            w = boundary_profile(k, ell).w_square
+            box = Interval(4, cauchy_bound(w))
             for width in (F(1, 8 * 10**20), F(1, 128 * 10**20), F(1, 3)):
-                got = refine_root(box, width)
-                assert (got.lo, got.hi) == _fraction_refine(box, width), (k, ell)
-                assert (got.sign_lo, got.sign_hi) == (box.sign_lo, box.sign_hi)
+                got = refine_root(box, w, width)
+                assert (got.lo, got.hi) == _fraction_refine(box, w, width), (k, ell)
+                assert (_sign_at(w, got.lo), _sign_at(w, got.hi)) == (-1, 1)
 
 
-@pytest.mark.parametrize("p, lo, hi, sign_lo, root", [
-    ((-5, 1), 4, 6, -1, 5),                            # the first midpoint
-    ((-5, 1), 4, 8, -1, 5),                            # the second
-    ((5, -1), F(14, 3), 6, 1, 5),                      # the second, D0 = 3
-    (int_coeffs_ref(from_roots(F(1, 3), -2)), 0, F(2, 3), -1, F(1, 3)),
+@pytest.mark.parametrize("p, lo, hi, root", [
+    ((-5, 1), 4, 6, 5),                                # the first midpoint
+    ((-5, 1), 4, 8, 5),                                # the second
+    ((-5, 1), F(14, 3), 6, 5),                         # the second, D0 = 3
+    (int_coeffs_ref(from_roots(F(1, 3), -2)), 0, F(2, 3), F(1, 3)),
 ])
-def test_refine_midpoint_root_matches_fraction_bisection(p, lo, hi, sign_lo, root):
-    box = RootBox(p, lo, hi, sign_lo, -sign_lo)
+def test_refine_midpoint_root_matches_fraction_bisection(p, lo, hi, root):
+    box = Interval(lo, hi)
     for width in (F(1, 100), F(1, 10**12), F(1, 2)):
-        got = refine_root(box, width)
-        assert (got.lo, got.hi) == _fraction_refine(box, width)
+        got = refine_root(box, p, width)
+        assert (got.lo, got.hi) == _fraction_refine(box, p, width)
         assert got.lo + got.hi == 2 * root
         assert got.hi - got.lo <= width
 
@@ -253,7 +254,8 @@ def test_refine_takes_the_lower_half_after_rejecting_the_upper_one():
     leaves the lower half: the step `a, fa, fb = 2 * a, fa << n, flo`,
     which no certify box reaches."""
     ints = (3466008, -1051238, -788833, 128009, 30625, 1029)
-    box = RootBox(ints, F(-53, 7), F(-13, 35), -1, 1)
+    box = Interval(F(-53, 7), F(-13, 35))
+    assert (_sign_at(ints, box.lo), _sign_at(ints, box.hi)) == (-1, 1)
     step = "a, fa, fb = 2 * a, fa << n, flo"
     source, first = inspect.getsourcelines(refine_root)
     step_line = first + next(i for i, text in enumerate(source) if step in text)
@@ -267,19 +269,20 @@ def test_refine_takes_the_lower_half_after_rejecting_the_upper_one():
     sys.settrace(lambda frame, _event, _arg:
                  local if frame.f_code is refine_root.__code__ else None)
     try:
-        got = refine_root(box, F(1, 10**6))
+        got = refine_root(box, ints, F(1, 10**6))
     finally:
         sys.settrace(None)
     assert step_line in lines
-    assert (got.lo, got.hi) == _fraction_refine(box, F(1, 10**6))
+    assert (got.lo, got.hi) == _fraction_refine(box, ints, F(1, 10**6))
 
 
 @st.composite
 def _planted_boxes(draw):
-    """A box around the one real root of an integer polynomial: a rational
-    root, sqrt(a) for a non-square a, or a dyadic point of the box's
-    bisection grid, times factors x^2 + m with no real root, some of them
-    past float range."""
+    """A box around the one real root of an integer polynomial, and the
+    polynomial, negated if need be to rise through it: a rational root,
+    sqrt(a) for a non-square a, or a dyadic point of the box's bisection
+    grid, times factors x^2 + m with no real root, some of them past float
+    range."""
     kind = draw(st.sampled_from(("rational", "irrational", "dyadic")))
     if kind == "irrational":
         a = draw(st.integers(2, 10**12).filter(lambda a: isqrt(a) ** 2 != a))
@@ -302,29 +305,30 @@ def _planted_boxes(draw):
         factor *= z**2 + m
     ints = int_coeffs_ref(
         from_sympy(draw(st.sampled_from((1, -1, 3, -10**20))) * factor))
-    return RootBox(ints, lo, hi, _sign_at(ints, lo), _sign_at(ints, hi))
+    return Interval(lo, hi), _rising(ints, lo)
 
 
 _widths = st.builds(lambda num, e: F(num, 2000 * 10**e),
                     st.integers(1, 1000), st.integers(0, 40))
 
 
-@given(box=_planted_boxes(), width=_widths,
+@given(planted=_planted_boxes(), width=_widths,
        estimate=st.sampled_from(("float", "none"))
        | st.tuples(st.fractions(0, 1), st.integers(-10, 60)))
-def test_refine_matches_fraction_bisection(box, width, estimate):
+def test_refine_matches_fraction_bisection(planted, width, estimate):
     """Whatever the float estimate and its trusted bits say, the exact
     signs pick the cell that bisection reaches: the float estimate, none,
     or any point of the box with any number of bits."""
+    box, ints = planted
     if estimate == "float":
-        got = refine_root(box, width)
+        got = refine_root(box, ints, width)
     else:
         guess = None if estimate == "none" else (
             float(box.lo + (box.hi - box.lo) * estimate[0]), estimate[1])
         with patch.object(polycore, "_float_root", lambda ints, hi: guess):
-            got = refine_root(box, width)
-    assert (got.lo, got.hi) == _fraction_refine(box, width)
-    assert (got.sign_lo, got.sign_hi) == (box.sign_lo, box.sign_hi)
+            got = refine_root(box, ints, width)
+    assert (got.lo, got.hi) == _fraction_refine(box, ints, width)
+    assert (_sign_at(ints, got.lo), _sign_at(ints, got.hi)) == (-1, 1)
 
 
 def test_refine_rejects_a_float_estimate_off_the_root():
@@ -332,14 +336,14 @@ def test_refine_rejects_a_float_estimate_off_the_root():
     its trusted bits give around the larger one, so that cell's end signs
     reject it."""
     root = F(5, 3) + F(1, 2**40)
-    ints = int_coeffs_ref(from_roots(F(5, 3), root, 7))
     lo = F(5, 3) + F(1, 2**41)
-    box = RootBox(ints, lo, F(3), _sign_at(ints, lo), _sign_at(ints, F(3)))
+    ints = _rising(int_coeffs_ref(from_roots(F(5, 3), root, 7)), lo)
+    box = Interval(lo, F(3))
     x, bits = polycore._float_root(ints, box.hi)
     assert abs(F(x) - root) > root / 2**bits
     for width in (F(1, 10**30), F(1, 2**45)):
-        got = refine_root(box, width)
-        assert (got.lo, got.hi) == _fraction_refine(box, width)
+        got = refine_root(box, ints, width)
+        assert (got.lo, got.hi) == _fraction_refine(box, ints, width)
 
 
 # -- the x + 1/x transform ----------------------------------------------
