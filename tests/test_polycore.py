@@ -234,17 +234,19 @@ def test_refine_matches_fraction_bisection_on_certify_grid():
                 assert (_sign_at(w, got.lo), _sign_at(w, got.hi)) == (-1, 1)
 
 
-@pytest.mark.parametrize("p, lo, hi, root", [
-    ((-5, 1), 4, 6, 5),                                # the first midpoint
-    ((-5, 1), 4, 8, 5),                                # the second
-    ((-5, 1), F(14, 3), 6, 5),                         # the second, D0 = 3
-    (int_coeffs_ref(from_roots(F(1, 3), -2)), 0, F(2, 3), F(1, 3)),
+@pytest.mark.parametrize("p, lo, hi, sign_lo, root", [
+    ((-5, 1), 4, 6, -1, 5),                            # the first midpoint
+    ((-5, 1), 4, 8, -1, 5),                            # the second
+    ((5, -1), F(14, 3), 6, 1, 5),                      # the second, D0 = 3
+    (int_coeffs_ref(from_roots(F(1, 3), -2)), 0, F(2, 3), -1, F(1, 3)),
 ])
-def test_refine_midpoint_root_matches_fraction_bisection(p, lo, hi, root):
+def test_refine_midpoint_root_matches_fraction_bisection(p, lo, hi, sign_lo, root):
+    assert _sign_at(p, lo) == sign_lo
+    ints = _rising(p, lo)
     box = Interval(lo, hi)
     for width in (F(1, 100), F(1, 10**12), F(1, 2)):
-        got = refine_root(box, p, width)
-        assert (got.lo, got.hi) == _fraction_refine(box, p, width)
+        got = refine_root(box, ints, width)
+        assert (got.lo, got.hi) == _fraction_refine(box, ints, width)
         assert got.lo + got.hi == 2 * root
         assert got.hi - got.lo <= width
 
